@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
-"""Timing comparison of the compiled field kernel vs the numpy fallback.
+"""Timing of the Biot-Savart field accumulation kernel.
 
-Both backends evaluate the same expression tree in the same order, so
-their outputs must agree bit for bit; the script asserts that before
-timing anything. Workload shape mirrors a map evaluation: one batch of
-pixel points against a filament bundle.
+Workload shape mirrors a map evaluation: one batch of pixel points
+against a filament bundle. Reports the best of --repeats runs in ms and
+Mpair/s (segment-point pairs per second).
 
     python3 benchmarks/bench_field_kernel.py --segments 96 --points 20000
 """
@@ -13,6 +12,8 @@ import argparse
 import time
 
 import numpy as np
+
+from nvscope.kernels import field_accumulate
 
 
 def make_workload(n_segments, n_points, seed=0):
@@ -28,7 +29,7 @@ def make_workload(n_segments, n_points, seed=0):
             np.ascontiguousarray(points))
 
 
-def run(kernel, workload, repeats):
+def run(workload, repeats):
     starts, ends, cur_re, cur_im, points = workload
     out_re = np.zeros((points.shape[0], 3))
     out_im = np.zeros((points.shape[0], 3))
@@ -37,12 +38,12 @@ def run(kernel, workload, repeats):
         out_re[:] = 0.0
         out_im[:] = 0.0
         t0 = time.perf_counter()
-        rc = kernel(starts, ends, cur_re, cur_im, points, 1e-9,
-                    out_re, out_im)
+        rc = field_accumulate(starts, ends, cur_re, cur_im, points, 1e-9,
+                              out_re, out_im)
         best = min(best, time.perf_counter() - t0)
         if rc >= 0:
             raise RuntimeError(f"kernel reported proximity code {rc}")
-    return best, out_re.copy(), out_im.copy()
+    return best
 
 
 def main():
@@ -52,35 +53,12 @@ def main():
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
 
-    try:
-        from nvscope._fieldkern import field_accumulate as compiled
-    except ImportError:
-        compiled = None
-    from nvscope._fieldkern_py import field_accumulate as fallback
-
     workload = make_workload(args.segments, args.points)
     pairs = args.segments * args.points
-
-    t_py, re_py, im_py = run(fallback, workload, args.repeats)
+    t = run(workload, args.repeats)
     print(f"workload: {args.segments} segments x {args.points} points "
           f"({pairs:.2e} pairs), best of {args.repeats}")
-    print(f"numpy fallback : {t_py * 1e3:9.2f} ms "
-          f"({pairs / t_py / 1e6:8.1f} Mpair/s)")
-
-    if compiled is None:
-        print("compiled kernel: not built (install without NVSCOPE_NO_EXT "
-              "and with a C compiler)")
-        return
-
-    t_c, re_c, im_c = run(compiled, workload, args.repeats)
-    print(f"compiled kernel: {t_c * 1e3:9.2f} ms "
-          f"({pairs / t_c / 1e6:8.1f} Mpair/s)")
-    print(f"speedup        : {t_py / t_c:9.2f}x")
-
-    if np.array_equal(re_py, re_c) and np.array_equal(im_py, im_c):
-        print("outputs        : bit-identical")
-    else:
-        raise SystemExit("outputs differ between backends")
+    print(f"field kernel: {t * 1e3:9.2f} ms ({pairs / t / 1e6:8.1f} Mpair/s)")
 
 
 if __name__ == "__main__":

@@ -32,7 +32,8 @@ import numpy as np
 
 from nvscope import __version__, acquisition, analysis, currents, formats
 from nvscope.acquisition import CameraTiming, DecayParams, PulseParams
-from nvscope.fieldcore import (SensingLayer, TRANSITIONS, flip_axis,
+from nvscope.fieldcore import (SensingLayer, TRANSITIONS,
+                               bias_field_for_frequency, flip_axis,
                                nv_frame_from_tilt)
 from nvscope.nearfield import (GridSpec, PolarizedFieldMap,
                                SegmentProximityError, evaluate_phasor_map,
@@ -171,6 +172,10 @@ def load_scenario(value):
     if transition not in TRANSITIONS:
         raise ConfigError(f"bias.transition must be one of {TRANSITIONS}")
     f_mw = float(_need(bdoc, "f_mw", "bias"))
+    try:
+        bias_field_for_frequency(f_mw, transition)
+    except ValueError as err:
+        raise ConfigError(f"bias: {err}")
 
     try:
         pulse = PulseParams(**si.get("pulse", {}))
@@ -199,10 +204,11 @@ def load_scenario(value):
         for key in ("dt_mw_ns", "rows", "schedule"):
             _need(stream, key, "stream")
         for item in stream["schedule"]:
-            if (len(item) != 2 or item[0] < 0
+            if (len(item) != 2 or item[0] <= 0
                     or item[1] not in (acquisition.ON, acquisition.OFF)):
                 raise ConfigError(
-                    "stream.schedule entries must be [duration_ms, on|off]")
+                    "stream.schedule entries must be [duration_ms > 0, "
+                    "on|off]")
 
     seed = si.get("seed")
     return ScenarioConfig(

@@ -20,6 +20,7 @@ PGM    plain 16-bit binary P5 (big-endian samples per the format),
 import hashlib
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -282,11 +283,24 @@ def read_pgm(path):
     if raw[:3] != b"P5\n":
         raise FormatError(f"{path}: bad magic at byte 0, expected b'P5'")
     end = raw.find(b"\n", 3)
-    end = raw.find(b"\n", end + 1)
+    if end >= 0:
+        end = raw.find(b"\n", end + 1)
     if end < 0:
-        raise FormatError(f"{path}: truncated header")
-    fields = raw[3:end].split()
-    w, h, maxval = (int(v) for v in fields)
+        raise FormatError(
+            f"{path}: truncated header at byte {len(raw)}, expected "
+            f"size and maxval lines")
+    fields = []
+    for m in re.finditer(rb"\S+", raw[3:end]):
+        if not m.group().isdigit():
+            raise FormatError(
+                f"{path}: header field {m.group()!r} at byte {3 + m.start()} "
+                f"is not an unsigned integer")
+        fields.append(int(m.group()))
+    if len(fields) != 3:
+        raise FormatError(
+            f"{path}: header at byte 3 has {len(fields)} fields, expected "
+            f"width, height and maxval")
+    w, h, maxval = fields
     if maxval != 65535:
         raise FormatError(f"{path}: expected 16-bit maxval, got {maxval}")
     payload = _expect_payload(raw, end + 1, w * h * 2, path)

@@ -5,7 +5,7 @@ Biot-Savart expression; grids of pixels are averaged over the sensing
 layer thickness and projected onto the NV circular components. The
 evaluation order is fixed (segments in model order inside each layer
 sample, layer samples bottom to top) so repeated runs are bit-identical
-regardless of backend or parallelism.
+regardless of parallelism.
 """
 
 from dataclasses import dataclass

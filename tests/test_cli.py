@@ -164,12 +164,22 @@ def test_load_scenario_bad_scan(tmp_path):
 def test_load_scenario_bad_schedule(tmp_path):
     doc = json.loads(json.dumps(MINI))
     del doc["scan"]
-    doc["stream"] = {"dt_mw_ns": 30, "rows": 50,
-                     "schedule": [[2.5, "sideways"]]}
     path = tmp_path / "s.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ConfigError, match="schedule"):
-        load_scenario(str(path))
+    for schedule in ([[2.5, "sideways"]], [[0, "on"]]):
+        doc["stream"] = {"dt_mw_ns": 30, "rows": 50, "schedule": schedule}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="schedule"):
+            load_scenario(str(path))
+
+
+def test_unreachable_drive_frequency_exits_2(tmp_path):
+    # sigma+ sits above the 2.87 GHz zero-field splitting; 2.77 GHz needs
+    # a negative bias field
+    path = write_scenario(tmp_path, bias={"f_mw_ghz": 2.77,
+                                          "transition": "sigma+"})
+    with pytest.raises(ConfigError, match="sigma-"):
+        load_scenario(path)
+    assert run("simulate", "--config", path, "-o", tmp_path / "out") == 2
 
 
 def test_load_scenario_invalid_json(tmp_path):

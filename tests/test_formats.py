@@ -258,12 +258,17 @@ def test_pgm_input_validation(tmp_path):
 
 def test_pgm_read_validation(tmp_path):
     path = tmp_path / "bad.pgm"
-    path.write_bytes(b"P6\n2 2\n65535\n" + b"\x00" * 8)
-    with pytest.raises(FormatError, match="magic"):
-        read_pgm(path)
-    path.write_bytes(b"P5\n2 2\n255\n" + b"\x00" * 4)
-    with pytest.raises(FormatError, match="maxval"):
-        read_pgm(path)
+    cases = [
+        (b"P6\n2 2\n65535\n" + b"\x00" * 8, "magic"),
+        (b"P5\n2 2\n255\n" + b"\x00" * 4, "maxval"),
+        (b"P5\n3 2 65535", "truncated header at byte 12"),
+        (b"P5\n3\n65535\n" + b"\x00" * 6, "byte 3 has 2 fields"),
+        (b"P5\n3 x2\n65535\n" + b"\x00" * 12, "b'x2' at byte 5"),
+    ]
+    for raw, match in cases:
+        path.write_bytes(raw)
+        with pytest.raises(FormatError, match=match):
+            read_pgm(path)
 
 
 # ------------------------------------------------------------------- misc

@@ -1,22 +1,8 @@
-"""Compiled versus pure-numpy field kernel equivalence."""
-
-import os
-import subprocess
-import sys
+"""Proximity reporting of the field accumulation kernel."""
 
 import numpy as np
-import pytest
 
-from nvscope import kernels
-from nvscope._fieldkern_py import field_accumulate as accumulate_py
-
-try:
-    from nvscope._fieldkern import field_accumulate as accumulate_ext
-except ImportError:
-    accumulate_ext = None
-
-needs_ext = pytest.mark.skipif(accumulate_ext is None,
-                               reason="compiled extension not built")
+from nvscope.kernels import field_accumulate
 
 
 def random_inputs(seed, n_seg=40, n_pts=300):
@@ -29,38 +15,14 @@ def random_inputs(seed, n_seg=40, n_pts=300):
     return starts, ends, cur_re, cur_im, pts
 
 
-@needs_ext
-class TestBackendEquivalence:
-    def test_bitwise_identical_fields(self):
-        for seed in range(10):
-            starts, ends, cr, ci, pts = random_inputs(seed)
-            n = len(pts)
-            a_re, a_im = np.zeros((n, 3)), np.zeros((n, 3))
-            b_re, b_im = np.zeros((n, 3)), np.zeros((n, 3))
-            rc_a = accumulate_ext(starts, ends, cr, ci, pts, 1e-9, a_re, a_im)
-            rc_b = accumulate_py(starts, ends, cr, ci, pts, 1e-9, b_re, b_im)
-            assert rc_a == rc_b == -1
-            np.testing.assert_array_equal(a_re, b_re)
-            np.testing.assert_array_equal(a_im, b_im)
-
-    def test_violation_index_identical(self):
-        starts, ends, cr, ci, pts = random_inputs(99)
-        pts[211] = 0.5 * (starts[17] + ends[17])  # on-axis point
-        n = len(pts)
-        bufs = [np.zeros((n, 3)) for _ in range(4)]
-        rc_a = accumulate_ext(starts, ends, cr, ci, pts, 1e-9, bufs[0], bufs[1])
-        rc_b = accumulate_py(starts, ends, cr, ci, pts, 1e-9, bufs[2], bufs[3])
-        assert rc_a == rc_b == 17 * n + 211
-
-
-def test_selector_reports_backend():
-    assert isinstance(kernels.USING_EXTENSION, bool)
-    assert callable(kernels.field_accumulate)
-
-
-def test_no_ext_env_forces_fallback():
-    env = dict(os.environ, NVSCOPE_NO_EXT="1")
-    code = ("from nvscope import kernels; "
-            "import sys; sys.exit(0 if not kernels.USING_EXTENSION else 1)")
-    proc = subprocess.run([sys.executable, "-c", code], env=env)
-    assert proc.returncode == 0
+def test_violation_index_identical():
+    starts, ends, cr, ci, pts = random_inputs(99)
+    pts[211] = 0.5 * (starts[17] + ends[17])  # on-axis point
+    # later on-axis hits that must not win: segment order first, then
+    # point order within the segment
+    pts[5] = 0.5 * (starts[30] + ends[30])
+    pts[250] = 0.25 * starts[17] + 0.75 * ends[17]
+    n = len(pts)
+    out_re, out_im = np.zeros((n, 3)), np.zeros((n, 3))
+    rc = field_accumulate(starts, ends, cr, ci, pts, 1e-9, out_re, out_im)
+    assert rc == 17 * n + 211
