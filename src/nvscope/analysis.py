@@ -11,6 +11,17 @@ The phase term is optional: with phi fixed at 0 the model is the bare
 sine form, with phi free it also matches (1 - cos)-shaped population
 signals. Calibration is B = Omega / (2 pi gamma_nv).
 
+All pixels of a block (at most FIT_BLOCK_PX) are fit together by one
+numpy LM loop, the "many small fits" scheme of Gpufit (Przybylski et
+al., Sci. Rep. 7, 15722, 2017): seeds come from one FFT over the rows,
+each row has its own damping and Moré (1978) column scaling, the
+damped normal equations of all rows are solved as one stack, and a row
+leaves the loop once it converges or has used max_iterations residual
+evaluations (the first included). No step mixes rows, and the traces
+are C-contiguous rows so every reduction sums a trace in the same
+order, so a pixel's result does not depend on the other pixels of its
+block: fit_pixel is the same fitter on a one-row block.
+
 Under the default double envelope every trace is fit with both the
 single-exponential (C = 0) and the double-exponential envelope, and
 the nested pair is compared by the Bayesian information criterion
@@ -36,7 +47,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import ndimage
-from scipy.optimize import least_squares
 
 from nvscope.fieldcore import GAMMA_NV
 from nvscope.nearfield import GridSpec, PolarizedFieldMap
@@ -70,6 +80,12 @@ SINGLE_EXP = "single-exp"
 
 # dBIC a double-exp fit must reach over the single-exp fit to be kept
 BIC_MARGIN = 10.0
+
+# pixels fitted together in one LM batch; bounds the solver's memory
+FIT_BLOCK_PX = 1024
+
+# MINPACK gradient test: max |cos(column of J, residual)|
+_GTOL = 1e-14
 
 
 @dataclass
@@ -113,91 +129,12 @@ class RabiFitResult:
     residual_rms: float
     converged: bool
     below_threshold: bool = False
+    evaluations: int = 0  # residual evaluations of both solves
 
 
 def omega_to_field(omega_rad_per_ns, gamma_nv=GAMMA_NV):
     """Calibrated field amplitude (T) for an angular frequency in rad/ns."""
     return omega_rad_per_ns * 1e9 / (2.0 * math.pi * gamma_nv)
-
-
-def periodogram_peak(t_ns, y, pad_factor=4):
-    """Dominant oscillation frequency of a trace (cycles/ns) and its SNR.
-
-    Mean-subtracted, zero-padded FFT; the peak bin is refined by
-    parabolic interpolation. SNR is peak magnitude over the median
-    non-DC magnitude. Ties resolve to the lower frequency.
-    """
-    y = np.asarray(y, dtype=float)
-    n = len(y)
-    step = float(np.mean(np.diff(t_ns)))
-    nfft = pad_factor * n
-    mag = np.abs(np.fft.rfft(y - np.mean(y), nfft))
-    body = mag[1:]
-    k = int(np.argmax(body)) + 1
-    peak = mag[k]
-    floor = float(np.median(body))
-    if floor == 0.0:
-        snr = math.inf if peak > 0 else 0.0
-    else:
-        snr = peak / floor
-    # parabolic refinement on the three bins around the peak
-    if 1 <= k - 1 and k + 1 < len(mag):
-        alpha, beta, gamma = mag[k - 1], mag[k], mag[k + 1]
-        denom = alpha - 2 * beta + gamma
-        delta = 0.0 if denom == 0 else 0.5 * (alpha - gamma) / denom
-        delta = float(np.clip(delta, -0.5, 0.5))
-    else:
-        delta = 0.0
-    freq = (k + delta) / (nfft * step)
-    return freq, snr
-
-
-def _model_parts(t, params, mode, allow_phase):
-    if mode == DOUBLE_EXP:
-        a, b, c, lf, ls, w = params[:6]
-        phi = params[6] if allow_phase else 0.0
-        tau_f = math.exp(min(max(lf, -40.0), 40.0))
-        tau_s = math.exp(min(max(ls, -40.0), 40.0))
-        ef = np.exp(-t / tau_f)
-        es = np.exp(-t / tau_s)
-        env = b * ef + c * es
-    else:
-        a, b, lf, w = params[:4]
-        phi = params[4] if allow_phase else 0.0
-        tau_f = math.exp(min(max(lf, -40.0), 40.0))
-        tau_s = tau_f
-        ef = np.exp(-t / tau_f)
-        es = None
-        c = 0.0
-        env = b * ef
-    s = np.sin(w * t + phi)
-    return a, b, c, tau_f, tau_s, ef, es, env, s, phi
-
-
-def _residual(params, t, y, mode, allow_phase):
-    a, _, _, _, _, _, _, env, s, _ = _model_parts(t, params, mode, allow_phase)
-    return (a - env * s) - y
-
-
-def _jacobian(params, t, y, mode, allow_phase):
-    a, b, c, tau_f, tau_s, ef, es, env, s, phi = _model_parts(
-        t, params, mode, allow_phase)
-    if mode == DOUBLE_EXP:
-        w = params[5]
-    else:
-        w = params[3]
-    cos = np.cos(w * t + phi)
-    cols = [np.ones_like(t), -ef * s]
-    if mode == DOUBLE_EXP:
-        cols.append(-es * s)
-        cols.append(-b * ef * (t / tau_f) * s)
-        cols.append(-c * es * (t / tau_s) * s)
-    else:
-        cols.append(-b * ef * (t / tau_f) * s)
-    cols.append(-env * t * cos)
-    if allow_phase:
-        cols.append(-env * cos)
-    return np.column_stack(cols)
 
 
 def _default_omega_bounds(t_ns):
@@ -209,28 +146,186 @@ def _exp_clipped(log_tau):
     return math.exp(min(max(log_tau, -40.0), 40.0))
 
 
-def _seed_tau(t, y):
-    """Envelope time constant estimate from early/late oscillation power.
+def _periodogram_peaks(t, y, pad_factor=4):
+    """Dominant oscillation frequency (cycles/ns) and SNR of every row.
+
+    Mean-subtracted, zero-padded FFT per row; the peak bin is refined by
+    parabolic interpolation. SNR is peak magnitude over the median
+    non-DC magnitude. Ties resolve to the lower frequency.
+    """
+    n = y.shape[1]
+    step = float(np.mean(np.diff(t)))
+    nfft = pad_factor * n
+    mag = np.abs(np.fft.rfft(y - np.mean(y, axis=1, keepdims=True), nfft,
+                             axis=1))
+    body = mag[:, 1:]
+    k = np.argmax(body, axis=1) + 1
+    rows = np.arange(len(y))
+    peak = mag[rows, k]
+    floor = np.median(body, axis=1)
+    # parabolic refinement on the three bins around the peak
+    inner = (k >= 2) & (k + 1 < mag.shape[1])
+    alpha = mag[rows, np.where(inner, k - 1, k)]
+    gamma = mag[rows, np.where(inner, k + 1, k)]
+    denom = alpha - 2 * peak + gamma
+    with np.errstate(divide="ignore", invalid="ignore"):
+        snr = np.where(floor == 0.0, np.where(peak > 0, math.inf, 0.0),
+                       peak / floor)
+        delta = np.where(inner & (denom != 0), 0.5 * (alpha - gamma) / denom,
+                         0.0)
+    delta = np.clip(delta, -0.5, 0.5)
+    return (k + delta) / (nfft * step), snr
+
+
+def _seed_taus(t, y):
+    """Envelope time constant estimates from early/late oscillation power.
 
     Near-constant envelopes seed at a large tau so the solver does not
     have to climb out of a fast-decay guess one step at a time.
     """
-    n = len(t)
-    half = n // 2
-    early = y[:half] - np.mean(y[:half])
-    late = y[half:] - np.mean(y[half:])
-    r_early = math.sqrt(float(np.mean(early ** 2)))
-    r_late = math.sqrt(float(np.mean(late ** 2)))
+    half = len(t) // 2
+    early = y[:, :half] - np.mean(y[:, :half], axis=1, keepdims=True)
+    late = y[:, half:] - np.mean(y[:, half:], axis=1, keepdims=True)
+    r_early = np.sqrt(np.mean(early ** 2, axis=1))
+    r_late = np.sqrt(np.mean(late ** 2, axis=1))
     span = float(t[-1] - t[0])
     gap = float(np.mean(t[half:]) - np.mean(t[:half]))
-    if r_late > 0 and r_early > r_late:
-        tau = gap / math.log(r_early / r_late)
-    else:
-        tau = 50.0 * span
-    return min(max(tau, span / 20.0), 50.0 * span)
+    decays = (r_late > 0) & (r_early > r_late)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tau = np.where(decays, gap / np.log(r_early / r_late), 50.0 * span)
+    return np.clip(tau, span / 20.0, 50.0 * span)
 
 
-def _unpack(params, mode, allow_phase, residual_rms, converged):
+def _model_rows(t, y, x, k, allow_phase):
+    """Residuals of the model at parameter rows x against the rows of y.
+
+    A row is [A, amp_1..amp_k, ln tau_1..ln tau_k, Omega(, phi)], with k
+    = 1 (single-exp) or 2 (double-exp). Returns the residuals and the
+    model terms the Jacobian reuses.
+    """
+    taus = np.exp(np.clip(x[:, 1 + k:1 + 2 * k], -40.0, 40.0))[:, :, None]
+    decays = np.exp(-t / taus)
+    env = x[:, 1, None] * decays[:, 0]
+    if k == 2:
+        env = env + x[:, 2, None] * decays[:, 1]
+    arg = x[:, 1 + 2 * k, None] * t
+    if allow_phase:
+        arg = arg + x[:, 2 + 2 * k, None]
+    s = np.sin(arg)
+    return (x[:, :1] - env * s) - y, (taus, decays, env, s, arg)
+
+
+def _normal_equations(t, x, resid, terms, k):
+    """J^T J and the gradient J^T r of every row, J from the terms of
+    _model_rows."""
+    taus, decays, env, s, arg = terms
+    jac = np.empty((len(x), x.shape[1], len(t)))
+    jac[:, 0] = 1.0
+    jac[:, 1:1 + k] = -decays * s[:, None]
+    jac[:, 1 + k:1 + 2 * k] = (-x[:, 1:1 + k, None] * decays * (t / taus)
+                               * s[:, None])
+    cos = np.cos(arg)
+    jac[:, 1 + 2 * k] = -env * t * cos
+    if jac.shape[1] > 2 + 2 * k:
+        jac[:, 2 + 2 * k] = -env * cos
+    return (jac @ jac.transpose(0, 2, 1),
+            (jac @ resid[:, :, None])[:, :, 0])
+
+
+def _solve_rows(m, b):
+    """Solve each system of the stack. A singular system gives its row a
+    NaN step instead of failing the stack; non-finite ones give NaN."""
+    b = b[:, :, None]
+    try:
+        return np.linalg.solve(m, b)[:, :, 0]
+    except np.linalg.LinAlgError:
+        step = np.full(b.shape[:2], np.nan)
+        for i in range(len(b)):
+            try:
+                step[i] = np.linalg.solve(m[i:i + 1], b[i:i + 1])[0, :, 0]
+            except np.linalg.LinAlgError:
+                pass
+        return step
+
+
+def _small_gradient(jtj, grad, ssq):
+    """MINPACK's gtol test: every column of J is orthogonal to r."""
+    norms = np.diagonal(jtj, axis1=1, axis2=2)
+    cosine = np.abs(grad) / np.sqrt(norms * ssq[:, None])
+    cosine = np.where(norms > 0, cosine, 0.0)
+    return (ssq == 0) | (np.max(cosine, axis=1) <= _GTOL)
+
+
+def _levenberg_marquardt(t, y, x, k, allow_phase, cfg):
+    """Fit the rows of y (P, n) from the seed rows x (P, p) together.
+
+    Each row carries its own damping lam and Moré scaling d2 (running
+    max of diag J^T J) and solves (J^T J + lam diag d2) dx = -J^T r.
+    A step is kept when its gain ratio exceeds 1e-4. A row converges
+    on MINPACK's ftol, xtol or gtol test and leaves the active set when
+    it converges or has used cfg.max_iterations residual evaluations,
+    the first included. Returns (x, residual sum of squares,
+    evaluations, converged) per row.
+    """
+    tol = cfg.rel_tolerance
+    diag = np.arange(x.shape[1])
+    x = x.copy()
+    with np.errstate(all="ignore"):
+        resid, terms = _model_rows(t, y, x, k, allow_phase)
+        ssq = np.sum(resid ** 2, axis=1)
+        jtj, grad = _normal_equations(t, x, resid, terms, k)
+        d2 = np.diagonal(jtj, axis1=1, axis2=2).copy()
+        d2[d2 == 0] = 1.0
+        lam = np.full(len(x), 1e-3)
+        nu = np.full(len(x), 2.0)
+        nfev = np.ones(len(x), dtype=int)
+        converged = _small_gradient(jtj, grad, ssq)
+        act = np.flatnonzero(~converged & (nfev < cfg.max_iterations))
+        while act.size:
+            xa, ga, la, d2a = x[act], grad[act], lam[act], d2[act]
+            damped = jtj[act]
+            damped[:, diag, diag] += la[:, None] * d2a
+            step = _solve_rows(damped, -ga)
+            x_new = xa + step
+            resid, terms = _model_rows(t, y[act], x_new, k, allow_phase)
+            ssq_new = np.sum(resid ** 2, axis=1)
+            nfev[act] += 1
+            # reductions of the cost ssq / 2: actual and as predicted by
+            # the damped linear model
+            cost = 0.5 * ssq[act]
+            actual = cost - 0.5 * ssq_new
+            pred = 0.5 * np.sum(step * (la[:, None] * d2a * step - ga), axis=1)
+            rho = np.where(pred > 0, actual / pred, -math.inf)
+            accept = np.isfinite(ssq_new) & (rho > 1e-4)
+            done = ((np.abs(actual) <= tol * cost) & (pred <= tol * cost)
+                    & (rho <= 2.0))
+            done |= (np.sum(d2a * step ** 2, axis=1)
+                     <= tol ** 2 * np.sum(d2a * xa ** 2, axis=1))
+
+            # rejected: raise the damping geometrically
+            rej = act[~accept]
+            lam[rej] *= nu[rej]
+            nu[rej] *= 2.0
+            # accepted: move, relinearize and relax the damping
+            if accept.any():
+                acc = act[accept]
+                x[acc] = x_new[accept]
+                ssq[acc] = ssq_new[accept]
+                jtj[acc], grad[acc] = _normal_equations(
+                    t, x_new[accept], resid[accept],
+                    [q[accept] for q in terms], k)
+                d2[acc] = np.maximum(
+                    d2[acc], np.diagonal(jtj[acc], axis1=1, axis2=2))
+                r = rho[accept]
+                lam[acc] *= np.maximum(1.0 / 3.0, 1.0 - (2.0 * r - 1.0) ** 3)
+                nu[acc] = 2.0
+                done[accept] |= _small_gradient(jtj[acc], grad[acc], ssq[acc])
+            converged[act] = done
+            act = act[~done & (nfev[act] < cfg.max_iterations)]
+    return x, ssq, nfev, converged
+
+
+def _unpack(params, mode, allow_phase, residual_rms, converged, evaluations):
     if mode == DOUBLE_EXP:
         a, b, c, lf, ls, w = params[:6]
         phi = params[6] if allow_phase else 0.0
@@ -254,86 +349,8 @@ def _unpack(params, mode, allow_phase, residual_rms, converged):
                          tau_fast_ns=float(tau_f), tau_slow_ns=float(tau_s),
                          omega=float(w), phase=float(phi),
                          residual_rms=float(residual_rms),
-                         converged=bool(converged))
-
-
-def _delta_bic(y, res_single, res_double):
-    """BIC gain of the double over the single envelope (see module doc)."""
-    n = len(y)
-    # cost floor keeps noiseless traces (both costs ~eps^2) comparable
-    floor = n * (1e-10 * max(float(np.max(np.abs(y))), 1e-30)) ** 2
-    return (n * math.log((res_single.cost + floor) / (res_double.cost + floor))
-            - 2.0 * math.log(n))
-
-
-def _run_fit(t, y, x0, mode, allow_phase, cfg):
-    return least_squares(
-        _residual, x0, jac=_jacobian, method="lm",
-        args=(t, y, mode, allow_phase),
-        xtol=cfg.rel_tolerance, ftol=cfg.rel_tolerance, gtol=1e-14,
-        max_nfev=cfg.max_iterations)
-
-
-def fit_pixel(t_ns, y, cfg=None):
-    """Fit one contrast trace; returns a RabiFitResult.
-
-    With envelope_mode double-exp both envelopes are fit from fixed
-    seeds and the double one is kept only when its solve converged and
-    its dBIC over the single one is at least BIC_MARGIN (10); see the
-    module docstring. A double solve that exhausts its evaluation
-    budget is discarded, so the pixel is fit single-exp. With
-    envelope_mode single-exp only the single envelope is fit.
-
-    Raises NoOscillation when the periodogram peak is below the
-    configured SNR threshold and NotConverged, carrying the partial
-    single-exp result, when the single-exp solve runs out of its
-    iteration budget and no double-exp fit is kept. A fit whose
-    frequency lands on or outside the omega bounds is returned with
-    converged=False.
-    """
-    if cfg is None:
-        cfg = FitConfig()
-    t = np.asarray(t_ns, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if len(t) < 8:
-        raise ValueError("need at least 8 samples to fit")
-    if np.any(np.diff(t) <= 0):
-        raise ValueError("pulse durations must be strictly increasing")
-    if t.shape != y.shape:
-        raise ValueError("time and contrast arrays must match")
-
-    freq, snr = periodogram_peak(t, y)
-    if snr < cfg.min_contrast_snr:
-        raise NoOscillation(snr, cfg.min_contrast_snr)
-
-    bounds = cfg.omega_bounds or _default_omega_bounds(t)
-    w0 = 2.0 * math.pi * freq
-    a0 = float(np.mean(y))
-    amp0 = (float(np.max(y)) - float(np.min(y))) / 2.0
-    tau0 = _seed_tau(t, y)
-    phi0 = math.pi / 2.0  # (1 - cos)-shaped signals start at quadrature
-
-    phase = [phi0] if cfg.allow_phase else []
-    mode = SINGLE_EXP
-    res = _run_fit(t, y, [a0, amp0, math.log(tau0), w0] + phase, mode,
-                   cfg.allow_phase, cfg)
-    if cfg.envelope_mode == DOUBLE_EXP:
-        x0 = [a0, amp0 / 2, amp0 / 2, math.log(tau0 / 3), math.log(3 * tau0),
-              w0] + phase
-        res_d = _run_fit(t, y, x0, DOUBLE_EXP, cfg.allow_phase, cfg)
-        if res_d.status != 0 and _delta_bic(y, res, res_d) >= BIC_MARGIN:
-            res, mode = res_d, DOUBLE_EXP
-    if res.status == 0:
-        partial = _unpack(res.x, mode, cfg.allow_phase,
-                          math.sqrt(np.mean(res.fun ** 2)), False)
-        raise NotConverged(
-            f"fit exhausted {cfg.max_iterations} evaluations", partial)
-
-    rms = math.sqrt(float(np.mean(res.fun ** 2)))
-    result = _unpack(res.x, mode, cfg.allow_phase, rms, True)
-    if not (bounds[0] < result.omega < bounds[1]):
-        result = replace(result, converged=False)
-    return result
+                         converged=bool(converged),
+                         evaluations=int(evaluations))
 
 
 def _below_threshold_result(trace):
@@ -344,21 +361,128 @@ def _below_threshold_result(trace):
                          below_threshold=True)
 
 
-def _fit_trace_guarded(t, trace, cfg):
-    try:
-        return fit_pixel(t, trace, cfg)
-    except NoOscillation:
-        return _below_threshold_result(trace)
-    except NotConverged as err:
-        if err.result is not None:
-            return err.result
-        return replace(_below_threshold_result(trace), below_threshold=False)
+def _fit_rows(t_ns, y, cfg):
+    """Fit every row of y (P, n); returns (results, snr, exhausted).
+
+    Below-threshold rows get _below_threshold_result. A row whose kept
+    solve used up its evaluation budget is flagged in exhausted and its
+    result carries the partial fit with converged=False.
+    """
+    t = np.asarray(t_ns, dtype=float)
+    if len(t) < 8:
+        raise ValueError("need at least 8 samples to fit")
+    if np.any(np.diff(t) <= 0):
+        raise ValueError("pulse durations must be strictly increasing")
+    if y.shape[1:] != t.shape:
+        raise ValueError("time and contrast arrays must match")
+    # rows C-contiguous so that every reduction sums a row in the same
+    # order whatever the other rows of the block are
+    y = np.ascontiguousarray(y, dtype=float)
+    n = len(t)
+
+    freq, snr = _periodogram_peaks(t, y)
+    results = [None] * len(y)
+    exhausted = np.zeros(len(y), dtype=bool)
+    below = snr < cfg.min_contrast_snr
+    for i in np.flatnonzero(below):
+        results[i] = _below_threshold_result(y[i])
+
+    fit = np.flatnonzero(~below)
+    yf = y[fit]
+    bounds = cfg.omega_bounds or _default_omega_bounds(t)
+    w0 = 2.0 * math.pi * freq[fit]
+    a0 = np.mean(yf, axis=1)
+    amp0 = (np.max(yf, axis=1) - np.min(yf, axis=1)) / 2.0
+    tau0 = _seed_taus(t, yf)
+    # (1 - cos)-shaped signals start at quadrature
+    phase = [np.full(len(fit), math.pi / 2.0)] if cfg.allow_phase else []
+
+    x0 = np.column_stack([a0, amp0, np.log(tau0), w0] + phase)
+    x, ssq, nfev, conv = _levenberg_marquardt(t, yf, x0, 1, cfg.allow_phase,
+                                              cfg)
+    double = np.zeros(len(fit), dtype=bool)
+    if cfg.envelope_mode == DOUBLE_EXP:
+        x0 = np.column_stack([a0, amp0 / 2, amp0 / 2, np.log(tau0 / 3),
+                              np.log(3 * tau0), w0] + phase)
+        x_d, ssq_d, nfev_d, conv_d = _levenberg_marquardt(
+            t, yf, x0, 2, cfg.allow_phase, cfg)
+        # BIC gain of double over single (see module doc); the cost floor
+        # keeps noiseless traces (both costs ~eps^2) comparable
+        floor = n * (1e-10 * np.maximum(np.max(np.abs(yf), axis=1),
+                                        1e-30)) ** 2
+        with np.errstate(all="ignore"):
+            dbic = (n * np.log((0.5 * ssq + floor) / (0.5 * ssq_d + floor))
+                    - 2.0 * math.log(n))
+        double = conv_d & (dbic >= BIC_MARGIN)
+        nfev = nfev + nfev_d
+
+    for row, i in enumerate(fit):
+        if double[row]:
+            params, mode, rss, ok = x_d[row], DOUBLE_EXP, ssq_d[row], True
+        else:
+            params, mode, rss, ok = x[row], SINGLE_EXP, ssq[row], conv[row]
+        result = _unpack(params.tolist(), mode, cfg.allow_phase,
+                         math.sqrt(rss / n), ok, nfev[row])
+        if ok and not bounds[0] < result.omega < bounds[1]:
+            result = replace(result, converged=False)
+        results[i] = result
+        exhausted[i] = not ok
+    return results, snr, exhausted
+
+
+def fit_pixel(t_ns, y, cfg=None):
+    """Fit one contrast trace; returns a RabiFitResult.
+
+    The trace is fit as a one-row block of the batched fitter that
+    fit_cube uses (see _levenberg_marquardt), so it gives the same
+    result bit for bit as the same trace fitted inside a cube: every
+    step of the solver works on each row alone, and the rows are
+    C-contiguous so that every reduction sums a trace in the same
+    order. Each solve may use cfg.max_iterations residual evaluations,
+    the first included.
+
+    With envelope_mode double-exp both envelopes are fit from fixed
+    seeds and the double one is kept only when its solve converged and
+    its dBIC over the single one is at least BIC_MARGIN (10); see the
+    module docstring. A double solve that exhausts its evaluation
+    budget is discarded, so the pixel is fit single-exp. With
+    envelope_mode single-exp only the single envelope is fit. The
+    result's evaluations field counts the residual evaluations of both
+    solves.
+
+    Raises NoOscillation when the periodogram peak is below the
+    configured SNR threshold and NotConverged, carrying the partial
+    single-exp result, when the single-exp solve runs out of its
+    iteration budget and no double-exp fit is kept. A fit whose
+    frequency lands on or outside the omega bounds is returned with
+    converged=False.
+    """
+    if cfg is None:
+        cfg = FitConfig()
+    results, snr, exhausted = _fit_rows(
+        t_ns, np.asarray(y, dtype=float)[None, :], cfg)
+    if results[0].below_threshold:
+        raise NoOscillation(float(snr[0]), cfg.min_contrast_snr)
+    if exhausted[0]:
+        raise NotConverged(
+            f"fit exhausted {cfg.max_iterations} evaluations", results[0])
+    return results[0]
 
 
 def _fit_block(args):
+    """Fit the columns of a (n_frames, m) block, FIT_BLOCK_PX at a time."""
     t, block, cfg = args
-    return [_fit_trace_guarded(t, block[:, k], cfg)
-            for k in range(block.shape[1])]
+    results = []
+    for k in range(0, block.shape[1], FIT_BLOCK_PX):
+        results += _fit_rows(t, block[:, k:k + FIT_BLOCK_PX].T, cfg)[0]
+    return results
+
+
+def _field_values(results, gamma_nv):
+    """Calibrated field of each result; 0 where the fit did not converge."""
+    return np.array([omega_to_field(r.omega, gamma_nv)
+                     if r.converged and math.isfinite(r.omega) else 0.0
+                     for r in results])
 
 
 def fit_cube(cube, cfg=None, component="sigma-", n_workers=1,
@@ -367,8 +491,9 @@ def fit_cube(cube, cfg=None, component="sigma-", n_workers=1,
 
     Pixels whose trace shows no oscillation above the SNR threshold are
     flagged below_threshold and carry zero field. Per-pixel failures
-    are recorded in the results, never raised. Results are independent
-    of n_workers.
+    are recorded in the results, never raised. Each pixel's result
+    equals fit_pixel on its trace, so results are independent of
+    n_workers and of the block a pixel is fitted in.
     """
     if cfg is None:
         cfg = FitConfig()
@@ -387,12 +512,9 @@ def fit_cube(cube, cfg=None, component="sigma-", n_workers=1,
         results_flat = _fit_block((t, flat, cfg))
 
     results = np.empty((nx, ny), dtype=object)
-    values = np.zeros((nx, ny))
     for idx, r in enumerate(results_flat):
-        i, j = divmod(idx, ny)
-        results[i, j] = r
-        if r.converged and math.isfinite(r.omega):
-            values[i, j] = omega_to_field(r.omega, gamma_nv)
+        results[divmod(idx, ny)] = r
+    values = _field_values(results_flat, gamma_nv).reshape(nx, ny)
     fmap = PolarizedFieldMap(grid=cube.grid, component=component, values=values)
     return fmap, results
 
@@ -624,38 +746,40 @@ def characterize_trap(pmap, search_region=None, arm=5):
 
 
 def amplitude_sensitivity(cubes, cfg=None, measurement_time_s=None,
-                          component="sigma-", gamma_nv=GAMMA_NV):
+                          gamma_nv=GAMMA_NV):
     """Field amplitude sensitivity in T Hz^-1/2 from repeated cubes.
 
-    Fits each repeat, takes the per-pixel standard deviation of the
-    fitted field over repeats, scales by the square root of the
-    measurement time per cube, and reports the median over pixels that
-    converged in every repeat. measurement_time_s defaults to the
-    summed exposure time of the cube's pulse train.
+    Fits the pixels of all repeats as one batch, takes the per-pixel
+    standard deviation of the fitted field over repeats, scales by the
+    square root of the measurement time per cube, and reports the median
+    over pixels that converged in every repeat. The repeats must share
+    their pulse durations. measurement_time_s defaults to the summed
+    exposure time of the cube's pulse train.
     """
     cubes = list(cubes)
     if len(cubes) < 10:
         raise ValueError("need at least 10 repeated cubes")
+    t = cubes[0].dt_ns
+    if any(not np.array_equal(c.dt_ns, t) for c in cubes[1:]):
+        raise ValueError("repeated cubes must share dt_ns")
     if measurement_time_s is None:
         pulse = cubes[0].pulse
         if pulse is None:
             raise ValueError(
                 "cube carries no pulse parameters; pass measurement_time_s")
         measurement_time_s = float(
-            np.sum([pulse.exposure_ns(dt) for dt in cubes[0].dt_ns])) * 1e-9
-    maps = []
-    ok = None
-    for cube in cubes:
-        fmap, results = fit_cube(cube, cfg, component=component,
-                                 gamma_nv=gamma_nv)
-        good = np.vectorize(
-            lambda r: r.converged and not r.below_threshold)(results)
-        ok = good if ok is None else (ok & good)
-        maps.append(fmap.values)
-    stack = np.stack(maps)
+            np.sum([pulse.exposure_ns(dt) for dt in t])) * 1e-9
+    if cfg is None:
+        cfg = FitConfig()
+    traces = np.concatenate(
+        [c.frames.reshape(c.n_frames, -1) for c in cubes], axis=1)
+    results = _fit_block((t, traces, cfg))
+    fields = _field_values(results, gamma_nv).reshape(len(cubes), -1)
+    ok = np.array([r.converged and not r.below_threshold
+                   for r in results]).reshape(len(cubes), -1).all(axis=0)
     if not np.any(ok):
         raise ValueError("no pixel converged across all repeats")
-    per_pixel = np.std(stack[:, ok], axis=0, ddof=1)
+    per_pixel = np.std(fields[:, ok], axis=0, ddof=1)
     return float(np.median(per_pixel)) * math.sqrt(measurement_time_s)
 
 

@@ -427,6 +427,9 @@ def cmd_fit(args):
                             if converged_b else None),
         "median_residual_rms": float(np.median(
             [r.residual_rms for r in flat])),
+        "lm_evaluations_per_px": (float(np.mean(
+            [r.evaluations for r in flat if not r.below_threshold]))
+            if n_below < n else None),
         "fit_options": {"envelope": args.envelope,
                         "min_contrast_snr": args.min_snr,
                         "max_iterations": args.max_iter,
@@ -615,8 +618,7 @@ def cmd_report(args):
                                            decay=decay, seed=base_seed + k)
                  for k in range(n_rep)]
         sens = analysis.amplitude_sensitivity(
-            cubes, analysis.FitConfig(envelope_mode=mode),
-            component=cfg.transition)
+            cubes, analysis.FitConfig(envelope_mode=mode))
         report["sensitivity"] = {"n_repeats": n_rep,
                                  "t_per_sqrt_hz": sens,
                                  "ut_per_sqrt_hz": sens * 1e6}

@@ -9,6 +9,7 @@ stays under 0.1%.
 """
 
 import math
+from dataclasses import astuple
 from functools import lru_cache
 
 import numpy as np
@@ -283,6 +284,11 @@ def test_fit_cube_flags_dead_pixels():
     assert fmap.values[0, 0] == pytest.approx(2.5e-4, rel=1e-6)
 
 
+def assert_same_result(r1, r2):
+    # every field bit for bit: float repr round-trips exactly
+    assert [repr(v) for v in astuple(r1)] == [repr(v) for v in astuple(r2)]
+
+
 def test_fit_cube_worker_count_invariant():
     bmap = graded_field_map(4, 3)
     dt = np.arange(10.0, 601.0, 10.0)
@@ -292,8 +298,63 @@ def test_fit_cube_worker_count_invariant():
     map2, res2 = fit_cube(cube, n_workers=2)
     assert np.array_equal(map1.values, map2.values)
     for r1, r2 in zip(res1.ravel(), res2.ravel()):
-        assert (r1.omega, r1.offset, r1.converged, r1.below_threshold) == \
-               (r2.omega, r2.offset, r2.converged, r2.below_threshold)
+        assert_same_result(r1, r2)
+
+
+def test_fit_cube_pixels_equal_solo_fits():
+    # a pixel's result must not depend on the other pixels of its block;
+    # the short budget makes some solves run out of evaluations
+    grid = plane_grid(8, 6)
+    i, j = np.meshgrid(np.arange(8), np.arange(6), indexing="ij")
+    values = 1.5e-4 + 2.5e-5 * i + 1.2e-5 * j
+    values[2, 3] = values[5, 0] = 0.0  # no oscillation
+    bmap = PolarizedFieldMap(grid=grid, component="sigma-", values=values)
+    dt = np.arange(10.0, 1001.0, 10.0)
+    cube = simulate_cube(bmap, dt, pulse=PulseParams(counts_ref=2e4),
+                         decay=STD_DECAY, seed=5)
+    outcomes = set()
+    for cfg in (FitConfig(), FitConfig(max_iterations=10)):
+        _, results = fit_cube(cube, cfg)
+        for (i, j), r in np.ndenumerate(results):
+            trace = cube.frames[:, i, j]
+            try:
+                solo = fit_pixel(dt, trace, cfg)
+                outcomes.add("single" if solo.amp_slow == 0.0 else "double")
+            except NoOscillation:
+                solo = ana._below_threshold_result(trace)
+                outcomes.add("below threshold")
+            except NotConverged as err:
+                solo = err.result
+                outcomes.add("not converged")
+            assert_same_result(r, solo)
+    assert outcomes == {"single", "double", "below threshold",
+                        "not converged"}
+
+
+def test_fit_block_degenerate_neighbour_leaves_row_alone():
+    # a constant trace fitted at SNR threshold 0 stalls the solver; the
+    # healthy trace next to it must fit exactly as it does alone
+    t = DT_4US
+    w = 2.0 * math.pi * 6.0e-3
+    healthy = 0.02 - 0.015 * np.exp(-t / 700.0) * np.sin(w * t + 0.4)
+    cfg = FitConfig(min_contrast_snr=0.0)
+    block = np.column_stack([np.full(len(t), 0.3), healthy,
+                             np.zeros(len(t))])
+    fitted = ana._fit_block((t, block, cfg))
+    assert_same_result(fitted[1], fit_pixel(t, healthy, cfg))
+    assert fitted[1].converged
+
+
+def test_solve_rows_isolates_singular_and_nonfinite_systems():
+    rng = np.random.default_rng(3)
+    good = rng.normal(size=(3, 3)) + 3.0 * np.eye(3)
+    stack = np.stack([good, np.zeros((3, 3)), np.full((3, 3), np.nan), good])
+    rhs = np.ones((4, 3))
+    with np.errstate(invalid="ignore"):
+        step = ana._solve_rows(stack, rhs)
+    solo = ana._solve_rows(good[None], rhs[:1])[0]
+    assert np.array_equal(step[0], solo) and np.array_equal(step[3], solo)
+    assert np.isnan(step[1:3]).all()
 
 
 # ------------------------------------------------------------------ contours
@@ -501,6 +562,24 @@ def test_sensitivity_scales_with_sqrt_time():
     eta1 = amplitude_sensitivity(cubes, measurement_time_s=1.0)
     eta4 = amplitude_sensitivity(cubes, measurement_time_s=4.0)
     assert eta4 == pytest.approx(2.0 * eta1, rel=1e-12)
+
+
+def test_sensitivity_batch_equals_per_cube_fits():
+    cubes = _sensitivity_cubes(1e5, 100)
+    maps, ok = [], True
+    for cube in cubes:
+        fmap, results = fit_cube(cube)
+        maps.append(fmap.values)
+        ok = ok & np.vectorize(
+            lambda r: r.converged and not r.below_threshold)(results)
+    per_pixel = np.std(np.stack(maps)[:, ok], axis=0, ddof=1)
+    expect = float(np.median(per_pixel)) * math.sqrt(2.0)
+    assert amplitude_sensitivity(cubes, measurement_time_s=2.0) == expect
+    other_dt = simulate_cube(uniform_field_map(6, 4, 3e-4),
+                             np.arange(10.0, 611.0, 10.0), pulse=PulseParams(),
+                             decay=NO_DECAY, seed=7)
+    with pytest.raises(ValueError, match="dt_ns"):
+        amplitude_sensitivity(cubes[:9] + (other_dt,))
 
 
 def test_sensitivity_requires_ten_repeats():
