@@ -1,0 +1,72 @@
+#!/usr/bin/env python3
+"""Timing of the batched Rabi fit on cpw-fig2 pixel samples.
+
+The cube is the one the perfbench rabi-fit workload builds (seeded
+noisy cpw-fig2, the workload's own set-up). Each --strides entry fits
+the sample of every stride-th pixel with fit_cube (one worker) under
+each envelope mode. Stride 10 is the rabi-fit unit (200 px, a block
+smaller than FIT_BLOCK_PX); stride 3 (2211 px) is mostly full-size
+blocks, as in a map fit; stride 1 is the whole map. Reports the best
+of --repeats runs in ms/px and the mean LM residual evaluations per
+fitted pixel.
+
+    python3 benchmarks/bench_fit.py --strides 10 3 --seed 1 --repeats 3
+"""
+
+import argparse
+import os
+import sys
+import time
+
+import numpy as np
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "perfbench"))
+
+from nvscope import analysis  # noqa: E402
+import workloads  # noqa: E402
+from tracing import Tracer  # noqa: E402
+
+
+def make_cube(seed):
+    workload = workloads.RabiFit(seed, None, Tracer(False))
+    workload.set_up()
+    return workload.cube, workload.truth
+
+
+def run(cube, mode, repeats):
+    cfg = analysis.FitConfig(envelope_mode=mode)
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        _, results = analysis.fit_cube(cube, cfg, n_workers=1)
+        best = min(best, time.perf_counter() - t0)
+    flat = results.ravel()
+    fitted = [r for r in flat if not r.below_threshold]
+    evals = float(np.mean([r.evaluations for r in fitted])) if fitted else 0.0
+    n_conv = sum(r.converged for r in flat)
+    return best, evals, n_conv
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--strides", type=int, nargs="+", default=[10, 3])
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--repeats", type=int, default=3)
+    args = parser.parse_args()
+
+    cube, truth = make_cube(args.seed)
+    print(f"cpw-fig2 cube, {cube.n_frames} frames, seed {args.seed}, "
+          f"FIT_BLOCK_PX {analysis.FIT_BLOCK_PX}, best of {args.repeats}")
+    for stride in args.strides:
+        sub, _ = workloads._subsample(cube, truth, stride, 1, 1)
+        n_px = sub.grid.nx * sub.grid.ny
+        for mode in (analysis.DOUBLE_EXP, analysis.SINGLE_EXP):
+            t, evals, n_conv = run(sub, mode, args.repeats)
+            print(f"stride {stride:2d} ({n_px:5d} px) {mode:>10}: "
+                  f"{t * 1e3 / n_px:7.3f} ms/px {evals:7.1f} LM "
+                  f"evaluations/px, converged {n_conv}/{n_px}")
+
+
+if __name__ == "__main__":
+    main()

@@ -17,10 +17,11 @@ al., Sci. Rep. 7, 15722, 2017): seeds come from one FFT over the rows,
 each row has its own damping and Moré (1978) column scaling, the
 damped normal equations of all rows are solved as one stack, and a row
 leaves the loop once it converges or has used max_iterations residual
-evaluations (the first included). No step mixes rows, and the traces
-are C-contiguous rows so every reduction sums a trace in the same
-order, so a pixel's result does not depend on the other pixels of its
-block: fit_pixel is the same fitter on a one-row block.
+evaluations (the first included); the loop then carries only the rows
+still active. No step mixes rows, and the traces are C-contiguous rows
+so every reduction sums a trace in the same order, so a pixel's result
+does not depend on the other pixels of its block: fit_pixel is the
+same fitter on a one-row block.
 
 Under the default double envelope every trace is fit with both the
 single-exponential (C = 0) and the double-exponential envelope, and
@@ -130,6 +131,7 @@ class RabiFitResult:
     converged: bool
     below_threshold: bool = False
     evaluations: int = 0  # residual evaluations of both solves
+    exhausted: bool = False  # the kept solve used up its evaluation budget
 
 
 def omega_to_field(omega_rad_per_ns, gamma_nv=GAMMA_NV):
@@ -203,7 +205,9 @@ def _model_rows(t, y, x, k, allow_phase):
     = 1 (single-exp) or 2 (double-exp). Returns the residuals and the
     model terms the Jacobian reuses.
     """
-    taus = np.exp(np.clip(x[:, 1 + k:1 + 2 * k], -40.0, 40.0))[:, :, None]
+    # the clip as two ufuncs: np.clip's wrapper costs more on small stacks
+    log_taus = np.minimum(np.maximum(x[:, 1 + k:1 + 2 * k], -40.0), 40.0)
+    taus = np.exp(log_taus)[:, :, None]
     decays = np.exp(-t / taus)
     env = x[:, 1, None] * decays[:, 0]
     if k == 2:
@@ -250,10 +254,10 @@ def _solve_rows(m, b):
 
 def _small_gradient(jtj, grad, ssq):
     """MINPACK's gtol test: every column of J is orthogonal to r."""
-    norms = np.diagonal(jtj, axis1=1, axis2=2)
+    norms = jtj.diagonal(axis1=1, axis2=2)
     cosine = np.abs(grad) / np.sqrt(norms * ssq[:, None])
     cosine = np.where(norms > 0, cosine, 0.0)
-    return (ssq == 0) | (np.max(cosine, axis=1) <= _GTOL)
+    return (ssq == 0) | (cosine.max(axis=1) <= _GTOL)
 
 
 def _levenberg_marquardt(t, y, x, k, allow_phase, cfg):
@@ -264,65 +268,83 @@ def _levenberg_marquardt(t, y, x, k, allow_phase, cfg):
     A step is kept when its gain ratio exceeds 1e-4. A row converges
     on MINPACK's ftol, xtol or gtol test and leaves the active set when
     it converges or has used cfg.max_iterations residual evaluations,
-    the first included. Returns (x, residual sum of squares,
-    evaluations, converged) per row.
+    the first included. The state of the active rows is held compacted
+    and is cut down only in the iterations where rows leave, so a
+    block's tail of slow rows does not index the full-size arrays in
+    every iteration; accepted and rejected steps are merged row by row
+    with np.where. Returns (x, residual sum of squares, evaluations,
+    converged) per row. y is overwritten: the rows still active are
+    moved to its front as others leave.
     """
     tol = cfg.rel_tolerance
     diag = np.arange(x.shape[1])
-    x = x.copy()
+    x_out = x.copy()
+    nfev_out = np.empty(len(x), dtype=int)
     with np.errstate(all="ignore"):
-        resid, terms = _model_rows(t, y, x, k, allow_phase)
-        ssq = np.sum(resid ** 2, axis=1)
-        jtj, grad = _normal_equations(t, x, resid, terms, k)
-        d2 = np.diagonal(jtj, axis1=1, axis2=2).copy()
+        resid, terms = _model_rows(t, y, x_out, k, allow_phase)
+        ssq_out = (resid ** 2).sum(axis=1)
+        jtj, grad = _normal_equations(t, x_out, resid, terms, k)
+        d2 = jtj.diagonal(axis1=1, axis2=2).copy()
         d2[d2 == 0] = 1.0
+        conv_out = _small_gradient(jtj, grad, ssq_out)
+        # active state, never written in place: row i belongs to row
+        # rows[i] of the inputs, and every active row has used nfev
+        # evaluations
+        rows, x, ssq, nfev = np.arange(len(x)), x_out, ssq_out, 1
         lam = np.full(len(x), 1e-3)
         nu = np.full(len(x), 2.0)
-        nfev = np.ones(len(x), dtype=int)
-        converged = _small_gradient(jtj, grad, ssq)
-        act = np.flatnonzero(~converged & (nfev < cfg.max_iterations))
-        while act.size:
-            xa, ga, la, d2a = x[act], grad[act], lam[act], d2[act]
-            damped = jtj[act]
-            damped[:, diag, diag] += la[:, None] * d2a
-            step = _solve_rows(damped, -ga)
-            x_new = xa + step
-            resid, terms = _model_rows(t, y[act], x_new, k, allow_phase)
-            ssq_new = np.sum(resid ** 2, axis=1)
-            nfev[act] += 1
+        done = conv_out
+        while True:
+            stay = (~done if nfev < cfg.max_iterations
+                    else np.zeros(len(rows), dtype=bool))
+            if not stay.all():
+                gone = ~stay
+                out = rows[gone]
+                x_out[out], ssq_out[out] = x[gone], ssq[gone]
+                nfev_out[out], conv_out[out] = nfev, done[gone]
+                rows, x, ssq, lam, nu, d2, jtj, grad = (
+                    q[stay] for q in (rows, x, ssq, lam, nu, d2, jtj, grad))
+                # in place: a compacted copy would sit beside the caller's
+                y[:len(rows)] = y[stay]
+                y = y[:len(rows)]
+            if not rows.size:
+                break
+            damped = jtj.copy()
+            damped[:, diag, diag] += lam[:, None] * d2
+            step = _solve_rows(damped, -grad)
+            x_new = x + step
+            resid, terms = _model_rows(t, y, x_new, k, allow_phase)
+            ssq_new = (resid ** 2).sum(axis=1)
+            nfev += 1
             # reductions of the cost ssq / 2: actual and as predicted by
             # the damped linear model
-            cost = 0.5 * ssq[act]
+            cost = 0.5 * ssq
             actual = cost - 0.5 * ssq_new
-            pred = 0.5 * np.sum(step * (la[:, None] * d2a * step - ga), axis=1)
+            pred = 0.5 * (step * (lam[:, None] * d2 * step - grad)).sum(axis=1)
             rho = np.where(pred > 0, actual / pred, -math.inf)
             accept = np.isfinite(ssq_new) & (rho > 1e-4)
-            done = ((np.abs(actual) <= tol * cost) & (pred <= tol * cost)
-                    & (rho <= 2.0))
-            done |= (np.sum(d2a * step ** 2, axis=1)
-                     <= tol ** 2 * np.sum(d2a * xa ** 2, axis=1))
+            small = tol * cost
+            done = (np.abs(actual) <= small) & (pred <= small) & (rho <= 2.0)
+            done |= ((d2 * step ** 2).sum(axis=1)
+                     <= tol ** 2 * (d2 * x ** 2).sum(axis=1))
 
-            # rejected: raise the damping geometrically
-            rej = act[~accept]
-            lam[rej] *= nu[rej]
-            nu[rej] *= 2.0
-            # accepted: move, relinearize and relax the damping
-            if accept.any():
-                acc = act[accept]
-                x[acc] = x_new[accept]
-                ssq[acc] = ssq_new[accept]
-                jtj[acc], grad[acc] = _normal_equations(
-                    t, x_new[accept], resid[accept],
-                    [q[accept] for q in terms], k)
-                d2[acc] = np.maximum(
-                    d2[acc], np.diagonal(jtj[acc], axis1=1, axis2=2))
-                r = rho[accept]
-                lam[acc] *= np.maximum(1.0 / 3.0, 1.0 - (2.0 * r - 1.0) ** 3)
-                nu[acc] = 2.0
-                done[accept] |= _small_gradient(jtj[acc], grad[acc], ssq[acc])
-            converged[act] = done
-            act = act[~done & (nfev[act] < cfg.max_iterations)]
-    return x, ssq, nfev, converged
+            # accepted: relax the damping; rejected: raise it
+            # geometrically
+            lam = np.where(accept, lam * np.maximum(
+                1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), lam * nu)
+            nu = np.where(accept, 2.0, 2.0 * nu)
+            # accepted: move and relinearize. J is built for every row,
+            # which costs less than gathering the accepted ones (about
+            # 90% of the rows)
+            jtj_new, grad_new = _normal_equations(t, x_new, resid, terms, k)
+            x = np.where(accept[:, None], x_new, x)
+            ssq = np.where(accept, ssq_new, ssq)
+            jtj = np.where(accept[:, None, None], jtj_new, jtj)
+            grad = np.where(accept[:, None], grad_new, grad)
+            d2 = np.where(accept[:, None], np.maximum(
+                d2, jtj_new.diagonal(axis1=1, axis2=2)), d2)
+            done |= accept & _small_gradient(jtj, grad, ssq)
+    return x_out, ssq_out, nfev_out, conv_out
 
 
 def _unpack(params, mode, allow_phase, residual_rms, converged, evaluations):
@@ -350,7 +372,8 @@ def _unpack(params, mode, allow_phase, residual_rms, converged, evaluations):
                          omega=float(w), phase=float(phi),
                          residual_rms=float(residual_rms),
                          converged=bool(converged),
-                         evaluations=int(evaluations))
+                         evaluations=int(evaluations),
+                         exhausted=not converged)
 
 
 def _below_threshold_result(trace):
@@ -362,11 +385,11 @@ def _below_threshold_result(trace):
 
 
 def _fit_rows(t_ns, y, cfg):
-    """Fit every row of y (P, n); returns (results, snr, exhausted).
+    """Fit every row of y (P, n); returns (results, snr).
 
     Below-threshold rows get _below_threshold_result. A row whose kept
-    solve used up its evaluation budget is flagged in exhausted and its
-    result carries the partial fit with converged=False.
+    solve used up its evaluation budget carries the partial fit with
+    converged=False and exhausted=True.
     """
     t = np.asarray(t_ns, dtype=float)
     if len(t) < 8:
@@ -382,7 +405,6 @@ def _fit_rows(t_ns, y, cfg):
 
     freq, snr = _periodogram_peaks(t, y)
     results = [None] * len(y)
-    exhausted = np.zeros(len(y), dtype=bool)
     below = snr < cfg.min_contrast_snr
     for i in np.flatnonzero(below):
         results[i] = _below_threshold_result(y[i])
@@ -398,18 +420,21 @@ def _fit_rows(t_ns, y, cfg):
     phase = [np.full(len(fit), math.pi / 2.0)] if cfg.allow_phase else []
 
     x0 = np.column_stack([a0, amp0, np.log(tau0), w0] + phase)
-    x, ssq, nfev, conv = _levenberg_marquardt(t, yf, x0, 1, cfg.allow_phase,
-                                              cfg)
+    double_mode = cfg.envelope_mode == DOUBLE_EXP
+    # the solver overwrites the rows of y it is given; only the last
+    # solve gets yf itself
+    x, ssq, nfev, conv = _levenberg_marquardt(
+        t, yf.copy() if double_mode else yf, x0, 1, cfg.allow_phase, cfg)
     double = np.zeros(len(fit), dtype=bool)
-    if cfg.envelope_mode == DOUBLE_EXP:
-        x0 = np.column_stack([a0, amp0 / 2, amp0 / 2, np.log(tau0 / 3),
-                              np.log(3 * tau0), w0] + phase)
-        x_d, ssq_d, nfev_d, conv_d = _levenberg_marquardt(
-            t, yf, x0, 2, cfg.allow_phase, cfg)
+    if double_mode:
         # BIC gain of double over single (see module doc); the cost floor
         # keeps noiseless traces (both costs ~eps^2) comparable
         floor = n * (1e-10 * np.maximum(np.max(np.abs(yf), axis=1),
                                         1e-30)) ** 2
+        x0 = np.column_stack([a0, amp0 / 2, amp0 / 2, np.log(tau0 / 3),
+                              np.log(3 * tau0), w0] + phase)
+        x_d, ssq_d, nfev_d, conv_d = _levenberg_marquardt(
+            t, yf, x0, 2, cfg.allow_phase, cfg)
         with np.errstate(all="ignore"):
             dbic = (n * np.log((0.5 * ssq + floor) / (0.5 * ssq_d + floor))
                     - 2.0 * math.log(n))
@@ -426,8 +451,7 @@ def _fit_rows(t_ns, y, cfg):
         if ok and not bounds[0] < result.omega < bounds[1]:
             result = replace(result, converged=False)
         results[i] = result
-        exhausted[i] = not ok
-    return results, snr, exhausted
+    return results, snr
 
 
 def fit_pixel(t_ns, y, cfg=None):
@@ -459,11 +483,10 @@ def fit_pixel(t_ns, y, cfg=None):
     """
     if cfg is None:
         cfg = FitConfig()
-    results, snr, exhausted = _fit_rows(
-        t_ns, np.asarray(y, dtype=float)[None, :], cfg)
+    results, snr = _fit_rows(t_ns, np.asarray(y, dtype=float)[None, :], cfg)
     if results[0].below_threshold:
         raise NoOscillation(float(snr[0]), cfg.min_contrast_snr)
-    if exhausted[0]:
+    if results[0].exhausted:
         raise NotConverged(
             f"fit exhausted {cfg.max_iterations} evaluations", results[0])
     return results[0]

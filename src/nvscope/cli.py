@@ -23,12 +23,14 @@ Exit codes: 0 success, 2 config or input error, 3 numerical failure,
 import argparse
 import json
 import os
+import platform
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from importlib import resources
 
 import numpy as np
+import scipy
 
 from nvscope import __version__, acquisition, analysis, currents, formats
 from nvscope.acquisition import CameraTiming, DecayParams, PulseParams
@@ -235,7 +237,12 @@ class RunManifest:
         return {"version": self.version, "command": self.command,
                 "scenario": self.scenario,
                 "config_sha256": self.config_sha256,
-                "created_utc": self.created_utc, "outputs": self.outputs}
+                "created_utc": self.created_utc, "outputs": self.outputs,
+                # library versions, so that rounding-level drift between
+                # builds can be traced from the artifacts; --verify
+                # checks only the outputs
+                "python": platform.python_version(),
+                "numpy": np.__version__, "scipy": scipy.__version__}
 
 
 def _manifest_path(outdir, base, command):
@@ -409,6 +416,9 @@ def cmd_fit(args):
     n = len(flat)
     n_conv = sum(1 for r in flat if r.converged)
     n_below = sum(1 for r in flat if r.below_threshold)
+    n_exhausted = sum(1 for r in flat if r.exhausted)
+    n_out_of_bounds = sum(1 for r in flat if not (
+        r.converged or r.below_threshold or r.exhausted))
     # a single-exp fit reports amp_slow 0 and tau_slow == tau_fast
     n_single = sum(1 for r in flat if not r.below_threshold
                    and r.amp_slow == 0.0 and r.tau_slow_ns == r.tau_fast_ns)
@@ -423,6 +433,10 @@ def cmd_fit(args):
         "n_below_threshold": n_below,
         "below_threshold_fraction": n_below / n,
         "n_single_envelope": n_single,
+        # fits whose kept solve ran out of evaluations, and finished
+        # fits whose omega is on or outside the bounds
+        "n_budget_exhausted": n_exhausted,
+        "n_omega_out_of_bounds": n_out_of_bounds,
         "median_field_ut": (float(np.median(converged_b)) * 1e6
                             if converged_b else None),
         "median_residual_rms": float(np.median(

@@ -9,7 +9,7 @@ stays under 0.1%.
 """
 
 import math
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from functools import lru_cache
 
 import numpy as np
@@ -329,6 +329,36 @@ def test_fit_cube_pixels_equal_solo_fits():
             assert_same_result(r, solo)
     assert outcomes == {"single", "double", "below threshold",
                         "not converged"}
+
+
+def test_double_mode_single_pixels_equal_single_envelope_fits():
+    # a pixel that the double envelope reports single-exp carries C = 0
+    # exactly and is its single-envelope fit; every other pixel is a
+    # kept double fit
+    grid = plane_grid(8, 6)
+    i, j = np.meshgrid(np.arange(8), np.arange(6), indexing="ij")
+    bmap = PolarizedFieldMap(grid=grid, component="sigma-",
+                             values=1.5e-4 + 2.5e-5 * i + 1.2e-5 * j)
+    dt = np.arange(10.0, 1001.0, 10.0)
+    cube = simulate_cube(bmap, dt, pulse=PulseParams(counts_ref=2e4),
+                         decay=STD_DECAY, seed=5)
+    seen = set()
+    for budget in (400, 10):
+        _, double = fit_cube(cube, FitConfig(max_iterations=budget))
+        _, single = fit_cube(cube, FitConfig(max_iterations=budget,
+                                             envelope_mode=ana.SINGLE_EXP))
+        for d, s in zip(double.ravel(), single.ravel()):
+            if d.amp_slow == 0.0 or d.tau_slow_ns == d.tau_fast_ns:
+                seen.add("single exhausted" if d.exhausted else "single")
+                assert d.amp_slow == 0.0
+                assert d.tau_slow_ns == d.tau_fast_ns
+                # the same solve: only the evaluation count, which adds
+                # the discarded double solve's, differs
+                assert replace(d, evaluations=0) == replace(s, evaluations=0)
+            else:
+                seen.add("double")
+                assert d.converged and d.residual_rms < s.residual_rms
+    assert seen == {"single", "single exhausted", "double"}
 
 
 def test_fit_block_degenerate_neighbour_leaves_row_alone():

@@ -9,12 +9,14 @@ fit diagnostics are pinned against a committed golden file.
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy
 
 from nvscope import analysis, cli, formats
 from nvscope.acquisition import DecayParams, ImageCube, contrast_at
@@ -354,6 +356,31 @@ def test_noisy_fit_matches_golden_diagnostics(pipeline, tmp_path):
     with open(os.path.join(GOLDEN_DIR, "mini-strip-noisy-fit.json")) as fh:
         golden = json.load(fh)
     assert diag == golden
+
+
+def test_fit_json_splits_outcomes(pipeline, tmp_path):
+    # a 10-evaluation budget leaves some fits unfinished; every pixel
+    # falls in exactly one outcome class
+    outdir, cfg = pipeline
+    assert run("acquire", "--config", cfg, "-o", tmp_path,
+               "--field-map", outdir / "mini-strip.sigma_minus.fmap") == 0
+    assert run("fit", "--cube", tmp_path / "mini-strip.cube.rcub",
+               "-o", tmp_path, "--max-iter", 10, "--min-converged", 0) == 0
+    with open(tmp_path / "mini-strip.cube.fit.json") as fh:
+        diag = json.load(fh)
+    assert diag["n_budget_exhausted"] > 0
+    assert (diag["n_converged"] + diag["n_below_threshold"]
+            + diag["n_budget_exhausted"]
+            + diag["n_omega_out_of_bounds"]) == diag["n_pixels"]
+
+
+def test_manifest_records_library_versions(pipeline):
+    outdir, _ = pipeline
+    with open(outdir / "mini-strip.cube.fit.manifest.json") as fh:
+        doc = json.load(fh)
+    assert doc["python"] == platform.python_version()
+    assert doc["numpy"] == np.__version__
+    assert doc["scipy"] == scipy.__version__
 
 
 def test_noisy_fit_envelope_choice_stable_under_ulp_shifts(pipeline,
