@@ -40,6 +40,24 @@ Noise that a second exponential merely absorbs gives dBIC near -2 ln n,
 far below the margin, so rounding-level changes to the input do not
 change the choice; only a dBIC within rounding of the margin, or a
 double solve that converges right at its evaluation budget, could.
+
+The double solve is run only where the single fit leaves misfit above
+the noise of its own residual r:
+
+    R = RSS_single / (n sigma^2) > DOUBLE_GATE (1.1),
+    sigma^2 = median(|rfft(r - mean r, 4n)|[1:])^2 / (n ln 2),
+
+the median of a white-noise periodogram being n sigma^2 ln 2; a
+misfit puts its power in a few bins, which move RSS but not the median.
+A single fit at the noise level has R near 1, and a double kept by the
+BIC rule needs RSS_single / RSS_double of at least
+exp((10 + 2 ln n) / n), about 1.21 at n = 100, with RSS_double itself
+near the noise. On the cpw-fig2 rabi-fit samples of seeds 1-10 the
+smallest R of a kept double was 1.179, so 1.1 leaves a margin of 0.08;
+1.2 and 1.3 missed kept doubles. Where the gate stays shut the pixel
+keeps its single-exp fit, exactly as when the BIC rule discards the
+double, and only its evaluation count differs; a pixel changes only
+where the gate skips a double the rule would have kept.
 """
 
 import math
@@ -81,6 +99,10 @@ SINGLE_EXP = "single-exp"
 
 # dBIC a double-exp fit must reach over the single-exp fit to be kept
 BIC_MARGIN = 10.0
+
+# single-exp RSS over n times its residual's noise floor above which the
+# double-exp solve runs
+DOUBLE_GATE = 1.1
 
 # pixels fitted together in one LM batch; bounds the solver's memory
 FIT_BLOCK_PX = 1024
@@ -130,8 +152,11 @@ class RabiFitResult:
     residual_rms: float
     converged: bool
     below_threshold: bool = False
-    evaluations: int = 0  # residual evaluations of both solves
+    evaluations: int = 0  # residual evaluations of the solves that ran
     exhausted: bool = False  # the kept solve used up its evaluation budget
+    # the double-exp solve ran; like evaluations it records work, not
+    # the fit, so it takes no part in ==
+    double_solved: bool = field(default=False, compare=False)
 
 
 def omega_to_field(omega_rad_per_ns, gamma_nv=GAMMA_NV):
@@ -347,7 +372,8 @@ def _levenberg_marquardt(t, y, x, k, allow_phase, cfg):
     return x_out, ssq_out, nfev_out, conv_out
 
 
-def _unpack(params, mode, allow_phase, residual_rms, converged, evaluations):
+def _unpack(params, mode, allow_phase, residual_rms, converged, evaluations,
+            double_solved):
     if mode == DOUBLE_EXP:
         a, b, c, lf, ls, w = params[:6]
         phi = params[6] if allow_phase else 0.0
@@ -373,7 +399,8 @@ def _unpack(params, mode, allow_phase, residual_rms, converged, evaluations):
                          residual_rms=float(residual_rms),
                          converged=bool(converged),
                          evaluations=int(evaluations),
-                         exhausted=not converged)
+                         exhausted=not converged,
+                         double_solved=bool(double_solved))
 
 
 def _below_threshold_result(trace):
@@ -382,6 +409,30 @@ def _below_threshold_result(trace):
                          tau_slow_ns=math.inf, omega=0.0, phase=0.0,
                          residual_rms=float(np.std(trace)), converged=False,
                          below_threshold=True)
+
+
+def _seed_rows(t, y, freq, allow_phase):
+    """Single-exp and double-exp seed rows for the rows of y, from their
+    periodogram frequencies (cycles/ns)."""
+    w0 = 2.0 * math.pi * freq
+    a0 = np.mean(y, axis=1)
+    amp0 = (np.max(y, axis=1) - np.min(y, axis=1)) / 2.0
+    tau0 = _seed_taus(t, y)
+    # (1 - cos)-shaped signals start at quadrature
+    phase = [np.full(len(y), math.pi / 2.0)] if allow_phase else []
+    return (np.column_stack([a0, amp0, np.log(tau0), w0] + phase),
+            np.column_stack([a0, amp0 / 2, amp0 / 2, np.log(tau0 / 3),
+                             np.log(3 * tau0), w0] + phase))
+
+
+def _noise_variance(resid):
+    """White-noise variance of every row of resid, from the median of its
+    4x zero-padded periodogram: |X_k|^2 of white noise is exponential
+    with mean n sigma^2, so its median is n sigma^2 ln 2."""
+    n = resid.shape[1]
+    mag = np.abs(np.fft.rfft(resid - resid.mean(axis=1, keepdims=True),
+                             4 * n, axis=1))
+    return np.median(mag[:, 1:], axis=1) ** 2 / (n * math.log(2.0))
 
 
 def _fit_rows(t_ns, y, cfg):
@@ -412,29 +463,30 @@ def _fit_rows(t_ns, y, cfg):
     fit = np.flatnonzero(~below)
     yf = y[fit]
     bounds = cfg.omega_bounds or _default_omega_bounds(t)
-    w0 = 2.0 * math.pi * freq[fit]
-    a0 = np.mean(yf, axis=1)
-    amp0 = (np.max(yf, axis=1) - np.min(yf, axis=1)) / 2.0
-    tau0 = _seed_taus(t, yf)
-    # (1 - cos)-shaped signals start at quadrature
-    phase = [np.full(len(fit), math.pi / 2.0)] if cfg.allow_phase else []
-
-    x0 = np.column_stack([a0, amp0, np.log(tau0), w0] + phase)
+    x0, x0_d = _seed_rows(t, yf, freq[fit], cfg.allow_phase)
     double_mode = cfg.envelope_mode == DOUBLE_EXP
-    # the solver overwrites the rows of y it is given; only the last
-    # solve gets yf itself
+    # the solver overwrites the rows of y it is given; in double mode
+    # yf is still needed for the residuals and the double solve
     x, ssq, nfev, conv = _levenberg_marquardt(
         t, yf.copy() if double_mode else yf, x0, 1, cfg.allow_phase, cfg)
-    double = np.zeros(len(fit), dtype=bool)
+    solved = double = np.zeros(len(fit), dtype=bool)
     if double_mode:
+        # the double solve runs only where the single fit leaves misfit
+        # above the noise floor of its own residual (see module doc)
+        with np.errstate(all="ignore"):
+            resid, _ = _model_rows(t, yf, x, 1, cfg.allow_phase)
+            solved = ssq > DOUBLE_GATE * n * _noise_variance(resid)
+        on = np.flatnonzero(solved)
+        x_d = np.empty_like(x0_d)
+        ssq_d = np.full(len(fit), math.inf)
+        nfev_d = np.zeros(len(fit), dtype=int)
+        conv_d = np.zeros(len(fit), dtype=bool)
+        x_d[on], ssq_d[on], nfev_d[on], conv_d[on] = _levenberg_marquardt(
+            t, yf[on], x0_d[on], 2, cfg.allow_phase, cfg)
         # BIC gain of double over single (see module doc); the cost floor
         # keeps noiseless traces (both costs ~eps^2) comparable
         floor = n * (1e-10 * np.maximum(np.max(np.abs(yf), axis=1),
                                         1e-30)) ** 2
-        x0 = np.column_stack([a0, amp0 / 2, amp0 / 2, np.log(tau0 / 3),
-                              np.log(3 * tau0), w0] + phase)
-        x_d, ssq_d, nfev_d, conv_d = _levenberg_marquardt(
-            t, yf, x0, 2, cfg.allow_phase, cfg)
         with np.errstate(all="ignore"):
             dbic = (n * np.log((0.5 * ssq + floor) / (0.5 * ssq_d + floor))
                     - 2.0 * math.log(n))
@@ -447,7 +499,7 @@ def _fit_rows(t_ns, y, cfg):
         else:
             params, mode, rss, ok = x[row], SINGLE_EXP, ssq[row], conv[row]
         result = _unpack(params.tolist(), mode, cfg.allow_phase,
-                         math.sqrt(rss / n), ok, nfev[row])
+                         math.sqrt(rss / n), ok, nfev[row], solved[row])
         if ok and not bounds[0] < result.omega < bounds[1]:
             result = replace(result, converged=False)
         results[i] = result
@@ -465,14 +517,18 @@ def fit_pixel(t_ns, y, cfg=None):
     order. Each solve may use cfg.max_iterations residual evaluations,
     the first included.
 
-    With envelope_mode double-exp both envelopes are fit from fixed
-    seeds and the double one is kept only when its solve converged and
-    its dBIC over the single one is at least BIC_MARGIN (10); see the
-    module docstring. A double solve that exhausts its evaluation
-    budget is discarded, so the pixel is fit single-exp. With
+    With envelope_mode double-exp the single envelope is fit first, and
+    the double one is fit, from fixed seeds, only when the single fit's
+    RSS exceeds DOUBLE_GATE (1.1) times n times the noise variance read
+    from the median of its residual's periodogram (smallest kept-double
+    ratio measured: 1.179). The double fit is kept only when its solve
+    converged and its dBIC over the single one is at least BIC_MARGIN
+    (10); see the module docstring. A double solve that exhausts its
+    evaluation budget is discarded, so the pixel is fit single-exp; a
+    skipped solve changes only the evaluation count. With
     envelope_mode single-exp only the single envelope is fit. The
     result's evaluations field counts the residual evaluations of both
-    solves.
+    solves, and double_solved says whether the double one ran.
 
     Raises NoOscillation when the periodogram peak is below the
     configured SNR threshold and NotConverged, carrying the partial

@@ -183,7 +183,9 @@ def load_scenario(value):
         pulse = PulseParams(**si.get("pulse", {}))
     except (TypeError, ValueError) as err:
         raise ConfigError(f"pulse: {err}")
-    decay = None
+    # no decay section means an undamped envelope
+    decay = DecayParams(tau_fast_ns=float("inf"), tau_slow_ns=float("inf"),
+                        weight_fast=0.5)
     if "decay" in si:
         try:
             decay = DecayParams(**si["decay"])
@@ -354,10 +356,6 @@ def cmd_acquire(args):
     seed = args.seed if args.seed is not None else cfg.seed
     if args.noiseless:
         seed = None
-    decay = cfg.decay
-    if decay is None:  # no decay section means an undamped envelope
-        decay = DecayParams(tau_fast_ns=float("inf"),
-                            tau_slow_ns=float("inf"), weight_fast=0.5)
     outputs = []
     if cfg.stream is not None:
         timing = CameraTiming(
@@ -367,7 +365,7 @@ def cmd_acquire(args):
             pmap, cfg.stream["dt_mw_ns"], cfg.pulse,
             [tuple(item) for item in cfg.stream["schedule"]],
             timing=timing, rows=int(cfg.stream["rows"]), seed=seed,
-            decay=decay)
+            decay=cfg.decay)
         path = f"{cfg.name}.stream.rstr"
         formats.write_stream(os.path.join(outdir, path), pmap.grid,
                              cfg.stream["dt_mw_ns"], frames, timing=timing,
@@ -379,7 +377,7 @@ def cmd_acquire(args):
         if cfg.dt_ns is None:
             raise ConfigError("config has neither scan nor stream section")
         cube = acquisition.simulate_cube(pmap, cfg.dt_ns, cfg.pulse,
-                                         decay=decay, seed=seed)
+                                         decay=cfg.decay, seed=seed)
         path = f"{cfg.name}.cube.rcub"
         formats.write_cube(os.path.join(outdir, path), cube)
         outputs.append(_record_output(outdir, path,
@@ -433,6 +431,8 @@ def cmd_fit(args):
         "n_below_threshold": n_below,
         "below_threshold_fraction": n_below / n,
         "n_single_envelope": n_single,
+        # fitted pixels whose double-exp solve ran (double envelope only)
+        "n_double_solves": sum(1 for r in flat if r.double_solved),
         # fits whose kept solve ran out of evaluations, and finished
         # fits whose omega is on or outside the bounds
         "n_budget_exhausted": n_exhausted,
@@ -624,12 +624,9 @@ def cmd_report(args):
         mode = ("single-exp" if sdoc.get("envelope", "single") == "single"
                 else "double-exp")
         base_seed = (cfg.seed if cfg.seed is not None else 0) + 1000
-        decay = cfg.decay
-        if decay is None:
-            decay = DecayParams(tau_fast_ns=float("inf"),
-                                tau_slow_ns=float("inf"), weight_fast=0.5)
         cubes = [acquisition.simulate_cube(pmap, cfg.dt_ns, cfg.pulse,
-                                           decay=decay, seed=base_seed + k)
+                                           decay=cfg.decay,
+                                           seed=base_seed + k)
                  for k in range(n_rep)]
         sens = analysis.amplitude_sensitivity(
             cubes, analysis.FitConfig(envelope_mode=mode))

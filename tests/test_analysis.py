@@ -23,8 +23,11 @@ from nvscope.analysis import (FitConfig, NoOscillation, NotConverged,
                               characterize_trap, dynamic_range_db,
                               extract_contours, fit_cube, fit_pixel,
                               insertion_loss_db, omega_to_field, stitch)
+from nvscope.cli import load_scenario
+from nvscope.currents import model_from_spec
 from nvscope.fieldcore import GAMMA_NV
-from nvscope.nearfield import GridSpec, PolarizedFieldMap
+from nvscope.nearfield import (GridSpec, PolarizedFieldMap,
+                               evaluate_phasor_map, project_polarization)
 
 NO_DECAY = DecayParams(tau_fast_ns=math.inf, tau_slow_ns=math.inf,
                        weight_fast=0.5)
@@ -359,6 +362,58 @@ def test_double_mode_single_pixels_equal_single_envelope_fits():
                 seen.add("double")
                 assert d.converged and d.residual_rms < s.residual_rms
     assert seen == {"single", "single exhausted", "double"}
+
+
+def test_double_gate_skips_only_discarded_double_solves():
+    # reference: both envelopes solved on every row, then the BIC rule;
+    # the gated fit must equal it in every field but the evaluation
+    # count. A stride-10 sample of the cpw-fig2 map with its decay and
+    # noise, so that some doubles are kept and most solves are skipped
+    cfg = load_scenario("cpw-fig2")
+    g = cfg.grid
+    grid = GridSpec(origin=g.origin, axes=g.axes, nx=g.nx // 10,
+                    ny=g.ny // 10, pitch=10 * g.pitch)
+    phasor = evaluate_phasor_map(model_from_spec(cfg.device_doc), grid,
+                                 cfg.layer)
+    bmap = project_polarization(phasor, cfg.nv_frame, cfg.transition)
+    cube = simulate_cube(bmap, cfg.dt_ns, cfg.pulse, decay=cfg.decay,
+                         seed=cfg.seed)
+    fit_cfg = FitConfig()
+    _, results = fit_cube(cube, fit_cfg)
+
+    t = cube.dt_ns
+    n = len(t)
+    y = np.ascontiguousarray(cube.frames.reshape(n, -1).T)
+    freq, snr = ana._periodogram_peaks(t, y)
+    fit = np.flatnonzero(snr >= fit_cfg.min_contrast_snr)
+    yf = y[fit]
+    x0, x0_d = ana._seed_rows(t, yf, freq[fit], True)
+    x, ssq, _, conv = ana._levenberg_marquardt(t, yf.copy(), x0, 1, True,
+                                               fit_cfg)
+    x_d, ssq_d, _, conv_d = ana._levenberg_marquardt(t, yf.copy(), x0_d, 2,
+                                                     True, fit_cfg)
+    floor = n * (1e-10 * np.maximum(np.max(np.abs(yf), axis=1),
+                                    1e-30)) ** 2
+    dbic = (n * np.log((0.5 * ssq + floor) / (0.5 * ssq_d + floor))
+            - 2.0 * math.log(n))
+    keep = conv_d & (dbic >= ana.BIC_MARGIN)
+    lo, hi = ana._default_omega_bounds(t)
+
+    flat = results.ravel()
+    for k in np.flatnonzero(snr < fit_cfg.min_contrast_snr):
+        assert_same_result(flat[k], ana._below_threshold_result(y[k]))
+    for row, k in enumerate(fit):
+        if keep[row]:
+            ref = ana._unpack(x_d[row].tolist(), ana.DOUBLE_EXP, True,
+                              math.sqrt(ssq_d[row] / n), True, 0, True)
+        else:
+            ref = ana._unpack(x[row].tolist(), ana.SINGLE_EXP, True,
+                              math.sqrt(ssq[row] / n), conv[row], 0, True)
+        if ref.converged and not lo < ref.omega < hi:
+            ref = replace(ref, converged=False)
+        assert replace(flat[k], evaluations=0) == ref
+    assert keep.any()
+    assert not all(flat[k].double_solved for k in fit)
 
 
 def test_fit_block_degenerate_neighbour_leaves_row_alone():
