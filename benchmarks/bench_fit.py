@@ -8,8 +8,10 @@ each envelope mode. Stride 10 is the rabi-fit unit (200 px, a block
 smaller than FIT_BLOCK_PX); stride 3 (2211 px) is mostly full-size
 blocks, as in a map fit; stride 1 is the whole map. Reports the best
 of --repeats runs in ms/px, the mean LM residual evaluations per
-fitted pixel and the gate's open share: the fitted pixels whose
-double-exp solve ran (0 under the single envelope).
+fitted pixel, the gate's open share (the fitted pixels whose double-exp
+solve ran; 0 under the single envelope) and the outcome counts that
+`*.fit.json` reports: converged, budget exhausted and omega out of
+bounds.
 
     python3 benchmarks/bench_fit.py --strides 10 3 --seed 1 --repeats 3
 """
@@ -45,10 +47,12 @@ def run(cube, mode, repeats):
     flat = results.ravel()
     fitted = [r for r in flat if not r.below_threshold]
     n_conv = sum(r.converged for r in flat)
+    n_exhausted = sum(r.exhausted for r in fitted)
+    counts = (n_conv, n_exhausted, len(fitted) - n_conv - n_exhausted)
     if not fitted:
-        return best, 0.0, 0.0, n_conv
+        return (best, 0.0, 0.0) + counts
     return (best, float(np.mean([r.evaluations for r in fitted])),
-            float(np.mean([r.double_solved for r in fitted])), n_conv)
+            float(np.mean([r.double_solved for r in fitted]))) + counts
 
 
 def main():
@@ -65,11 +69,13 @@ def main():
         sub, _ = workloads._subsample(cube, truth, stride, 1, 1)
         n_px = sub.grid.nx * sub.grid.ny
         for mode in (analysis.DOUBLE_EXP, analysis.SINGLE_EXP):
-            t, evals, opened, n_conv = run(sub, mode, args.repeats)
+            t, evals, opened, n_conv, n_exhausted, n_out = run(
+                sub, mode, args.repeats)
             print(f"stride {stride:2d} ({n_px:5d} px) {mode:>10}: "
                   f"{t * 1e3 / n_px:7.3f} ms/px {evals:7.1f} LM "
                   f"evaluations/px, gate open {opened:.3f}, "
-                  f"converged {n_conv}/{n_px}")
+                  f"converged {n_conv}/{n_px}, n_budget_exhausted "
+                  f"{n_exhausted}, n_omega_out_of_bounds {n_out}")
 
 
 if __name__ == "__main__":

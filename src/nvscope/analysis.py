@@ -58,6 +58,24 @@ smallest R of a kept double was 1.179, so 1.1 leaves a margin of 0.08;
 keeps its single-exp fit, exactly as when the BIC rule discards the
 double, and only its evaluation count differs; a pixel changes only
 where the gate skips a double the rule would have kept.
+
+A single-exp row that has used OMEGA_EXIT_EVALS (50) evaluations and
+whose accepted |Omega| is not strictly inside the omega bounds leaves
+the LM loop as finished, and the bounds check reports it converged=False
+(omega out of bounds, not budget exhausted). Such rows are traces with
+less than a Rabi cycle in the scan that crawl down the valley of
+vanishing Omega, rising amplitude and growing tau, the "parameter
+evaporation" of sloppy models (Transtrum, Machta & Sethna, PRL 104,
+060201, 2010); left alone they ran to the evaluation budget, holding
+their whole block in the loop, and were reported not converged anyway.
+On the cpw-fig2 rabi-fit samples of seeds 1-10 and on the cpw-fig2,
+omega-fig3 and trap-fig4-xz maps (default and one-cycle bounds), the
+latest evaluation at which a row outside the bounds came back inside
+and converged was 32, so 50 leaves a margin of 1.56x. Only the rows
+that exit change, in their parameters and evaluation count; their
+field is 0 either way. The rule reads each row alone and the
+evaluation count that all active rows share, so fit_pixel still equals
+the same pixel fitted in a block. The double-exp solve has no exit.
 """
 
 import math
@@ -103,6 +121,10 @@ BIC_MARGIN = 10.0
 # single-exp RSS over n times its residual's noise floor above which the
 # double-exp solve runs
 DOUBLE_GATE = 1.1
+
+# residual evaluations after which a single-exp row whose accepted |Omega|
+# is on or outside the omega bounds leaves the LM loop
+OMEGA_EXIT_EVALS = 50
 
 # pixels fitted together in one LM batch; bounds the solver's memory
 FIT_BLOCK_PX = 1024
@@ -285,7 +307,7 @@ def _small_gradient(jtj, grad, ssq):
     return (ssq == 0) | (cosine.max(axis=1) <= _GTOL)
 
 
-def _levenberg_marquardt(t, y, x, k, allow_phase, cfg):
+def _levenberg_marquardt(t, y, x, k, allow_phase, cfg, omega_bounds=None):
     """Fit the rows of y (P, n) from the seed rows x (P, p) together.
 
     Each row carries its own damping lam and Moré scaling d2 (running
@@ -293,13 +315,19 @@ def _levenberg_marquardt(t, y, x, k, allow_phase, cfg):
     A step is kept when its gain ratio exceeds 1e-4. A row converges
     on MINPACK's ftol, xtol or gtol test and leaves the active set when
     it converges or has used cfg.max_iterations residual evaluations,
-    the first included. The state of the active rows is held compacted
-    and is cut down only in the iterations where rows leave, so a
-    block's tail of slow rows does not index the full-size arrays in
-    every iteration; accepted and rejected steps are merged row by row
-    with np.where. Returns (x, residual sum of squares, evaluations,
-    converged) per row. y is overwritten: the rows still active are
-    moved to its front as others leave.
+    the first included. With omega_bounds (lo, hi), a row whose
+    accepted |Omega| is not strictly inside them once OMEGA_EXIT_EVALS
+    evaluations are used also leaves, reported as finished: the
+    caller's bounds check then returns it with converged=False, not as
+    an exhausted budget, and fit_pixel no longer raises NotConverged
+    for it (see the module doc). The state of the active rows is held
+    compacted and is cut down only in the iterations where rows leave,
+    so a block's tail of slow rows does not index the full-size arrays
+    in every iteration; accepted and rejected steps are merged row by
+    row with np.where. Returns (x, residual sum of squares,
+    evaluations, finished) per row, finished meaning converged or left
+    the omega bounds. y is overwritten: the rows still active are moved
+    to its front as others leave.
     """
     tol = cfg.rel_tolerance
     diag = np.arange(x.shape[1])
@@ -320,6 +348,11 @@ def _levenberg_marquardt(t, y, x, k, allow_phase, cfg):
         nu = np.full(len(x), 2.0)
         done = conv_out
         while True:
+            # a row that has left the omega bounds is finished
+            if omega_bounds is not None and nfev >= OMEGA_EXIT_EVALS:
+                omega = np.abs(x[:, 1 + 2 * k])
+                done = done | ~((omega_bounds[0] < omega)
+                                & (omega < omega_bounds[1]))
             stay = (~done if nfev < cfg.max_iterations
                     else np.zeros(len(rows), dtype=bool))
             if not stay.all():
@@ -468,7 +501,8 @@ def _fit_rows(t_ns, y, cfg):
     # the solver overwrites the rows of y it is given; in double mode
     # yf is still needed for the residuals and the double solve
     x, ssq, nfev, conv = _levenberg_marquardt(
-        t, yf.copy() if double_mode else yf, x0, 1, cfg.allow_phase, cfg)
+        t, yf.copy() if double_mode else yf, x0, 1, cfg.allow_phase, cfg,
+        bounds)
     solved = double = np.zeros(len(fit), dtype=bool)
     if double_mode:
         # the double solve runs only where the single fit leaves misfit
@@ -535,7 +569,9 @@ def fit_pixel(t_ns, y, cfg=None):
     single-exp result, when the single-exp solve runs out of its
     iteration budget and no double-exp fit is kept. A fit whose
     frequency lands on or outside the omega bounds is returned with
-    converged=False.
+    converged=False. So is a single-exp solve whose frequency is still
+    outside them after OMEGA_EXIT_EVALS evaluations: it stops there and
+    no longer raises NotConverged.
     """
     if cfg is None:
         cfg = FitConfig()

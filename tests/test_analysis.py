@@ -388,8 +388,9 @@ def test_double_gate_skips_only_discarded_double_solves():
     fit = np.flatnonzero(snr >= fit_cfg.min_contrast_snr)
     yf = y[fit]
     x0, x0_d = ana._seed_rows(t, yf, freq[fit], True)
+    lo, hi = ana._default_omega_bounds(t)
     x, ssq, _, conv = ana._levenberg_marquardt(t, yf.copy(), x0, 1, True,
-                                               fit_cfg)
+                                               fit_cfg, (lo, hi))
     x_d, ssq_d, _, conv_d = ana._levenberg_marquardt(t, yf.copy(), x0_d, 2,
                                                      True, fit_cfg)
     floor = n * (1e-10 * np.maximum(np.max(np.abs(yf), axis=1),
@@ -397,7 +398,6 @@ def test_double_gate_skips_only_discarded_double_solves():
     dbic = (n * np.log((0.5 * ssq + floor) / (0.5 * ssq_d + floor))
             - 2.0 * math.log(n))
     keep = conv_d & (dbic >= ana.BIC_MARGIN)
-    lo, hi = ana._default_omega_bounds(t)
 
     flat = results.ravel()
     for k in np.flatnonzero(snr < fit_cfg.min_contrast_snr):
@@ -414,6 +414,71 @@ def test_double_gate_skips_only_discarded_double_solves():
         assert replace(flat[k], evaluations=0) == ref
     assert keep.any()
     assert not all(flat[k].double_solved for k in fit)
+
+
+def test_omega_exit_changes_only_rows_that_left_the_bounds(monkeypatch):
+    # reference: the single solve with the exit disabled (bounds (0, inf)),
+    # then the gate and the BIC rule as usual. On a stride-10 sample of
+    # the cpw-fig2 map a row that left the omega bounds stops early and
+    # is reported out of bounds; no other pixel and no field changes
+    cfg = load_scenario("cpw-fig2")
+    g = cfg.grid
+    grid = GridSpec(origin=g.origin, axes=g.axes, nx=g.nx // 10,
+                    ny=g.ny // 10, pitch=10 * g.pitch)
+    phasor = evaluate_phasor_map(model_from_spec(cfg.device_doc), grid,
+                                 cfg.layer)
+    bmap = project_polarization(phasor, cfg.nv_frame, cfg.transition)
+    cube = simulate_cube(bmap, cfg.dt_ns, cfg.pulse, decay=cfg.decay,
+                         seed=cfg.seed)
+    solver = ana._levenberg_marquardt
+    single_evals = []
+
+    def recorded(t, y, x, k, allow_phase, fit_cfg, omega_bounds=None):
+        out = solver(t, y, x, k, allow_phase, fit_cfg, omega_bounds)
+        if k == 1:
+            single_evals.append(out[2])
+        return out
+
+    def no_exit(t, y, x, k, allow_phase, fit_cfg, omega_bounds=None):
+        if omega_bounds is not None:
+            omega_bounds = (0.0, math.inf)
+        return recorded(t, y, x, k, allow_phase, fit_cfg, omega_bounds)
+
+    monkeypatch.setattr(ana, "_levenberg_marquardt", recorded)
+    fmap, results = fit_cube(cube)
+    monkeypatch.setattr(ana, "_levenberg_marquardt", no_exit)
+    ref_map, ref = fit_cube(cube)
+
+    assert fmap.values.tobytes() == ref_map.values.tobytes()
+    flat, ref_flat = results.ravel(), ref.ravel()
+    fitted = [k for k, r in enumerate(ref_flat) if not r.below_threshold]
+    evals, ref_evals = single_evals
+    exited = evals != ref_evals
+    assert exited.any()
+    for row, k in enumerate(fitted):
+        if exited[row]:
+            assert evals[row] < ref_evals[row]
+            assert not flat[k].converged and not flat[k].exhausted
+        else:
+            assert (replace(flat[k], evaluations=0)
+                    == replace(ref_flat[k], evaluations=0))
+    for k in set(range(len(flat))) - set(fitted):
+        assert flat[k] == ref_flat[k]
+
+
+def test_fit_pixel_sub_cycle_trace_leaves_bounds_early():
+    # a fifth of a Rabi cycle in the scan: the single solve drifts below
+    # the omega bounds and stops instead of using its whole budget
+    t = np.arange(20.0, 2000.1, 20.0)
+    b = 0.2 / (2e-6 * GAMMA_NV)
+    decay = DecayParams(tau_fast_ns=2e4, tau_slow_ns=1e5, weight_fast=0.5)
+    y = (contrast_at(b, t, decay=decay, c0=0.05)
+         + np.random.default_rng(0).normal(0.0, 2e-3, len(t)))
+    cfg = FitConfig(envelope_mode=ana.SINGLE_EXP)
+    r = fit_pixel(t, y, cfg)
+    assert not r.converged and not r.exhausted
+    assert ana.OMEGA_EXIT_EVALS <= r.evaluations < cfg.max_iterations
+    assert r.omega <= ana._default_omega_bounds(t)[0]
 
 
 def test_fit_block_degenerate_neighbour_leaves_row_alone():
