@@ -21,8 +21,6 @@ import os
 import sys
 import time
 
-import numpy as np
-
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "perfbench"))
 
@@ -44,15 +42,14 @@ def run(cube, mode, repeats):
         t0 = time.perf_counter()
         _, results = analysis.fit_cube(cube, cfg, n_workers=1)
         best = min(best, time.perf_counter() - t0)
-    flat = results.ravel()
-    fitted = [r for r in flat if not r.below_threshold]
-    n_conv = sum(r.converged for r in flat)
-    n_exhausted = sum(r.exhausted for r in fitted)
-    counts = (n_conv, n_exhausted, len(fitted) - n_conv - n_exhausted)
-    if not fitted:
+    fitted = results[~results.below_threshold]
+    n_conv = int(results.converged.sum())
+    n_exhausted = int(fitted.exhausted.sum())
+    counts = (n_conv, n_exhausted, fitted.size - n_conv - n_exhausted)
+    if not fitted.size:
         return (best, 0.0, 0.0) + counts
-    return (best, float(np.mean([r.evaluations for r in fitted])),
-            float(np.mean([r.double_solved for r in fitted]))) + counts
+    return (best, float(fitted.evaluations.mean()),
+            float(fitted.double_solved.mean())) + counts
 
 
 def main():

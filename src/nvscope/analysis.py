@@ -80,7 +80,7 @@ the same pixel fitted in a block. The double-exp solve has no exit.
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
@@ -101,7 +101,7 @@ class NoOscillation(ValueError):
 
 
 class NotConverged(RuntimeError):
-    """Fit exhausted its iteration budget."""
+    """Fit exhausted its iteration budget; result is its FIT_DTYPE record."""
 
     def __init__(self, message, result=None):
         self.result = result
@@ -156,29 +156,20 @@ class FitConfig:
                 f"envelope_mode must be {DOUBLE_EXP!r} or {SINGLE_EXP!r}")
 
 
-@dataclass
-class RabiFitResult:
-    """Per-pixel fit parameters and diagnostics.
-
-    omega is in rad/ns; amp_slow is 0 and tau_slow equals tau_fast when
-    the envelope collapsed to a single exponential.
-    """
-
-    offset: float
-    amp_fast: float
-    amp_slow: float
-    tau_fast_ns: float
-    tau_slow_ns: float
-    omega: float
-    phase: float
-    residual_rms: float
-    converged: bool
-    below_threshold: bool = False
-    evaluations: int = 0  # residual evaluations of the solves that ran
-    exhausted: bool = False  # the kept solve used up its evaluation budget
-    # the double-exp solve ran; like evaluations it records work, not
-    # the fit, so it takes no part in ==
-    double_solved: bool = field(default=False, compare=False)
+# Per-pixel fit parameters and diagnostics, one record per pixel. omega
+# is in rad/ns; amp_slow is 0 and tau_slow_ns equals tau_fast_ns when
+# the envelope collapsed to a single exponential. exhausted says the kept
+# solve used up its evaluation budget. evaluations counts the residual
+# evaluations of the solves that ran and double_solved says the
+# double-exp solve ran; these two record work, not the fit.
+FIT_DTYPE = np.dtype([
+    ("offset", np.float64), ("amp_fast", np.float64),
+    ("amp_slow", np.float64), ("tau_fast_ns", np.float64),
+    ("tau_slow_ns", np.float64), ("omega", np.float64),
+    ("phase", np.float64), ("residual_rms", np.float64),
+    ("converged", np.bool_), ("below_threshold", np.bool_),
+    ("evaluations", np.int64), ("exhausted", np.bool_),
+    ("double_solved", np.bool_)])
 
 
 def omega_to_field(omega_rad_per_ns, gamma_nv=GAMMA_NV):
@@ -189,10 +180,6 @@ def omega_to_field(omega_rad_per_ns, gamma_nv=GAMMA_NV):
 def _default_omega_bounds(t_ns):
     step = float(np.median(np.diff(t_ns)))
     return (2.0 * math.pi * 1e-4, math.pi / step)
-
-
-def _exp_clipped(log_tau):
-    return math.exp(min(max(log_tau, -40.0), 40.0))
 
 
 def _periodogram_peaks(t, y, pad_factor=4):
@@ -405,43 +392,17 @@ def _levenberg_marquardt(t, y, x, k, allow_phase, cfg, omega_bounds=None):
     return x_out, ssq_out, nfev_out, conv_out
 
 
-def _unpack(params, mode, allow_phase, residual_rms, converged, evaluations,
-            double_solved):
-    if mode == DOUBLE_EXP:
-        a, b, c, lf, ls, w = params[:6]
-        phi = params[6] if allow_phase else 0.0
-        tau_f, tau_s = _exp_clipped(lf), _exp_clipped(ls)
-        if tau_f > tau_s:  # enforce fast <= slow ordering
-            b, c = c, b
-            tau_f, tau_s = tau_s, tau_f
-    else:
-        a, b, lf, w = params[:4]
-        phi = params[4] if allow_phase else 0.0
-        c = 0.0
-        tau_f = tau_s = _exp_clipped(lf)
-    if w < 0:  # sin(-wt + phi) == sin(wt + pi - phi)
-        w = -w
-        phi = math.pi - phi
-    if allow_phase and (b + c) < 0:
-        b, c = -b, -c
-        phi = phi + math.pi
-    phi = math.remainder(phi, 2.0 * math.pi)
-    return RabiFitResult(offset=float(a), amp_fast=float(b), amp_slow=float(c),
-                         tau_fast_ns=float(tau_f), tau_slow_ns=float(tau_s),
-                         omega=float(w), phase=float(phi),
-                         residual_rms=float(residual_rms),
-                         converged=bool(converged),
-                         evaluations=int(evaluations),
-                         exhausted=not converged,
-                         double_solved=bool(double_solved))
-
-
-def _below_threshold_result(trace):
-    return RabiFitResult(offset=float(np.mean(trace)), amp_fast=0.0,
-                         amp_slow=0.0, tau_fast_ns=math.inf,
-                         tau_slow_ns=math.inf, omega=0.0, phase=0.0,
-                         residual_rms=float(np.std(trace)), converged=False,
-                         below_threshold=True)
+def _wrap_phase(phi):
+    """math.remainder(phi, 2 pi) of every element, exactly: the wrap into
+    [-pi, pi] with ties to the even multiple of 2 pi. fmod by 4 pi is
+    exact, and so is each subtraction of 2 pi from what is left (Sterbenz)."""
+    two_pi = 2.0 * math.pi
+    r = np.fmod(phi, 2.0 * two_pi)
+    a = np.abs(r)
+    d = a - two_pi
+    wrapped = np.where(a <= math.pi, a,
+                       np.where(d < math.pi, d, d - two_pi))
+    return np.where(np.signbit(r), -wrapped, wrapped)
 
 
 def _seed_rows(t, y, freq, allow_phase):
@@ -469,11 +430,13 @@ def _noise_variance(resid):
 
 
 def _fit_rows(t_ns, y, cfg):
-    """Fit every row of y (P, n); returns (results, snr).
+    """Fit every row of y (P, n); returns (results, snr), results a
+    record array of FIT_DTYPE.
 
-    Below-threshold rows get _below_threshold_result. A row whose kept
-    solve used up its evaluation budget carries the partial fit with
-    converged=False and exhausted=True.
+    A below-threshold row carries the trace's mean as offset and its
+    standard deviation as residual_rms, zero amplitudes and omega, and
+    infinite taus. A row whose kept solve used up its evaluation budget
+    carries the partial fit with converged=False and exhausted=True.
     """
     t = np.asarray(t_ns, dtype=float)
     if len(t) < 8:
@@ -488,10 +451,12 @@ def _fit_rows(t_ns, y, cfg):
     n = len(t)
 
     freq, snr = _periodogram_peaks(t, y)
-    results = [None] * len(y)
     below = snr < cfg.min_contrast_snr
-    for i in np.flatnonzero(below):
-        results[i] = _below_threshold_result(y[i])
+    results = np.zeros(len(y), dtype=FIT_DTYPE).view(np.recarray)
+    results.below_threshold = below
+    results.offset[below] = np.mean(y[below], axis=1)
+    results.residual_rms[below] = np.std(y[below], axis=1)
+    results.tau_fast_ns[below] = results.tau_slow_ns[below] = math.inf
 
     fit = np.flatnonzero(~below)
     yf = y[fit]
@@ -503,7 +468,12 @@ def _fit_rows(t_ns, y, cfg):
     x, ssq, nfev, conv = _levenberg_marquardt(
         t, yf.copy() if double_mode else yf, x0, 1, cfg.allow_phase, cfg,
         bounds)
-    solved = double = np.zeros(len(fit), dtype=bool)
+    # single-exp rows in the double-exp layout [A, B, C, ln tau_f,
+    # ln tau_s(, phi)] with C = 0 and tau_s = tau_f
+    params = x[:, [0, 1, 1, 2, 2, *range(3, x.shape[1])]]
+    params[:, 2] = 0.0
+    rss, ok = ssq, conv
+    solved = np.zeros(len(fit), dtype=bool)
     if double_mode:
         # the double solve runs only where the single fit leaves misfit
         # above the noise floor of its own residual (see module doc)
@@ -525,23 +495,44 @@ def _fit_rows(t_ns, y, cfg):
             dbic = (n * np.log((0.5 * ssq + floor) / (0.5 * ssq_d + floor))
                     - 2.0 * math.log(n))
         double = conv_d & (dbic >= BIC_MARGIN)
+        params = np.where(double[:, None], x_d, params)
+        rss = np.where(double, ssq_d, ssq)
+        ok = conv | double
         nfev = nfev + nfev_d
 
-    for row, i in enumerate(fit):
-        if double[row]:
-            params, mode, rss, ok = x_d[row], DOUBLE_EXP, ssq_d[row], True
-        else:
-            params, mode, rss, ok = x[row], SINGLE_EXP, ssq[row], conv[row]
-        result = _unpack(params.tolist(), mode, cfg.allow_phase,
-                         math.sqrt(rss / n), ok, nfev[row], solved[row])
-        if ok and not bounds[0] < result.omega < bounds[1]:
-            result = replace(result, converged=False)
-        results[i] = result
+    # fast envelope first
+    taus = np.exp(np.clip(params[:, 3:5], -40.0, 40.0))
+    swap = taus[:, 0] > taus[:, 1]
+    amps = np.where(swap[:, None], params[:, 2:0:-1], params[:, 1:3])
+    taus = np.where(swap[:, None], taus[:, ::-1], taus)
+    # sin(-wt + phi) == sin(wt + pi - phi)
+    omega = params[:, 5]
+    phase = params[:, 6] if cfg.allow_phase else np.zeros(len(fit))
+    flip = omega < 0
+    omega = np.where(flip, -omega, omega)
+    phase = np.where(flip, math.pi - phase, phase)
+    if cfg.allow_phase:
+        flip = amps[:, 0] + amps[:, 1] < 0
+        amps = np.where(flip[:, None], -amps, amps)
+        phase = np.where(flip, phase + math.pi, phase)
+
+    fitted = results[fit]
+    fitted.offset = params[:, 0]
+    fitted.amp_fast, fitted.amp_slow = amps.T
+    fitted.tau_fast_ns, fitted.tau_slow_ns = taus.T
+    fitted.omega = omega
+    fitted.phase = _wrap_phase(phase)
+    fitted.residual_rms = np.sqrt(rss / n)
+    fitted.converged = ok & (bounds[0] < omega) & (omega < bounds[1])
+    fitted.evaluations = nfev
+    fitted.exhausted = ~ok
+    fitted.double_solved = solved
+    results[fit] = fitted
     return results, snr
 
 
 def fit_pixel(t_ns, y, cfg=None):
-    """Fit one contrast trace; returns a RabiFitResult.
+    """Fit one contrast trace; returns its FIT_DTYPE record.
 
     The trace is fit as a one-row block of the batched fitter that
     fit_cube uses (see _levenberg_marquardt), so it gives the same
@@ -576,33 +567,27 @@ def fit_pixel(t_ns, y, cfg=None):
     if cfg is None:
         cfg = FitConfig()
     results, snr = _fit_rows(t_ns, np.asarray(y, dtype=float)[None, :], cfg)
-    if results[0].below_threshold:
+    result = results[0]
+    if result.below_threshold:
         raise NoOscillation(float(snr[0]), cfg.min_contrast_snr)
-    if results[0].exhausted:
+    if result.exhausted:
         raise NotConverged(
-            f"fit exhausted {cfg.max_iterations} evaluations", results[0])
-    return results[0]
+            f"fit exhausted {cfg.max_iterations} evaluations", result)
+    return result
 
 
 def _fit_block(args):
     """Fit the columns of a (n_frames, m) block, FIT_BLOCK_PX at a time."""
     t, block, cfg = args
-    results = []
-    for k in range(0, block.shape[1], FIT_BLOCK_PX):
-        results += _fit_rows(t, block[:, k:k + FIT_BLOCK_PX].T, cfg)[0]
-    return results
-
-
-def _field_values(results, gamma_nv):
-    """Calibrated field of each result; 0 where the fit did not converge."""
-    return np.array([omega_to_field(r.omega, gamma_nv)
-                     if r.converged and math.isfinite(r.omega) else 0.0
-                     for r in results])
+    return np.concatenate([
+        _fit_rows(t, block[:, k:k + FIT_BLOCK_PX].T, cfg)[0]
+        for k in range(0, block.shape[1], FIT_BLOCK_PX)]).view(np.recarray)
 
 
 def fit_cube(cube, cfg=None, component="sigma-", n_workers=1,
              gamma_nv=GAMMA_NV):
-    """Fit every pixel of a cube; returns (field map, result array).
+    """Fit every pixel of a cube; returns (field map, results), results
+    an (nx, ny) record array of FIT_DTYPE.
 
     Pixels whose trace shows no oscillation above the SNR threshold are
     flagged below_threshold and carry zero field. Per-pixel failures
@@ -621,15 +606,13 @@ def fit_cube(cube, cfg=None, component="sigma-", n_workers=1,
         jobs = [(t, flat[:, k:k + chunk], cfg)
                 for k in range(0, nx * ny, chunk)]
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            blocks = list(pool.map(_fit_block, jobs))
-        results_flat = [r for block in blocks for r in block]
+            results = np.concatenate(list(pool.map(_fit_block, jobs)))
     else:
-        results_flat = _fit_block((t, flat, cfg))
+        results = _fit_block((t, flat, cfg))
 
-    results = np.empty((nx, ny), dtype=object)
-    for idx, r in enumerate(results_flat):
-        results[divmod(idx, ny)] = r
-    values = _field_values(results_flat, gamma_nv).reshape(nx, ny)
+    results = results.view(np.recarray).reshape(nx, ny)
+    values = np.where(results.converged & np.isfinite(results.omega),
+                      omega_to_field(results.omega, gamma_nv), 0.0)
     fmap = PolarizedFieldMap(grid=cube.grid, component=component, values=values)
     return fmap, results
 
@@ -888,10 +871,9 @@ def amplitude_sensitivity(cubes, cfg=None, measurement_time_s=None,
         cfg = FitConfig()
     traces = np.concatenate(
         [c.frames.reshape(c.n_frames, -1) for c in cubes], axis=1)
-    results = _fit_block((t, traces, cfg))
-    fields = _field_values(results, gamma_nv).reshape(len(cubes), -1)
-    ok = np.array([r.converged and not r.below_threshold
-                   for r in results]).reshape(len(cubes), -1).all(axis=0)
+    results = _fit_block((t, traces, cfg)).reshape(len(cubes), -1)
+    fields = omega_to_field(results.omega, gamma_nv)
+    ok = results.converged.all(axis=0)
     if not np.any(ok):
         raise ValueError("no pixel converged across all repeats")
     per_pixel = np.std(fields[:, ok], axis=0, ddof=1)

@@ -13,7 +13,7 @@ files in the output directory:
 Configs are JSON with unit-suffixed keys (width_um, current_ma,
 f_mw_ghz, ...) converted to SI on load; time-valued keys state their
 unit in the name (laser_ns, duration ms in schedules) and pass through
-unchanged. Every command writes a RunManifest with sha256 checksums of
+unchanged. Every command writes a run manifest with sha256 checksums of
 its outputs; re-running with --verify checks them.
 
 Exit codes: 0 success, 2 config or input error, 3 numerical failure,
@@ -21,6 +21,7 @@ Exit codes: 0 success, 2 config or input error, 3 numerical failure,
 """
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -226,42 +227,28 @@ def load_scenario(value):
 
 # ------------------------------------------------------------- run manifest
 
-@dataclass
-class RunManifest:
-    version: str
-    command: str
-    scenario: str
-    config_sha256: str
-    created_utc: str
-    outputs: list
-
-    def to_doc(self):
-        return {"version": self.version, "command": self.command,
-                "scenario": self.scenario,
-                "config_sha256": self.config_sha256,
-                "created_utc": self.created_utc, "outputs": self.outputs,
-                # library versions, so that rounding-level drift between
-                # builds can be traced from the artifacts; --verify
-                # checks only the outputs
-                "python": platform.python_version(),
-                "numpy": np.__version__, "scipy": scipy.__version__}
+def _write_json(path, doc):
+    formats.atomic_write_bytes(
+        path, json.dumps(doc, indent=2, sort_keys=True).encode() + b"\n")
 
 
 def _manifest_path(outdir, base, command):
     return os.path.join(outdir, f"{base}.{command}.manifest.json")
 
 
-def _write_manifest(outdir, base, command, scenario, config_bytes, outputs):
-    import hashlib
-    manifest = RunManifest(
-        version=__version__, command=command, scenario=scenario,
-        config_sha256=hashlib.sha256(config_bytes or b"").hexdigest(),
-        created_utc=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        outputs=outputs)
+def _write_manifest(outdir, base, command, config_bytes, outputs):
     path = _manifest_path(outdir, base, command)
-    formats.atomic_write_bytes(
-        path, json.dumps(manifest.to_doc(), indent=2,
-                         sort_keys=True).encode() + b"\n")
+    _write_json(path, {
+        "version": __version__, "command": command, "scenario": base,
+        "config_sha256": hashlib.sha256(config_bytes or b"").hexdigest(),
+        "created_utc": datetime.now(timezone.utc).isoformat(
+            timespec="seconds"),
+        "outputs": outputs,
+        # library versions, so that rounding-level drift between builds
+        # can be traced from the artifacts; --verify checks only the
+        # outputs
+        "python": platform.python_version(),
+        "numpy": np.__version__, "scipy": scipy.__version__})
     return path
 
 
@@ -330,8 +317,8 @@ def cmd_simulate(args):
                                   pmap.values)
         outputs.append(_record_output(outdir, stem + ".pgm",
                                       pgm_scale_t=scale))
-    _write_manifest(outdir, cfg.name, "simulate", cfg.name,
-                    cfg.source_bytes, outputs)
+    _write_manifest(outdir, cfg.name, "simulate", cfg.source_bytes,
+                    outputs)
     print(f"simulate {cfg.name}: {len(outputs)} outputs in {outdir}")
     return EXIT_OK
 
@@ -383,8 +370,8 @@ def cmd_acquire(args):
         outputs.append(_record_output(outdir, path,
                                       n_frames=cube.n_frames,
                                       noiseless=seed is None))
-    _write_manifest(outdir, cfg.name, "acquire", cfg.name,
-                    cfg.source_bytes, outputs)
+    _write_manifest(outdir, cfg.name, "acquire", cfg.source_bytes,
+                    outputs)
     print(f"acquire {cfg.name}: wrote {outputs[0]['path']}")
     return EXIT_OK
 
@@ -410,19 +397,16 @@ def cmd_fit(args):
     cfg = _fit_config_from_args(args, cube.dt_ns)
     fmap, results = analysis.fit_cube(cube, cfg, component=args.component,
                                       n_workers=_n_workers(args))
-    flat = list(results.ravel())
-    n = len(flat)
-    n_conv = sum(1 for r in flat if r.converged)
-    n_below = sum(1 for r in flat if r.below_threshold)
-    n_exhausted = sum(1 for r in flat if r.exhausted)
-    n_out_of_bounds = sum(1 for r in flat if not (
-        r.converged or r.below_threshold or r.exhausted))
+    n = results.size
+    n_conv = int(results.converged.sum())
+    n_below = int(results.below_threshold.sum())
+    n_exhausted = int(results.exhausted.sum())
+    n_out_of_bounds = int((~(results.converged | results.below_threshold
+                             | results.exhausted)).sum())
     # a single-exp fit reports amp_slow 0 and tau_slow == tau_fast
-    n_single = sum(1 for r in flat if not r.below_threshold
-                   and r.amp_slow == 0.0 and r.tau_slow_ns == r.tau_fast_ns)
-    converged_b = [fmap.values[i, j]
-                   for i in range(fmap.grid.nx) for j in range(fmap.grid.ny)
-                   if results[i, j].converged]
+    n_single = int((~results.below_threshold & (results.amp_slow == 0.0)
+                    & (results.tau_slow_ns == results.tau_fast_ns)).sum())
+    converged_b = fmap.values[results.converged]
     diagnostics = {
         "cube": os.path.basename(args.cube),
         "n_pixels": n,
@@ -432,17 +416,16 @@ def cmd_fit(args):
         "below_threshold_fraction": n_below / n,
         "n_single_envelope": n_single,
         # fitted pixels whose double-exp solve ran (double envelope only)
-        "n_double_solves": sum(1 for r in flat if r.double_solved),
+        "n_double_solves": int(results.double_solved.sum()),
         # fits whose kept solve ran out of evaluations, and finished
         # fits whose omega is on or outside the bounds
         "n_budget_exhausted": n_exhausted,
         "n_omega_out_of_bounds": n_out_of_bounds,
         "median_field_ut": (float(np.median(converged_b)) * 1e6
-                            if converged_b else None),
-        "median_residual_rms": float(np.median(
-            [r.residual_rms for r in flat])),
+                            if converged_b.size else None),
+        "median_residual_rms": float(np.median(results.residual_rms)),
         "lm_evaluations_per_px": (float(np.mean(
-            [r.evaluations for r in flat if not r.below_threshold]))
+            results.evaluations[~results.below_threshold]))
             if n_below < n else None),
         "fit_options": {"envelope": args.envelope,
                         "min_contrast_snr": args.min_snr,
@@ -457,11 +440,9 @@ def cmd_fit(args):
                               fmap.values)
     outputs.append(_record_output(outdir, base + ".fit.pgm",
                                   pgm_scale_t=scale))
-    formats.atomic_write_bytes(
-        os.path.join(outdir, base + ".fit.json"),
-        json.dumps(diagnostics, indent=2, sort_keys=True).encode() + b"\n")
+    _write_json(os.path.join(outdir, base + ".fit.json"), diagnostics)
     outputs.append(_record_output(outdir, base + ".fit.json"))
-    _write_manifest(outdir, base, "fit", base, None, outputs)
+    _write_manifest(outdir, base, "fit", None, outputs)
     print(f"fit {base}: converged {n_conv}/{n} "
           f"({100 * n_conv / n:.1f}%), below threshold {n_below}")
     if diagnostics["converged_fraction"] < args.min_converged:
@@ -505,7 +486,7 @@ def cmd_stitch(args):
                               composite.values)
     outputs.append(_record_output(outdir, args.name + ".pgm",
                                   pgm_scale_t=scale))
-    _write_manifest(outdir, args.name, "stitch", args.name, None, outputs)
+    _write_manifest(outdir, args.name, "stitch", None, outputs)
     print(f"stitch: composite {composite.grid.nx}x{composite.grid.ny} "
           f"written to {args.name}.fmap")
     return EXIT_OK
@@ -533,11 +514,9 @@ def cmd_contours(args):
                        "pixels": r.pixels.tolist()}
                       for r in contour_set.ridges]}
     outputs = []
-    formats.atomic_write_bytes(
-        os.path.join(outdir, base + ".contours.json"),
-        json.dumps(doc, indent=2, sort_keys=True).encode() + b"\n")
+    _write_json(os.path.join(outdir, base + ".contours.json"), doc)
     outputs.append(_record_output(outdir, base + ".contours.json"))
-    _write_manifest(outdir, base, "contours", base, None, outputs)
+    _write_manifest(outdir, base, "contours", None, outputs)
     print(f"contours {base}: {len(doc['ridges'])} ridges at frame {k}")
     return EXIT_OK
 
@@ -648,9 +627,7 @@ def cmd_report(args):
         }
 
     json_name = f"{cfg.name}.report.json"
-    formats.atomic_write_bytes(
-        os.path.join(outdir, json_name),
-        json.dumps(report, indent=2, sort_keys=True).encode() + b"\n")
+    _write_json(os.path.join(outdir, json_name), report)
     outputs.append(_record_output(outdir, json_name))
 
     text_lines = [f"scenario        {cfg.name}",
@@ -678,8 +655,7 @@ def cmd_report(args):
     formats.atomic_write_bytes(os.path.join(outdir, text_name),
                                ("\n".join(text_lines) + "\n").encode())
     outputs.append(_record_output(outdir, text_name))
-    _write_manifest(outdir, cfg.name, "report", cfg.name, cfg.source_bytes,
-                    outputs)
+    _write_manifest(outdir, cfg.name, "report", cfg.source_bytes, outputs)
     print("\n".join(text_lines))
     return EXIT_OK
 

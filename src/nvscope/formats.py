@@ -22,6 +22,7 @@ import json
 import os
 import re
 import tempfile
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -79,7 +80,22 @@ def _read_framing(raw, magic, path):
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise FormatError(
             f"{path}: invalid JSON header at byte {len(magic)}: {err}")
+    if not isinstance(doc, dict):
+        raise FormatError(
+            f"{path}: JSON header at byte {len(magic)} is not an object")
     return doc, end + 1
+
+
+@contextmanager
+def _header_keys(path, magic):
+    """Turn a missing or ill-typed header key read in the block into a
+    FormatError naming the header's byte offset."""
+    try:
+        yield
+    except (KeyError, IndexError, TypeError, ValueError) as err:
+        raise FormatError(
+            f"{path}: bad header at byte {len(magic)}: "
+            f"{type(err).__name__}: {err}") from err
 
 
 def _expect_payload(raw, start, n_bytes, path):
@@ -151,20 +167,22 @@ def read_field_map(path):
     doc, start = _read_framing(raw, FMAP_MAGIC, path)
     if doc.get("dtype") != "float32":
         raise FormatError(f"{path}: unsupported dtype {doc.get('dtype')!r}")
-    grid = grid_from_doc(doc["grid"])
-    nx, ny = grid.nx, grid.ny
     kind = doc.get("kind")
+    if kind not in ("phasor", "polarized"):
+        raise FormatError(f"{path}: unknown field map kind {kind!r}")
+    with _header_keys(path, FMAP_MAGIC):
+        grid = grid_from_doc(doc["grid"])
+    nx, ny = grid.nx, grid.ny
     if kind == "phasor":
         payload = _expect_payload(raw, start, nx * ny * 6 * 4, path)
         flat = np.frombuffer(payload, dtype="<f4").reshape(nx, ny, 3, 2)
         values = flat[..., 0].astype(float) + 1j * flat[..., 1].astype(float)
         return FieldPhasorMap(grid=grid, values=values)
-    if kind == "polarized":
-        payload = _expect_payload(raw, start, nx * ny * 4, path)
-        values = np.frombuffer(payload, dtype="<f4").reshape(nx, ny)
+    payload = _expect_payload(raw, start, nx * ny * 4, path)
+    values = np.frombuffer(payload, dtype="<f4").reshape(nx, ny)
+    with _header_keys(path, FMAP_MAGIC):
         return PolarizedFieldMap(grid=grid, component=doc["component"],
                                  values=values.astype(float))
-    raise FormatError(f"{path}: unknown field map kind {kind!r}")
 
 
 # ----------------------------------------------------------------- RCUB1
@@ -186,16 +204,18 @@ def read_cube(path):
     doc, start = _read_framing(raw, RCUB_MAGIC, path)
     if doc.get("dtype") != "float32":
         raise FormatError(f"{path}: unsupported dtype {doc.get('dtype')!r}")
-    grid = grid_from_doc(doc["grid"])
-    dt = np.array(doc["dt_ns"], dtype=float)
-    n = len(dt) * grid.nx * grid.ny * 4
+    with _header_keys(path, RCUB_MAGIC):
+        grid = grid_from_doc(doc["grid"])
+        dt = np.array(doc["dt_ns"], dtype=float)
+        n = len(dt) * grid.nx * grid.ny * 4
+        pulse = pulse_from_doc(doc.get("pulse"))
+        seed = doc.get("seed")
+        seed = None if seed is None else int(seed)
     payload = _expect_payload(raw, start, n, path)
     frames = np.frombuffer(payload, dtype="<f4").reshape(
         len(dt), grid.nx, grid.ny).astype(float)
-    seed = doc.get("seed")
-    return ImageCube(grid=grid, dt_ns=dt, frames=frames,
-                     pulse=pulse_from_doc(doc.get("pulse")),
-                     seed=None if seed is None else int(seed))
+    return ImageCube(grid=grid, dt_ns=dt, frames=frames, pulse=pulse,
+                     seed=seed)
 
 
 # ----------------------------------------------------------------- RSTR1
@@ -231,8 +251,13 @@ def read_stream(path):
     with open(path, "rb") as fh:
         raw = fh.read()
     doc, start = _read_framing(raw, RSTR_MAGIC, path)
-    grid = grid_from_doc(doc["grid"])
-    n_frames = int(doc["n_frames"])
+    with _header_keys(path, RSTR_MAGIC):
+        grid = grid_from_doc(doc["grid"])
+        n_frames = int(doc["n_frames"])
+        timing = doc.get("timing")
+        if timing is not None:
+            timing = CameraTiming(row_time_us=timing["row_time_us"],
+                                  overhead_us=timing["overhead_us"])
     frame_bytes = grid.nx * grid.ny * 4
     n = n_frames * (8 + frame_bytes)
     payload = _expect_payload(raw, start, n, path)
@@ -245,11 +270,8 @@ def read_stream(path):
                               dtype="<f4").reshape(grid.nx, grid.ny)
         pos += frame_bytes
         frames.append((ts, frame.astype(float)))
-    if doc.get("timing") is not None:
-        doc = dict(doc)
-        doc["timing"] = CameraTiming(
-            row_time_us=doc["timing"]["row_time_us"],
-            overhead_us=doc["timing"]["overhead_us"])
+    if timing is not None:
+        doc = dict(doc, timing=timing)
     return doc, frames
 
 

@@ -123,8 +123,7 @@ def test_criterion_03_end_to_end_round_trip():
     fit_cfg = FitConfig(envelope_mode="single-exp",
                         omega_bounds=(2.0 * math.pi / span, math.pi / step))
     fitted, results = fit_cube(cube, fit_cfg)
-    good = np.vectorize(lambda r: r.converged and not r.below_threshold)(
-        results)
+    good = results.converged & ~results.below_threshold
     assert good.mean() > 0.5  # sub-cycle pixels sit below the floor
     rel = (fitted.values[good] - bmap.values[good]) / bmap.values[good]
     rms = math.sqrt(float(np.mean(rel ** 2)))

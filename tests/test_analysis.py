@@ -9,7 +9,6 @@ stays under 0.1%.
 """
 
 import math
-from dataclasses import astuple, replace
 from functools import lru_cache
 
 import numpy as np
@@ -194,7 +193,7 @@ def test_fit_snr_threshold_configurable():
     t = np.arange(20.0, 2001.0, 20.0)
     y = rng.normal(0.0, 1.41e-2, len(t))
     r = fit_pixel(t, y, FitConfig(min_contrast_snr=0.0, max_iterations=2000))
-    assert isinstance(r, ana.RabiFitResult)
+    assert r.dtype == ana.FIT_DTYPE
 
 
 def test_fit_omega_outside_bounds_marked_not_converged():
@@ -287,9 +286,18 @@ def test_fit_cube_flags_dead_pixels():
     assert fmap.values[0, 0] == pytest.approx(2.5e-4, rel=1e-6)
 
 
-def assert_same_result(r1, r2):
-    # every field bit for bit: float repr round-trips exactly
-    assert [repr(v) for v in astuple(r1)] == [repr(v) for v in astuple(r2)]
+def assert_same_result(r1, r2, ignore=()):
+    # every field but those ignored, bit for bit
+    names = [k for k in ana.FIT_DTYPE.names if k not in ignore]
+    assert ([r1[k].tobytes() for k in names]
+            == [r2[k].tobytes() for k in names]), (r1, r2)
+
+
+def below_threshold_record(trace):
+    # what the fitter reports for a trace without a detectable oscillation
+    return np.array((np.mean(trace), 0.0, 0.0, math.inf, math.inf, 0.0, 0.0,
+                     np.std(trace), False, True, 0, False, False),
+                    dtype=ana.FIT_DTYPE)[()]
 
 
 def test_fit_cube_worker_count_invariant():
@@ -324,7 +332,7 @@ def test_fit_cube_pixels_equal_solo_fits():
                 solo = fit_pixel(dt, trace, cfg)
                 outcomes.add("single" if solo.amp_slow == 0.0 else "double")
             except NoOscillation:
-                solo = ana._below_threshold_result(trace)
+                solo = below_threshold_record(trace)
                 outcomes.add("below threshold")
             except NotConverged as err:
                 solo = err.result
@@ -356,19 +364,22 @@ def test_double_mode_single_pixels_equal_single_envelope_fits():
                 assert d.amp_slow == 0.0
                 assert d.tau_slow_ns == d.tau_fast_ns
                 # the same solve: only the evaluation count, which adds
-                # the discarded double solve's, differs
-                assert replace(d, evaluations=0) == replace(s, evaluations=0)
+                # the discarded double solve's, and the record of that
+                # solve differ
+                assert_same_result(d, s, ignore=("evaluations",
+                                                 "double_solved"))
             else:
                 seen.add("double")
                 assert d.converged and d.residual_rms < s.residual_rms
     assert seen == {"single", "single exhausted", "double"}
 
 
-def test_double_gate_skips_only_discarded_double_solves():
+def test_double_gate_skips_only_discarded_double_solves(monkeypatch):
     # reference: both envelopes solved on every row, then the BIC rule;
     # the gated fit must equal it in every field but the evaluation
-    # count. A stride-10 sample of the cpw-fig2 map with its decay and
-    # noise, so that some doubles are kept and most solves are skipped
+    # count and the record of which solves ran. A stride-10 sample of
+    # the cpw-fig2 map with its decay and noise, so that some doubles are
+    # kept and most solves are skipped
     cfg = load_scenario("cpw-fig2")
     g = cfg.grid
     grid = GridSpec(origin=g.origin, axes=g.axes, nx=g.nx // 10,
@@ -399,19 +410,29 @@ def test_double_gate_skips_only_discarded_double_solves():
             - 2.0 * math.log(n))
     keep = conv_d & (dbic >= ana.BIC_MARGIN)
 
-    flat = results.ravel()
+    # the fitter itself with the gate open on every row
+    monkeypatch.setattr(ana, "DOUBLE_GATE", 0.0)
+    _, ref = fit_cube(cube, fit_cfg)
+
+    flat, ref_flat = results.ravel(), ref.ravel()
     for k in np.flatnonzero(snr < fit_cfg.min_contrast_snr):
-        assert_same_result(flat[k], ana._below_threshold_result(y[k]))
+        assert_same_result(flat[k], below_threshold_record(y[k]))
     for row, k in enumerate(fit):
+        assert ref_flat[k].double_solved
+        assert_same_result(flat[k], ref_flat[k],
+                           ignore=("evaluations", "double_solved"))
+        # the kept solve is the one the rule above picks
         if keep[row]:
-            ref = ana._unpack(x_d[row].tolist(), ana.DOUBLE_EXP, True,
-                              math.sqrt(ssq_d[row] / n), True, 0, True)
+            params, rss, ok = x_d[row], ssq_d[row], True
         else:
-            ref = ana._unpack(x[row].tolist(), ana.SINGLE_EXP, True,
-                              math.sqrt(ssq[row] / n), conv[row], 0, True)
-        if ref.converged and not lo < ref.omega < hi:
-            ref = replace(ref, converged=False)
-        assert replace(flat[k], evaluations=0) == ref
+            params, rss, ok = x[row], ssq[row], conv[row]
+        omega = abs(params[-2])
+        assert (flat[k].amp_slow != 0.0) == keep[row]
+        assert flat[k].offset == params[0]
+        assert flat[k].omega == omega
+        assert flat[k].residual_rms == math.sqrt(rss / n)
+        assert flat[k].converged == (ok and lo < omega < hi)
+        assert flat[k].exhausted == (not ok)
     assert keep.any()
     assert not all(flat[k].double_solved for k in fit)
 
@@ -460,10 +481,10 @@ def test_omega_exit_changes_only_rows_that_left_the_bounds(monkeypatch):
             assert evals[row] < ref_evals[row]
             assert not flat[k].converged and not flat[k].exhausted
         else:
-            assert (replace(flat[k], evaluations=0)
-                    == replace(ref_flat[k], evaluations=0))
+            assert_same_result(flat[k], ref_flat[k],
+                               ignore=("evaluations",))
     for k in set(range(len(flat))) - set(fitted):
-        assert flat[k] == ref_flat[k]
+        assert_same_result(flat[k], ref_flat[k])
 
 
 def test_fit_pixel_sub_cycle_trace_leaves_bounds_early():
@@ -479,6 +500,74 @@ def test_fit_pixel_sub_cycle_trace_leaves_bounds_early():
     assert not r.converged and not r.exhausted
     assert ana.OMEGA_EXIT_EVALS <= r.evaluations < cfg.max_iterations
     assert r.omega <= ana._default_omega_bounds(t)[0]
+
+
+def test_fit_records_describe_the_solver_curves(monkeypatch):
+    # a record describes the curve of the solve it keeps, folded to
+    # omega >= 0, B + C >= 0, tau_fast <= tau_slow and |phase| <= pi.
+    # The solver is replaced by fixed solutions that need every fold;
+    # rows 1 and 3 keep a converged double over an exhausted single, and
+    # row 4 keeps its single, whose |omega| sits on the lower bound
+    t = DT_4US
+    lo, hi = ana._default_omega_bounds(t)
+    w = 0.0377
+    l3, l7, l25 = math.log(300.0), math.log(700.0), math.log(2500.0)
+    single = np.array([[0.02, 0.015, l7, w, 0.4],
+                       [0.02, -0.015, l7, w, 0.4],
+                       [0.02, 0.015, l7, -w, 7.0],
+                       [0.02, -0.015, l7, -w, -9.5],
+                       [0.02, 0.015, l7, -lo, 0.4]])
+    double = np.array([[0.02, 0.010, 0.005, l25, l3, w, 0.4],
+                       [0.02, -0.010, 0.004, l3, l25, -w, 3.0],
+                       [0.02, 0.002, -0.010, l25, l3, w, -4.0],
+                       [0.02, -0.010, -0.004, l3, l25, -w, 12.0],
+                       [0.02, 0.010, 0.005, l3, l25, w, 0.4]])
+    conv = {1: np.array([True, False, True, False, True]),
+            2: np.array([True, True, True, True, False])}
+
+    def solver(t, y, x, k, allow_phase, cfg, omega_bounds=None):
+        rows = single if k == 1 else double
+        ssq = np.full(len(rows), 1e6 if k == 1 else 1e-12)
+        return rows.copy(), ssq, np.ones(len(rows), dtype=int), conv[k]
+
+    def curve(a, b, c, tau_f, tau_s, omega, phase):
+        return a - ((b * np.exp(-t / tau_f) + c * np.exp(-t / tau_s))
+                    * np.sin(omega * t + phase))
+
+    monkeypatch.setattr(ana, "_levenberg_marquardt", solver)
+    y = np.tile(0.02 - 0.015 * np.exp(-t / 700.0) * np.sin(w * t + 0.4),
+                (5, 1))
+    for mode in (ana.DOUBLE_EXP, ana.SINGLE_EXP):
+        results, _ = ana._fit_rows(t, y, FitConfig(envelope_mode=mode))
+        kept_double = conv[2] & (mode == ana.DOUBLE_EXP)
+        for r, s, d, s_ok, keep in zip(results, single, double, conv[1],
+                                       kept_double):
+            if keep:
+                raw = (*d[:3], *np.exp(d[3:5]), *d[5:])
+            else:
+                raw = (s[0], s[1], 0.0, math.exp(s[2]), math.exp(s[2]),
+                       *s[3:])
+            np.testing.assert_allclose(
+                curve(r.offset, r.amp_fast, r.amp_slow, r.tau_fast_ns,
+                      r.tau_slow_ns, r.omega, r.phase), curve(*raw),
+                rtol=0.0, atol=1e-12)
+            assert r.omega >= 0.0 and r.amp_fast + r.amp_slow >= 0.0
+            assert r.tau_fast_ns <= r.tau_slow_ns
+            assert -math.pi <= r.phase <= math.pi
+            assert r.exhausted == (not (keep or s_ok))
+            assert r.converged == ((keep or s_ok) and lo < r.omega < hi)
+        assert results.converged.tolist() == (
+            [True] * 4 + [False] if mode == ana.DOUBLE_EXP
+            else [True, False, True, False, False])
+
+
+def test_wrap_phase_equals_math_remainder():
+    # ties (odd multiples of pi) go to the even multiple of 2 pi
+    phi = np.array([0.0, -0.0, 0.4, 7.0, -9.5, 1e3, math.pi, -math.pi,
+                    3 * math.pi, -3 * math.pi, 5 * math.pi, 2 * math.pi,
+                    -2 * math.pi, np.nextafter(math.pi, 4.0)])
+    ref = np.array([math.remainder(v, 2.0 * math.pi) for v in phi])
+    assert ana._wrap_phase(phi).tobytes() == ref.tobytes()
 
 
 def test_fit_block_degenerate_neighbour_leaves_row_alone():
@@ -720,8 +809,7 @@ def test_sensitivity_batch_equals_per_cube_fits():
     for cube in cubes:
         fmap, results = fit_cube(cube)
         maps.append(fmap.values)
-        ok = ok & np.vectorize(
-            lambda r: r.converged and not r.below_threshold)(results)
+        ok = ok & results.converged & ~results.below_threshold
     per_pixel = np.std(np.stack(maps)[:, ok], axis=0, ddof=1)
     expect = float(np.median(per_pixel)) * math.sqrt(2.0)
     assert amplitude_sensitivity(cubes, measurement_time_s=2.0) == expect

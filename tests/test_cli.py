@@ -397,11 +397,10 @@ def test_noisy_fit_envelope_choice_stable_under_ulp_shifts(pipeline,
     def fit(frames):
         fitted, results = analysis.fit_cube(replace(cube, frames=frames))
         flat = results.ravel()
-        single = [r.amp_slow == 0.0 and r.tau_slow_ns == r.tau_fast_ns
-                  for r in flat]
-        converged = [r.converged for r in flat]
-        rms = np.array([r.residual_rms for r in flat])
-        return single, converged, fitted.values.ravel(), rms
+        single = ((flat.amp_slow == 0.0)
+                  & (flat.tau_slow_ns == flat.tau_fast_ns)).tolist()
+        converged = flat.converged.tolist()
+        return single, converged, fitted.values.ravel(), flat.residual_rms
 
     single, converged, field, rms = fit(cube.frames)
     shifted = {"+1 ulp": np.nextafter(cube.frames, np.inf),
@@ -629,8 +628,9 @@ def test_acquire_rejects_phasor_map(pipeline, tmp_path):
 
 def test_fit_corrupt_cube(tmp_path):
     path = tmp_path / "junk.rcub"
-    path.write_bytes(b"RCUB1\n{\"oops\": tru")
-    assert run("fit", "--cube", path, "-o", tmp_path) == 2
+    for raw in (b"RCUB1\n{\"oops\": tru", b'RCUB1\n{"dtype":"float32"}\n'):
+        path.write_bytes(raw)
+        assert run("fit", "--cube", path, "-o", tmp_path) == 2
 
 
 def test_unknown_config_name_exit_code(tmp_path):

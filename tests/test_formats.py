@@ -111,6 +111,26 @@ def test_field_map_rejects_bad_header(tmp_path):
     path.write_bytes(b"FMAP1\nno newline after header")
     with pytest.raises(FormatError, match="unterminated"):
         read_field_map(path)
+    # a header that is not an object, or lacks or mistypes a key
+    grid = (b'"grid":{"axes":[[1,0,0],[0,1,0]],"nx":1,"ny":1,'
+            b'"pitch_m":1e-06}')
+    for reader, raw in (
+            (read_field_map, b"FMAP1\n[1,2]\n"),
+            (read_field_map,
+             b'FMAP1\n{"dtype":"float32",' + grid + b',"kind":"polarized"}\n'
+             + b"\x00" * 4),
+            (read_field_map,
+             b'FMAP1\n{"dtype":"float32",' + grid[:-1]
+             + b',"origin_m":[0,0,0]},"kind":"polarized"}\n' + b"\x00" * 4),
+            (read_cube, b'RCUB1\n{"dtype":"float32"}\n'),
+            (read_cube, b"RCUB1\n[1,2]\n"),
+            (read_cube,
+             b'RCUB1\n{"dtype":"float32",' + grid[:-1]
+             + b',"origin_m":[0,0,0]},"dt_ns":"fast"}\n'),
+            (read_stream, b'RSTR1\n{"grid":null}\n')):
+        path.write_bytes(raw)
+        with pytest.raises(FormatError, match="at byte 6"):
+            reader(path)
 
 
 def test_field_map_rejects_truncated_payload(tmp_path):
