@@ -9,11 +9,16 @@ Mpair/s (segment-point pairs per second).
 """
 
 import argparse
+import os
+import sys
 import time
 
 import numpy as np
 
-from nvscope.kernels import field_accumulate
+# the checkout's sources come first, so that an uninstalled checkout runs
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "src"))
+from nvscope.kernels import field_accumulate  # noqa: E402
 
 
 def make_workload(n_segments, n_points, seed=0):

@@ -21,8 +21,9 @@ import os
 import sys
 import time
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                                os.pardir, "perfbench"))
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+# the checkout's sources come first, so that an uninstalled checkout runs
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 from nvscope import analysis  # noqa: E402
 import workloads  # noqa: E402
@@ -43,9 +44,9 @@ def run(cube, mode, repeats):
         _, results = analysis.fit_cube(cube, cfg, n_workers=1)
         best = min(best, time.perf_counter() - t0)
     fitted = results[~results.below_threshold]
-    n_conv = int(results.converged.sum())
-    n_exhausted = int(fitted.exhausted.sum())
-    counts = (n_conv, n_exhausted, fitted.size - n_conv - n_exhausted)
+    split = analysis.fit_outcome_counts(results)
+    counts = (split["n_converged"], split["n_budget_exhausted"],
+              split["n_omega_out_of_bounds"])
     if not fitted.size:
         return (best, 0.0, 0.0) + counts
     return (best, float(fitted.evaluations.mean()),

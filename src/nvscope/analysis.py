@@ -79,6 +79,7 @@ the same pixel fitted in a block. The double-exp solve has no exit.
 """
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -601,7 +602,12 @@ def fit_cube(cube, cfg=None, component="sigma-", n_workers=1,
     t = cube.dt_ns
     flat = cube.frames.reshape(cube.n_frames, nx * ny)
 
-    if n_workers and n_workers > 1:
+    # the pool starts all its workers up front; no more than the CPUs
+    # this process may run on
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    n_workers = min(n_workers or 1, cpus)
+    if n_workers > 1:
         chunk = max(1, math.ceil(nx * ny / (4 * n_workers)))
         jobs = [(t, flat[:, k:k + chunk], cfg)
                 for k in range(0, nx * ny, chunk)]
@@ -615,6 +621,28 @@ def fit_cube(cube, cfg=None, component="sigma-", n_workers=1,
                       omega_to_field(results.omega, gamma_nv), 0.0)
     fmap = PolarizedFieldMap(grid=cube.grid, component=component, values=values)
     return fmap, results
+
+
+def fit_outcome_counts(results):
+    """Pixel counts by fit outcome, as *.fit.json reports them.
+
+    Converged, below threshold, budget exhausted (the kept solve ran out
+    of evaluations) and omega out of bounds (a finished fit whose omega
+    is on or outside the bounds) split n_pixels. A single-envelope fit
+    has amp_slow 0 and tau_slow_ns == tau_fast_ns; n_double_solves
+    counts the pixels whose double-exp solve ran.
+    """
+    below = results.below_threshold
+    single = (~below & (results.amp_slow == 0.0)
+              & (results.tau_slow_ns == results.tau_fast_ns))
+    finished = results.converged | below | results.exhausted
+    return {"n_pixels": int(results.size),
+            "n_converged": int(results.converged.sum()),
+            "n_below_threshold": int(below.sum()),
+            "n_single_envelope": int(single.sum()),
+            "n_double_solves": int(results.double_solved.sum()),
+            "n_budget_exhausted": int(results.exhausted.sum()),
+            "n_omega_out_of_bounds": int((~finished).sum())}
 
 
 @dataclass

@@ -13,8 +13,18 @@ files in the output directory:
 Configs are JSON with unit-suffixed keys (width_um, current_ma,
 f_mw_ghz, ...) converted to SI on load; time-valued keys state their
 unit in the name (laser_ns, duration ms in schedules) and pass through
-unchanged. Every command writes a run manifest with sha256 checksums of
-its outputs; re-running with --verify checks them.
+unchanged.
+
+main() hands every command to one stage runner, run_stage. It loads the
+scenario of a command with --config, creates the output dir and either
+verifies the command's manifest (--verify) or runs the command body
+cmd_x(args, cfg, out), which only computes. The body hands each file to
+the output sink out(name, writer, *payload, **extra), which calls
+writer(<output dir>/name, *payload), hashes the file and records it
+with the extras (a PGM also with its pgm_scale_t). After the body
+returns, the runner writes <base>.<command>.manifest.json, base being
+the scenario name, the cube's stem or --name: the outputs in the order
+written, their sha256 checksums, timings_s and the library versions.
 
 Exit codes: 0 success, 2 config or input error, 3 numerical failure,
 4 verification failure.
@@ -26,6 +36,7 @@ import json
 import os
 import platform
 import sys
+import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from importlib import resources
@@ -225,7 +236,7 @@ def load_scenario(value):
         source_bytes=raw)
 
 
-# ------------------------------------------------------------- run manifest
+# ------------------------------------------------------------ stage runner
 
 def _write_json(path, doc):
     formats.atomic_write_bytes(
@@ -236,52 +247,85 @@ def _manifest_path(outdir, base, command):
     return os.path.join(outdir, f"{base}.{command}.manifest.json")
 
 
-def _write_manifest(outdir, base, command, config_bytes, outputs):
-    path = _manifest_path(outdir, base, command)
-    _write_json(path, {
-        "version": __version__, "command": command, "scenario": base,
-        "config_sha256": hashlib.sha256(config_bytes or b"").hexdigest(),
-        "created_utc": datetime.now(timezone.utc).isoformat(
-            timespec="seconds"),
-        "outputs": outputs,
-        # library versions, so that rounding-level drift between builds
-        # can be traced from the artifacts; --verify checks only the
-        # outputs
-        "python": platform.python_version(),
-        "numpy": np.__version__, "scipy": scipy.__version__})
-    return path
-
-
-def _record_output(outdir, filename, **extra):
-    entry = {"path": filename,
-             "sha256": formats.sha256_file(os.path.join(outdir, filename)),
-             "bytes": os.path.getsize(os.path.join(outdir, filename))}
-    entry.update(extra)
-    return entry
-
-
 def _verify_manifest(outdir, base, command):
     path = _manifest_path(outdir, base, command)
     if not os.path.isfile(path):
         raise ConfigError(f"no manifest at {path}; run the command first")
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise formats.FormatError(f"{path}: invalid JSON: {err}")
+    outputs = doc.get("outputs") if isinstance(doc, dict) else None
+    if not isinstance(outputs, list):
+        raise formats.FormatError(f"{path}: no list of outputs")
     problems = []
-    for entry in doc["outputs"]:
-        target = os.path.join(outdir, entry["path"])
+    for entry in outputs:
+        name = entry.get("path") if isinstance(entry, dict) else None
+        # the runner writes outputs into the output dir under bare names
+        if (not isinstance(name, str) or name in ("", ".", "..")
+                or os.path.basename(name) != name
+                or not isinstance(entry.get("sha256"), str)):
+            raise formats.FormatError(
+                f"{path}: output {entry!r} needs a bare file name and a "
+                "sha256")
+        target = os.path.join(outdir, name)
         if not os.path.isfile(target):
-            problems.append(f"missing: {entry['path']}")
+            problems.append(f"missing: {name}")
         elif formats.sha256_file(target) != entry["sha256"]:
-            problems.append(f"checksum mismatch: {entry['path']}")
+            problems.append(f"checksum mismatch: {name}")
     if problems:
         raise VerificationError("; ".join(problems))
-    print(f"verified {len(doc['outputs'])} outputs against {path}")
+    print(f"verified {len(outputs)} outputs against {path}")
     return EXIT_OK
 
 
-def _outdir(args):
+def run_stage(args):
+    """Verify, or run args.func and write its manifest; returns the
+    exit code. timings_s holds the body's wall time and the part of it
+    spent in the sink. A body that raises leaves no manifest.
+    """
+    cfg = load_scenario(args.config) if "config" in args else None
+    base = args.base(args, cfg)
     os.makedirs(args.output, exist_ok=True)
-    return args.output
+    if args.verify:
+        return _verify_manifest(args.output, base, args.command)
+    outputs = []
+    spent = 0.0
+
+    def out(name, writer, *payload, **extra):
+        nonlocal spent
+        t0 = time.perf_counter()
+        path = os.path.join(args.output, name)
+        value = writer(path, *payload)
+        entry = {"path": name, "sha256": formats.sha256_file(path),
+                 "bytes": os.path.getsize(path), **extra}
+        if writer is formats.write_pgm:
+            entry["pgm_scale_t"] = value
+        outputs.append(entry)
+        spent += time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    code = args.func(args, cfg, out)
+    total = time.perf_counter() - t0
+    _write_json(_manifest_path(args.output, base, args.command), {
+        "version": __version__, "command": args.command, "scenario": base,
+        "config_sha256": hashlib.sha256(
+            cfg.source_bytes if cfg else b"").hexdigest(),
+        "created_utc": datetime.now(timezone.utc).isoformat(
+            timespec="seconds"),
+        "outputs": outputs,
+        "timings_s": {"total": total, "outputs": spent},
+        # library versions, so that rounding-level drift between builds
+        # can be traced from the artifacts; --verify checks only the
+        # outputs
+        "python": platform.python_version(),
+        "numpy": np.__version__, "scipy": scipy.__version__})
+    return code
+
+
+def _cube_stem(args, cfg):
+    return os.path.splitext(os.path.basename(args.cube))[0]
 
 
 def _component_filename(component):
@@ -289,50 +333,36 @@ def _component_filename(component):
 
 
 def _n_workers(args):
-    if getattr(args, "threads", None):
-        return args.threads
     env = os.environ.get("NVSCOPE_THREADS", "").strip()
-    return int(env) if env else 1
+    n = args.threads if args.threads is not None else int(env or 1)
+    if n < 1:
+        raise ConfigError(f"fit workers (--threads or NVSCOPE_THREADS) "
+                          f"must be at least 1, got {n}")
+    return n
 
 
 # ---------------------------------------------------------------- commands
 
-def cmd_simulate(args):
-    cfg = load_scenario(args.config)
-    outdir = _outdir(args)
-    if args.verify:
-        return _verify_manifest(outdir, cfg.name, "simulate")
+def cmd_simulate(args, cfg, out):
     model = currents.model_from_spec(cfg.device_doc)
     fmap = evaluate_phasor_map(model, cfg.grid, cfg.layer)
-    outputs = []
-    path = f"{cfg.name}.phasor.fmap"
-    formats.write_field_map(os.path.join(outdir, path), fmap)
-    outputs.append(_record_output(outdir, path))
+    out(f"{cfg.name}.phasor.fmap", formats.write_field_map, fmap)
     for component in TRANSITIONS:
         pmap = project_polarization(fmap, cfg.nv_frame, component)
         stem = f"{cfg.name}.{_component_filename(component)}"
-        formats.write_field_map(os.path.join(outdir, stem + ".fmap"), pmap)
-        outputs.append(_record_output(outdir, stem + ".fmap"))
-        scale = formats.write_pgm(os.path.join(outdir, stem + ".pgm"),
-                                  pmap.values)
-        outputs.append(_record_output(outdir, stem + ".pgm",
-                                      pgm_scale_t=scale))
-    _write_manifest(outdir, cfg.name, "simulate", cfg.source_bytes,
-                    outputs)
-    print(f"simulate {cfg.name}: {len(outputs)} outputs in {outdir}")
+        out(stem + ".fmap", formats.write_field_map, pmap)
+        out(stem + ".pgm", formats.write_pgm, pmap.values)
+    print(f"simulate {cfg.name}: {1 + 2 * len(TRANSITIONS)} outputs in "
+          f"{args.output}")
     return EXIT_OK
 
 
-def cmd_acquire(args):
-    cfg = load_scenario(args.config)
-    outdir = _outdir(args)
-    if args.verify:
-        return _verify_manifest(outdir, cfg.name, "acquire")
+def cmd_acquire(args, cfg, out):
     if args.field_map:
         map_path = args.field_map
     else:
         stem = _component_filename(cfg.transition)
-        map_path = os.path.join(outdir, f"{cfg.name}.{stem}.fmap")
+        map_path = os.path.join(args.output, f"{cfg.name}.{stem}.fmap")
     if not os.path.isfile(map_path):
         raise ConfigError(f"field map {map_path} not found; run simulate "
                           "first or pass --field-map")
@@ -343,7 +373,6 @@ def cmd_acquire(args):
     seed = args.seed if args.seed is not None else cfg.seed
     if args.noiseless:
         seed = None
-    outputs = []
     if cfg.stream is not None:
         timing = CameraTiming(
             row_time_us=cfg.stream.get("row_time_us", 10.0),
@@ -353,26 +382,20 @@ def cmd_acquire(args):
             [tuple(item) for item in cfg.stream["schedule"]],
             timing=timing, rows=int(cfg.stream["rows"]), seed=seed,
             decay=cfg.decay)
-        path = f"{cfg.name}.stream.rstr"
-        formats.write_stream(os.path.join(outdir, path), pmap.grid,
-                             cfg.stream["dt_mw_ns"], frames, timing=timing,
-                             rows=int(cfg.stream["rows"]),
-                             schedule=cfg.stream["schedule"],
-                             pulse=cfg.pulse, seed=seed)
-        outputs.append(_record_output(outdir, path, n_frames=len(frames)))
+        name = f"{cfg.name}.stream.rstr"
+        out(name, lambda path: formats.write_stream(
+            path, pmap.grid, cfg.stream["dt_mw_ns"], frames, timing=timing,
+            rows=int(cfg.stream["rows"]), schedule=cfg.stream["schedule"],
+            pulse=cfg.pulse, seed=seed), n_frames=len(frames))
     else:
         if cfg.dt_ns is None:
             raise ConfigError("config has neither scan nor stream section")
         cube = acquisition.simulate_cube(pmap, cfg.dt_ns, cfg.pulse,
                                          decay=cfg.decay, seed=seed)
-        path = f"{cfg.name}.cube.rcub"
-        formats.write_cube(os.path.join(outdir, path), cube)
-        outputs.append(_record_output(outdir, path,
-                                      n_frames=cube.n_frames,
-                                      noiseless=seed is None))
-    _write_manifest(outdir, cfg.name, "acquire", cfg.source_bytes,
-                    outputs)
-    print(f"acquire {cfg.name}: wrote {outputs[0]['path']}")
+        name = f"{cfg.name}.cube.rcub"
+        out(name, formats.write_cube, cube, n_frames=cube.n_frames,
+            noiseless=seed is None)
+    print(f"acquire {cfg.name}: wrote {name}")
     return EXIT_OK
 
 
@@ -388,39 +411,20 @@ def _fit_config_from_args(args, dt_ns):
                               envelope_mode=mode, omega_bounds=bounds)
 
 
-def cmd_fit(args):
-    outdir = _outdir(args)
-    base = os.path.splitext(os.path.basename(args.cube))[0]
-    if args.verify:
-        return _verify_manifest(outdir, base, "fit")
+def cmd_fit(args, cfg, out):
+    base = _cube_stem(args, cfg)
     cube = formats.read_cube(args.cube)
-    cfg = _fit_config_from_args(args, cube.dt_ns)
-    fmap, results = analysis.fit_cube(cube, cfg, component=args.component,
-                                      n_workers=_n_workers(args))
-    n = results.size
-    n_conv = int(results.converged.sum())
-    n_below = int(results.below_threshold.sum())
-    n_exhausted = int(results.exhausted.sum())
-    n_out_of_bounds = int((~(results.converged | results.below_threshold
-                             | results.exhausted)).sum())
-    # a single-exp fit reports amp_slow 0 and tau_slow == tau_fast
-    n_single = int((~results.below_threshold & (results.amp_slow == 0.0)
-                    & (results.tau_slow_ns == results.tau_fast_ns)).sum())
+    fmap, results = analysis.fit_cube(
+        cube, _fit_config_from_args(args, cube.dt_ns),
+        component=args.component, n_workers=_n_workers(args))
+    counts = analysis.fit_outcome_counts(results)
+    n, n_conv = counts["n_pixels"], counts["n_converged"]
+    n_below = counts["n_below_threshold"]
     converged_b = fmap.values[results.converged]
     diagnostics = {
-        "cube": os.path.basename(args.cube),
-        "n_pixels": n,
-        "n_converged": n_conv,
+        "cube": os.path.basename(args.cube), **counts,
         "converged_fraction": n_conv / n,
-        "n_below_threshold": n_below,
         "below_threshold_fraction": n_below / n,
-        "n_single_envelope": n_single,
-        # fitted pixels whose double-exp solve ran (double envelope only)
-        "n_double_solves": int(results.double_solved.sum()),
-        # fits whose kept solve ran out of evaluations, and finished
-        # fits whose omega is on or outside the bounds
-        "n_budget_exhausted": n_exhausted,
-        "n_omega_out_of_bounds": n_out_of_bounds,
         "median_field_ut": (float(np.median(converged_b)) * 1e6
                             if converged_b.size else None),
         "median_residual_rms": float(np.median(results.residual_rms)),
@@ -433,16 +437,9 @@ def cmd_fit(args):
                         "one_cycle_floor": args.one_cycle_floor,
                         "component": args.component},
     }
-    outputs = []
-    formats.write_field_map(os.path.join(outdir, base + ".fit.fmap"), fmap)
-    outputs.append(_record_output(outdir, base + ".fit.fmap"))
-    scale = formats.write_pgm(os.path.join(outdir, base + ".fit.pgm"),
-                              fmap.values)
-    outputs.append(_record_output(outdir, base + ".fit.pgm",
-                                  pgm_scale_t=scale))
-    _write_json(os.path.join(outdir, base + ".fit.json"), diagnostics)
-    outputs.append(_record_output(outdir, base + ".fit.json"))
-    _write_manifest(outdir, base, "fit", None, outputs)
+    out(base + ".fit.fmap", formats.write_field_map, fmap)
+    out(base + ".fit.pgm", formats.write_pgm, fmap.values)
+    out(base + ".fit.json", _write_json, diagnostics)
     print(f"fit {base}: converged {n_conv}/{n} "
           f"({100 * n_conv / n:.1f}%), below threshold {n_below}")
     if diagnostics["converged_fraction"] < args.min_converged:
@@ -461,10 +458,7 @@ def _parse_tile_arg(value):
         raise ConfigError(f"tile {value!r} must look like PATH:DI,DJ")
 
 
-def cmd_stitch(args):
-    outdir = _outdir(args)
-    if args.verify:
-        return _verify_manifest(outdir, args.name, "stitch")
+def cmd_stitch(args, cfg, out):
     tiles = []
     for value in args.tile:
         path, offset = _parse_tile_arg(value)
@@ -478,25 +472,15 @@ def cmd_stitch(args):
         composite = analysis.stitch(tiles, refine=args.refine)
     except ValueError as err:
         raise ConfigError(str(err))
-    outputs = []
-    formats.write_field_map(os.path.join(outdir, args.name + ".fmap"),
-                            composite)
-    outputs.append(_record_output(outdir, args.name + ".fmap"))
-    scale = formats.write_pgm(os.path.join(outdir, args.name + ".pgm"),
-                              composite.values)
-    outputs.append(_record_output(outdir, args.name + ".pgm",
-                                  pgm_scale_t=scale))
-    _write_manifest(outdir, args.name, "stitch", None, outputs)
+    out(args.name + ".fmap", formats.write_field_map, composite)
+    out(args.name + ".pgm", formats.write_pgm, composite.values)
     print(f"stitch: composite {composite.grid.nx}x{composite.grid.ny} "
           f"written to {args.name}.fmap")
     return EXIT_OK
 
 
-def cmd_contours(args):
-    outdir = _outdir(args)
-    base = os.path.splitext(os.path.basename(args.cube))[0]
-    if args.verify:
-        return _verify_manifest(outdir, base, "contours")
+def cmd_contours(args, cfg, out):
+    base = _cube_stem(args, cfg)
     cube = formats.read_cube(args.cube)
     k = args.frame if args.frame >= 0 else cube.n_frames + args.frame
     if not 0 <= k < cube.n_frames:
@@ -513,10 +497,7 @@ def cmd_contours(args):
                        "n_pixels": len(r.pixels),
                        "pixels": r.pixels.tolist()}
                       for r in contour_set.ridges]}
-    outputs = []
-    _write_json(os.path.join(outdir, base + ".contours.json"), doc)
-    outputs.append(_record_output(outdir, base + ".contours.json"))
-    _write_manifest(outdir, base, "contours", None, outputs)
+    out(base + ".contours.json", _write_json, doc)
     print(f"contours {base}: {len(doc['ridges'])} ridges at frame {k}")
     return EXIT_OK
 
@@ -546,13 +527,9 @@ def _line_cut_text(pmap):
     return "\n".join(lines) + "\n", j_mid
 
 
-def cmd_report(args):
-    cfg = load_scenario(args.config)
-    outdir = _outdir(args)
-    if args.verify:
-        return _verify_manifest(outdir, cfg.name, "report")
+def cmd_report(args, cfg, out):
     stem = _component_filename(cfg.transition)
-    map_path = os.path.join(outdir, f"{cfg.name}.{stem}.fmap")
+    map_path = os.path.join(args.output, f"{cfg.name}.{stem}.fmap")
     if not os.path.isfile(map_path):
         raise ConfigError(f"field map {map_path} not found; run simulate "
                           "first")
@@ -570,12 +547,10 @@ def cmd_report(args):
         report["dynamic_range_db"] = analysis.dynamic_range_db(
             float(positive.min()), float(pmap.values.max()))
 
-    outputs = []
     cut_text, j_mid = _line_cut_text(pmap)
     cut_name = f"{cfg.name}.linecut.txt"
-    formats.atomic_write_bytes(os.path.join(outdir, cut_name),
-                               cut_text.encode())
-    outputs.append(_record_output(outdir, cut_name, row_index=j_mid))
+    out(cut_name, formats.atomic_write_bytes, cut_text.encode(),
+        row_index=j_mid)
     report["line_cut"] = {"path": cut_name, "row_index": j_mid,
                           "columns": ["position_um", "field_ut"]}
 
@@ -626,9 +601,7 @@ def cmd_report(args):
             "gradients_ut_per_um": dict(trap.gradients),
         }
 
-    json_name = f"{cfg.name}.report.json"
-    _write_json(os.path.join(outdir, json_name), report)
-    outputs.append(_record_output(outdir, json_name))
+    out(f"{cfg.name}.report.json", _write_json, report)
 
     text_lines = [f"scenario        {cfg.name}",
                   f"component       {cfg.transition}",
@@ -651,11 +624,8 @@ def cmd_report(args):
         tr = report["trap"]
         text_lines.append(f"trap minimum    {tr['field_ut']:.3f} uT at px "
                           f"{tuple(tr['position_px'])}")
-    text_name = f"{cfg.name}.report.txt"
-    formats.atomic_write_bytes(os.path.join(outdir, text_name),
-                               ("\n".join(text_lines) + "\n").encode())
-    outputs.append(_record_output(outdir, text_name))
-    _write_manifest(outdir, cfg.name, "report", cfg.source_bytes, outputs)
+    out(f"{cfg.name}.report.txt", formats.atomic_write_bytes,
+        ("\n".join(text_lines) + "\n").encode())
     print("\n".join(text_lines))
     return EXIT_OK
 
@@ -674,6 +644,7 @@ def build_parser():
         if config:
             p.add_argument("--config", required=True,
                            help="scenario JSON path or bundled name")
+            p.set_defaults(base=lambda args, cfg: cfg.name)
         p.add_argument("--output", "-o", default=".",
                        help="output directory (default: current)")
         p.add_argument("--verify", action="store_true",
@@ -711,7 +682,7 @@ def build_parser():
                    help="require at least one Rabi cycle within the scan")
     p.add_argument("--threads", type=int, default=None,
                    help="fit workers (default NVSCOPE_THREADS or 1)")
-    p.set_defaults(func=cmd_fit)
+    p.set_defaults(func=cmd_fit, base=_cube_stem)
 
     p = sub.add_parser("stitch", help="combine overlapping map tiles")
     common(p, config=False)
@@ -722,7 +693,7 @@ def build_parser():
                    help="refine offsets by cross-correlation")
     p.add_argument("--name", default="stitched",
                    help="output base name")
-    p.set_defaults(func=cmd_stitch)
+    p.set_defaults(func=cmd_stitch, base=lambda args, cfg: args.name)
 
     p = sub.add_parser("contours", help="iso-amplitude ridges of a frame")
     common(p, config=False)
@@ -730,7 +701,7 @@ def build_parser():
     p.add_argument("--frame", type=int, default=-1,
                    help="frame index (negative counts from the end)")
     p.add_argument("--min-pixels", type=int, default=8)
-    p.set_defaults(func=cmd_contours)
+    p.set_defaults(func=cmd_contours, base=_cube_stem)
 
     p = sub.add_parser("report", help="metrics and line-cut export")
     common(p)
@@ -739,10 +710,9 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return run_stage(args)
     except VerificationError as err:
         print(f"verification failed: {err}", file=sys.stderr)
         return EXIT_VERIFY

@@ -312,6 +312,55 @@ def test_fit_cube_worker_count_invariant():
         assert_same_result(r1, r2)
 
 
+@pytest.mark.parametrize("cpus, requested, pool_size", [
+    (3, 5000, 3), (3, 2, 2), (1, 4, None), (3, 1, None), (3, 0, None)])
+def test_fit_cube_pool_never_exceeds_cpus(monkeypatch, cpus, requested,
+                                          pool_size):
+    sizes = []
+
+    class SerialPool:
+        # records the pool size and maps in this process; starts nothing
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(ana, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(ana.os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)))
+    cube = simulate_cube(graded_field_map(4, 3), np.arange(10.0, 601.0, 10.0),
+                         pulse=PulseParams(), decay=NO_DECAY, seed=99)
+    fmap, results = fit_cube(cube, n_workers=requested)
+    assert sizes == ([] if pool_size is None else [pool_size])
+    ref_map, ref = fit_cube(cube, n_workers=1)
+    assert fmap.values.tobytes() == ref_map.values.tobytes()
+    assert results.tobytes() == ref.tobytes()
+
+
+def test_fit_outcome_counts_split_the_pixels():
+    records = np.zeros(6, dtype=ana.FIT_DTYPE).view(np.recarray)
+    records.converged = [True, True, False, False, False, False]
+    records.below_threshold = [False, False, True, False, False, False]
+    records.exhausted = [False, False, False, True, False, False]
+    records.double_solved = [False, True, False, True, True, False]
+    # single envelope: amp_slow 0 and equal taus; the below-threshold
+    # pixel has both too but is not a fit
+    records.amp_slow = [0.0, 0.1, 0.0, 0.0, 0.1, 0.0]
+    records.tau_fast_ns = [100.0, 100.0, math.inf, 100.0, 100.0, 100.0]
+    records.tau_slow_ns = [100.0, 300.0, math.inf, 100.0, 300.0, 100.0]
+    assert ana.fit_outcome_counts(records.reshape(2, 3)) == {
+        "n_pixels": 6, "n_converged": 2, "n_below_threshold": 1,
+        "n_single_envelope": 3, "n_double_solves": 3,
+        "n_budget_exhausted": 1, "n_omega_out_of_bounds": 2}
+
+
 def test_fit_cube_pixels_equal_solo_fits():
     # a pixel's result must not depend on the other pixels of its block;
     # the short budget makes some solves run out of evaluations

@@ -1,4 +1,8 @@
-"""Smoke test of benchmarks/bench_fit.py, the fit benchmark script."""
+"""Smoke tests of the benchmark scripts under benchmarks/.
+
+Both run as README shows them, from a checkout that is not installed:
+no PYTHONPATH and a working directory outside the checkout.
+"""
 
 import os
 import re
@@ -12,15 +16,17 @@ LINE = re.compile(r"stride\s+20 \(\s*(\d+) px\)\s+(\S+): .* converged "
                   r"n_omega_out_of_bounds (\d+)$")
 
 
-def test_bench_fit_prints_both_envelopes_with_consistent_counts():
+def run_script(name, args, cwd):
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(ROOT, "src")]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "benchmarks", "bench_fit.py"),
-         "--strides", "20", "--repeats", "1"],
-        capture_output=True, text=True, env=env, timeout=300)
+    env.pop("PYTHONPATH", None)
+    return subprocess.run(
+        [sys.executable, os.path.join(ROOT, "benchmarks", name)] + args,
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=300)
+
+
+def test_bench_fit_prints_both_envelopes_with_consistent_counts(tmp_path):
+    proc = run_script("bench_fit.py", ["--strides", "20", "--repeats", "1"],
+                      tmp_path)
     assert proc.returncode == 0, proc.stderr
     rows = [LINE.search(line) for line in proc.stdout.splitlines()
             if line.startswith("stride")]
@@ -31,3 +37,11 @@ def test_bench_fit_prints_both_envelopes_with_consistent_counts():
             int(m.group(k)) for k in (1, 3, 4, 5, 6))
         assert total == n_px > 0
         assert n_conv + n_exhausted + n_out <= n_px
+
+
+def test_bench_field_kernel_runs_from_an_uninstalled_checkout(tmp_path):
+    proc = run_script("bench_field_kernel.py",
+                      ["--segments", "4", "--points", "50", "--repeats", "1"],
+                      tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "Mpair/s" in proc.stdout

@@ -6,10 +6,12 @@ small strip scenario written by the tests keeps a full pipeline pass
 fit diagnostics are pinned against a committed golden file.
 """
 
+import hashlib
 import json
 import math
 import os
 import platform
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -312,6 +314,106 @@ def test_verify_without_manifest(tmp_path):
     cfg = write_scenario(tmp_path)
     assert run("simulate", "--config", cfg, "-o", tmp_path / "empty",
                "--verify") == 2
+
+
+@pytest.mark.parametrize("entry", [
+    None, [], {}, {"outputs": 5}, {"outputs": [5]},
+    {"outputs": [{"sha256": "0" * 64}]},
+    {"outputs": [{"path": "mini-strip.phasor.fmap"}]},
+    {"outputs": [{"path": 7, "sha256": "0" * 64}]},
+    {"outputs": [{"path": "..", "sha256": "0" * 64}]},
+    "../outside.txt", "sub/../../outside.txt", "ABSOLUTE"])
+def test_verify_rejects_malformed_manifest(tmp_path, capsys, entry):
+    # a file outside the output dir, named with its true checksum, must
+    # not verify: the runner only ever records bare file names
+    outside = tmp_path / "outside.txt"
+    outside.write_text("not an output\n")
+    if isinstance(entry, str):
+        name = str(outside) if entry == "ABSOLUTE" else entry
+        entry = {"outputs": [{"path": name, "sha256": hashlib.sha256(
+            outside.read_bytes()).hexdigest()}]}
+    cfg = write_scenario(tmp_path)
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    manifest = outdir / "mini-strip.simulate.manifest.json"
+    manifest.write_text("{not json" if entry is None else json.dumps(entry))
+    assert run("simulate", "--config", cfg, "-o", outdir, "--verify") == 2
+    assert str(manifest) in capsys.readouterr().err
+
+
+RUNNER_COMMANDS = ("simulate", "acquire", "fit", "stitch", "contours",
+                   "report")
+
+
+def runner_case(command, outdir, cfg):
+    """Arguments and output base name of each command, with inputs from
+    the shared pipeline run."""
+    fmap = outdir / "mini-strip.sigma_minus.fmap"
+    cube = outdir / "mini-strip.cube.rcub"
+    return {
+        "simulate": (["--config", cfg], "mini-strip"),
+        "acquire": (["--config", cfg, "--field-map", fmap], "mini-strip"),
+        "fit": (["--cube", cube], "mini-strip.cube"),
+        "stitch": (["--tile", f"{fmap}:0,0", "--tile", f"{fmap}:6,0",
+                    "--name", "pair"], "pair"),
+        "contours": (["--cube", cube], "mini-strip.cube"),
+        "report": (["--config", cfg], "mini-strip"),
+    }[command]
+
+
+@pytest.mark.parametrize("command", RUNNER_COMMANDS)
+def test_runner_manifest_timings_and_verify(pipeline, tmp_path, command):
+    outdir, cfg = pipeline
+    # report reads the field map from its own output dir
+    shutil.copy(outdir / "mini-strip.sigma_minus.fmap", tmp_path)
+    argv, base = runner_case(command, outdir, cfg)
+    assert run(command, *argv, "-o", tmp_path) == 0
+    with open(tmp_path / f"{base}.{command}.manifest.json") as fh:
+        doc = json.load(fh)
+    assert set(doc) == {"version", "command", "scenario", "config_sha256",
+                        "created_utc", "outputs", "timings_s", "python",
+                        "numpy", "scipy"}
+    assert (doc["command"], doc["scenario"]) == (command, base)
+    assert set(doc["timings_s"]) == {"total", "outputs"}
+    assert 0 <= doc["timings_s"]["outputs"] <= doc["timings_s"]["total"]
+    for entry in doc["outputs"]:
+        path = tmp_path / entry["path"]
+        assert entry["sha256"] == formats.sha256_file(path)
+        assert entry["bytes"] == os.path.getsize(path)
+        assert ("pgm_scale_t" in entry) == entry["path"].endswith(".pgm")
+    assert doc["outputs"]
+    assert run(command, *argv, "-o", tmp_path, "--verify") == 0
+
+
+def test_runner_writes_no_manifest_when_the_body_fails(tmp_path):
+    cfg = write_scenario(tmp_path)
+    assert run("acquire", "--config", cfg, "-o", tmp_path / "empty") == 2
+    assert os.listdir(tmp_path / "empty") == []
+
+
+def test_fit_below_min_converged_writes_manifest_then_exits_3(pipeline,
+                                                              tmp_path):
+    outdir, _ = pipeline
+    cube = outdir / "mini-strip.cube.rcub"
+    assert run("fit", "--cube", cube, "-o", tmp_path,
+               "--min-converged", 1.1) == 3
+    assert run("fit", "--cube", cube, "-o", tmp_path, "--verify") == 0
+
+
+@pytest.mark.parametrize("threads, env", [
+    ("0", None), ("-3", None), (None, "0"), (None, "-2"), ("0", "2")])
+def test_fit_worker_count_below_one_exits_2(pipeline, tmp_path, monkeypatch,
+                                            threads, env):
+    outdir, _ = pipeline
+    if env is None:
+        monkeypatch.delenv("NVSCOPE_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("NVSCOPE_THREADS", env)
+    argv = ["fit", "--cube", outdir / "mini-strip.cube.rcub", "-o", tmp_path]
+    if threads is not None:
+        argv += ["--threads", threads]
+    assert run(*argv) == 2
+    assert os.listdir(tmp_path) == []
 
 
 # ------------------------------------------------- determinism and seeding
