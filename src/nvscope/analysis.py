@@ -84,7 +84,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from nvscope.fieldcore import GAMMA_NV
 from nvscope.nearfield import GridSpec, PolarizedFieldMap
@@ -661,6 +660,65 @@ class IsoBContourSet:
     parity: str = "odd"
 
 
+def _label_8connected(mask):
+    """8-connected components of a 2-D bool mask.
+
+    Returns one (ii, jj) pair of index arrays per component, each in
+    raster order, the components in raster order of their first pixel
+    (the numbering of scipy.ndimage.label with a 3x3 structure).
+    Horizontal runs of set pixels are the nodes; runs in adjacent rows
+    join when their column spans touch, diagonals included. Each run
+    ends up labeled with the first run of its component by min-label
+    hooking and pointer jumping.
+    """
+    nx, ny = mask.shape
+    padded = np.zeros((nx, ny + 2), dtype=np.int8)
+    padded[:, 1:-1] = mask
+    step = np.diff(padded, axis=1)
+    row, start = np.nonzero(step == 1)
+    end = np.nonzero(step == -1)[1]  # exclusive
+    n_runs = len(row)
+    if n_runs == 0:
+        return []
+    # run b in row r + 1 touches run a in row r when start_b <= end_a and
+    # start_a <= end_b; the runs of a row are sorted and disjoint, so
+    # the touching ones are one contiguous range of run indices
+    width = ny + 2
+    key = row * width
+    lo = np.searchsorted(key + end, key + width + start, side="left")
+    hi = np.searchsorted(key + start, key + width + end, side="right")
+    n_edges = np.maximum(hi - lo, 0)
+    a = np.repeat(np.arange(n_runs), n_edges)
+    first = np.cumsum(n_edges) - n_edges
+    b = np.arange(len(a)) + np.repeat(lo - first, n_edges)
+
+    # root[i] is a run of i's component with root[i] <= i; once every
+    # edge joins two runs of equal root, the root of a component is its
+    # first run, whose root cannot go lower
+    root = np.arange(n_runs)
+    while True:
+        ra, rb = root[a], root[b]
+        if np.array_equal(ra, rb):
+            break
+        low = np.minimum(ra, rb)
+        np.minimum.at(root, ra, low)
+        np.minimum.at(root, rb, low)
+        root = root[root]
+
+    # runs sorted stably by root keep raster order within a component;
+    # a run's pixels are consecutive, so the pixels follow in raster order
+    order = np.argsort(root, kind="stable")
+    length = (end - start)[order]
+    stop = np.cumsum(length)
+    ii = np.repeat(row[order], length)
+    jj = (np.repeat(start[order] - stop + length, length)
+          + np.arange(stop[-1]))
+    # a component's last run is where the sorted roots change
+    last = np.flatnonzero(np.diff(root[order], append=n_runs))
+    bounds = [0, *stop[last].tolist()]
+    return [(ii[s:e], jj[s:e]) for s, e in zip(bounds[:-1], bounds[1:])]
+
+
 def _order_pixels_by_angle(pixels):
     center = pixels.mean(axis=0)
     ang = np.arctan2(pixels[:, 1] - center[1], pixels[:, 0] - center[0])
@@ -692,10 +750,8 @@ def extract_contours(image, dt_mw_ns, gamma_nv=GAMMA_NV, min_pixels=8,
     ridge[1:-1, :] |= ge_u & ge_d & gt2
     ridge &= a > min_amplitude
 
-    labels, n_comp = ndimage.label(ridge, structure=np.ones((3, 3), dtype=int))
     comps = []
-    for c in range(1, n_comp + 1):
-        ii, jj = np.nonzero(labels == c)
+    for ii, jj in _label_8connected(ridge):
         if len(ii) < min_pixels:
             continue
         border_dist = int(np.min(np.minimum(np.minimum(ii, jj),

@@ -31,6 +31,7 @@ Exit codes: 0 success, 2 config or input error, 3 numerical failure,
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -42,7 +43,6 @@ from datetime import datetime, timezone
 from importlib import resources
 
 import numpy as np
-import scipy
 
 from nvscope import __version__, acquisition, analysis, currents, formats
 from nvscope.acquisition import CameraTiming, DecayParams, PulseParams
@@ -320,8 +320,18 @@ def run_stage(args):
         # can be traced from the artifacts; --verify checks only the
         # outputs
         "python": platform.python_version(),
-        "numpy": np.__version__, "scipy": scipy.__version__})
+        "numpy": np.__version__, "scipy": _installed_version("scipy")})
     return code
+
+
+@functools.cache
+def _installed_version(package):
+    """Installed version of a distribution, None if absent; looked up once."""
+    from importlib import metadata
+    try:
+        return metadata.version(package)
+    except metadata.PackageNotFoundError:
+        return None
 
 
 def _cube_stem(args, cfg):
@@ -333,8 +343,12 @@ def _component_filename(component):
 
 
 def _n_workers(args):
-    env = os.environ.get("NVSCOPE_THREADS", "").strip()
-    n = args.threads if args.threads is not None else int(env or 1)
+    env = os.environ.get("NVSCOPE_THREADS", "").strip() or "1"
+    try:
+        n = args.threads if args.threads is not None else int(env)
+    except ValueError:
+        raise ConfigError(f"NVSCOPE_THREADS must be an integer, got "
+                          f"{env!r}") from None
     if n < 1:
         raise ConfigError(f"fit workers (--threads or NVSCOPE_THREADS) "
                           f"must be at least 1, got {n}")
@@ -413,10 +427,11 @@ def _fit_config_from_args(args, dt_ns):
 
 def cmd_fit(args, cfg, out):
     base = _cube_stem(args, cfg)
+    n_workers = _n_workers(args)
     cube = formats.read_cube(args.cube)
     fmap, results = analysis.fit_cube(
         cube, _fit_config_from_args(args, cube.dt_ns),
-        component=args.component, n_workers=_n_workers(args))
+        component=args.component, n_workers=n_workers)
     counts = analysis.fit_outcome_counts(results)
     n, n_conv = counts["n_pixels"], counts["n_converged"]
     n_below = counts["n_below_threshold"]

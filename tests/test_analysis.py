@@ -13,6 +13,9 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 from nvscope import analysis as ana
 from nvscope.acquisition import (DecayParams, PulseParams, contrast_at,
@@ -656,6 +659,60 @@ def ring_test_image(nx=101, ny=101, dt_ns=30.0, r1_px=30.0):
         b = np.where(r > 0, b1 * r1_px / np.maximum(r, 1e-9), 6.0 * b1)
     b = np.minimum(b, 6.0 * b1)  # cap lands the core on a contrast zero
     return contrast_at(b, dt_ns, decay=NO_DECAY, c0=0.05), b1
+
+
+def assert_labels_match_scipy(mask):
+    expect, n = ndimage.label(mask, structure=np.ones((3, 3), dtype=int))
+    comps = ana._label_8connected(mask)
+    assert len(comps) == n
+    labels = np.zeros(mask.shape, dtype=expect.dtype)
+    for k, (ii, jj) in enumerate(comps, start=1):
+        flat = ii * mask.shape[1] + jj
+        assert np.all(np.diff(flat) > 0)  # raster order, no repeats
+        assert not labels[ii, jj].any()
+        labels[ii, jj] = k
+    assert np.array_equal(labels, expect)
+
+
+@settings(max_examples=300, deadline=None)
+@given(nx=st.integers(1, 40), ny=st.integers(1, 40),
+       density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_label_8connected_matches_scipy_on_random_masks(nx, ny, density,
+                                                        seed):
+    rng = np.random.default_rng(seed)
+    assert_labels_match_scipy(rng.random((nx, ny)) < density)
+
+
+def diagonal_cross(n):
+    eye = np.eye(n, dtype=bool)
+    return eye | eye[::-1]
+
+
+def border_frame(nx, ny):
+    mask = np.ones((nx, ny), dtype=bool)
+    mask[1:-1, 1:-1] = False
+    mask[nx // 2, ny // 2] = True  # an island inside the frame
+    return mask
+
+
+def checkerboard(nx, ny):
+    i, j = np.indices((nx, ny))
+    return (i + j) % 2 == 0
+
+
+@pytest.mark.parametrize("mask", [
+    diagonal_cross(15), diagonal_cross(16), np.eye(9, dtype=bool)[::-1],
+    border_frame(7, 11), checkerboard(9, 6), checkerboard(1, 7),
+    np.zeros((6, 5), dtype=bool), np.ones((6, 5), dtype=bool),
+    np.zeros((1, 1), dtype=bool), np.ones((1, 1), dtype=bool),
+    np.array([[1, 0, 1, 1, 0, 0, 1]], dtype=bool),
+    np.array([[1, 0, 1, 1, 0, 0, 1]], dtype=bool).T,
+    np.ones((1, 9), dtype=bool), np.ones((9, 1), dtype=bool)],
+    ids=["x-odd", "x-even", "anti-diagonal", "border", "checker",
+         "checker-row", "empty", "full", "empty-1x1", "full-1x1", "row",
+         "column", "full-row", "full-column"])
+def test_label_8connected_matches_scipy_on_edge_cases(mask):
+    assert_labels_match_scipy(mask)
 
 
 def test_extract_contours_ring_orders_and_labels():

@@ -416,6 +416,16 @@ def test_fit_worker_count_below_one_exits_2(pipeline, tmp_path, monkeypatch,
     assert os.listdir(tmp_path) == []
 
 
+def test_fit_non_integer_worker_env_exits_2_before_reading_the_cube(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("NVSCOPE_THREADS", "abc")
+    assert run("fit", "--cube", tmp_path / "missing.rcub",
+               "-o", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "NVSCOPE_THREADS" in err and "'abc'" in err
+    assert "missing.rcub" not in err
+
+
 # ------------------------------------------------- determinism and seeding
 
 def test_seeded_acquire_is_deterministic(pipeline, tmp_path):
@@ -483,6 +493,28 @@ def test_manifest_records_library_versions(pipeline):
     assert doc["python"] == platform.python_version()
     assert doc["numpy"] == np.__version__
     assert doc["scipy"] == scipy.__version__
+
+
+def test_manifest_scipy_is_null_when_not_installed(tmp_path, monkeypatch):
+    from importlib import metadata
+    looked_up = []
+
+    def not_installed(name):
+        looked_up.append(name)
+        raise metadata.PackageNotFoundError(name)
+
+    monkeypatch.setattr(metadata, "version", not_installed)
+    cli._installed_version.cache_clear()
+    cfg = write_scenario(tmp_path)
+    try:
+        for out in ("a", "b"):
+            assert run("simulate", "--config", cfg, "-o", tmp_path / out) == 0
+    finally:
+        cli._installed_version.cache_clear()
+    for out in ("a", "b"):
+        with open(tmp_path / out / "mini-strip.simulate.manifest.json") as fh:
+            assert json.load(fh)["scipy"] is None
+    assert looked_up == ["scipy"]  # once per process
 
 
 def test_noisy_fit_envelope_choice_stable_under_ulp_shifts(pipeline,
@@ -744,6 +776,27 @@ def test_version_flag(capsys):
         run("--version")
     assert exc.value.code == 0
     assert "nvscope" in capsys.readouterr().out
+
+
+def test_cli_imports_no_scipy():
+    code = """
+import sys
+import numpy as np
+before = set(sys.modules)
+import nvscope.cli
+from nvscope import analysis
+i, j = np.indices((41, 41))
+ring = np.cos(np.hypot(i - 20, j - 20) / 2.0) ** 2
+assert analysis.extract_contours(ring, dt_mw_ns=30.0).ridges
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+print("importlib.metadata" in set(sys.modules) - before)
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[]", "False"]
 
 
 def test_module_entry_point():
