@@ -5,7 +5,7 @@ Biot-Savart expression; grids of pixels are averaged over the sensing
 layer thickness and projected onto the NV circular components. The
 evaluation order is fixed (segments in model order inside each layer
 sample, layer samples bottom to top) so repeated runs are bit-identical
-regardless of parallelism.
+regardless of parallelism and of the kernel's block size.
 """
 
 from dataclasses import dataclass
@@ -126,20 +126,34 @@ class PolarizedFieldMap:
             raise ValueError("polarized amplitudes must be non-negative")
 
 
-def evaluate_at_points(model, points, r_min=R_MIN):
-    """Summed segment fields at arbitrary points, shape (n, 3) complex."""
-    points = np.ascontiguousarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] != 3:
-        raise ValueError("points must have shape (n, 3)")
+def _accumulate(model, points, r_min, offsets=None):
+    """One kernel pass over points (shifted by each of offsets, if given).
+
+    Returns (out_re, out_im, None), the (n, 3) per-point sums over the
+    offsets, or (None, None, (h, s, p)) for the first proximity
+    violation in (offset, segment, point) order.
+    """
     n = points.shape[0]
     out_re = np.zeros((n, 3))
     out_im = np.zeros((n, 3))
     rc = field_accumulate(model.starts, model.ends,
                           np.ascontiguousarray(model.currents.real),
                           np.ascontiguousarray(model.currents.imag),
-                          points, r_min, out_re, out_im)
-    if rc >= 0:
-        seg, p = divmod(int(rc), n)
+                          points, r_min, out_re, out_im, offsets=offsets)
+    if rc < 0:
+        return out_re, out_im, None
+    h, rest = divmod(int(rc), model.starts.shape[0] * n)
+    return None, None, (h,) + divmod(rest, n)
+
+
+def evaluate_at_points(model, points, r_min=R_MIN):
+    """Summed segment fields at arbitrary points, shape (n, 3) complex."""
+    points = np.ascontiguousarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise ValueError("points must have shape (n, 3)")
+    out_re, out_im, hit = _accumulate(model, points, r_min)
+    if hit is not None:
+        _, seg, p = hit
         raise SegmentProximityError(seg, points[p])
     return out_re + 1j * out_im
 
@@ -159,27 +173,21 @@ def evaluate_phasor_map(model, grid, layer, r_min=R_MIN):
     Layer sample heights offset the pixel plane along the grid normal;
     the complex field is averaged over samples (average first, project
     to magnitudes later, so nulls are not washed out).
+
+    All heights go through one kernel pass. Each pixel sums its
+    segments from zero at each height, adds those per-height sums in
+    ascending height order, and divides by the number of heights, so
+    the map does not depend on the kernel's block size.
     """
     base = grid.pixel_centers()
-    normal = grid.normal
-    cur_re = np.ascontiguousarray(model.currents.real)
-    cur_im = np.ascontiguousarray(model.currents.imag)
-    n_pts = base.shape[0]
-    acc_re = np.zeros((n_pts, 3))
-    acc_im = np.zeros((n_pts, 3))
     heights = layer.heights()
-    for z in heights:
-        pts = np.ascontiguousarray(base + z * normal)
-        buf_re = np.zeros((n_pts, 3))
-        buf_im = np.zeros((n_pts, 3))
-        rc = field_accumulate(model.starts, model.ends, cur_re, cur_im,
-                              pts, r_min, buf_re, buf_im)
-        if rc >= 0:
-            seg, p = divmod(int(rc), n_pts)
-            raise SegmentProximityError(seg, pts[p],
-                                        pixel=divmod(p, grid.ny), height=z)
-        acc_re += buf_re
-        acc_im += buf_im
+    offsets = heights[:, None] * grid.normal
+    acc_re, acc_im, hit = _accumulate(model, base, r_min, offsets=offsets)
+    if hit is not None:
+        h, seg, p = hit
+        raise SegmentProximityError(seg, base[p] + offsets[h],
+                                    pixel=divmod(p, grid.ny),
+                                    height=heights[h])
     values = (acc_re + 1j * acc_im) / len(heights)
     return FieldPhasorMap(grid=grid, values=values.reshape(grid.nx, grid.ny, 3))
 

@@ -6,6 +6,7 @@ asserted inside the tests; the end-to-end round trip (criterion 3) is
 the long pole at roughly half a minute on one core.
 """
 
+import functools
 import json
 import math
 import time
@@ -54,9 +55,15 @@ def test_criterion_01_cpw_power_bookkeeping():
 
 # --------------------------------------------------------------- criterion 2
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n):
+    # leggauss(501) costs about a second; the oracle needs it once
+    return np.polynomial.legendre.leggauss(n)
+
+
 def brute_segment_field(seg, p, n=501):
     # Gauss-Legendre line integration of dl x r / r^3 along the segment
-    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes, weights = _gauss_legendre(n)
     t = 0.5 * (nodes + 1.0)
     d = seg.end - seg.start
     s = seg.start[None, :] + t[:, None] * d[None, :]

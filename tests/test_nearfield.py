@@ -7,6 +7,7 @@ import pytest
 
 from nvscope import currents as cur
 from nvscope import fieldcore as fc
+from nvscope import kernels
 from nvscope import nearfield as nf
 
 MU0_4PI = 1e-7
@@ -239,6 +240,88 @@ class TestEvaluatePhasorMap:
             nf.evaluate_phasor_map(m, grid, fc.SensingLayer(h=8e-6, d=0.0))
         assert err.value.pixel == (2, 0)
         assert err.value.segment_index == 0
+
+    @pytest.mark.parametrize("block", [1, 7, 31, 10 ** 6])
+    def test_proximity_error_is_first_in_height_segment_pixel_order(
+            self, monkeypatch, block):
+        monkeypatch.setattr(kernels, "BLOCK", block)
+        grid = simple_grid(nx=6, ny=5, pitch=5e-6)
+        layer = fc.SensingLayer(h=10e-6, d=4e-6, n_samples=4)
+        base = grid.pixel_centers()
+        heights = layer.heights()
+
+        def through(i, j, k, direction):
+            # in-plane segment whose axis hits pixel (i, j) at height k
+            c = base[i * grid.ny + j] + heights[k] * grid.normal
+            v = 40e-6 * np.asarray(direction) / np.linalg.norm(direction)
+            return c - v, c + v
+
+        # segment 0: pixel (0, 1) at height 2, a lower segment later in
+        # the block of the answer; segment 1: pixel (5, 3) at height 1,
+        # the answer; segment 2: pixel (0, 2) at height 1, an earlier
+        # block than the answer's with 7 pairs per block
+        ends = [through(0, 1, 2, (1.0, 0.37, 0.0)),
+                through(5, 3, 1, (0.29, 1.0, 0.0)),
+                through(0, 2, 1, (1.0, -0.41, 0.0)),
+                (np.array([0.0, 0.0, -1e-4]), np.array([1e-4, 0.0, -1e-4]))]
+        m = cur.CurrentModel(np.array([e[0] for e in ends]),
+                             np.array([e[1] for e in ends]),
+                             np.full(len(ends), 0.05 + 0.01j))
+
+        # oracle: the parent loop order, with the axis distance taken from
+        # a cross product
+        def first_violation():
+            for k, z in enumerate(heights):
+                pts = base + z * grid.normal
+                for s in range(len(ends)):
+                    d = m.ends[s] - m.starts[s]
+                    rho = (np.linalg.norm(np.cross(pts - m.starts[s], d), axis=1)
+                           / np.linalg.norm(d))
+                    hits = np.flatnonzero(rho < nf.R_MIN)
+                    if hits.size:
+                        return k, s, int(hits[0])
+
+        k, s, p = first_violation()
+        assert (k, s, p) == (1, 1, 5 * grid.ny + 3)
+        with pytest.raises(nf.SegmentProximityError) as err:
+            nf.evaluate_phasor_map(m, grid, layer)
+        assert err.value.segment_index == s
+        assert err.value.pixel == (5, 3)
+        assert err.value.height == heights[k]
+        assert np.array_equal(err.value.point, base[p] + heights[k] * grid.normal)
+
+    def test_map_bits_do_not_depend_on_block_size(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        grid = simple_grid(nx=7, ny=5, pitch=4e-6)
+        layer = fc.SensingLayer(h=9e-6, d=6e-6, n_samples=5)
+        starts = rng.uniform(-30e-6, 60e-6, (6, 3))
+        starts[:, 2] = 0.0
+        m = cur.CurrentModel(starts, starts + rng.uniform(-40e-6, 40e-6, (6, 3))
+                             * [1, 1, 0], rng.normal(size=6) + 1j * rng.normal(size=6))
+        calls = []
+        kernel = nf.field_accumulate
+        monkeypatch.setattr(nf, "field_accumulate",
+                            lambda *a, **kw: calls.append(1) or kernel(*a, **kw))
+        ref = nf.evaluate_phasor_map(m, grid, layer).values.tobytes()
+        assert len(calls) == 1
+        n_pairs = grid.nx * grid.ny * len(layer.heights())
+        for block in (1, 2, 3, 7, 11, 37, n_pairs, n_pairs + 1, 10 ** 6):
+            monkeypatch.setattr(kernels, "BLOCK", block)
+            assert nf.evaluate_phasor_map(m, grid, layer).values.tobytes() == ref
+
+        # the stacked points through evaluate_at_points, summed height by
+        # height from zero and averaged, give the same map
+        base = grid.pixel_centers()
+        heights = layer.heights()
+        stacked = np.concatenate([base + z * grid.normal for z in heights])
+        per_point = nf.evaluate_at_points(m, stacked)
+        acc_re = np.zeros(base.shape)
+        acc_im = np.zeros(base.shape)
+        for k in range(len(heights)):
+            acc_re += per_point[k * len(base):(k + 1) * len(base)].real
+            acc_im += per_point[k * len(base):(k + 1) * len(base)].imag
+        values = (acc_re + 1j * acc_im) / len(heights)
+        assert values.reshape(grid.nx, grid.ny, 3).tobytes() == ref
 
 
 class TestProjectPolarization:
