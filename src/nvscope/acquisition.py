@@ -10,7 +10,11 @@ double-exponential coherence envelope.
 Randomness uses the counter-based Philox generator keyed by
 (seed, frame index) with a fixed draw order inside each frame
 (N_ref first, then N_data), so cubes are bit-reproducible no matter
-how frames are scheduled or parallelized.
+how frames are scheduled or parallelized. A run holds one Philox and
+re-keys it for each frame: key (seed mod 2^64, k mod 2^64), counter 0
+and an empty buffer, the exact state of a fresh Philox(key=[seed, k]).
+The streams are therefore the same as with a fresh generator per
+frame, without one OS-entropy seeding per frame.
 """
 
 import math
@@ -73,10 +77,13 @@ def rabi_omega(b_polarized, gamma_nv=GAMMA_NV):
     return 2.0 * math.pi * gamma_nv * 1e-9 * np.asarray(b_polarized, dtype=float)
 
 
-def contrast_at(b_polarized, dt_mw_ns, decay, c0, gamma_nv=GAMMA_NV):
+def contrast_at(b_polarized, dt_mw_ns, decay, c0, gamma_nv=GAMMA_NV,
+                out=None):
     """Noiseless contrast for field b (T) after a dt_mw pulse (ns).
 
-    Broadcasts over b and dt.
+    Broadcasts over b and dt. With out, dt is a scan and frame k of out
+    (shape dt.shape + b.shape) receives the contrast at dt[k], computed
+    in place with no temporary of out's size; out is returned.
     """
     b = np.asarray(b_polarized, dtype=float)
     dt = np.asarray(dt_mw_ns, dtype=float)
@@ -84,14 +91,38 @@ def contrast_at(b_polarized, dt_mw_ns, decay, c0, gamma_nv=GAMMA_NV):
         raise ValueError("field amplitudes must be non-negative")
     if np.any(dt < 0):
         raise ValueError("pulse durations must be non-negative")
+    if out is not None:
+        dt = dt.reshape(dt.shape + (1,) * b.ndim)
     omega = rabi_omega(b, gamma_nv)
-    return c0 * decay.envelope(dt) * np.sin(omega * dt / 2.0) ** 2
+    # c0 * env(dt) * sin(omega dt / 2)^2, each step into out when given
+    phase = np.divide(np.multiply(omega, dt, out=out), 2.0, out=out)
+    sin2 = np.square(np.sin(phase, out=out), out=out)
+    return np.multiply(c0 * decay.envelope(dt), sin2, out=out)
 
 
-def _frame_rng(seed, frame_index):
-    key = np.array([int(seed) % 2 ** 64, int(frame_index) % 2 ** 64],
-                   dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _frame_rngs(seed):
+    """rng(k) is the Generator of frame k for a seeded run.
+
+    Every call re-keys one shared Philox to the state of a fresh
+    Philox(key=[seed mod 2^64, k mod 2^64]) and returns its Generator,
+    so a generator is valid only until the next call.
+    """
+    seed = int(seed) % 2 ** 64
+    bitgen = np.random.Philox(0)  # keyed() sets the state before any draw
+    rng = np.random.Generator(bitgen)
+    zeros = np.zeros(4, dtype=np.uint64)
+
+    def keyed(frame_index):
+        bitgen.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": zeros,
+                      "key": np.array([seed, int(frame_index) % 2 ** 64],
+                                      dtype=np.uint64)},
+            "buffer": zeros, "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0}
+        return rng
+
+    return keyed
 
 
 def _apply_shot_noise(ideal, counts_ref, rng):
@@ -112,7 +143,7 @@ def simulate_contrast_image(bmap, dt_mw_ns, pulse, decay, noise_seed=None,
     ideal = contrast_at(bmap.values, dt_mw_ns, decay, pulse.c0, gamma_nv)
     if noise_seed is None:
         return ideal
-    rng = _frame_rng(noise_seed, frame_index)
+    rng = _frame_rngs(noise_seed)(frame_index)
     return _apply_shot_noise(ideal, pulse.counts_ref, rng)
 
 
@@ -155,10 +186,12 @@ def simulate_cube(bmap, dt_list_ns, pulse, decay, seed=None,
     """Scan dt_mw and stack contrast frames; independent noise per frame."""
     dt_list_ns = np.asarray(dt_list_ns, dtype=float)
     frames = np.empty((len(dt_list_ns), bmap.grid.nx, bmap.grid.ny))
-    for k, dt in enumerate(dt_list_ns):
-        frames[k] = simulate_contrast_image(bmap, dt, pulse, decay,
-                                            noise_seed=seed, frame_index=k,
-                                            gamma_nv=gamma_nv)
+    contrast_at(bmap.values, dt_list_ns, decay, pulse.c0, gamma_nv,
+                out=frames)
+    if seed is not None:
+        rng = _frame_rngs(seed)
+        for k, ideal in enumerate(frames):
+            frames[k] = _apply_shot_noise(ideal, pulse.counts_ref, rng(k))
     return ImageCube(grid=bmap.grid, dt_ns=dt_list_ns, frames=frames,
                      pulse=pulse, seed=seed)
 
@@ -237,6 +270,7 @@ def simulate_stream(bmap, dt_mw_ns, pulse, on_off_schedule, timing, rows,
     half_exposure_ms = pulse.exposure_ns(dt_mw_ns) * 1e-6 / 2.0
     ideal_on = contrast_at(bmap.values, dt_mw_ns, decay, pulse.c0, gamma_nv)
     zeros = np.zeros_like(ideal_on)
+    rng = None if seed is None else _frame_rngs(seed)
 
     frames = []
     k = 0
@@ -248,11 +282,10 @@ def simulate_stream(bmap, dt_mw_ns, pulse, on_off_schedule, timing, rows,
         else:
             state = states[int(np.searchsorted(edges, midpoint, side="right"))]
         ideal = ideal_on if state == ON else zeros
-        if seed is None:
+        if rng is None:
             frame = ideal.copy()
         else:
-            frame = _apply_shot_noise(ideal, pulse.counts_ref,
-                                      _frame_rng(seed, k))
+            frame = _apply_shot_noise(ideal, pulse.counts_ref, rng(k))
         frames.append((start, frame))
         k += 1
     return frames

@@ -145,6 +145,22 @@ def resolve_config_source(value):
         f"(bundled: {', '.join(BUNDLED_SCENARIOS)})")
 
 
+def _check_sensitivity(sdoc, dt_ns):
+    path = "report.sensitivity"
+    if not isinstance(sdoc, dict):
+        raise ConfigError(f"{path} must be an object")
+    n_rep = sdoc.get("n_repeats", 10)
+    if isinstance(n_rep, bool) or not isinstance(n_rep, int) or n_rep < 10:
+        raise ConfigError(f"{path}.n_repeats must be an integer >= 10, "
+                          f"got {n_rep!r}")
+    envelope = sdoc.get("envelope", "single")
+    if envelope not in ("single", "double"):
+        raise ConfigError(f"{path}.envelope must be 'single' or 'double', "
+                          f"got {envelope!r}")
+    if dt_ns is None:
+        raise ConfigError(f"{path} needs a scan section")
+
+
 def load_scenario(value):
     raw = resolve_config_source(value)
     try:
@@ -226,13 +242,20 @@ def load_scenario(value):
                     "stream.schedule entries must be [duration_ms > 0, "
                     "on|off]")
 
+    report = si.get("report")
+    if report is not None:
+        if not isinstance(report, dict):
+            raise ConfigError("report must be an object")
+        if "sensitivity" in report:
+            _check_sensitivity(report["sensitivity"], dt_ns)
+
     seed = si.get("seed")
     return ScenarioConfig(
         name=name, description=si.get("description", ""),
         device_doc=_need(si, "device", "config"), grid=grid, layer=layer,
         nv_frame=frame, f_mw=f_mw, transition=transition, pulse=pulse,
         decay=decay, dt_ns=dt_ns, stream=stream, trap=si.get("trap"),
-        report=si.get("report"), seed=None if seed is None else int(seed),
+        report=report, seed=None if seed is None else int(seed),
         source_bytes=raw)
 
 
@@ -586,10 +609,8 @@ def cmd_report(args, cfg, out):
             "p_sim_dbm": p_sim, "loss_db": loss}
 
     if cfg.report and "sensitivity" in cfg.report:
-        sdoc = cfg.report["sensitivity"]
-        if cfg.dt_ns is None:
-            raise ConfigError("report.sensitivity needs a scan section")
-        n_rep = int(sdoc.get("n_repeats", 10))
+        sdoc = cfg.report["sensitivity"]  # checked by load_scenario
+        n_rep = sdoc.get("n_repeats", 10)
         mode = ("single-exp" if sdoc.get("envelope", "single") == "single"
                 else "double-exp")
         base_seed = (cfg.seed if cfg.seed is not None else 0) + 1000

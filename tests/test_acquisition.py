@@ -1,6 +1,7 @@
 """Contrast generator, shot noise statistics, camera timing."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,6 +189,91 @@ class TestSimulateCube:
         with pytest.raises(ValueError, match="shape"):
             acq.ImageCube(grid=bmap.grid, dt_ns=[10.0],
                           frames=np.zeros((1, 3, 3)))
+
+
+def random_bmap(nx, ny, seed=5):
+    bmap = uniform_bmap(0.0, nx, ny)
+    bmap.values = np.random.default_rng(seed).uniform(0, 3e-4, (nx, ny))
+    return bmap
+
+
+def oracle_frame(ideal, counts_ref, seed, k):
+    """Frame k as a fresh per-frame Philox(key=[seed, k]) draws it."""
+    if seed is None:
+        return ideal
+    key = np.array([seed % 2 ** 64, k], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    return acq._apply_shot_noise(ideal, counts_ref, rng)
+
+
+SEEDS = [None, 0, 7, -3, 2 ** 64 + 5]
+DECAYS = [acq.DecayParams(), NO_DECAY]
+
+
+class TestStreamEquivalence:
+    """The re-keyed generator draws the streams of one generator per frame."""
+
+    @pytest.mark.parametrize("decay", DECAYS, ids=["damped", "undamped"])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_cube_frames(self, seed, decay):
+        bmap = random_bmap(9, 7)
+        pulse = acq.PulseParams()
+        dts = np.arange(0, 12) * 37.0
+        cube = acq.simulate_cube(bmap, dts, pulse, decay, seed=seed)
+        for k, dt in enumerate(dts):
+            ideal = acq.contrast_at(bmap.values, dt, decay, pulse.c0)
+            np.testing.assert_array_equal(
+                cube.frames[k], oracle_frame(ideal, pulse.counts_ref, seed, k))
+
+    @pytest.mark.parametrize("decay", DECAYS, ids=["damped", "undamped"])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_single_frames(self, seed, decay):
+        bmap = random_bmap(9, 7)
+        pulse = acq.PulseParams()
+        ideal = acq.contrast_at(bmap.values, 211.0, decay, pulse.c0)
+        for k in (0, 1, 5, 2 ** 64 - 1):
+            img = acq.simulate_contrast_image(bmap, 211.0, pulse, decay,
+                                              noise_seed=seed, frame_index=k)
+            np.testing.assert_array_equal(
+                img, oracle_frame(ideal, pulse.counts_ref, seed, k))
+
+    @pytest.mark.parametrize("decay", DECAYS, ids=["damped", "undamped"])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_stream_on_and_off_frames(self, seed, decay):
+        bmap = random_bmap(9, 7)
+        pulse = acq.PulseParams(laser_ns=700.0, wait_ns=500.0, n_shots=50)
+        timing = acq.CameraTiming()
+        schedule = [(1.5, "on"), (2.0, "off"), (1.5, "on")]
+        ideal_on = acq.contrast_at(bmap.values, 30.0, decay, pulse.c0)
+        noiseless = acq.simulate_stream(bmap, 30.0, pulse, schedule, timing,
+                                        rows=50, decay=decay)
+        frames = acq.simulate_stream(bmap, 30.0, pulse, schedule, timing,
+                                     rows=50, seed=seed, decay=decay)
+        on = [np.array_equal(f, ideal_on) for _, f in noiseless]
+        assert any(on) and not all(on)
+        assert len(frames) == len(noiseless)
+        for k, ((ts, frame), (ts0, ideal)) in enumerate(zip(frames,
+                                                            noiseless)):
+            assert ts == ts0
+            if not on[k]:
+                np.testing.assert_array_equal(ideal, 0.0)
+            np.testing.assert_array_equal(
+                frame, oracle_frame(ideal, pulse.counts_ref, seed, k))
+
+
+def test_cube_peak_memory_stays_near_the_cube():
+    # the ideal contrast is computed in place and the noise per frame,
+    # so no temporary as large as the cube is ever held
+    bmap = random_bmap(100, 100)
+    dts = np.arange(1, 51) * 20.0
+    tracemalloc.start()
+    try:
+        cube = acq.simulate_cube(bmap, dts, acq.PulseParams(),
+                                 acq.DecayParams(), seed=7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * cube.frames.nbytes
 
 
 class TestFrameTime:

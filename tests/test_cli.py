@@ -176,6 +176,54 @@ def test_load_scenario_bad_schedule(tmp_path):
             load_scenario(str(path))
 
 
+@pytest.mark.parametrize("sensitivity, message", [
+    ({"n_repeats": 9}, "report.sensitivity.n_repeats must be an integer"),
+    ({"n_repeats": 10.0}, "report.sensitivity.n_repeats must be an integer"),
+    ({"n_repeats": "12"}, "report.sensitivity.n_repeats must be an integer"),
+    ({"n_repeats": True}, "report.sensitivity.n_repeats must be an integer"),
+    ({"envelope": "triple"}, "report.sensitivity.envelope must be"),
+    ({"envelope": "Double"}, "report.sensitivity.envelope must be"),
+    ([10, "single"], "report.sensitivity must be an object"),
+])
+def test_malformed_sensitivity_exits_2_at_load(tmp_path, capsys, sensitivity,
+                                               message):
+    path = write_scenario(tmp_path, report={"sensitivity": sensitivity})
+    with pytest.raises(ConfigError, match=message):
+        load_scenario(path)
+    # any command rejects it before it writes anything, not only report
+    out = tmp_path / "out"
+    assert run("simulate", "--config", path, "-o", out) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sensitivity_without_scan_exits_2_at_load(tmp_path, capsys):
+    doc = json.loads(json.dumps(MINI))
+    del doc["scan"]
+    doc["stream"] = {"dt_mw_ns": 30, "rows": 50, "schedule": [[1.0, "on"]]}
+    doc["report"] = {"sensitivity": {"n_repeats": 10}}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match="report.sensitivity needs a scan"):
+        load_scenario(str(path))
+    assert run("simulate", "--config", path, "-o", tmp_path / "out") == 2
+    assert "report.sensitivity" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sensitivity", [
+    {}, {"n_repeats": 10, "envelope": "single"},
+    {"n_repeats": 25, "envelope": "double"}])
+def test_wellformed_sensitivity_loads(tmp_path, sensitivity):
+    path = write_scenario(tmp_path, report={"sensitivity": sensitivity})
+    assert load_scenario(path).report["sensitivity"] == sensitivity
+
+
+def test_report_section_must_be_an_object(tmp_path):
+    path = write_scenario(tmp_path, report=["sensitivity"])
+    with pytest.raises(ConfigError, match="report must be an object"):
+        load_scenario(path)
+
+
 def test_unreachable_drive_frequency_exits_2(tmp_path):
     # sigma+ sits above the 2.87 GHz zero-field splitting; 2.77 GHz needs
     # a negative bias field
