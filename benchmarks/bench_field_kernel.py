@@ -33,25 +33,19 @@ def make_workload(n_segments, n_points, seed=0):
     cur_im = rng.normal(size=n_segments) * 0.01
     points = rng.uniform(-1e-3, 1e-3, (n_points, 3))
     points[:, 2] = np.abs(points[:, 2]) + 1e-5  # stay off the wires
-    return (np.ascontiguousarray(starts), np.ascontiguousarray(ends),
-            np.ascontiguousarray(cur_re), np.ascontiguousarray(cur_im),
-            np.ascontiguousarray(points))
+    return starts, ends, cur_re + 1j * cur_im, points
 
 
 def run(workload, repeats):
-    starts, ends, cur_re, cur_im, points = workload
-    out_re = np.zeros((points.shape[0], 3))
-    out_im = np.zeros((points.shape[0], 3))
+    starts, ends, currents, points = workload
     best = float("inf")
     for _ in range(repeats):
-        out_re[:] = 0.0
-        out_im[:] = 0.0
         t0 = time.perf_counter()
-        rc = field_accumulate(starts, ends, cur_re, cur_im, points, 1e-9,
-                              out_re, out_im)
+        _, _, hit = field_accumulate(starts, ends, currents, points, 1e-9)
         best = min(best, time.perf_counter() - t0)
-        if rc >= 0:
-            raise RuntimeError(f"kernel reported proximity code {rc}")
+        if hit is not None:
+            raise RuntimeError(
+                f"kernel reported (offset, segment, point) {hit} within r_min")
     return best
 
 

@@ -72,13 +72,12 @@ class DecayParams:
             + (1.0 - w) * np.exp(-dt_ns / self.tau_slow_ns)
 
 
-def rabi_omega(b_polarized, gamma_nv=GAMMA_NV):
+def rabi_omega(b_polarized):
     """Angular Rabi frequency in rad/ns for a field amplitude in teslas."""
-    return 2.0 * math.pi * gamma_nv * 1e-9 * np.asarray(b_polarized, dtype=float)
+    return 2.0 * math.pi * GAMMA_NV * 1e-9 * np.asarray(b_polarized, dtype=float)
 
 
-def contrast_at(b_polarized, dt_mw_ns, decay, c0, gamma_nv=GAMMA_NV,
-                out=None):
+def contrast_at(b_polarized, dt_mw_ns, decay, c0, out=None):
     """Noiseless contrast for field b (T) after a dt_mw pulse (ns).
 
     Broadcasts over b and dt. With out, dt is a scan and frame k of out
@@ -93,7 +92,7 @@ def contrast_at(b_polarized, dt_mw_ns, decay, c0, gamma_nv=GAMMA_NV,
         raise ValueError("pulse durations must be non-negative")
     if out is not None:
         dt = dt.reshape(dt.shape + (1,) * b.ndim)
-    omega = rabi_omega(b, gamma_nv)
+    omega = rabi_omega(b)
     # c0 * env(dt) * sin(omega dt / 2)^2, each step into out when given
     phase = np.divide(np.multiply(omega, dt, out=out), 2.0, out=out)
     sin2 = np.square(np.sin(phase, out=out), out=out)
@@ -134,13 +133,13 @@ def _apply_shot_noise(ideal, counts_ref, rng):
 
 
 def simulate_contrast_image(bmap, dt_mw_ns, pulse, decay, noise_seed=None,
-                            frame_index=0, gamma_nv=GAMMA_NV):
+                            frame_index=0):
     """One contrast frame for a polarized field map.
 
     noise_seed None returns the ideal (noiseless) contrast; otherwise
     Poisson photon noise is applied with the (seed, frame_index) stream.
     """
-    ideal = contrast_at(bmap.values, dt_mw_ns, decay, pulse.c0, gamma_nv)
+    ideal = contrast_at(bmap.values, dt_mw_ns, decay, pulse.c0)
     if noise_seed is None:
         return ideal
     rng = _frame_rngs(noise_seed)(frame_index)
@@ -181,13 +180,11 @@ class ImageCube:
         return self.frames[:, i, j]
 
 
-def simulate_cube(bmap, dt_list_ns, pulse, decay, seed=None,
-                  gamma_nv=GAMMA_NV):
+def simulate_cube(bmap, dt_list_ns, pulse, decay, seed=None):
     """Scan dt_mw and stack contrast frames; independent noise per frame."""
     dt_list_ns = np.asarray(dt_list_ns, dtype=float)
     frames = np.empty((len(dt_list_ns), bmap.grid.nx, bmap.grid.ny))
-    contrast_at(bmap.values, dt_list_ns, decay, pulse.c0, gamma_nv,
-                out=frames)
+    contrast_at(bmap.values, dt_list_ns, decay, pulse.c0, out=frames)
     if seed is not None:
         rng = _frame_rngs(seed)
         for k, ideal in enumerate(frames):
@@ -245,7 +242,7 @@ OFF = "off"
 
 
 def simulate_stream(bmap, dt_mw_ns, pulse, on_off_schedule, timing, rows,
-                    seed=None, decay=None, gamma_nv=GAMMA_NV):
+                    seed=None, decay=None):
     """Frames of a microwave on/off pulse train at the camera frame rate.
 
     on_off_schedule is a list of (duration_ms, "on"|"off") entries. The
@@ -268,7 +265,7 @@ def simulate_stream(bmap, dt_mw_ns, pulse, on_off_schedule, timing, rows,
     total_ms = edges[-1]
     period_ms = frame_time_ms(timing, rows, pulse, dt_mw_ns)
     half_exposure_ms = pulse.exposure_ns(dt_mw_ns) * 1e-6 / 2.0
-    ideal_on = contrast_at(bmap.values, dt_mw_ns, decay, pulse.c0, gamma_nv)
+    ideal_on = contrast_at(bmap.values, dt_mw_ns, decay, pulse.c0)
     zeros = np.zeros_like(ideal_on)
     rng = None if seed is None else _frame_rngs(seed)
 

@@ -9,7 +9,7 @@ seeded from a zero-padded periodogram peak (parabolic interpolation),
 which keeps the multimodal Omega landscape from trapping the solver.
 The phase term is optional: with phi fixed at 0 the model is the bare
 sine form, with phi free it also matches (1 - cos)-shaped population
-signals. Calibration is B = Omega / (2 pi gamma_nv).
+signals. Calibration is B = Omega / (2 pi GAMMA_NV).
 
 All pixels of a block (at most FIT_BLOCK_PX) are fit together by one
 numpy LM loop, the "many small fits" scheme of Gpufit (Przybylski et
@@ -132,11 +132,13 @@ FIT_BLOCK_PX = 1024
 # MINPACK gradient test: max |cos(column of J, residual)|
 _GTOL = 1e-14
 
+# MINPACK ftol and xtol: relative reduction of the cost and relative step
+_RTOL = 1e-10
+
 
 @dataclass
 class FitConfig:
     max_iterations: int = 400
-    rel_tolerance: float = 1e-10
     omega_bounds: tuple = None  # (min, max) rad/ns; None = auto from sampling
     min_contrast_snr: float = 6.0
     allow_phase: bool = True
@@ -145,8 +147,6 @@ class FitConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.rel_tolerance <= 0:
-            raise ValueError("rel_tolerance must be positive")
         if self.omega_bounds is not None:
             lo, hi = self.omega_bounds
             if not 0 < lo < hi:
@@ -172,9 +172,9 @@ FIT_DTYPE = np.dtype([
     ("double_solved", np.bool_)])
 
 
-def omega_to_field(omega_rad_per_ns, gamma_nv=GAMMA_NV):
+def omega_to_field(omega_rad_per_ns):
     """Calibrated field amplitude (T) for an angular frequency in rad/ns."""
-    return omega_rad_per_ns * 1e9 / (2.0 * math.pi * gamma_nv)
+    return omega_rad_per_ns * 1e9 / (2.0 * math.pi * GAMMA_NV)
 
 
 def _default_omega_bounds(t_ns):
@@ -182,16 +182,16 @@ def _default_omega_bounds(t_ns):
     return (2.0 * math.pi * 1e-4, math.pi / step)
 
 
-def _periodogram_peaks(t, y, pad_factor=4):
+def _periodogram_peaks(t, y):
     """Dominant oscillation frequency (cycles/ns) and SNR of every row.
 
-    Mean-subtracted, zero-padded FFT per row; the peak bin is refined by
-    parabolic interpolation. SNR is peak magnitude over the median
-    non-DC magnitude. Ties resolve to the lower frequency.
+    Mean-subtracted FFT per row, zero-padded to 4n; the peak bin is
+    refined by parabolic interpolation. SNR is peak magnitude over the
+    median non-DC magnitude. Ties resolve to the lower frequency.
     """
     n = y.shape[1]
     step = float(np.mean(np.diff(t)))
-    nfft = pad_factor * n
+    nfft = 4 * n
     mag = np.abs(np.fft.rfft(y - np.mean(y, axis=1, keepdims=True), nfft,
                              axis=1))
     body = mag[:, 1:]
@@ -316,7 +316,6 @@ def _levenberg_marquardt(t, y, x, k, allow_phase, cfg, omega_bounds=None):
     the omega bounds. y is overwritten: the rows still active are moved
     to its front as others leave.
     """
-    tol = cfg.rel_tolerance
     diag = np.arange(x.shape[1])
     x_out = x.copy()
     nfev_out = np.empty(len(x), dtype=int)
@@ -368,10 +367,10 @@ def _levenberg_marquardt(t, y, x, k, allow_phase, cfg, omega_bounds=None):
             pred = 0.5 * (step * (lam[:, None] * d2 * step - grad)).sum(axis=1)
             rho = np.where(pred > 0, actual / pred, -math.inf)
             accept = np.isfinite(ssq_new) & (rho > 1e-4)
-            small = tol * cost
+            small = _RTOL * cost
             done = (np.abs(actual) <= small) & (pred <= small) & (rho <= 2.0)
             done |= ((d2 * step ** 2).sum(axis=1)
-                     <= tol ** 2 * (d2 * x ** 2).sum(axis=1))
+                     <= _RTOL ** 2 * (d2 * x ** 2).sum(axis=1))
 
             # accepted: relax the damping; rejected: raise it
             # geometrically
@@ -584,8 +583,7 @@ def _fit_block(args):
         for k in range(0, block.shape[1], FIT_BLOCK_PX)]).view(np.recarray)
 
 
-def fit_cube(cube, cfg=None, component="sigma-", n_workers=1,
-             gamma_nv=GAMMA_NV):
+def fit_cube(cube, cfg=None, component="sigma-", n_workers=1):
     """Fit every pixel of a cube; returns (field map, results), results
     an (nx, ny) record array of FIT_DTYPE.
 
@@ -617,7 +615,7 @@ def fit_cube(cube, cfg=None, component="sigma-", n_workers=1,
 
     results = results.view(np.recarray).reshape(nx, ny)
     values = np.where(results.converged & np.isfinite(results.omega),
-                      omega_to_field(results.omega, gamma_nv), 0.0)
+                      omega_to_field(results.omega), 0.0)
     fmap = PolarizedFieldMap(grid=cube.grid, component=component, values=values)
     return fmap, results
 
@@ -725,21 +723,21 @@ def _order_pixels_by_angle(pixels):
     return pixels[np.argsort(ang, kind="stable")]
 
 
-def extract_contours(image, dt_mw_ns, gamma_nv=GAMMA_NV, min_pixels=8,
-                     min_amplitude=0.0):
+def extract_contours(image, dt_mw_ns, min_pixels=8):
     """Iso-amplitude ridges of a single contrast frame.
 
     Ridges of |contrast| are the bright lines where Omega dt = m pi
     with m odd (even multiples are contrast zeros), so detected ridges
     are labeled m = 1, 3, 5, ... counting inward from the image
-    boundary, with field labels b_m = m / (2 gamma_nv dt).
+    boundary, with field labels b_m = m / (2 GAMMA_NV dt).
     """
     if dt_mw_ns <= 0:
         raise ValueError("dt_mw_ns must be positive")
     a = np.abs(np.asarray(image, dtype=float))
     nx, ny = a.shape
     ridge = np.zeros_like(a, dtype=bool)
-    # 1D local maxima along each axis, strict on at least one side
+    # 1D local maxima along each axis, strict on at least one side, so
+    # a ridge pixel of |contrast| is never 0
     ge_l = a[:, 1:-1] >= a[:, :-2]
     ge_r = a[:, 1:-1] >= a[:, 2:]
     gt = (a[:, 1:-1] > a[:, :-2]) | (a[:, 1:-1] > a[:, 2:])
@@ -748,7 +746,6 @@ def extract_contours(image, dt_mw_ns, gamma_nv=GAMMA_NV, min_pixels=8,
     ge_d = a[1:-1, :] >= a[2:, :]
     gt2 = (a[1:-1, :] > a[:-2, :]) | (a[1:-1, :] > a[2:, :])
     ridge[1:-1, :] |= ge_u & ge_d & gt2
-    ridge &= a > min_amplitude
 
     comps = []
     for ii, jj in _label_8connected(ridge):
@@ -769,12 +766,16 @@ def extract_contours(image, dt_mw_ns, gamma_nv=GAMMA_NV, min_pixels=8,
         m = 2 * rank + 1
         ridges.append(ContourRidge(
             order_m=m,
-            b_label=m / (2.0 * gamma_nv * dt_s),
+            b_label=m / (2.0 * GAMMA_NV * dt_s),
             pixels=_order_pixels_by_angle(comp[4].astype(float))))
     return IsoBContourSet(dt_mw_ns=dt_mw_ns, ridges=ridges, parity="odd")
 
 
-def _overlap_score(comp_sum, comp_cnt, tile, di, dj, min_overlap):
+# fewest composite pixels a candidate offset must overlap to be scored
+_MIN_OVERLAP_PX = 16
+
+
+def _overlap_score(comp_sum, comp_cnt, tile, di, dj):
     """Normalized cross-correlation of a tile with the running composite."""
     nx, ny = tile.shape
     i0, j0 = max(di, 0), max(dj, 0)
@@ -784,7 +785,7 @@ def _overlap_score(comp_sum, comp_cnt, tile, di, dj, min_overlap):
         return None
     cnt = comp_cnt[i0:i1, j0:j1]
     valid = cnt > 0
-    if int(np.sum(valid)) < min_overlap:
+    if int(np.sum(valid)) < _MIN_OVERLAP_PX:
         return None
     ref = (comp_sum[i0:i1, j0:j1][valid] / cnt[valid])
     cut = tile[i0 - di:i1 - di, j0 - dj:j1 - dj][valid]
@@ -797,7 +798,7 @@ def _overlap_score(comp_sum, comp_cnt, tile, di, dj, min_overlap):
     return float(ra @ ca) / denom
 
 
-def stitch(tiles, refine=False, search=8, min_overlap=16):
+def stitch(tiles, refine=False, search=8):
     """Combine overlapping field-map tiles into one composite map.
 
     tiles is a list of (PolarizedFieldMap, (di, dj)) with integer pixel
@@ -838,7 +839,7 @@ def stitch(tiles, refine=False, search=8, min_overlap=16):
             for ddi in range(-search, search + 1):
                 for ddj in range(-search, search + 1):
                     score = _overlap_score(comp_sum, comp_cnt, fmap.values,
-                                           di + ddi, dj + ddj, min_overlap)
+                                           di + ddi, dj + ddj)
                     if score is None:
                         continue
                     key = (score, -(ddi * ddi + ddj * ddj), -ddi, -ddj)
@@ -900,18 +901,22 @@ def characterize_trap(pmap, search_region=None, arm=5):
         if not (0 <= i0 < i1 <= nx and 0 <= j0 < j1 <= ny):
             raise ValueError("search region must lie within the grid")
 
-    best = None
-    for i in range(max(i0, 1), min(i1, nx - 1)):
-        for j in range(max(j0, 1), min(j1, ny - 1)):
-            v = a[i, j]
-            neigh = a[i - 1:i + 2, j - 1:j + 2]
-            if v <= np.min(neigh):
-                if best is None or v < best[0]:
-                    best = (v, i, j)
-    if best is None:
+    # interior pixels of the region no greater than their 3x3
+    # neighbourhood (a NaN neighbour rules a pixel out); the lowest
+    # wins, ties going to the first in raster order
+    i0, j0 = max(i0, 1), max(j0, 1)
+    window = a[i0 - 1:min(i1, nx - 1) + 1, j0 - 1:min(j1, ny - 1) + 1]
+    centre = window[1:-1, 1:-1]
+    hits = []
+    if centre.size:
+        blocks = np.lib.stride_tricks.sliding_window_view(window, (3, 3))
+        hits = np.flatnonzero(centre <= blocks.min(axis=(2, 3)))
+    if len(hits) == 0:
         raise TrapNotFound("no interior local minimum in the search region")
+    di, dj = divmod(int(hits[np.argmin(centre.ravel()[hits])]),
+                    centre.shape[1])
+    i, j = i0 + di, j0 + dj
 
-    _, i, j = best
     pitch = pmap.grid.pitch
     grads = {}
     for tag, sl in (("axis0_minus", a[i::-1, j]), ("axis0_plus", a[i:, j]),
@@ -927,8 +932,7 @@ def characterize_trap(pmap, search_region=None, arm=5):
                       value=float(a[i, j]), gradients=grads)
 
 
-def amplitude_sensitivity(cubes, cfg=None, measurement_time_s=None,
-                          gamma_nv=GAMMA_NV):
+def amplitude_sensitivity(cubes, cfg=None, measurement_time_s=None):
     """Field amplitude sensitivity in T Hz^-1/2 from repeated cubes.
 
     Fits the pixels of all repeats as one batch, takes the per-pixel
@@ -956,7 +960,7 @@ def amplitude_sensitivity(cubes, cfg=None, measurement_time_s=None,
     traces = np.concatenate(
         [c.frames.reshape(c.n_frames, -1) for c in cubes], axis=1)
     results = _fit_block((t, traces, cfg)).reshape(len(cubes), -1)
-    fields = omega_to_field(results.omega, gamma_nv)
+    fields = omega_to_field(results.omega)
     ok = results.converged.all(axis=0)
     if not np.any(ok):
         raise ValueError("no pixel converged across all repeats")

@@ -56,6 +56,9 @@ from nvscope.nearfield import (GridSpec, PolarizedFieldMap,
 BUNDLED_SCENARIOS = ("cpw-fig2", "omega-fig3", "meander-fig3",
                      "interdigital-fig3", "trap-fig4-xz", "pulse-train-fig5")
 
+# --envelope and report.sensitivity.envelope values -> FitConfig modes
+ENVELOPES = {"double": analysis.DOUBLE_EXP, "single": analysis.SINGLE_EXP}
+
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
@@ -154,7 +157,7 @@ def _check_sensitivity(sdoc, dt_ns):
         raise ConfigError(f"{path}.n_repeats must be an integer >= 10, "
                           f"got {n_rep!r}")
     envelope = sdoc.get("envelope", "single")
-    if envelope not in ("single", "double"):
+    if envelope not in ENVELOPES:
         raise ConfigError(f"{path}.envelope must be 'single' or 'double', "
                           f"got {envelope!r}")
     if dt_ns is None:
@@ -437,7 +440,6 @@ def cmd_acquire(args, cfg, out):
 
 
 def _fit_config_from_args(args, dt_ns):
-    mode = ("single-exp" if args.envelope == "single" else "double-exp")
     bounds = None
     if args.one_cycle_floor:
         span = float(dt_ns[-1] - dt_ns[0])
@@ -445,7 +447,8 @@ def _fit_config_from_args(args, dt_ns):
         bounds = (2.0 * np.pi / span, np.pi / step)
     return analysis.FitConfig(max_iterations=args.max_iter,
                               min_contrast_snr=args.min_snr,
-                              envelope_mode=mode, omega_bounds=bounds)
+                              envelope_mode=ENVELOPES[args.envelope],
+                              omega_bounds=bounds)
 
 
 def cmd_fit(args, cfg, out):
@@ -611,15 +614,14 @@ def cmd_report(args, cfg, out):
     if cfg.report and "sensitivity" in cfg.report:
         sdoc = cfg.report["sensitivity"]  # checked by load_scenario
         n_rep = sdoc.get("n_repeats", 10)
-        mode = ("single-exp" if sdoc.get("envelope", "single") == "single"
-                else "double-exp")
         base_seed = (cfg.seed if cfg.seed is not None else 0) + 1000
         cubes = [acquisition.simulate_cube(pmap, cfg.dt_ns, cfg.pulse,
                                            decay=cfg.decay,
                                            seed=base_seed + k)
                  for k in range(n_rep)]
         sens = analysis.amplitude_sensitivity(
-            cubes, analysis.FitConfig(envelope_mode=mode))
+            cubes, analysis.FitConfig(
+                envelope_mode=ENVELOPES[sdoc.get("envelope", "single")]))
         report["sensitivity"] = {"n_repeats": n_rep,
                                  "t_per_sqrt_hz": sens,
                                  "ut_per_sqrt_hz": sens * 1e6}
@@ -707,8 +709,7 @@ def build_parser():
     p.add_argument("--component", default="sigma-",
                    choices=["sigma+", "sigma-"],
                    help="component tag for the fitted map")
-    p.add_argument("--envelope", default="double",
-                   choices=["double", "single"])
+    p.add_argument("--envelope", default="double", choices=list(ENVELOPES))
     p.add_argument("--min-snr", type=float, default=6.0,
                    help="periodogram SNR detection floor")
     p.add_argument("--max-iter", type=int, default=400)

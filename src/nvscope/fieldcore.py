@@ -14,7 +14,7 @@ Conventions used throughout the package:
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,14 +29,6 @@ GAMMA_NV = 2.8e10
 D_ZFS = 2.87e9
 
 ORTHO_TOL = 1e-12
-
-
-def vec3(x, y, z):
-    """Return a (3,) float array, checking all components are finite."""
-    v = np.array([x, y, z], dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector components must be finite")
-    return v
 
 
 def _as_vec3(v, name="vector"):
@@ -147,47 +139,24 @@ TRANSITIONS = (SIGMA_PLUS, SIGMA_MINUS)
 COMPONENTS = (SIGMA_PLUS, SIGMA_MINUS, AXIAL)
 
 
-@dataclass
-class BiasConfig:
-    """Static-field bookkeeping for tuning the ground-state transitions.
-
-    sign records the direction of the applied dc field along the NV
-    axis (+1 or -1), i.e. which circular transition is being tuned.
-    """
-
-    d_zfs: float = D_ZFS
-    gamma_nv: float = GAMMA_NV
-    sign: int = 1
-
-    def __post_init__(self):
-        if self.d_zfs <= 0:
-            raise ValueError("d_zfs must be positive")
-        if self.gamma_nv <= 0:
-            raise ValueError("gamma_nv must be positive")
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-
-
-def bias_field_for_frequency(f_mw, transition, cfg=None):
+def bias_field_for_frequency(f_mw, transition):
     """Static field magnitude (T) tuning the chosen transition to f_mw.
 
-    Solves f_mw = d_zfs + gamma * B for sigma+ and
-    f_mw = d_zfs - gamma * B for sigma-, requiring B >= 0. Asking for a
-    frequency on the wrong side of d_zfs raises with the transition
+    Solves f_mw = D_ZFS + GAMMA_NV * B for sigma+ and
+    f_mw = D_ZFS - GAMMA_NV * B for sigma-, requiring B >= 0. Asking for
+    a frequency on the wrong side of D_ZFS raises with the transition
     that can reach it.
     """
-    if cfg is None:
-        cfg = BiasConfig()
     if f_mw <= 0:
         raise ValueError("drive frequency must be positive")
     if transition not in TRANSITIONS:
         raise ValueError(f"transition must be one of {TRANSITIONS}, got {transition!r}")
-    detuning = f_mw - cfg.d_zfs
+    detuning = f_mw - D_ZFS
     if transition == SIGMA_PLUS:
-        b = detuning / cfg.gamma_nv
+        b = detuning / GAMMA_NV
         other = SIGMA_MINUS
     else:
-        b = -detuning / cfg.gamma_nv
+        b = -detuning / GAMMA_NV
         other = SIGMA_PLUS
     if b < 0:
         raise ValueError(

@@ -83,6 +83,9 @@ def _read_framing(raw, magic, path):
     if not isinstance(doc, dict):
         raise FormatError(
             f"{path}: JSON header at byte {len(magic)} is not an object")
+    if doc.get("dtype") != "float32":
+        raise FormatError(f"{path}: unsupported dtype {doc.get('dtype')!r} "
+                          f"in header at byte {len(magic)}")
     return doc, end + 1
 
 
@@ -165,8 +168,6 @@ def read_field_map(path):
     with open(path, "rb") as fh:
         raw = fh.read()
     doc, start = _read_framing(raw, FMAP_MAGIC, path)
-    if doc.get("dtype") != "float32":
-        raise FormatError(f"{path}: unsupported dtype {doc.get('dtype')!r}")
     kind = doc.get("kind")
     if kind not in ("phasor", "polarized"):
         raise FormatError(f"{path}: unknown field map kind {kind!r}")
@@ -202,8 +203,6 @@ def read_cube(path):
     with open(path, "rb") as fh:
         raw = fh.read()
     doc, start = _read_framing(raw, RCUB_MAGIC, path)
-    if doc.get("dtype") != "float32":
-        raise FormatError(f"{path}: unsupported dtype {doc.get('dtype')!r}")
     with _header_keys(path, RCUB_MAGIC):
         grid = grid_from_doc(doc["grid"])
         dt = np.array(doc["dt_ns"], dtype=float)

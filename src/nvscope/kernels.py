@@ -28,7 +28,7 @@ BLOCK = 8192
 _XYZXY = [0, 1, 2, 0, 1]
 
 
-def _segment_constants(starts, ends, cur_re, cur_im):
+def _segment_constants(starts, ends, currents):
     """Per segment: the start as a (5, 1) x y z x y column; the end,
     d = (end - start) / L2, and d rolled to z x y and to y z x as (3, 1)
     columns; L2 = |end - start|^2; the current's real and imaginary
@@ -40,8 +40,9 @@ def _segment_constants(starts, ends, cur_re, cur_im):
     cols = np.concatenate([starts[:, _XYZXY], ends, d, d[:, [2, 0, 1]],
                            d[:, [1, 2, 0]]], axis=1)[:, :, None]
     return [(c[0:5], c[5:8], c[8:11], c[11:14], c[14:17], l2, cr, ci)
-            for c, l2, cr, ci in zip(cols, L2.tolist(), cur_re.tolist(),
-                                     cur_im.tolist())]
+            for c, l2, cr, ci in zip(cols, L2.tolist(),
+                                     currents.real.tolist(),
+                                     currents.imag.tolist())]
 
 
 def _axis_distance(seg, p5, a1, f, t3, s2, rho2):
@@ -86,8 +87,8 @@ def _place(points, offsets, k0, k1, p5):
 
 
 def _first_violation(segs, points, offsets, rmin2):
-    """Flat index of the first pair closer than r_min, in (offset,
-    segment, point) order, or -1: an exact rescan for the error path."""
+    """(offset h, segment s, point p) of the first pair closer than
+    r_min, in that order: an exact rescan for the error path."""
     n = points.shape[0]
     rows = np.empty((17, n))
     p5, a1, f, t3 = rows[0:5], rows[5:10], rows[10:13], rows[13:16]
@@ -99,32 +100,31 @@ def _first_violation(segs, points, offsets, rmin2):
             _axis_distance(seg, p5, a1, f, t3, s2, rho2)
             bad = rho2 < rmin2
             if bad.any():
-                return (h * len(segs) + s) * n + int(np.argmax(bad))
-    return -1
+                return h, s, int(np.argmax(bad))
 
 
-def field_accumulate(starts, ends, cur_re, cur_im, points, r_min,
-                     out_re, out_im, offsets=None):
-    """Accumulate finite-segment fields into out_re/out_im (teslas).
+def field_accumulate(starts, ends, currents, points, r_min, offsets=None):
+    """Summed finite-segment fields of complex currents (teslas).
 
-    points, out_re and out_im are (P, 3). The field is evaluated at
-    points + offsets[h] for each row h of the (H, 3) offsets (one zero
-    offset by default), and each point's per-offset sums are added to
-    out in offset order. Adding a zero offset changes at most the sign
-    of a zero coordinate, which no output bit depends on: that sign
-    reaches only zero products and sums, and every divisor is a norm or
-    a sum of squares.
+    points is (P, 3). The field is evaluated at points + offsets[h] for
+    each row h of the (H, 3) offsets (one zero offset by default), and
+    each point's per-offset sums are added up in offset order. Adding a
+    zero offset changes at most the sign of a zero coordinate, which no
+    output bit depends on: that sign reaches only zero products and
+    sums, and every divisor is a norm or a sum of squares.
 
-    Returns -1 on success, or the flat index (h * S + s) * P + p of the
-    first pair, in (offset h, segment s, point p) order, with point
-    p + offsets[h] closer than r_min to the axis of segment s. The
-    output buffers are then partially written and must be discarded.
+    Returns (out_re, out_im, None), the (P, 3) real and imaginary parts
+    of the summed field, or (None, None, (h, s, p)) for the first pair,
+    in (offset h, segment s, point p) order, with point p + offsets[h]
+    closer than r_min to the axis of segment s.
     """
     if offsets is None:
         offsets = np.zeros((1, 3))
     n = points.shape[0]
     total = n * offsets.shape[0]
-    segs = _segment_constants(starts, ends, cur_re, cur_im)
+    segs = _segment_constants(starts, ends, currents)
+    out_re = np.zeros((n, 3))
+    out_im = np.zeros((n, 3))
     rmin2 = r_min * r_min
     # Eight arrays rather than one: chunks of at most five rows fit the
     # holes the rest of a run leaves in the heap, where one 30-row block
@@ -168,12 +168,13 @@ def field_accumulate(starts, ends, cur_re, cur_im, points, r_min,
                 np.multiply(t3, ci, out=a2)
                 np.add(acc_im, a2, out=acc_im)
             if (low < rmin2).any():
-                return _first_violation(segs, points, offsets, rmin2)
+                return None, None, _first_violation(segs, points, offsets,
+                                                    rmin2)
             for _, p0, p1, col in pieces:
                 for acc, out in ((acc_re, out_re), (acc_im, out_im)):
                     dst = out[p0:p1].T
                     np.add(dst, acc[:, col:col + p1 - p0], out=dst)
-    return -1
+    return out_re, out_im, None
 
 
 # Always False: only the benchmark run metadata (perfbench/run.py) reads it.

@@ -126,48 +126,28 @@ class PolarizedFieldMap:
             raise ValueError("polarized amplitudes must be non-negative")
 
 
-def _accumulate(model, points, r_min, offsets=None):
-    """One kernel pass over points (shifted by each of offsets, if given).
-
-    Returns (out_re, out_im, None), the (n, 3) per-point sums over the
-    offsets, or (None, None, (h, s, p)) for the first proximity
-    violation in (offset, segment, point) order.
-    """
-    n = points.shape[0]
-    out_re = np.zeros((n, 3))
-    out_im = np.zeros((n, 3))
-    rc = field_accumulate(model.starts, model.ends,
-                          np.ascontiguousarray(model.currents.real),
-                          np.ascontiguousarray(model.currents.imag),
-                          points, r_min, out_re, out_im, offsets=offsets)
-    if rc < 0:
-        return out_re, out_im, None
-    h, rest = divmod(int(rc), model.starts.shape[0] * n)
-    return None, None, (h,) + divmod(rest, n)
-
-
-def evaluate_at_points(model, points, r_min=R_MIN):
+def evaluate_at_points(model, points):
     """Summed segment fields at arbitrary points, shape (n, 3) complex."""
     points = np.ascontiguousarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 3:
         raise ValueError("points must have shape (n, 3)")
-    out_re, out_im, hit = _accumulate(model, points, r_min)
+    out_re, out_im, hit = field_accumulate(model.starts, model.ends,
+                                           model.currents, points, R_MIN)
     if hit is not None:
         _, seg, p = hit
         raise SegmentProximityError(seg, points[p])
     return out_re + 1j * out_im
 
 
-def segment_field(seg, p, r_min=R_MIN):
+def segment_field(seg, p):
     """Field phasor of a single straight segment at one point (teslas)."""
     from nvscope.currents import CurrentModel
     model = CurrentModel(starts=seg.start[None, :], ends=seg.end[None, :],
                          currents=np.array([seg.current]))
-    return evaluate_at_points(model, np.asarray(p, dtype=float)[None, :],
-                              r_min=r_min)[0]
+    return evaluate_at_points(model, np.asarray(p, dtype=float)[None, :])[0]
 
 
-def evaluate_phasor_map(model, grid, layer, r_min=R_MIN):
+def evaluate_phasor_map(model, grid, layer):
     """Layer-averaged field phasor map of a current model.
 
     Layer sample heights offset the pixel plane along the grid normal;
@@ -177,12 +157,16 @@ def evaluate_phasor_map(model, grid, layer, r_min=R_MIN):
     All heights go through one kernel pass. Each pixel sums its
     segments from zero at each height, adds those per-height sums in
     ascending height order, and divides by the number of heights, so
-    the map does not depend on the kernel's block size.
+    the map does not depend on the kernel's block size. The kernel
+    names the first point within R_MIN of a wire as (height, segment,
+    pixel), in that order, which the raised error reports.
     """
     base = grid.pixel_centers()
     heights = layer.heights()
     offsets = heights[:, None] * grid.normal
-    acc_re, acc_im, hit = _accumulate(model, base, r_min, offsets=offsets)
+    acc_re, acc_im, hit = field_accumulate(model.starts, model.ends,
+                                           model.currents, base, R_MIN,
+                                           offsets=offsets)
     if hit is not None:
         h, seg, p = hit
         raise SegmentProximityError(seg, base[p] + offsets[h],

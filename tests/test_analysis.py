@@ -232,8 +232,6 @@ def test_fit_config_validation():
     with pytest.raises(ValueError):
         FitConfig(max_iterations=0)
     with pytest.raises(ValueError):
-        FitConfig(rel_tolerance=0.0)
-    with pytest.raises(ValueError):
         FitConfig(omega_bounds=(1.0, 0.5))
     with pytest.raises(ValueError):
         FitConfig(envelope_mode="triple")

@@ -171,9 +171,8 @@ class TestDecomposePolarization:
 
 class TestBiasField:
     def test_zero_detuning(self):
-        cfg = fc.BiasConfig()
-        assert fc.bias_field_for_frequency(cfg.d_zfs, "sigma+", cfg) == 0.0
-        assert fc.bias_field_for_frequency(cfg.d_zfs, "sigma-", cfg) == 0.0
+        assert fc.bias_field_for_frequency(fc.D_ZFS, "sigma+") == 0.0
+        assert fc.bias_field_for_frequency(fc.D_ZFS, "sigma-") == 0.0
 
     def test_sigma_minus_2p77_ghz(self):
         # (2.87 GHz - 2.77 GHz) / (28 kHz/uT) = 3571.43 uT
@@ -192,18 +191,11 @@ class TestBiasField:
             fc.bias_field_for_frequency(2.77e9, "sigma+")
 
     def test_round_trip(self):
-        cfg = fc.BiasConfig()
         for f in (2.7e9, 2.85e9, 2.87e9, 2.9e9, 2.9674e9):
-            tr = "sigma+" if f >= cfg.d_zfs else "sigma-"
-            b = fc.bias_field_for_frequency(f, tr, cfg)
+            tr = "sigma+" if f >= fc.D_ZFS else "sigma-"
+            b = fc.bias_field_for_frequency(f, tr)
             sign = 1.0 if tr == "sigma+" else -1.0
-            assert cfg.d_zfs + sign * cfg.gamma_nv * b == pytest.approx(f, rel=1e-12)
-
-    def test_bad_config(self):
-        with pytest.raises(ValueError):
-            fc.BiasConfig(d_zfs=-1.0)
-        with pytest.raises(ValueError):
-            fc.BiasConfig(sign=0)
+            assert fc.D_ZFS + sign * fc.GAMMA_NV * b == pytest.approx(f, rel=1e-12)
 
 
 class TestLayerAverage:

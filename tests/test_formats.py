@@ -127,7 +127,12 @@ def test_field_map_rejects_bad_header(tmp_path):
             (read_cube,
              b'RCUB1\n{"dtype":"float32",' + grid[:-1]
              + b',"origin_m":[0,0,0]},"dt_ns":"fast"}\n'),
-            (read_stream, b'RSTR1\n{"grid":null}\n')):
+            (read_stream, b'RSTR1\n{"grid":null}\n'),
+            (read_stream, b'RSTR1\n{"dtype":"float32","grid":null}\n'),
+            # a well-formed stream whose header names another dtype
+            (read_stream,
+             b'RSTR1\n{"dtype":"float64",' + grid[:-1]
+             + b',"origin_m":[0,0,0]},"n_frames":1}\n' + b"\x00" * 12)):
         path.write_bytes(raw)
         with pytest.raises(FormatError, match="at byte 6"):
             reader(path)

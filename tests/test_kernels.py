@@ -22,7 +22,7 @@ def test_violation_index_identical():
     # point order within the segment
     pts[5] = 0.5 * (starts[30] + ends[30])
     pts[250] = 0.25 * starts[17] + 0.75 * ends[17]
-    n = len(pts)
-    out_re, out_im = np.zeros((n, 3)), np.zeros((n, 3))
-    rc = field_accumulate(starts, ends, cr, ci, pts, 1e-9, out_re, out_im)
-    assert rc == 17 * n + 211
+    out_re, out_im, hit = field_accumulate(starts, ends, cr + 1j * ci, pts,
+                                           1e-9)
+    assert out_re is None and out_im is None
+    assert hit == (0, 17, 211)
