@@ -38,8 +38,9 @@ is added to both residual sums so that exact single-exp traces, whose
 residuals are at rounding level, compare as equal and stay single-exp.
 Noise that a second exponential merely absorbs gives dBIC near -2 ln n,
 far below the margin, so rounding-level changes to the input do not
-change the choice; only a dBIC within rounding of the margin, or a
-double solve that converges right at its evaluation budget, could.
+change the choice; only a dBIC within rounding of the margin, a double
+solve that converges right at its evaluation budget, or one that
+reaches the margin right at the exit below, could.
 
 The double solve is run only where the single fit leaves misfit above
 the noise of its own residual r:
@@ -75,7 +76,21 @@ and converged was 32, so 50 leaves a margin of 1.56x. Only the rows
 that exit change, in their parameters and evaluation count; their
 field is 0 either way. The rule reads each row alone and the
 evaluation count that all active rows share, so fit_pixel still equals
-the same pixel fitted in a block. The double-exp solve has no exit.
+the same pixel fitted in a block.
+
+The same exit covers the double-exp solve: a double row whose dBIC
+over its own single fit is still below BIC_MARGIN after
+OMEGA_EXIT_EVALS evaluations leaves the loop as finished, and the BIC
+rule discards it. The loop and the rule read dBIC from one function,
+_bic_gain, so they cannot disagree. Accepted steps only lower the RSS,
+so dBIC only grows along a solve: an exited row could have been kept
+only by crossing the margin after evaluation 50. On the cpw-fig2
+rabi-fit samples of seeds 1-10 (333 kept doubles) every kept double had
+reached the margin by evaluation 13, and on the cpw-fig2, omega-fig3
+and trap-fig4-xz maps (1357 kept) by evaluation 16, so 50 leaves a
+margin of 3.1x. On those samples 833 of the 4226 double solves that
+ran exited, rows that used to run on to their budget or a late
+convergence. Only the evaluation counts of the rows that exit change.
 """
 
 import math
@@ -232,17 +247,18 @@ def _seed_taus(t, y):
     return np.clip(tau, span / 20.0, 50.0 * span)
 
 
-def _model_rows(t, y, x, k, allow_phase):
+def _model_rows(t, neg_t, y, x, k, allow_phase):
     """Residuals of the model at parameter rows x against the rows of y.
 
     A row is [A, amp_1..amp_k, ln tau_1..ln tau_k, Omega(, phi)], with k
-    = 1 (single-exp) or 2 (double-exp). Returns the residuals and the
-    model terms the Jacobian reuses.
+    = 1 (single-exp) or 2 (double-exp); neg_t is -t. Returns the
+    residuals and the model terms the Jacobian reuses.
     """
     # the clip as two ufuncs: np.clip's wrapper costs more on small stacks
     log_taus = np.minimum(np.maximum(x[:, 1 + k:1 + 2 * k], -40.0), 40.0)
-    taus = np.exp(log_taus)[:, :, None]
-    decays = np.exp(-t / taus)
+    # -t / tau, the exponent of each decay and a factor of its tau column
+    rate_t = neg_t / np.exp(log_taus)[:, :, None]
+    decays = np.exp(rate_t)
     env = x[:, 1, None] * decays[:, 0]
     if k == 2:
         env = env + x[:, 2, None] * decays[:, 1]
@@ -250,17 +266,17 @@ def _model_rows(t, y, x, k, allow_phase):
     if allow_phase:
         arg = arg + x[:, 2 + 2 * k, None]
     s = np.sin(arg)
-    return (x[:, :1] - env * s) - y, (taus, decays, env, s, arg)
+    return (x[:, :1] - env * s) - y, (rate_t, decays, env, s, arg)
 
 
 def _normal_equations(t, x, resid, terms, k):
     """J^T J and the gradient J^T r of every row, J from the terms of
     _model_rows."""
-    taus, decays, env, s, arg = terms
+    rate_t, decays, env, s, arg = terms
     jac = np.empty((len(x), x.shape[1], len(t)))
     jac[:, 0] = 1.0
     jac[:, 1:1 + k] = -decays * s[:, None]
-    jac[:, 1 + k:1 + 2 * k] = (-x[:, 1:1 + k, None] * decays * (t / taus)
+    jac[:, 1 + k:1 + 2 * k] = (x[:, 1:1 + k, None] * decays * rate_t
                                * s[:, None])
     cos = np.cos(arg)
     jac[:, 1 + 2 * k] = -env * t * cos
@@ -286,15 +302,33 @@ def _solve_rows(m, b):
         return step
 
 
-def _small_gradient(jtj, grad, ssq):
-    """MINPACK's gtol test: every column of J is orthogonal to r."""
-    norms = jtj.diagonal(axis1=1, axis2=2)
+def _small_gradient(norms, grad, ssq):
+    """MINPACK's gtol test: every column of J is orthogonal to r; norms
+    is the diagonal of J^T J."""
     cosine = np.abs(grad) / np.sqrt(norms * ssq[:, None])
     cosine = np.where(norms > 0, cosine, 0.0)
     return (ssq == 0) | (cosine.max(axis=1) <= _GTOL)
 
 
-def _levenberg_marquardt(t, y, x, k, allow_phase, cfg, omega_bounds=None):
+def _rss_floor(y):
+    """n (1e-10 max|y|)^2 for every row of y: added to both residual sums
+    of the BIC rule, so that exact single-exp traces, whose residuals are
+    at rounding level, compare as equal and stay single-exp."""
+    return y.shape[1] * (1e-10 * np.maximum(np.max(np.abs(y), axis=1),
+                                            1e-30)) ** 2
+
+
+def _bic_gain(ssq_single, ssq_double, floor, n):
+    """dBIC of the double-exp fit over the single-exp fit of each trace of
+    n samples, from their residual sums (see the module doc); floor is
+    _rss_floor of the traces. The one formula of the BIC rule, read both
+    by the LM loop's exit and by the rule itself."""
+    return (n * np.log((0.5 * ssq_single + floor) / (0.5 * ssq_double + floor))
+            - 2.0 * math.log(n))
+
+
+def _levenberg_marquardt(t, y, x, k, allow_phase, cfg, omega_bounds=None,
+                        ssq_single=None):
     """Fit the rows of y (P, n) from the seed rows x (P, p) together.
 
     Each row carries its own damping lam and Moré scaling d2 (running
@@ -302,30 +336,37 @@ def _levenberg_marquardt(t, y, x, k, allow_phase, cfg, omega_bounds=None):
     A step is kept when its gain ratio exceeds 1e-4. A row converges
     on MINPACK's ftol, xtol or gtol test and leaves the active set when
     it converges or has used cfg.max_iterations residual evaluations,
-    the first included. With omega_bounds (lo, hi), a row whose
-    accepted |Omega| is not strictly inside them once OMEGA_EXIT_EVALS
-    evaluations are used also leaves, reported as finished: the
-    caller's bounds check then returns it with converged=False, not as
-    an exhausted budget, and fit_pixel no longer raises NotConverged
-    for it (see the module doc). The state of the active rows is held
-    compacted and is cut down only in the iterations where rows leave,
-    so a block's tail of slow rows does not index the full-size arrays
-    in every iteration; accepted and rejected steps are merged row by
-    row with np.where. Returns (x, residual sum of squares,
-    evaluations, finished) per row, finished meaning converged or left
-    the omega bounds. y is overwritten: the rows still active are moved
-    to its front as others leave.
+    the first included. Once OMEGA_EXIT_EVALS evaluations are used, a
+    row that its caller will reject also leaves, reported as finished
+    (see the module doc): with omega_bounds (lo, hi), a row whose
+    accepted |Omega| is not strictly inside them, which the caller's
+    bounds check returns with converged=False, not as an exhausted
+    budget, so fit_pixel no longer raises NotConverged for it; with
+    ssq_single, the RSS of each row's single-exp fit, a double-exp row
+    whose _bic_gain over it is still below BIC_MARGIN, which the BIC
+    rule discards. The state of the active rows is held compacted and
+    is cut down only in the iterations where rows leave, so a block's
+    tail of slow rows does not index the full-size arrays in every
+    iteration; accepted and rejected steps are merged row by row with
+    np.where. Returns (x, residual sum of squares, evaluations,
+    finished) per row, finished meaning converged or left early. y is
+    overwritten: the rows still active are moved to its front as
+    others leave.
     """
     diag = np.arange(x.shape[1])
+    neg_t = -t
     x_out = x.copy()
     nfev_out = np.empty(len(x), dtype=int)
+    if ssq_single is not None:
+        floor = _rss_floor(y)
     with np.errstate(all="ignore"):
-        resid, terms = _model_rows(t, y, x_out, k, allow_phase)
+        resid, terms = _model_rows(t, neg_t, y, x_out, k, allow_phase)
         ssq_out = (resid ** 2).sum(axis=1)
         jtj, grad = _normal_equations(t, x_out, resid, terms, k)
-        d2 = jtj.diagonal(axis1=1, axis2=2).copy()
+        norms = jtj.diagonal(axis1=1, axis2=2)
+        d2 = norms.copy()
         d2[d2 == 0] = 1.0
-        conv_out = _small_gradient(jtj, grad, ssq_out)
+        conv_out = _small_gradient(norms, grad, ssq_out)
         # active state, never written in place: row i belongs to row
         # rows[i] of the inputs, and every active row has used nfev
         # evaluations
@@ -334,14 +375,19 @@ def _levenberg_marquardt(t, y, x, k, allow_phase, cfg, omega_bounds=None):
         nu = np.full(len(x), 2.0)
         done = conv_out
         while True:
-            # a row that has left the omega bounds is finished
-            if omega_bounds is not None and nfev >= OMEGA_EXIT_EVALS:
-                omega = np.abs(x[:, 1 + 2 * k])
-                done = done | ~((omega_bounds[0] < omega)
-                                & (omega < omega_bounds[1]))
-            stay = (~done if nfev < cfg.max_iterations
-                    else np.zeros(len(rows), dtype=bool))
-            if not stay.all():
+            # a row that its caller will reject is finished
+            if nfev >= OMEGA_EXIT_EVALS:
+                if omega_bounds is not None:
+                    omega = np.abs(x[:, 1 + 2 * k])
+                    done = done | ~((omega_bounds[0] < omega)
+                                    & (omega < omega_bounds[1]))
+                if ssq_single is not None:
+                    done = done | ~(_bic_gain(ssq_single[rows], ssq,
+                                              floor[rows], len(t))
+                                    >= BIC_MARGIN)
+            if nfev >= cfg.max_iterations or done.any():
+                stay = (~done if nfev < cfg.max_iterations
+                        else np.zeros(len(rows), dtype=bool))
                 gone = ~stay
                 out = rows[gone]
                 x_out[out], ssq_out[out] = x[gone], ssq[gone]
@@ -353,18 +399,19 @@ def _levenberg_marquardt(t, y, x, k, allow_phase, cfg, omega_bounds=None):
                 y = y[:len(rows)]
             if not rows.size:
                 break
+            lam_d2 = lam[:, None] * d2
             damped = jtj.copy()
-            damped[:, diag, diag] += lam[:, None] * d2
+            damped[:, diag, diag] += lam_d2
             step = _solve_rows(damped, -grad)
             x_new = x + step
-            resid, terms = _model_rows(t, y, x_new, k, allow_phase)
+            resid, terms = _model_rows(t, neg_t, y, x_new, k, allow_phase)
             ssq_new = (resid ** 2).sum(axis=1)
             nfev += 1
             # reductions of the cost ssq / 2: actual and as predicted by
             # the damped linear model
             cost = 0.5 * ssq
             actual = cost - 0.5 * ssq_new
-            pred = 0.5 * (step * (lam[:, None] * d2 * step - grad)).sum(axis=1)
+            pred = 0.5 * (step * (lam_d2 * step - grad)).sum(axis=1)
             rho = np.where(pred > 0, actual / pred, -math.inf)
             accept = np.isfinite(ssq_new) & (rho > 1e-4)
             small = _RTOL * cost
@@ -379,15 +426,15 @@ def _levenberg_marquardt(t, y, x, k, allow_phase, cfg, omega_bounds=None):
             nu = np.where(accept, 2.0, 2.0 * nu)
             # accepted: move and relinearize. J is built for every row,
             # which costs less than gathering the accepted ones (about
-            # 90% of the rows)
+            # 90% of the rows); an accepted row takes the trial values
             jtj_new, grad_new = _normal_equations(t, x_new, resid, terms, k)
+            norms = jtj_new.diagonal(axis1=1, axis2=2)
+            done |= accept & _small_gradient(norms, grad_new, ssq_new)
             x = np.where(accept[:, None], x_new, x)
             ssq = np.where(accept, ssq_new, ssq)
             jtj = np.where(accept[:, None, None], jtj_new, jtj)
             grad = np.where(accept[:, None], grad_new, grad)
-            d2 = np.where(accept[:, None], np.maximum(
-                d2, jtj_new.diagonal(axis1=1, axis2=2)), d2)
-            done |= accept & _small_gradient(jtj, grad, ssq)
+            d2 = np.where(accept[:, None], np.maximum(d2, norms), d2)
     return x_out, ssq_out, nfev_out, conv_out
 
 
@@ -477,22 +524,20 @@ def _fit_rows(t_ns, y, cfg):
         # the double solve runs only where the single fit leaves misfit
         # above the noise floor of its own residual (see module doc)
         with np.errstate(all="ignore"):
-            resid, _ = _model_rows(t, yf, x, 1, cfg.allow_phase)
+            resid, _ = _model_rows(t, -t, yf, x, 1, cfg.allow_phase)
             solved = ssq > DOUBLE_GATE * n * _noise_variance(resid)
         on = np.flatnonzero(solved)
         x_d = np.empty_like(x0_d)
         ssq_d = np.full(len(fit), math.inf)
         nfev_d = np.zeros(len(fit), dtype=int)
         conv_d = np.zeros(len(fit), dtype=bool)
+        # a double row still short of the BIC margin after
+        # OMEGA_EXIT_EVALS evaluations leaves its solve (see module doc)
         x_d[on], ssq_d[on], nfev_d[on], conv_d[on] = _levenberg_marquardt(
-            t, yf[on], x0_d[on], 2, cfg.allow_phase, cfg)
-        # BIC gain of double over single (see module doc); the cost floor
-        # keeps noiseless traces (both costs ~eps^2) comparable
-        floor = n * (1e-10 * np.maximum(np.max(np.abs(yf), axis=1),
-                                        1e-30)) ** 2
+            t, yf[on], x0_d[on], 2, cfg.allow_phase, cfg,
+            ssq_single=ssq[on])
         with np.errstate(all="ignore"):
-            dbic = (n * np.log((0.5 * ssq + floor) / (0.5 * ssq_d + floor))
-                    - 2.0 * math.log(n))
+            dbic = _bic_gain(ssq, ssq_d, _rss_floor(yf), n)
         double = conv_d & (dbic >= BIC_MARGIN)
         params = np.where(double[:, None], x_d, params)
         rss = np.where(double, ssq_d, ssq)
@@ -549,7 +594,11 @@ def fit_pixel(t_ns, y, cfg=None):
     converged and its dBIC over the single one is at least BIC_MARGIN
     (10); see the module docstring. A double solve that exhausts its
     evaluation budget is discarded, so the pixel is fit single-exp; a
-    skipped solve changes only the evaluation count. With
+    skipped solve changes only the evaluation count. So does a double
+    solve that stops once it has used OMEGA_EXIT_EVALS evaluations with
+    its dBIC still below BIC_MARGIN: the rule would discard it, and
+    every double kept in the measured samples had passed the margin by
+    evaluation 16. With
     envelope_mode single-exp only the single envelope is fit. The
     result's evaluations field counts the residual evaluations of both
     solves, and double_solved says whether the double one ran.
@@ -575,12 +624,25 @@ def fit_pixel(t_ns, y, cfg=None):
     return result
 
 
+def _fit_columns(t, parts, cfg):
+    """Fit the columns of the (n_frames, m_i) arrays of parts, side by
+    side, FIT_BLOCK_PX at a time. A block that spans several parts is
+    gathered from them alone, so the parts are never copied whole."""
+    edges = np.cumsum([0] + [p.shape[1] for p in parts])
+    results = []
+    for k in range(0, edges[-1], FIT_BLOCK_PX):
+        block = np.concatenate([p[:, max(k - e, 0):k + FIT_BLOCK_PX - e]
+                                for p, e in zip(parts, edges)
+                                if k - p.shape[1] < e < k + FIT_BLOCK_PX],
+                               axis=1)
+        results.append(_fit_rows(t, block.T, cfg)[0])
+    return np.concatenate(results).view(np.recarray)
+
+
 def _fit_block(args):
     """Fit the columns of a (n_frames, m) block, FIT_BLOCK_PX at a time."""
     t, block, cfg = args
-    return np.concatenate([
-        _fit_rows(t, block[:, k:k + FIT_BLOCK_PX].T, cfg)[0]
-        for k in range(0, block.shape[1], FIT_BLOCK_PX)]).view(np.recarray)
+    return _fit_columns(t, [block], cfg)
 
 
 def fit_cube(cube, cfg=None, component="sigma-", n_workers=1):
@@ -938,9 +1000,11 @@ def amplitude_sensitivity(cubes, cfg=None, measurement_time_s=None):
     Fits the pixels of all repeats as one batch, takes the per-pixel
     standard deviation of the fitted field over repeats, scales by the
     square root of the measurement time per cube, and reports the median
-    over pixels that converged in every repeat. The repeats must share
-    their pulse durations. measurement_time_s defaults to the summed
-    exposure time of the cube's pulse train.
+    over pixels that converged in every repeat. The batch is gathered
+    block by block from the cubes, so no copy of all repeats is made
+    beside them. The repeats must share their pulse durations and pixel
+    count. measurement_time_s defaults to the summed exposure time of
+    the cube's pulse train.
     """
     cubes = list(cubes)
     if len(cubes) < 10:
@@ -957,9 +1021,9 @@ def amplitude_sensitivity(cubes, cfg=None, measurement_time_s=None):
             np.sum([pulse.exposure_ns(dt) for dt in t])) * 1e-9
     if cfg is None:
         cfg = FitConfig()
-    traces = np.concatenate(
-        [c.frames.reshape(c.n_frames, -1) for c in cubes], axis=1)
-    results = _fit_block((t, traces, cfg)).reshape(len(cubes), -1)
+    results = _fit_columns(
+        t, [c.frames.reshape(c.n_frames, -1) for c in cubes], cfg
+    ).reshape(len(cubes), -1)
     fields = omega_to_field(results.omega)
     ok = results.converged.all(axis=0)
     if not np.any(ok):

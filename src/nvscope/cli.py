@@ -115,6 +115,28 @@ def _need(doc, key, path):
     return doc[key]
 
 
+def _object(value, path):
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path} must be an object")
+    return value
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(doc, key, path, kind=float, default=None):
+    """doc[key] converted by kind; default when the key is absent, which
+    is an error without one. Anything but a JSON number raises
+    ConfigError naming the field."""
+    if key not in doc and default is not None:
+        return default
+    value = _need(doc, key, path)
+    if not _is_number(value):
+        raise ConfigError(f"{path}.{key} must be a number, got {value!r}")
+    return kind(value)
+
+
 @dataclass
 class ScenarioConfig:
     name: str
@@ -150,8 +172,7 @@ def resolve_config_source(value):
 
 def _check_sensitivity(sdoc, dt_ns):
     path = "report.sensitivity"
-    if not isinstance(sdoc, dict):
-        raise ConfigError(f"{path} must be an object")
+    _object(sdoc, path)
     n_rep = sdoc.get("n_repeats", 10)
     if isinstance(n_rep, bool) or not isinstance(n_rep, int) or n_rep < 10:
         raise ConfigError(f"{path}.n_repeats must be an integer >= 10, "
@@ -170,48 +191,51 @@ def load_scenario(value):
         doc = json.loads(raw.decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise ConfigError(f"config {value!r}: invalid JSON: {err}")
-    si = convert_units(doc)
+    si = _object(convert_units(doc), "config")
 
     name = _need(si, "name", "config")
-    gdoc = _need(si, "grid", "config")
+    gdoc = _object(_need(si, "grid", "config"), "grid")
+    axes = _need(gdoc, "axes", "grid")
+    if not isinstance(axes, list) or len(axes) != 2:
+        raise ConfigError(f"grid.axes must hold two vectors, got {axes!r}")
+    origin = _need(gdoc, "origin", "grid")
+    nx, ny = _number(gdoc, "nx", "grid", int), _number(gdoc, "ny", "grid", int)
+    pitch = _number(gdoc, "pitch", "grid")
     try:
-        grid = GridSpec(origin=np.array(_need(gdoc, "origin", "grid"),
-                                        dtype=float),
-                        axes=(np.array(_need(gdoc, "axes", "grid")[0],
-                                       dtype=float),
-                              np.array(gdoc["axes"][1], dtype=float)),
-                        nx=int(_need(gdoc, "nx", "grid")),
-                        ny=int(_need(gdoc, "ny", "grid")),
-                        pitch=float(_need(gdoc, "pitch", "grid")))
-    except ValueError as err:
+        grid = GridSpec(origin=np.array(origin, dtype=float),
+                        axes=(np.array(axes[0], dtype=float),
+                              np.array(axes[1], dtype=float)),
+                        nx=nx, ny=ny, pitch=pitch)
+    except (TypeError, ValueError) as err:
         raise ConfigError(f"grid: {err}")
 
-    ldoc = _need(si, "layer", "config")
+    ldoc = _object(_need(si, "layer", "config"), "layer")
+    h = _number(ldoc, "height", "layer")
+    d = _number(ldoc, "thickness", "layer", default=0.0)
+    n_samples = _number(ldoc, "n_samples", "layer", int, default=15)
     try:
-        layer = SensingLayer(h=float(_need(ldoc, "height", "layer")),
-                             d=float(ldoc.get("thickness", 0.0)),
-                             n_samples=int(ldoc.get("n_samples", 15)))
+        layer = SensingLayer(h=h, d=d, n_samples=n_samples)
     except ValueError as err:
         raise ConfigError(f"layer: {err}")
 
-    ndoc = si.get("nv", {})
-    frame = nv_frame_from_tilt(float(ndoc.get("tilt_deg", 0.0)),
+    ndoc = _object(si.get("nv", {}), "nv")
+    frame = nv_frame_from_tilt(_number(ndoc, "tilt_deg", "nv", default=0.0),
                                tilt_plane=ndoc.get("tilt_plane", "xz"))
     if ndoc.get("flip", False):
         frame = flip_axis(frame)
 
-    bdoc = _need(si, "bias", "config")
+    bdoc = _object(_need(si, "bias", "config"), "bias")
     transition = _need(bdoc, "transition", "bias")
     if transition not in TRANSITIONS:
         raise ConfigError(f"bias.transition must be one of {TRANSITIONS}")
-    f_mw = float(_need(bdoc, "f_mw", "bias"))
+    f_mw = _number(bdoc, "f_mw", "bias")
     try:
         bias_field_for_frequency(f_mw, transition)
     except ValueError as err:
         raise ConfigError(f"bias: {err}")
 
     try:
-        pulse = PulseParams(**si.get("pulse", {}))
+        pulse = PulseParams(**_object(si.get("pulse", {}), "pulse"))
     except (TypeError, ValueError) as err:
         raise ConfigError(f"pulse: {err}")
     # no decay section means an undamped envelope
@@ -219,16 +243,16 @@ def load_scenario(value):
                         weight_fast=0.5)
     if "decay" in si:
         try:
-            decay = DecayParams(**si["decay"])
+            decay = DecayParams(**_object(si["decay"], "decay"))
         except (TypeError, ValueError) as err:
             raise ConfigError(f"decay: {err}")
 
     dt_ns = None
     if "scan" in si:
-        sdoc = si["scan"]
-        start = float(_need(sdoc, "dt_start_ns", "scan"))
-        step = float(_need(sdoc, "dt_step_ns", "scan"))
-        n = int(_need(sdoc, "n_steps", "scan"))
+        sdoc = _object(si["scan"], "scan")
+        start = _number(sdoc, "dt_start_ns", "scan")
+        step = _number(sdoc, "dt_step_ns", "scan")
+        n = _number(sdoc, "n_steps", "scan", int)
         if step <= 0 or n < 1 or start < 0:
             raise ConfigError("scan: dt_start_ns >= 0, dt_step_ns > 0 and "
                               "n_steps >= 1 required")
@@ -236,29 +260,35 @@ def load_scenario(value):
 
     stream = si.get("stream")
     if stream is not None:
-        for key in ("dt_mw_ns", "rows", "schedule"):
-            _need(stream, key, "stream")
-        for item in stream["schedule"]:
-            if (len(item) != 2 or item[0] <= 0
-                    or item[1] not in (acquisition.ON, acquisition.OFF)):
+        _object(stream, "stream")
+        for key in ("dt_mw_ns", "rows"):
+            _number(stream, key, "stream")
+        schedule = _need(stream, "schedule", "stream")
+        if not isinstance(schedule, list):
+            raise ConfigError(f"stream.schedule must be a list, got "
+                              f"{schedule!r}")
+        for item in schedule:
+            if not (isinstance(item, list) and len(item) == 2
+                    and _is_number(item[0]) and item[0] > 0
+                    and item[1] in (acquisition.ON, acquisition.OFF)):
                 raise ConfigError(
                     "stream.schedule entries must be [duration_ms > 0, "
-                    "on|off]")
+                    f"on|off], got {item!r}")
 
     report = si.get("report")
     if report is not None:
-        if not isinstance(report, dict):
-            raise ConfigError("report must be an object")
-        if "sensitivity" in report:
+        if "sensitivity" in _object(report, "report"):
             _check_sensitivity(report["sensitivity"], dt_ns)
 
     seed = si.get("seed")
+    if seed is not None:
+        seed = _number(si, "seed", "config", int)
     return ScenarioConfig(
         name=name, description=si.get("description", ""),
-        device_doc=_need(si, "device", "config"), grid=grid, layer=layer,
-        nv_frame=frame, f_mw=f_mw, transition=transition, pulse=pulse,
-        decay=decay, dt_ns=dt_ns, stream=stream, trap=si.get("trap"),
-        report=report, seed=None if seed is None else int(seed),
+        device_doc=_object(_need(si, "device", "config"), "device"),
+        grid=grid, layer=layer, nv_frame=frame, f_mw=f_mw,
+        transition=transition, pulse=pulse, decay=decay, dt_ns=dt_ns,
+        stream=stream, trap=si.get("trap"), report=report, seed=seed,
         source_bytes=raw)
 
 

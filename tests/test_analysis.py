@@ -9,6 +9,7 @@ stays under 0.1%.
 """
 
 import math
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -504,16 +505,20 @@ def test_omega_exit_changes_only_rows_that_left_the_bounds(monkeypatch):
     solver = ana._levenberg_marquardt
     single_evals = []
 
-    def recorded(t, y, x, k, allow_phase, fit_cfg, omega_bounds=None):
-        out = solver(t, y, x, k, allow_phase, fit_cfg, omega_bounds)
+    def recorded(t, y, x, k, allow_phase, fit_cfg, omega_bounds=None,
+                 ssq_single=None):
+        out = solver(t, y, x, k, allow_phase, fit_cfg, omega_bounds,
+                     ssq_single)
         if k == 1:
             single_evals.append(out[2])
         return out
 
-    def no_exit(t, y, x, k, allow_phase, fit_cfg, omega_bounds=None):
+    def no_exit(t, y, x, k, allow_phase, fit_cfg, omega_bounds=None,
+                ssq_single=None):
         if omega_bounds is not None:
             omega_bounds = (0.0, math.inf)
-        return recorded(t, y, x, k, allow_phase, fit_cfg, omega_bounds)
+        return recorded(t, y, x, k, allow_phase, fit_cfg, omega_bounds,
+                        ssq_single)
 
     monkeypatch.setattr(ana, "_levenberg_marquardt", recorded)
     fmap, results = fit_cube(cube)
@@ -552,6 +557,93 @@ def test_fit_pixel_sub_cycle_trace_leaves_bounds_early():
     assert r.omega <= ana._default_omega_bounds(t)[0]
 
 
+@lru_cache(maxsize=None)
+def cpw_fig2_stride10_cube(oi, oj):
+    # pixels (oi::10, oj::10) of the cpw-fig2 map, with its decay and noise
+    cfg = load_scenario("cpw-fig2")
+    g = cfg.grid
+    grid = GridSpec(origin=g.origin + g.pitch * (oi * g.axes[0]
+                                                 + oj * g.axes[1]),
+                    axes=g.axes, nx=g.nx // 10, ny=g.ny // 10,
+                    pitch=10 * g.pitch)
+    phasor = evaluate_phasor_map(model_from_spec(cfg.device_doc), grid,
+                                 cfg.layer)
+    bmap = project_polarization(phasor, cfg.nv_frame, cfg.transition)
+    return simulate_cube(bmap, cfg.dt_ns, cfg.pulse, decay=cfg.decay,
+                         seed=cfg.seed)
+
+
+# of the 100 stride-10 samples of cpw-fig2, this one holds the kept double
+# that reaches the BIC margin latest, at evaluation 13; so a double exit
+# before that evaluation changes its map
+LATE_DOUBLE_SAMPLE = (3, 5)
+
+
+def test_double_exit_changes_only_discarded_double_solves(monkeypatch):
+    # reference: the double solve with its BIC exit disabled. A double row
+    # that leaves early is one the BIC rule discards, so no field but the
+    # evaluation count changes, and that only on the rows that left
+    cube = cpw_fig2_stride10_cube(*LATE_DOUBLE_SAMPLE)
+    solver = ana._levenberg_marquardt
+    double_evals = []
+
+    def recorded(t, y, x, k, allow_phase, fit_cfg, omega_bounds=None,
+                 ssq_single=None):
+        out = solver(t, y, x, k, allow_phase, fit_cfg, omega_bounds,
+                     ssq_single)
+        if k == 2:
+            double_evals.append(out[2])
+        return out
+
+    def no_exit(t, y, x, k, allow_phase, fit_cfg, omega_bounds=None,
+                ssq_single=None):
+        return recorded(t, y, x, k, allow_phase, fit_cfg, omega_bounds)
+
+    monkeypatch.setattr(ana, "_levenberg_marquardt", recorded)
+    fmap, results = fit_cube(cube)
+    monkeypatch.setattr(ana, "_levenberg_marquardt", no_exit)
+    ref_map, ref = fit_cube(cube)
+
+    assert fmap.values.tobytes() == ref_map.values.tobytes()
+    for r, q in zip(results.ravel(), ref.ravel()):
+        assert_same_result(r, q, ignore=("evaluations",))
+    evals, ref_evals = double_evals
+    exited = evals != ref_evals
+    assert exited.any()
+    assert (evals[exited] >= ana.OMEGA_EXIT_EVALS).all()
+    assert (evals[exited] < ref_evals[exited]).all()
+    saved = ref.evaluations - results.evaluations
+    assert sorted(saved[saved != 0]) == sorted(ref_evals[exited]
+                                               - evals[exited])
+    assert (results.amp_slow != 0.0).any()
+
+
+@pytest.mark.parametrize("sample", [(0, 0), LATE_DOUBLE_SAMPLE])
+def test_kept_doubles_reach_the_bic_margin_by_half_the_exit(sample):
+    # the double exit discards a row still short of BIC_MARGIN after
+    # OMEGA_EXIT_EVALS evaluations. Every double the fit keeps is past the
+    # margin after half of them already, so the exit keeps a margin of 2x
+    cube = cpw_fig2_stride10_cube(*sample)
+    fit_cfg = FitConfig()
+    _, results = fit_cube(cube, fit_cfg)
+    t = cube.dt_ns
+    y = np.ascontiguousarray(cube.frames.reshape(len(t), -1).T)
+    freq, snr = ana._periodogram_peaks(t, y)
+    fit = np.flatnonzero(snr >= fit_cfg.min_contrast_snr)
+    yf = y[fit]
+    x0, x0_d = ana._seed_rows(t, yf, freq[fit], True)
+    _, ssq, _, _ = ana._levenberg_marquardt(t, yf.copy(), x0, 1, True,
+                                            fit_cfg,
+                                            ana._default_omega_bounds(t))
+    kept = results.ravel()[fit].amp_slow != 0.0
+    assert kept.any()
+    half = FitConfig(max_iterations=ana.OMEGA_EXIT_EVALS // 2)
+    _, ssq_d, _, _ = ana._levenberg_marquardt(t, yf[kept], x0_d[kept], 2,
+                                              True, half)
+    gain = ana._bic_gain(ssq[kept], ssq_d, ana._rss_floor(yf[kept]), len(t))
+    assert (gain >= ana.BIC_MARGIN).all()
+
+
 def test_fit_records_describe_the_solver_curves(monkeypatch):
     # a record describes the curve of the solve it keeps, folded to
     # omega >= 0, B + C >= 0, tau_fast <= tau_slow and |phase| <= pi.
@@ -575,7 +667,8 @@ def test_fit_records_describe_the_solver_curves(monkeypatch):
     conv = {1: np.array([True, False, True, False, True]),
             2: np.array([True, True, True, True, False])}
 
-    def solver(t, y, x, k, allow_phase, cfg, omega_bounds=None):
+    def solver(t, y, x, k, allow_phase, cfg, omega_bounds=None,
+               ssq_single=None):
         rows = single if k == 1 else double
         ssq = np.full(len(rows), 1e6 if k == 1 else 1e-12)
         return rows.copy(), ssq, np.ones(len(rows), dtype=int), conv[k]
@@ -922,6 +1015,27 @@ def test_sensitivity_batch_equals_per_cube_fits():
                              decay=NO_DECAY, seed=7)
     with pytest.raises(ValueError, match="dt_ns"):
         amplitude_sensitivity(cubes[:9] + (other_dt,))
+
+
+def test_sensitivity_holds_each_repeat_once():
+    # the repeats are fitted FIT_BLOCK_PX pixels at a time, gathered from
+    # the cubes, so no copy of all of them is made beside the cubes. A
+    # 2x2 patch oscillates; the other pixels stay below threshold, which
+    # keeps the fit cheap
+    values = np.zeros((64, 64))
+    values[30:32, 30:32] = 3e-4
+    bmap = PolarizedFieldMap(grid=plane_grid(64, 64), component="sigma-",
+                             values=values)
+    dt = np.arange(10.0, 601.0, 10.0)
+    cubes = [simulate_cube(bmap, dt, pulse=PulseParams(), decay=NO_DECAY,
+                           seed=40 + k) for k in range(10)]
+    tracemalloc.start()
+    try:
+        assert amplitude_sensitivity(cubes) > 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.75 * sum(c.frames.nbytes for c in cubes)
 
 
 def test_sensitivity_requires_ten_repeats():

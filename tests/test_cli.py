@@ -176,6 +176,24 @@ def test_load_scenario_bad_schedule(tmp_path):
             load_scenario(str(path))
 
 
+@pytest.mark.parametrize("overrides, field", [
+    ({"stream": {"dt_mw_ns": 30, "rows": 50, "schedule": [5]}},
+     "stream.schedule"),
+    ({"stream": {"dt_mw_ns": 30, "rows": 50, "schedule": [["x", "on"]]}},
+     "stream.schedule"),
+    ({"grid": {**MINI["grid"], "axes": [[1, 0, 0]]}}, "grid.axes"),
+    ({"layer": {**MINI["layer"], "n_samples": None}}, "layer.n_samples"),
+    ({"device": 5}, "device"),
+])
+def test_malformed_config_exits_2_naming_the_field(tmp_path, capsys,
+                                                   overrides, field):
+    path = write_scenario(tmp_path, **overrides)
+    with pytest.raises(ConfigError, match=field):
+        load_scenario(path)
+    assert run("simulate", "--config", path, "-o", tmp_path / "out") == 2
+    assert field in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("sensitivity, message", [
     ({"n_repeats": 9}, "report.sensitivity.n_repeats must be an integer"),
     ({"n_repeats": 10.0}, "report.sensitivity.n_repeats must be an integer"),
