@@ -33,12 +33,10 @@ def crop_grid(grid, n):
     return dataclasses.replace(grid, origin=origin, nx=n, ny=n)
 
 
-def field_map(cfg):
-    from nvscope.currents import model_from_spec
+def field_map(cfg, model):
     from nvscope.nearfield import evaluate_phasor_map, project_polarization
 
-    phasor = evaluate_phasor_map(model_from_spec(cfg.device_doc), cfg.grid,
-                                 cfg.layer)
+    phasor = evaluate_phasor_map(model, cfg.grid, cfg.layer)
     return project_polarization(phasor, cfg.nv_frame, cfg.transition)
 
 
@@ -59,10 +57,12 @@ def main():
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
 
-    from nvscope.cli import ConfigError, load_scenario
+    from nvscope.cli import load_scenario
+    from nvscope.currents import model_from_spec
     try:
         cfg = load_scenario(args.scenario)
-    except ConfigError as err:
+        model = model_from_spec(cfg.device_doc)
+    except ValueError as err:  # a ConfigError or a malformed device
         parser.error(str(err))
     if cfg.dt_ns is None:
         parser.error(f"scenario {cfg.name} has no scan section")
@@ -70,7 +70,7 @@ def main():
         if not 1 <= args.crop <= min(cfg.grid.nx, cfg.grid.ny):
             parser.error(f"--crop must be in 1..{min(cfg.grid.nx, cfg.grid.ny)}")
         cfg = dataclasses.replace(cfg, grid=crop_grid(cfg.grid, args.crop))
-    bmap = field_map(cfg)
+    bmap = field_map(cfg, model)
     n_px = cfg.grid.nx * cfg.grid.ny
     n_frames = len(cfg.dt_ns)
     seed = cfg.seed if cfg.seed is not None else 1

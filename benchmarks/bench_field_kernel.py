@@ -49,12 +49,11 @@ def run(workload, repeats):
     return best
 
 
-def run_scenario(cfg, repeats):
-    """(best map time, pairs, description) of a loaded scenario."""
-    from nvscope.currents import model_from_spec
+def run_scenario(cfg, model, repeats):
+    """(best map time, pairs, description) of a loaded scenario and its
+    device model."""
     from nvscope.nearfield import evaluate_phasor_map
 
-    model = model_from_spec(cfg.device_doc)
     n_seg = model.starts.shape[0]
     n_px = cfg.grid.nx * cfg.grid.ny
     n_h = len(cfg.layer.heights())
@@ -78,12 +77,14 @@ def main():
     args = parser.parse_args()
 
     if args.scenario:
-        from nvscope.cli import ConfigError, load_scenario
+        from nvscope.cli import load_scenario
+        from nvscope.currents import model_from_spec
         try:
             cfg = load_scenario(args.scenario)
-        except ConfigError as err:
+            model = model_from_spec(cfg.device_doc)
+        except ValueError as err:  # a ConfigError or a malformed device
             parser.error(str(err))
-        t, pairs, what = run_scenario(cfg, args.repeats)
+        t, pairs, what = run_scenario(cfg, model, args.repeats)
         label = "field map"
     else:
         workload = make_workload(args.segments, args.points)

@@ -59,6 +59,8 @@ BUNDLED_SCENARIOS = ("cpw-fig2", "omega-fig3", "meander-fig3",
 # --envelope and report.sensitivity.envelope values -> FitConfig modes
 ENVELOPES = {"double": analysis.DOUBLE_EXP, "single": analysis.SINGLE_EXP}
 
+TIMING_KEYS = ("row_time_us", "overhead_us")  # optional, for CameraTiming
+
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
@@ -170,9 +172,19 @@ def resolve_config_source(value):
         f"(bundled: {', '.join(BUNDLED_SCENARIOS)})")
 
 
-def _check_sensitivity(sdoc, dt_ns):
+def _check_report(rdoc, dt_ns):
+    """The report section's settings with their defaults; checked at
+    load by every command, read through here again by report."""
+    _object(rdoc, "report")
+    out = {"impedance_ohm": _number(rdoc, "impedance_ohm", "report",
+                                    default=50.0)}
+    for key in ("p_in_dbm", "current"):
+        if key in rdoc:
+            out[key] = _number(rdoc, key, "report")
+    if "sensitivity" not in rdoc:
+        return out
     path = "report.sensitivity"
-    _object(sdoc, path)
+    sdoc = _object(rdoc["sensitivity"], path)
     n_rep = sdoc.get("n_repeats", 10)
     if isinstance(n_rep, bool) or not isinstance(n_rep, int) or n_rep < 10:
         raise ConfigError(f"{path}.n_repeats must be an integer >= 10, "
@@ -183,6 +195,24 @@ def _check_sensitivity(sdoc, dt_ns):
                           f"got {envelope!r}")
     if dt_ns is None:
         raise ConfigError(f"{path} needs a scan section")
+    out["sensitivity"] = n_rep, envelope
+    return out
+
+
+def _check_trap(tdoc):
+    """characterize_trap keyword arguments for the keys the trap section
+    sets; the others keep characterize_trap's defaults."""
+    out = {}
+    if "arm_px" in _object(tdoc, "trap"):
+        out["arm"] = _number(tdoc, "arm_px", "trap", int)
+    region = tdoc.get("search_region_px")
+    if region is not None:
+        cells = np.array(region, dtype=object)
+        if cells.shape != (2, 2) or any(type(v) is not int for v in cells.flat):
+            raise ConfigError("trap.search_region_px must be [[i0, i1], "
+                              f"[j0, j1]] in pixels, got {region!r}")
+        out["search_region"] = tuple(map(tuple, region))
+    return out
 
 
 def load_scenario(value):
@@ -219,9 +249,14 @@ def load_scenario(value):
         raise ConfigError(f"layer: {err}")
 
     ndoc = _object(si.get("nv", {}), "nv")
+    tilt_plane, flip = ndoc.get("tilt_plane", "xz"), ndoc.get("flip", False)
+    if not isinstance(tilt_plane, str):
+        raise ConfigError(f"nv.tilt_plane must be a string, got {tilt_plane!r}")
+    if not isinstance(flip, bool):
+        raise ConfigError(f"nv.flip must be true or false, got {flip!r}")
     frame = nv_frame_from_tilt(_number(ndoc, "tilt_deg", "nv", default=0.0),
-                               tilt_plane=ndoc.get("tilt_plane", "xz"))
-    if ndoc.get("flip", False):
+                               tilt_plane=tilt_plane)
+    if flip:
         frame = flip_axis(frame)
 
     bdoc = _object(_need(si, "bias", "config"), "bias")
@@ -261,7 +296,8 @@ def load_scenario(value):
     stream = si.get("stream")
     if stream is not None:
         _object(stream, "stream")
-        for key in ("dt_mw_ns", "rows"):
+        for key in ("dt_mw_ns", "rows", *(k for k in TIMING_KEYS
+                                          if k in stream)):
             _number(stream, key, "stream")
         schedule = _need(stream, "schedule", "stream")
         if not isinstance(schedule, list):
@@ -275,10 +311,11 @@ def load_scenario(value):
                     "stream.schedule entries must be [duration_ms > 0, "
                     f"on|off], got {item!r}")
 
-    report = si.get("report")
+    report, trap = si.get("report"), si.get("trap")
     if report is not None:
-        if "sensitivity" in _object(report, "report"):
-            _check_sensitivity(report["sensitivity"], dt_ns)
+        _check_report(report, dt_ns)
+    if trap is not None:
+        _check_trap(trap)
 
     seed = si.get("seed")
     if seed is not None:
@@ -288,7 +325,7 @@ def load_scenario(value):
         device_doc=_object(_need(si, "device", "config"), "device"),
         grid=grid, layer=layer, nv_frame=frame, f_mw=f_mw,
         transition=transition, pulse=pulse, decay=decay, dt_ns=dt_ns,
-        stream=stream, trap=si.get("trap"), report=report, seed=seed,
+        stream=stream, trap=trap, report=report, seed=seed,
         source_bytes=raw)
 
 
@@ -444,9 +481,8 @@ def cmd_acquire(args, cfg, out):
     if args.noiseless:
         seed = None
     if cfg.stream is not None:
-        timing = CameraTiming(
-            row_time_us=cfg.stream.get("row_time_us", 10.0),
-            overhead_us=cfg.stream.get("overhead_us", 200.0))
+        timing = CameraTiming(**{key: cfg.stream[key] for key in TIMING_KEYS
+                                 if key in cfg.stream})
         frames = acquisition.simulate_stream(
             pmap, cfg.stream["dt_mw_ns"], cfg.pulse,
             [tuple(item) for item in cfg.stream["schedule"]],
@@ -573,22 +609,6 @@ def cmd_contours(args, cfg, out):
     return EXIT_OK
 
 
-def _device_current_a(device_doc):
-    """Magnitude of the drive current named in a device document."""
-    if "devices" in device_doc:
-        for sub in device_doc["devices"]:
-            value = _device_current_a(sub)
-            if value is not None:
-                return value
-        return None
-    current = device_doc.get("params", {}).get("current")
-    if current is None:
-        return None
-    if isinstance(current, (list, tuple)):
-        return float(np.hypot(current[0], current[1]))
-    return abs(float(current))
-
-
 def _line_cut_text(pmap):
     j_mid = pmap.grid.ny // 2
     lines = []
@@ -625,25 +645,21 @@ def cmd_report(args, cfg, out):
     report["line_cut"] = {"path": cut_name, "row_index": j_mid,
                           "columns": ["position_um", "field_ut"]}
 
-    if cfg.report and "p_in_dbm" in cfg.report:
-        current = cfg.report.get("current")
-        if current is None:
-            current = _device_current_a(cfg.device_doc)
+    settings = _check_report(cfg.report or {}, cfg.dt_ns)
+    if "p_in_dbm" in settings:
+        p_in, z = settings["p_in_dbm"], settings["impedance_ohm"]
+        current = settings.get(
+            "current", currents.drive_current_a(cfg.device_doc))
         if current is None:
             raise ConfigError("report.p_in_dbm given but no drive current "
                               "found in device or report.current_a")
-        p_sim, loss = analysis.insertion_loss_db(
-            float(cfg.report["p_in_dbm"]), current,
-            float(cfg.report.get("impedance_ohm", 50.0)))
+        p_sim, loss = analysis.insertion_loss_db(p_in, current, z)
         report["insertion_loss"] = {
-            "p_in_dbm": float(cfg.report["p_in_dbm"]),
-            "current_a": current,
-            "impedance_ohm": float(cfg.report.get("impedance_ohm", 50.0)),
+            "p_in_dbm": p_in, "current_a": current, "impedance_ohm": z,
             "p_sim_dbm": p_sim, "loss_db": loss}
 
-    if cfg.report and "sensitivity" in cfg.report:
-        sdoc = cfg.report["sensitivity"]  # checked by load_scenario
-        n_rep = sdoc.get("n_repeats", 10)
+    if "sensitivity" in settings:
+        n_rep, envelope = settings["sensitivity"]
         base_seed = (cfg.seed if cfg.seed is not None else 0) + 1000
         cubes = [acquisition.simulate_cube(pmap, cfg.dt_ns, cfg.pulse,
                                            decay=cfg.decay,
@@ -651,16 +667,13 @@ def cmd_report(args, cfg, out):
                  for k in range(n_rep)]
         sens = analysis.amplitude_sensitivity(
             cubes, analysis.FitConfig(
-                envelope_mode=ENVELOPES[sdoc.get("envelope", "single")]))
+                envelope_mode=ENVELOPES[envelope]))
         report["sensitivity"] = {"n_repeats": n_rep,
                                  "t_per_sqrt_hz": sens,
                                  "ut_per_sqrt_hz": sens * 1e6}
 
     if cfg.trap is not None:
-        region = cfg.trap.get("search_region_px")
-        region = tuple(tuple(r) for r in region) if region else None
-        trap = analysis.characterize_trap(pmap, search_region=region,
-                                          arm=int(cfg.trap.get("arm_px", 5)))
+        trap = analysis.characterize_trap(pmap, **_check_trap(cfg.trap))
         report["trap"] = {
             "position_px": list(trap.position_px),
             "position_um": [v * 1e6 for v in trap.position_m],
@@ -740,9 +753,10 @@ def build_parser():
                    choices=["sigma+", "sigma-"],
                    help="component tag for the fitted map")
     p.add_argument("--envelope", default="double", choices=list(ENVELOPES))
-    p.add_argument("--min-snr", type=float, default=6.0,
+    fit = analysis.FitConfig  # the fit options default to its fields
+    p.add_argument("--min-snr", type=float, default=fit.min_contrast_snr,
                    help="periodogram SNR detection floor")
-    p.add_argument("--max-iter", type=int, default=400)
+    p.add_argument("--max-iter", type=int, default=fit.max_iterations)
     p.add_argument("--min-converged", type=float, default=0.25,
                    help="exit 3 if the converged fraction falls below this")
     p.add_argument("--one-cycle-floor", action="store_true",

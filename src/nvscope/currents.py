@@ -10,21 +10,51 @@ scope.
 All dimensions are SI meters and all currents are complex amperes.
 """
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from nvscope.fieldcore import _as_vec3
 
 
+def _pair(value):
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError(f"must be a pair of numbers, got {value!r}")
+    return float(value[0]), float(value[1])
+
+
 def _as_current(value):
     """Accept a complex scalar or an [re, im] pair."""
     if isinstance(value, (list, tuple)):
-        if len(value) != 2:
-            raise ValueError("current pairs must be [re, im]")
-        return complex(float(value[0]), float(value[1]))
+        return complex(*_pair(value))
     return complex(value)
+
+
+def _object(value):
+    if not isinstance(value, dict):
+        raise TypeError(f"must be an object, got {value!r}")
+    return value
+
+
+def _list(value):
+    if not isinstance(value, list):
+        raise TypeError(f"must be a list, got {value!r}")
+    return value
+
+
+def _param(params, path, key, convert=float, default=None):
+    """params[key] through convert; default when the key is absent, which
+    is an error without one. ValueError names the field path.key."""
+    if key not in params:
+        if default is None:
+            raise ValueError(f"{path}.{key} is required")
+        return default
+    try:
+        return convert(params[key])
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{path}.{key}: {err}") from None
 
 
 @dataclass
@@ -57,7 +87,6 @@ class CurrentModel:
     starts: np.ndarray
     ends: np.ndarray
     currents: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         self.starts = np.ascontiguousarray(self.starts, dtype=float)
@@ -76,37 +105,30 @@ class CurrentModel:
             raise ValueError("model contains zero-length segments")
 
     @classmethod
-    def from_segments(cls, segments, label=""):
+    def from_segments(cls, segments):
         segments = list(segments)
         if not segments:
             raise ValueError("a current model needs at least one segment")
-        starts = np.array([s.start for s in segments], dtype=float)
-        ends = np.array([s.end for s in segments], dtype=float)
-        currents = np.array([s.current for s in segments], dtype=complex)
-        return cls(starts=starts, ends=ends, currents=currents, label=label)
+        return cls(starts=np.array([s.start for s in segments]),
+                   ends=np.array([s.end for s in segments]),
+                   currents=np.array([s.current for s in segments]))
 
     @property
     def n_segments(self):
         return self.starts.shape[0]
 
-    @property
-    def segments(self):
-        return [WireSegment(self.starts[i].copy(), self.ends[i].copy(),
-                            complex(self.currents[i]))
-                for i in range(self.n_segments)]
-
     def scaled(self, factor):
         """Same geometry with all currents multiplied by factor."""
         return CurrentModel(self.starts.copy(), self.ends.copy(),
-                            self.currents * factor, label=self.label)
+                            self.currents * factor)
 
     def translated(self, offset):
         offset = _as_vec3(offset, "offset")
         return CurrentModel(self.starts + offset, self.ends + offset,
-                            self.currents.copy(), label=self.label)
+                            self.currents.copy())
 
 
-def superpose(models, label=None):
+def superpose(models):
     """Concatenate current models; the field of the result is the sum.
 
     Segment order is the concatenation order, so superpose([m]) carries
@@ -115,13 +137,10 @@ def superpose(models, label=None):
     models = list(models)
     if not models:
         raise ValueError("superpose needs at least one model")
-    if label is None:
-        label = "+".join(m.label for m in models if m.label)
     return CurrentModel(
         starts=np.concatenate([m.starts for m in models]),
         ends=np.concatenate([m.ends for m in models]),
-        currents=np.concatenate([m.currents for m in models]),
-        label=label)
+        currents=np.concatenate([m.currents for m in models]))
 
 
 UNIFORM = "uniform"
@@ -129,55 +148,17 @@ EDGE = "edge"
 PROFILES = (UNIFORM, EDGE)
 
 
-@dataclass
-class StripConductor:
-    """Flat strip along a polyline, to be split into parallel filaments.
+def offset_polyline(points, offset):
+    """Shift a z-plane polyline sideways by a signed in-plane offset.
 
-    The strip lies in the plane perpendicular to `normal` (devices are
-    planar; default z). profile "uniform" spreads the current evenly,
-    "edge" applies the quasi-static 1/sqrt(1-(2x/w)^2) crowding.
-    """
-
-    centerline: np.ndarray
-    width: float
-    total_current: complex
-    profile: str = UNIFORM
-    n_filaments: int = 32
-    normal: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
-
-    def __post_init__(self):
-        self.centerline = np.atleast_2d(np.asarray(self.centerline, dtype=float))
-        if self.centerline.ndim != 2 or self.centerline.shape[1] != 3:
-            raise ValueError("centerline must be a sequence of 3D points")
-        if self.centerline.shape[0] < 2:
-            raise ValueError("centerline needs at least two points")
-        if np.any(np.all(np.diff(self.centerline, axis=0) == 0, axis=1)):
-            raise ValueError("centerline has repeated consecutive points")
-        if self.width <= 0:
-            raise ValueError("strip width must be positive")
-        if self.n_filaments < 1:
-            raise ValueError("n_filaments must be >= 1")
-        if self.profile not in PROFILES:
-            raise ValueError(f"profile must be one of {PROFILES}, got {self.profile!r}")
-        self.total_current = _as_current(self.total_current)
-        self.normal = _as_vec3(self.normal, "normal")
-        n = math.sqrt(float(np.dot(self.normal, self.normal)))
-        if n == 0:
-            raise ValueError("normal must be non-zero")
-        self.normal = self.normal / n
-
-
-def offset_polyline(points, offset, normal):
-    """Shift a polyline sideways by a signed in-plane offset.
-
-    The shift is along normal x tangent; interior vertices use miter
-    joins. Doubling back (180 degree turns) has no finite miter and is
+    The shift is along z x tangent; interior vertices use miter joins.
+    Doubling back (180 degree turns) has no finite miter and is
     rejected.
     """
     points = np.asarray(points, dtype=float)
     deltas = np.diff(points, axis=0)
     tangents = deltas / np.linalg.norm(deltas, axis=1)[:, None]
-    lefts = np.cross(normal, tangents)
+    lefts = np.cross((0.0, 0.0, 1.0), tangents)
     lefts /= np.linalg.norm(lefts, axis=1)[:, None]
     out = np.empty_like(points)
     out[0] = points[0] + offset * lefts[0]
@@ -210,75 +191,83 @@ def _edge_bin_weights(n):
     return (a[1:] - a[:-1]) / math.pi
 
 
-def discretize_strip(s):
-    """Replace a strip by n_filaments weighted parallel filaments.
-
-    Filaments sit at the midpoints of equal-width transverse bins;
-    per-bin current is the profile integrated over the bin, so the total
-    current is preserved whatever the profile.
-    """
-    offsets = _filament_offsets(s.width, s.n_filaments)
-    if s.profile == UNIFORM:
-        weights = np.full(s.n_filaments, 1.0 / s.n_filaments)
+def _filaments(centerline, width, current, profile, n_filaments):
+    """A flat strip along a z-plane polyline as parallel filaments, one
+    per equal-width transverse bin, at its midpoint and carrying the
+    profile integrated over the bin: the total current is preserved
+    whatever the profile. Segments run filament by filament."""
+    if np.any(np.all(np.diff(centerline, axis=0) == 0, axis=1)):
+        raise ValueError("centerline has repeated consecutive points")
+    if width <= 0:
+        raise ValueError("strip width must be positive")
+    if n_filaments < 1:
+        raise ValueError("n_filaments must be >= 1")
+    if profile not in PROFILES:
+        raise ValueError(f"profile must be one of {PROFILES}, got {profile!r}")
+    if profile == UNIFORM:
+        weights = np.full(n_filaments, 1.0 / n_filaments)
     else:
-        weights = _edge_bin_weights(s.n_filaments)
-    segments = []
-    for off, w in zip(offsets, weights):
-        line = offset_polyline(s.centerline, off, s.normal)
-        cur = s.total_current * w
-        for a, b in zip(line[:-1], line[1:]):
-            segments.append(WireSegment(a, b, cur))
-    return CurrentModel.from_segments(segments, label="strip")
+        weights = _edge_bin_weights(n_filaments)
+    lines = np.array([offset_polyline(centerline, off)
+                      for off in _filament_offsets(width, n_filaments)])
+    return CurrentModel(lines[:, :-1].reshape(-1, 3),
+                        lines[:, 1:].reshape(-1, 3),
+                        np.repeat(current * weights, len(centerline) - 1))
 
 
-@dataclass
-class CpwSpec:
-    """Coplanar waveguide: signal strip flanked by two ground strips.
-
-    The grounds return the signal current, split between the left and
-    right planes by ground_split (unequal splits model feed asymmetry).
-    """
-
-    signal_width: float
-    gap: float
-    ground_width: float
-    length: float
-    current: complex
-    ground_split: tuple = (0.5, 0.5)
-
-    def __post_init__(self):
-        for name in ("signal_width", "gap", "ground_width", "length"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        self.current = _as_current(self.current)
-        left, right = self.ground_split
-        if abs((left + right) - 1.0) > 1e-12:
-            raise ValueError("ground_split fractions must sum to 1")
-        self.ground_split = (float(left), float(right))
+def _centerline(value):
+    points = np.atleast_2d(np.asarray(value, dtype=float))
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise ValueError("centerline must be a sequence of 3D points")
+    if points.shape[0] < 2:
+        raise ValueError("centerline needs at least two points")
+    return points
 
 
-def build_cpw(spec, n_filaments=32, profile=EDGE):
-    """Discretized CPW current model in the z = 0 plane, strips along y.
+def _build_strip(params, path):
+    read = functools.partial(_param, params, path)
+    return _filaments(read("centerline", _centerline), read("width"),
+                      read("current", _as_current),
+                      read("profile", str, default=UNIFORM),
+                      read("n_filaments", int, default=32))
 
-    The signal strip is centered on x = 0 and carries +current; each
-    ground strip carries its ground_split share of -current.
-    """
-    half_len = spec.length / 2.0
-    x_ground = spec.signal_width / 2.0 + spec.gap + spec.ground_width / 2.0
 
-    def strip(x_center, width, current):
-        line = [(x_center, -half_len, 0.0), (x_center, half_len, 0.0)]
-        return discretize_strip(StripConductor(
-            centerline=line, width=width, total_current=current,
-            profile=profile, n_filaments=n_filaments))
+def _build_cpw(params, path):
+    read = functools.partial(_param, params, path)
+    dims = {name: read(name)
+            for name in ("signal_width", "gap", "ground_width", "length")}
+    current = read("current", _as_current)
+    left, right = read("ground_split", _pair, default=(0.5, 0.5))
+    profile = read("profile", str, default=EDGE)
+    n_filaments = read("n_filaments", int, default=32)
+    for name, value in dims.items():
+        if value <= 0:
+            raise ValueError(f"{name} must be positive")
+    if abs((left + right) - 1.0) > 1e-12:
+        raise ValueError("ground_split fractions must sum to 1")
+    signal_width, gap, ground_width, length = dims.values()
+    half_len = length / 2.0
+    x_ground = signal_width / 2.0 + gap + ground_width / 2.0
+    # (x, width, current) of the signal strip and the left and right ground
+    strips = ((0.0, signal_width, current),
+              (-x_ground, ground_width, -current * left),
+              (x_ground, ground_width, -current * right))
+    return superpose(
+        _filaments(np.array([(x, -half_len, 0.0), (x, half_len, 0.0)]),
+                   width, i, profile, n_filaments)
+        for x, width, i in strips)
 
-    left, right = spec.ground_split
-    parts = [
-        strip(0.0, spec.signal_width, spec.current),
-        strip(-x_ground, spec.ground_width, -spec.current * left),
-        strip(x_ground, spec.ground_width, -spec.current * right),
-    ]
-    return superpose(parts, label="cpw")
+
+def _build_segments(params, path):
+    segs = []
+    for i, entry in enumerate(_param(params, path, "segments", _list)):
+        here = f"{path}.segments[{i}]"
+        if not isinstance(entry, dict):
+            raise ValueError(f"{here} must be an object, got {entry!r}")
+        read = functools.partial(_param, entry, here)
+        segs.append(WireSegment(read("start", _as_vec3), read("end", _as_vec3),
+                                read("current", _as_current)))
+    return CurrentModel.from_segments(segs)
 
 
 def arc_points(center, radius, a_start, a_end, max_chord):
@@ -300,24 +289,14 @@ def arc_points(center, radius, a_start, a_end, max_chord):
     return pts
 
 
-def _closed_loop(center, radius, max_chord):
-    pts = arc_points(center, radius, 0.0, 2.0 * math.pi, max_chord)
-    pts[-1] = pts[0]  # close exactly
-    return pts
-
-
-def _polyline_model(points, current, label):
-    segs = [WireSegment(a, b, current) for a, b in zip(points[:-1], points[1:])]
-    return CurrentModel.from_segments(segs, label=label)
-
-
-def _build_omega_loop(params):
-    r = float(params["radius"])
-    gap = float(params["gap"])
-    current = _as_current(params["current"])
-    lead = float(params.get("lead_length", 2.0 * r))
-    center = _as_vec3(params.get("center", (0.0, 0.0, 0.0)), "center")
-    max_chord = float(params.get("max_chord", r / 16.0))
+def _build_omega_loop(params, path):
+    read = functools.partial(_param, params, path)
+    r = read("radius")
+    gap = read("gap")
+    current = read("current", _as_current)
+    lead = read("lead_length", default=2.0 * r)
+    center = read("center", _as_vec3, default=np.zeros(3))
+    max_chord = read("max_chord", default=r / 16.0)
     if not 0 < gap < 2 * r:
         raise ValueError("omega gap must be in (0, 2 radius)")
     # gap centered at the bottom of the circle; chord between the arc
@@ -328,22 +307,22 @@ def _build_omega_loop(params):
     entry = arc[0] + np.array([0.0, -lead, 0.0])
     exit_ = arc[-1] + np.array([0.0, -lead, 0.0])
     pts = np.vstack([entry, arc, exit_])
-    return _polyline_model(pts, current, "omega-loop")
+    return CurrentModel(pts[:-1], pts[1:], np.full(len(pts) - 1, current))
 
 
-def _build_meander(params):
-    n = int(params["n_turns"])
-    leg = float(params["leg"])
-    pitch = float(params["pitch"])
-    current = _as_current(params["current"])
-    origin = _as_vec3(params.get("origin", (0.0, 0.0, 0.0)), "origin")
+def _build_meander(params, path):
+    read = functools.partial(_param, params, path)
+    n = read("n_turns", int)
+    leg = read("leg")
+    pitch = read("pitch")
+    current = read("current", _as_current)
+    origin = read("origin", _as_vec3, default=np.zeros(3))
     if n < 1 or leg <= 0 or pitch <= 0:
         raise ValueError("meander needs n_turns >= 1 and positive dimensions")
     # n alternating legs with jogs between, half-pitch leads at both
     # ends: total length is exactly n * (leg + pitch)
     pts = [(0.0, 0.0), (pitch / 2.0, 0.0)]
-    x = pitch / 2.0
-    y = 0.0
+    x, y = pitch / 2.0, 0.0
     for k in range(n):
         y = leg if k % 2 == 0 else 0.0
         pts.append((x, y))
@@ -352,16 +331,17 @@ def _build_meander(params):
             pts.append((x, y))
     pts.append((x + pitch / 2.0, y))
     pts3 = np.array([(px, py, 0.0) for px, py in pts]) + origin
-    return _polyline_model(pts3, current, "meander")
+    return CurrentModel(pts3[:-1], pts3[1:], np.full(len(pts3) - 1, current))
 
 
-def _build_interdigital(params):
-    n = int(params["n_fingers"])
-    length = float(params["finger_length"])
-    pitch = float(params["pitch"])
-    gap = float(params["gap"])
-    current = _as_current(params["current"])
-    origin = _as_vec3(params.get("origin", (0.0, 0.0, 0.0)), "origin")
+def _build_interdigital(params, path):
+    read = functools.partial(_param, params, path)
+    n = read("n_fingers", int)
+    length = read("finger_length")
+    pitch = read("pitch")
+    gap = read("gap")
+    current = read("current", _as_current)
+    origin = read("origin", _as_vec3, default=np.zeros(3))
     if n < 2 or length <= 0 or pitch <= 0 or gap <= 0 or gap >= length:
         raise ValueError("interdigital needs n_fingers >= 2, positive "
                          "dimensions and gap < finger_length")
@@ -372,10 +352,8 @@ def _build_interdigital(params):
     # taper so current is conserved at every junction.
     y_top = length + gap
     segs = []
-    even = list(range(0, n, 2))
-    odd = list(range(1, n, 2))
-    i_even = current / len(even)
-    i_odd = current / len(odd)
+    even, odd = range(0, n, 2), range(1, n, 2)
+    i_even, i_odd = current / len(even), current / len(odd)
 
     def pt(x, y):
         return np.array([x, y, 0.0]) + origin
@@ -399,25 +377,30 @@ def _build_interdigital(params):
         prev_x = x
     segs.append(WireSegment(pt(prev_x, y_top), pt(prev_x + pitch, y_top),
                             collected))
-    return CurrentModel.from_segments(segs, label="interdigital")
+    return CurrentModel.from_segments(segs)
 
 
-def _build_two_ring_trap(params):
-    r_in = float(params["radius_inner"])
-    r_out = float(params["radius_outer"])
-    current = _as_current(params["current"])
-    center = _as_vec3(params.get("center", (0.0, 0.0, 0.0)), "center")
-    max_chord = float(params.get("max_chord", r_in / 16.0))
+def _build_two_ring_trap(params, path):
+    read = functools.partial(_param, params, path)
+    r_in = read("radius_inner")
+    r_out = read("radius_outer")
+    current = read("current", _as_current)
+    center = read("center", _as_vec3, default=np.zeros(3))
+    max_chord = read("max_chord", default=r_in / 16.0)
     if not 0 < r_in < r_out:
         raise ValueError("two-ring trap needs 0 < radius_inner < radius_outer")
-    inner = _polyline_model(_closed_loop(center, r_in, max_chord), current,
-                            "ring-inner")
-    outer = _polyline_model(_closed_loop(center, r_out, max_chord), -current,
-                            "ring-outer")
-    return superpose([inner, outer], label="two-ring-trap")
+    rings = []
+    for r, i in ((r_in, current), (r_out, -current)):
+        pts = arc_points(center, r, 0.0, 2.0 * math.pi, max_chord)
+        pts[-1] = pts[0]  # close exactly
+        rings.append(CurrentModel(pts[:-1], pts[1:], np.full(len(pts) - 1, i)))
+    return superpose(rings)
 
 
 _BUILDERS = {
+    "strip": _build_strip,
+    "cpw": _build_cpw,
+    "segments": _build_segments,
     "omega-loop": _build_omega_loop,
     "meander": _build_meander,
     "interdigital": _build_interdigital,
@@ -425,21 +408,15 @@ _BUILDERS = {
 }
 
 
-def build_device(kind, params):
-    """Current model for a named planar structure.
-
-    Kinds: omega-loop (radius, gap, current [, lead_length, center,
-    max_chord]), meander (n_turns, leg, pitch, current [, origin]),
-    interdigital (n_fingers, finger_length, pitch, gap, current
-    [, origin]), two-ring-trap (radius_inner, radius_outer, current
-    [, center, max_chord]; the rings carry opposite currents).
-    """
-    try:
-        builder = _BUILDERS[kind]
-    except KeyError:
-        known = ", ".join(sorted(_BUILDERS) + ["cpw", "strip", "segments"])
-        raise ValueError(f"unknown device kind {kind!r}; known kinds: {known}")
-    return builder(params)
+def _devices(doc, path="device"):
+    """(path, kind, params) of each device in a document, in order."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path} must be an object, got {doc!r}")
+    if "devices" not in doc:
+        yield path, doc.get("kind"), _param(doc, path, "params", _object, {})
+        return
+    for i, sub in enumerate(_param(doc, path, "devices", _list)):
+        yield from _devices(sub, f"{path}.devices[{i}]")
 
 
 def model_from_spec(doc):
@@ -447,34 +424,40 @@ def model_from_spec(doc):
 
     The document is {"kind": ..., "params": {...}} with dimensions in
     meters and currents as [re, im] ampere pairs (bare reals accepted),
-    or {"devices": [...]} to superpose several such entries.
+    or {"devices": [...]} to superpose several such entries. The kinds'
+    params, optional ones in brackets with their defaults:
+
+    - strip: centerline (z-plane points), width, current [, profile
+      "uniform" (or "edge", crowded to the edges), n_filaments 32]
+    - cpw: signal_width, gap, ground_width, length, current
+      [, ground_split [0.5, 0.5], profile "edge", n_filaments 32]; the
+      signal strip runs along y on x = 0, z = 0, between the grounds
+      that return its current split left/right by ground_split
+    - segments: segments, a list of {start, end, current}
+    - omega-loop: radius, gap, current [, lead_length 2 radius,
+      center [0, 0, 0], max_chord radius / 16]
+    - meander: n_turns, leg, pitch, current [, origin [0, 0, 0]]
+    - interdigital: n_fingers, finger_length, pitch, gap, current
+      [, origin [0, 0, 0]]
+    - two-ring-trap: radius_inner, radius_outer, current [, center
+      [0, 0, 0], max_chord radius_inner / 16]; opposite ring currents
+
+    A missing or ill-typed value raises ValueError naming its field, as
+    device.params.width or device.devices[1].params.radius.
     """
-    if "devices" in doc:
-        return superpose([model_from_spec(d) for d in doc["devices"]])
-    kind = doc.get("kind")
-    params = doc.get("params", {})
-    if kind == "cpw":
-        spec = CpwSpec(
-            signal_width=float(params["signal_width"]),
-            gap=float(params["gap"]),
-            ground_width=float(params["ground_width"]),
-            length=float(params["length"]),
-            current=_as_current(params["current"]),
-            ground_split=tuple(params.get("ground_split", (0.5, 0.5))))
-        return build_cpw(spec,
-                         n_filaments=int(params.get("n_filaments", 32)),
-                         profile=params.get("profile", EDGE))
-    if kind == "strip":
-        return discretize_strip(StripConductor(
-            centerline=np.asarray(params["centerline"], dtype=float),
-            width=float(params["width"]),
-            total_current=_as_current(params["current"]),
-            profile=params.get("profile", UNIFORM),
-            n_filaments=int(params.get("n_filaments", 32))))
-    if kind == "segments":
-        segs = [WireSegment(np.asarray(s["start"], dtype=float),
-                            np.asarray(s["end"], dtype=float),
-                            _as_current(s["current"]))
-                for s in params["segments"]]
-        return CurrentModel.from_segments(segs, label=doc.get("label", "segments"))
-    return build_device(kind, params)
+    models = []
+    for path, kind, params in _devices(doc):
+        if not isinstance(kind, str) or kind not in _BUILDERS:
+            raise ValueError(f"{path}.kind: unknown device kind {kind!r}; "
+                             f"known kinds: {', '.join(sorted(_BUILDERS))}")
+        models.append(_BUILDERS[kind](params, f"{path}.params"))
+    return superpose(models)
+
+
+def drive_current_a(doc):
+    """Magnitude of the first current a device document names, or None."""
+    for path, _, params in _devices(doc):
+        if "current" in params:
+            return abs(_param(params, f"{path}.params", "current",
+                              _as_current))
+    return None

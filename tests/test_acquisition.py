@@ -150,8 +150,9 @@ class TestSimulateCube:
     def test_stronger_field_oscillates_faster(self):
         # spectral peak of the signal-line pixel sits above the gap pixel
         from nvscope import currents as cur
-        spec = cur.CpwSpec(120e-6, 54e-6, 200e-6, 2e-3, 0.05)
-        model = cur.build_cpw(spec, n_filaments=16)
+        model = cur.model_from_spec({"kind": "cpw", "params": {
+            "signal_width": 120e-6, "gap": 54e-6, "ground_width": 200e-6,
+            "length": 2e-3, "current": 0.05, "n_filaments": 16}})
         grid = nf.GridSpec(origin=np.array([-160e-6, -20e-6, 0.0]),
                            axes=(np.array([1.0, 0, 0]), np.array([0, 1.0, 0])),
                            nx=16, ny=2, pitch=20e-6)

@@ -46,6 +46,15 @@ def test_unknown_scenario_exits_2(tmp_path):
     assert "no-such-scenario" in proc.stderr
 
 
+def test_malformed_device_exits_2_naming_the_field(tmp_path):
+    # meander-fig3 gives a 2-D origin_um
+    proc = run_script(["--scenario", "meander-fig3", "--repeats", "1"],
+                      tmp_path)
+    assert proc.returncode == 2
+    assert "device.params.origin" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_crop_larger_than_the_grid_exits_2(tmp_path):
     proc = run_script(["--scenario", "omega-fig3", "--crop", "100000"],
                       tmp_path)

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 import scipy
 
-from nvscope import analysis, cli, formats
+from nvscope import analysis, cli, currents, formats
 from nvscope.acquisition import DecayParams, ImageCube, contrast_at
 from nvscope.cli import ConfigError, convert_units, load_scenario
 from nvscope.fieldcore import GAMMA_NV
@@ -184,6 +184,15 @@ def test_load_scenario_bad_schedule(tmp_path):
     ({"grid": {**MINI["grid"], "axes": [[1, 0, 0]]}}, "grid.axes"),
     ({"layer": {**MINI["layer"], "n_samples": None}}, "layer.n_samples"),
     ({"device": 5}, "device"),
+    ({"report": {"p_in_dbm": [1]}}, "report.p_in_dbm"),
+    ({"report": {"p_in_dbm": 10, "impedance_ohm": None}},
+     "report.impedance_ohm"),
+    ({"trap": {"arm_px": None}}, "trap.arm_px"),
+    ({"trap": {"search_region_px": 5}}, "trap.search_region_px"),
+    ({"nv": {**MINI["nv"], "tilt_plane": 5}}, "nv.tilt_plane"),
+    ({"stream": {"dt_mw_ns": 30, "rows": 50, "schedule": [[5, "on"]],
+                 "row_time_us": "x"}}, "stream.row_time_us"),
+    ({"nv": {**MINI["nv"], "flip": "false"}}, "nv.flip"),
 ])
 def test_malformed_config_exits_2_naming_the_field(tmp_path, capsys,
                                                    overrides, field):
@@ -265,15 +274,73 @@ def test_unknown_config_lists_bundled():
 
 
 def test_device_current_extraction():
-    assert cli._device_current_a(
+    assert currents.drive_current_a(
         {"kind": "strip", "params": {"current": 0.05}}) == 0.05
-    assert cli._device_current_a(
+    assert currents.drive_current_a(
         {"kind": "strip", "params": {"current": [0.03, 0.04]}}) == (
             pytest.approx(0.05))
     nested = {"devices": [{"kind": "x", "params": {}},
                           {"kind": "strip", "params": {"current": -0.02}}]}
-    assert cli._device_current_a(nested) == pytest.approx(0.02)
-    assert cli._device_current_a({"kind": "x", "params": {}}) is None
+    assert currents.drive_current_a(nested) == pytest.approx(0.02)
+    assert currents.drive_current_a({"kind": "x", "params": {}}) is None
+
+
+# a well-formed device of each kind that fits the MINI grid
+DEVICE_PARAMS = {
+    "strip": MINI["device"]["params"],
+    "cpw": {"signal_width_um": 20, "gap_um": 10, "ground_width_um": 40,
+            "length_um": 200, "current_ma": 30},
+    "segments": {"segments": [{"start_um": [-60, 0, 0], "end_um": [60, 0, 0],
+                               "current_ma": 30}]},
+    "omega-loop": {"radius_um": 30, "gap_um": 10, "current_ma": 30},
+    "meander": {"n_turns": 2, "leg_um": 40, "pitch_um": 20, "current_ma": 30},
+    "interdigital": {"n_fingers": 3, "finger_length_um": 40, "pitch_um": 20,
+                     "gap_um": 10, "current_ma": 30},
+    "two-ring-trap": {"radius_inner_um": 20, "radius_outer_um": 40,
+                      "current_ma": 30},
+}
+
+
+def device(kind, drop=(), **params):
+    kept = {k: v for k, v in DEVICE_PARAMS[kind].items() if k not in drop}
+    return {"kind": kind, "params": {**kept, **params}}
+
+
+@pytest.mark.parametrize("kind", sorted(DEVICE_PARAMS))
+def test_every_device_kind_simulates(tmp_path, kind):
+    path = write_scenario(tmp_path, device=device(kind))
+    assert run("simulate", "--config", path, "-o", tmp_path / "out") == 0
+
+
+@pytest.mark.parametrize("doc, field", [
+    (device("strip", drop=["width_um"]), "device.params.width"),
+    (device("strip", width_um=[40]), "device.params.width"),
+    (device("cpw", drop=["signal_width_um"]), "device.params.signal_width"),
+    (device("cpw", gap_um=[10]), "device.params.gap"),
+    (device("segments", drop=["segments"]), "device.params.segments"),
+    (device("segments", segments=5), "device.params.segments"),
+    (device("segments", segments=[{"start_um": [0, 0, 0], "current_ma": 1}]),
+     "device.params.segments[0].end"),
+    (device("omega-loop", drop=["radius_um"]), "device.params.radius"),
+    (device("omega-loop", gap_um=[10]), "device.params.gap"),
+    (device("meander", drop=["leg_um"]), "device.params.leg"),
+    (device("meander", n_turns=[2]), "device.params.n_turns"),
+    (device("interdigital", drop=["pitch_um"]), "device.params.pitch"),
+    (device("interdigital", n_fingers=[3]), "device.params.n_fingers"),
+    (device("two-ring-trap", drop=["radius_outer_um"]),
+     "device.params.radius_outer"),
+    (device("two-ring-trap", radius_inner_um=[20]),
+     "device.params.radius_inner"),
+    ({"kind": "strip", "params": [1]}, "device.params"),
+    ({"devices": 5}, "device.devices"),
+    ({"devices": [device("strip"), device("omega-loop", drop=["radius_um"])]},
+     "device.devices[1].params.radius"),
+])
+def test_malformed_device_exits_2_naming_the_field(tmp_path, capsys, doc,
+                                                   field):
+    path = write_scenario(tmp_path, device=doc)
+    assert run("simulate", "--config", path, "-o", tmp_path / "out") == 2
+    assert field in capsys.readouterr().err
 
 
 # ----------------------------------------------------------- full pipeline

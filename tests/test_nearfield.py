@@ -376,10 +376,9 @@ class TestStripConvergence:
         w, current = 120e-6, 0.05
 
         def field_at(n):
-            s = cur.StripConductor([(0, -6e-3, 0), (0, 6e-3, 0)], width=w,
-                                   total_current=current, profile="uniform",
-                                   n_filaments=n)
-            m = cur.discretize_strip(s)
+            m = cur.model_from_spec({"kind": "strip", "params": {
+                "centerline": [(0, -6e-3, 0), (0, 6e-3, 0)], "width": w,
+                "current": current, "profile": "uniform", "n_filaments": n}})
             b = nf.evaluate_at_points(m, np.array([[10e-6, 0.0, w]]))[0]
             return np.linalg.norm(np.abs(b))
 
