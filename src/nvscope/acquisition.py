@@ -38,8 +38,10 @@ class PulseParams:
     def __post_init__(self):
         if self.laser_ns < 0 or self.wait_ns < 0:
             raise ValueError("pulse durations must be non-negative")
-        if self.n_shots < 1:
-            raise ValueError("n_shots must be >= 1")
+        n = self.n_shots
+        if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
+                or n < 1):
+            raise ValueError(f"n_shots must be an integer >= 1, got {n!r}")
         if not 0 < self.c0 <= 1:
             raise ValueError("c0 must be in (0, 1]")
         if self.counts_ref <= 0:

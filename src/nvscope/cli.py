@@ -46,9 +46,10 @@ import numpy as np
 
 from nvscope import __version__, acquisition, analysis, currents, formats
 from nvscope.acquisition import CameraTiming, DecayParams, PulseParams
-from nvscope.fieldcore import (SensingLayer, TRANSITIONS,
-                               bias_field_for_frequency, flip_axis,
-                               nv_frame_from_tilt)
+from nvscope.fieldcore import (ConfigError, SensingLayer, TRANSITIONS,
+                               bias_field_for_frequency, boolean, converter,
+                               field, flip_axis, integer, lst, number,
+                               nv_frame_from_tilt, obj, param, string, vec3)
 from nvscope.nearfield import (GridSpec, PolarizedFieldMap,
                                SegmentProximityError, evaluate_phasor_map,
                                project_polarization)
@@ -65,10 +66,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_VERIFY = 4
-
-
-class ConfigError(ValueError):
-    """Configuration problem; the message carries the field path."""
 
 
 class VerificationError(RuntimeError):
@@ -111,38 +108,9 @@ def convert_units(doc, path=""):
     return doc
 
 
-def _need(doc, key, path):
-    if key not in doc:
-        raise ConfigError(f"{path}.{key} is required")
-    return doc[key]
-
-
-def _object(value, path):
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path} must be an object")
-    return value
-
-
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _number(doc, key, path, kind=float, default=None):
-    """doc[key] converted by kind; default when the key is absent, which
-    is an error without one. Anything but a JSON number raises
-    ConfigError naming the field."""
-    if key not in doc and default is not None:
-        return default
-    value = _need(doc, key, path)
-    if not _is_number(value):
-        raise ConfigError(f"{path}.{key} must be a number, got {value!r}")
-    return kind(value)
-
-
 @dataclass
 class ScenarioConfig:
     name: str
-    description: str
     device_doc: dict
     grid: GridSpec
     layer: SensingLayer
@@ -172,27 +140,73 @@ def resolve_config_source(value):
         f"(bundled: {', '.join(BUNDLED_SCENARIOS)})")
 
 
+def _is_bare_name(name):
+    """A file name with no directory part, so it stays in the output dir."""
+    return (isinstance(name, str) and name not in ("", ".", "..")
+            and os.path.basename(name) == name)
+
+
+def _given(doc, path, **fields):
+    """{name: value} for each name=(key, convert) whose key doc sets, read
+    through convert; the callee keeps its own defaults for the others."""
+    return {name: param(doc, path, key, convert)
+            for name, (key, convert) in fields.items() if key in doc}
+
+
+def _numbers(doc, path, integers=()):
+    """doc, each value checked a JSON number (integer for the keys in
+    integers) and passed on as written: 700 stays an int in headers."""
+    for key in doc:
+        param(doc, path, key, integer if key in integers else number)
+    return doc
+
+
+def _build(make, path, **kwargs):
+    """make(**kwargs), its errors naming the section path."""
+    try:
+        return make(**kwargs)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{path}: {err}") from None
+
+
+def _schedule(value):
+    for item in lst(value):
+        if not (isinstance(item, list) and len(item) == 2
+                and type(item[0]) in (int, float) and item[0] > 0
+                and item[1] in (acquisition.ON, acquisition.OFF)):
+            raise ValueError("entries must be [duration_ms > 0, on|off], "
+                             f"got {item!r}")
+    return value
+
+
+_file_stem = converter("a bare file stem", _is_bare_name)
+_axes = converter("two vectors", lambda v: isinstance(v, list) and len(v) == 2,
+                  lambda v: tuple(map(vec3, v)))
+_region = converter("[[i0, i1], [j0, j1]] in pixels", lambda v: (
+    isinstance(v, list) and len(v) == 2
+    and all(isinstance(row, list) and len(row) == 2
+            and all(type(i) is int for i in row) for row in v)),
+    lambda v: tuple(map(tuple, v)))
+
+
 def _check_report(rdoc, dt_ns):
     """The report section's settings with their defaults; checked at
     load by every command, read through here again by report."""
-    _object(rdoc, "report")
-    out = {"impedance_ohm": _number(rdoc, "impedance_ohm", "report",
-                                    default=50.0)}
-    for key in ("p_in_dbm", "current"):
-        if key in rdoc:
-            out[key] = _number(rdoc, key, "report")
+    read = functools.partial(param, rdoc, "report")
+    out = {"impedance_ohm": read("impedance_ohm", default=50.0),
+           **_given(rdoc, "report", p_in_dbm=("p_in_dbm", number),
+                    current=("current", number))}
     if "sensitivity" not in rdoc:
         return out
     path = "report.sensitivity"
-    sdoc = _object(rdoc["sensitivity"], path)
-    n_rep = sdoc.get("n_repeats", 10)
-    if isinstance(n_rep, bool) or not isinstance(n_rep, int) or n_rep < 10:
+    sdoc = read("sensitivity", obj)
+    n_rep = param(sdoc, path, "n_repeats", integer, default=10)
+    if n_rep < 10:
         raise ConfigError(f"{path}.n_repeats must be an integer >= 10, "
                           f"got {n_rep!r}")
-    envelope = sdoc.get("envelope", "single")
-    if envelope not in ENVELOPES:
-        raise ConfigError(f"{path}.envelope must be 'single' or 'double', "
-                          f"got {envelope!r}")
+    envelope = param(sdoc, path, "envelope", converter(
+        "'single' or 'double'", lambda v: isinstance(v, str)
+        and v in ENVELOPES), default="single")
     if dt_ns is None:
         raise ConfigError(f"{path} needs a scan section")
     out["sensitivity"] = n_rep, envelope
@@ -202,131 +216,79 @@ def _check_report(rdoc, dt_ns):
 def _check_trap(tdoc):
     """characterize_trap keyword arguments for the keys the trap section
     sets; the others keep characterize_trap's defaults."""
-    out = {}
-    if "arm_px" in _object(tdoc, "trap"):
-        out["arm"] = _number(tdoc, "arm_px", "trap", int)
-    region = tdoc.get("search_region_px")
-    if region is not None:
-        cells = np.array(region, dtype=object)
-        if cells.shape != (2, 2) or any(type(v) is not int for v in cells.flat):
-            raise ConfigError("trap.search_region_px must be [[i0, i1], "
-                              f"[j0, j1]] in pixels, got {region!r}")
-        out["search_region"] = tuple(map(tuple, region))
-    return out
+    return _given(tdoc, "trap", arm=("arm_px", integer),
+                  search_region=("search_region_px", _region))
 
 
 def load_scenario(value):
+    """A path's or bundled name's scenario, each field read once as a
+    strict JSON type. The device is built later, by simulate."""
     raw = resolve_config_source(value)
     try:
         doc = json.loads(raw.decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise ConfigError(f"config {value!r}: invalid JSON: {err}")
-    si = _object(convert_units(doc), "config")
+    si = field(convert_units(doc), "config", obj)
+    read = functools.partial(param, si, "")
 
-    name = _need(si, "name", "config")
-    gdoc = _object(_need(si, "grid", "config"), "grid")
-    axes = _need(gdoc, "axes", "grid")
-    if not isinstance(axes, list) or len(axes) != 2:
-        raise ConfigError(f"grid.axes must hold two vectors, got {axes!r}")
-    origin = _need(gdoc, "origin", "grid")
-    nx, ny = _number(gdoc, "nx", "grid", int), _number(gdoc, "ny", "grid", int)
-    pitch = _number(gdoc, "pitch", "grid")
-    try:
-        grid = GridSpec(origin=np.array(origin, dtype=float),
-                        axes=(np.array(axes[0], dtype=float),
-                              np.array(axes[1], dtype=float)),
-                        nx=nx, ny=ny, pitch=pitch)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"grid: {err}")
+    name = read("name", _file_stem)
+    g = functools.partial(param, read("grid", obj), "grid")
+    grid = _build(GridSpec, "grid", origin=g("origin", vec3),
+                  axes=g("axes", _axes), nx=g("nx", integer),
+                  ny=g("ny", integer), pitch=g("pitch"))
 
-    ldoc = _object(_need(si, "layer", "config"), "layer")
-    h = _number(ldoc, "height", "layer")
-    d = _number(ldoc, "thickness", "layer", default=0.0)
-    n_samples = _number(ldoc, "n_samples", "layer", int, default=15)
-    try:
-        layer = SensingLayer(h=h, d=d, n_samples=n_samples)
-    except ValueError as err:
-        raise ConfigError(f"layer: {err}")
+    ldoc = read("layer", obj)
+    layer = _build(SensingLayer, "layer", h=param(ldoc, "layer", "height"),
+                   **_given(ldoc, "layer", d=("thickness", number),
+                            n_samples=("n_samples", integer)))
 
-    ndoc = _object(si.get("nv", {}), "nv")
-    tilt_plane, flip = ndoc.get("tilt_plane", "xz"), ndoc.get("flip", False)
-    if not isinstance(tilt_plane, str):
-        raise ConfigError(f"nv.tilt_plane must be a string, got {tilt_plane!r}")
-    if not isinstance(flip, bool):
-        raise ConfigError(f"nv.flip must be true or false, got {flip!r}")
-    frame = nv_frame_from_tilt(_number(ndoc, "tilt_deg", "nv", default=0.0),
-                               tilt_plane=tilt_plane)
-    if flip:
+    ndoc = read("nv", obj, {})
+    frame = _build(nv_frame_from_tilt, "nv",
+                   tilt_deg=param(ndoc, "nv", "tilt_deg", default=0.0),
+                   **_given(ndoc, "nv", tilt_plane=("tilt_plane", string)))
+    if param(ndoc, "nv", "flip", boolean, default=False):
         frame = flip_axis(frame)
 
-    bdoc = _object(_need(si, "bias", "config"), "bias")
-    transition = _need(bdoc, "transition", "bias")
-    if transition not in TRANSITIONS:
-        raise ConfigError(f"bias.transition must be one of {TRANSITIONS}")
-    f_mw = _number(bdoc, "f_mw", "bias")
-    try:
-        bias_field_for_frequency(f_mw, transition)
-    except ValueError as err:
-        raise ConfigError(f"bias: {err}")
+    bdoc = read("bias", obj)
+    transition = param(bdoc, "bias", "transition", converter(
+        f"one of {TRANSITIONS}", lambda v: v in TRANSITIONS))
+    f_mw = param(bdoc, "bias", "f_mw")
+    _build(bias_field_for_frequency, "bias", f_mw=f_mw,
+           transition=transition)
 
-    try:
-        pulse = PulseParams(**_object(si.get("pulse", {}), "pulse"))
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"pulse: {err}")
+    pulse = _build(PulseParams, "pulse", **_numbers(
+        read("pulse", obj, {}), "pulse", integers=("n_shots",)))
     # no decay section means an undamped envelope
-    decay = DecayParams(tau_fast_ns=float("inf"), tau_slow_ns=float("inf"),
-                        weight_fast=0.5)
-    if "decay" in si:
-        try:
-            decay = DecayParams(**_object(si["decay"], "decay"))
-        except (TypeError, ValueError) as err:
-            raise ConfigError(f"decay: {err}")
+    decay = _build(DecayParams, "decay", **_numbers(read("decay", obj, dict(
+        tau_fast_ns=np.inf, tau_slow_ns=np.inf, weight_fast=0.5)), "decay"))
 
     dt_ns = None
     if "scan" in si:
-        sdoc = _object(si["scan"], "scan")
-        start = _number(sdoc, "dt_start_ns", "scan")
-        step = _number(sdoc, "dt_step_ns", "scan")
-        n = _number(sdoc, "n_steps", "scan", int)
+        s = functools.partial(param, read("scan", obj), "scan")
+        start, step = s("dt_start_ns"), s("dt_step_ns")
+        n = s("n_steps", integer)
         if step <= 0 or n < 1 or start < 0:
             raise ConfigError("scan: dt_start_ns >= 0, dt_step_ns > 0 and "
                               "n_steps >= 1 required")
         dt_ns = start + step * np.arange(n)
 
-    stream = si.get("stream")
+    stream = read("stream", obj, None)
     if stream is not None:
-        _object(stream, "stream")
-        for key in ("dt_mw_ns", "rows", *(k for k in TIMING_KEYS
-                                          if k in stream)):
-            _number(stream, key, "stream")
-        schedule = _need(stream, "schedule", "stream")
-        if not isinstance(schedule, list):
-            raise ConfigError(f"stream.schedule must be a list, got "
-                              f"{schedule!r}")
-        for item in schedule:
-            if not (isinstance(item, list) and len(item) == 2
-                    and _is_number(item[0]) and item[0] > 0
-                    and item[1] in (acquisition.ON, acquisition.OFF)):
-                raise ConfigError(
-                    "stream.schedule entries must be [duration_ms > 0, "
-                    f"on|off], got {item!r}")
+        st = functools.partial(param, stream, "stream")
+        st("dt_mw_ns"), st("rows", integer), st("schedule", _schedule)
+        for key in TIMING_KEYS:
+            st(key, default=None)
 
-    report, trap = si.get("report"), si.get("trap")
+    report, trap = read("report", obj, None), read("trap", obj, None)
     if report is not None:
         _check_report(report, dt_ns)
     if trap is not None:
         _check_trap(trap)
-
-    seed = si.get("seed")
-    if seed is not None:
-        seed = _number(si, "seed", "config", int)
     return ScenarioConfig(
-        name=name, description=si.get("description", ""),
-        device_doc=_object(_need(si, "device", "config"), "device"),
-        grid=grid, layer=layer, nv_frame=frame, f_mw=f_mw,
-        transition=transition, pulse=pulse, decay=decay, dt_ns=dt_ns,
-        stream=stream, trap=trap, report=report, seed=seed,
-        source_bytes=raw)
+        name=name, device_doc=read("device", obj), grid=grid, layer=layer,
+        nv_frame=frame, f_mw=f_mw, transition=transition, pulse=pulse,
+        decay=decay, dt_ns=dt_ns, stream=stream, trap=trap, report=report,
+        seed=read("seed", integer, None), source_bytes=raw)
 
 
 # ------------------------------------------------------------ stage runner
@@ -356,9 +318,8 @@ def _verify_manifest(outdir, base, command):
     for entry in outputs:
         name = entry.get("path") if isinstance(entry, dict) else None
         # the runner writes outputs into the output dir under bare names
-        if (not isinstance(name, str) or name in ("", ".", "..")
-                or os.path.basename(name) != name
-                or not isinstance(entry.get("sha256"), str)):
+        if not (_is_bare_name(name)
+                and isinstance(entry.get("sha256"), str)):
             raise formats.FormatError(
                 f"{path}: output {entry!r} needs a bare file name and a "
                 "sha256")
@@ -486,12 +447,12 @@ def cmd_acquire(args, cfg, out):
         frames = acquisition.simulate_stream(
             pmap, cfg.stream["dt_mw_ns"], cfg.pulse,
             [tuple(item) for item in cfg.stream["schedule"]],
-            timing=timing, rows=int(cfg.stream["rows"]), seed=seed,
+            timing=timing, rows=cfg.stream["rows"], seed=seed,
             decay=cfg.decay)
         name = f"{cfg.name}.stream.rstr"
         out(name, lambda path: formats.write_stream(
             path, pmap.grid, cfg.stream["dt_mw_ns"], frames, timing=timing,
-            rows=int(cfg.stream["rows"]), schedule=cfg.stream["schedule"],
+            rows=cfg.stream["rows"], schedule=cfg.stream["schedule"],
             pulse=cfg.pulse, seed=seed), n_frames=len(frames))
     else:
         if cfg.dt_ns is None:

@@ -16,45 +16,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nvscope.fieldcore import _as_vec3
+from nvscope.fieldcore import (ConfigError, _as_vec3, field, integer, lst,
+                               number, numbers, obj, param, string, vec3)
 
-
-def _pair(value):
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ValueError(f"must be a pair of numbers, got {value!r}")
-    return float(value[0]), float(value[1])
+_pair = numbers(2)
 
 
 def _as_current(value):
-    """Accept a complex scalar or an [re, im] pair."""
+    """A complex scalar, a number or an [re, im] pair of numbers."""
+    if isinstance(value, complex):
+        return value
     if isinstance(value, (list, tuple)):
         return complex(*_pair(value))
-    return complex(value)
-
-
-def _object(value):
-    if not isinstance(value, dict):
-        raise TypeError(f"must be an object, got {value!r}")
-    return value
-
-
-def _list(value):
-    if not isinstance(value, list):
-        raise TypeError(f"must be a list, got {value!r}")
-    return value
-
-
-def _param(params, path, key, convert=float, default=None):
-    """params[key] through convert; default when the key is absent, which
-    is an error without one. ValueError names the field path.key."""
-    if key not in params:
-        if default is None:
-            raise ValueError(f"{path}.{key} is required")
-        return default
-    try:
-        return convert(params[key])
-    except (TypeError, ValueError) as err:
-        raise ValueError(f"{path}.{key}: {err}") from None
+    return complex(number(value))
 
 
 @dataclass
@@ -216,30 +190,28 @@ def _filaments(centerline, width, current, profile, n_filaments):
 
 
 def _centerline(value):
-    points = np.atleast_2d(np.asarray(value, dtype=float))
-    if points.ndim != 2 or points.shape[1] != 3:
-        raise ValueError("centerline must be a sequence of 3D points")
-    if points.shape[0] < 2:
-        raise ValueError("centerline needs at least two points")
-    return points
+    """A list of at least two 3D points, as an (n, 3) array."""
+    if len(lst(value)) < 2:
+        raise ValueError(f"must list at least two 3D points, got {value!r}")
+    return np.array([vec3(point) for point in value])
 
 
 def _build_strip(params, path):
-    read = functools.partial(_param, params, path)
+    read = functools.partial(param, params, path)
     return _filaments(read("centerline", _centerline), read("width"),
                       read("current", _as_current),
-                      read("profile", str, default=UNIFORM),
-                      read("n_filaments", int, default=32))
+                      read("profile", string, default=UNIFORM),
+                      read("n_filaments", integer, default=32))
 
 
 def _build_cpw(params, path):
-    read = functools.partial(_param, params, path)
+    read = functools.partial(param, params, path)
     dims = {name: read(name)
             for name in ("signal_width", "gap", "ground_width", "length")}
     current = read("current", _as_current)
     left, right = read("ground_split", _pair, default=(0.5, 0.5))
-    profile = read("profile", str, default=EDGE)
-    n_filaments = read("n_filaments", int, default=32)
+    profile = read("profile", string, default=EDGE)
+    n_filaments = read("n_filaments", integer, default=32)
     for name, value in dims.items():
         if value <= 0:
             raise ValueError(f"{name} must be positive")
@@ -260,12 +232,10 @@ def _build_cpw(params, path):
 
 def _build_segments(params, path):
     segs = []
-    for i, entry in enumerate(_param(params, path, "segments", _list)):
+    for i, entry in enumerate(param(params, path, "segments", lst)):
         here = f"{path}.segments[{i}]"
-        if not isinstance(entry, dict):
-            raise ValueError(f"{here} must be an object, got {entry!r}")
-        read = functools.partial(_param, entry, here)
-        segs.append(WireSegment(read("start", _as_vec3), read("end", _as_vec3),
+        read = functools.partial(param, field(entry, here, obj), here)
+        segs.append(WireSegment(read("start", vec3), read("end", vec3),
                                 read("current", _as_current)))
     return CurrentModel.from_segments(segs)
 
@@ -290,12 +260,12 @@ def arc_points(center, radius, a_start, a_end, max_chord):
 
 
 def _build_omega_loop(params, path):
-    read = functools.partial(_param, params, path)
+    read = functools.partial(param, params, path)
     r = read("radius")
     gap = read("gap")
     current = read("current", _as_current)
     lead = read("lead_length", default=2.0 * r)
-    center = read("center", _as_vec3, default=np.zeros(3))
+    center = read("center", vec3, default=np.zeros(3))
     max_chord = read("max_chord", default=r / 16.0)
     if not 0 < gap < 2 * r:
         raise ValueError("omega gap must be in (0, 2 radius)")
@@ -311,12 +281,12 @@ def _build_omega_loop(params, path):
 
 
 def _build_meander(params, path):
-    read = functools.partial(_param, params, path)
-    n = read("n_turns", int)
+    read = functools.partial(param, params, path)
+    n = read("n_turns", integer)
     leg = read("leg")
     pitch = read("pitch")
     current = read("current", _as_current)
-    origin = read("origin", _as_vec3, default=np.zeros(3))
+    origin = read("origin", vec3, default=np.zeros(3))
     if n < 1 or leg <= 0 or pitch <= 0:
         raise ValueError("meander needs n_turns >= 1 and positive dimensions")
     # n alternating legs with jogs between, half-pitch leads at both
@@ -335,13 +305,13 @@ def _build_meander(params, path):
 
 
 def _build_interdigital(params, path):
-    read = functools.partial(_param, params, path)
-    n = read("n_fingers", int)
+    read = functools.partial(param, params, path)
+    n = read("n_fingers", integer)
     length = read("finger_length")
     pitch = read("pitch")
     gap = read("gap")
     current = read("current", _as_current)
-    origin = read("origin", _as_vec3, default=np.zeros(3))
+    origin = read("origin", vec3, default=np.zeros(3))
     if n < 2 or length <= 0 or pitch <= 0 or gap <= 0 or gap >= length:
         raise ValueError("interdigital needs n_fingers >= 2, positive "
                          "dimensions and gap < finger_length")
@@ -381,11 +351,11 @@ def _build_interdigital(params, path):
 
 
 def _build_two_ring_trap(params, path):
-    read = functools.partial(_param, params, path)
+    read = functools.partial(param, params, path)
     r_in = read("radius_inner")
     r_out = read("radius_outer")
     current = read("current", _as_current)
-    center = read("center", _as_vec3, default=np.zeros(3))
+    center = read("center", vec3, default=np.zeros(3))
     max_chord = read("max_chord", default=r_in / 16.0)
     if not 0 < r_in < r_out:
         raise ValueError("two-ring trap needs 0 < radius_inner < radius_outer")
@@ -410,12 +380,10 @@ _BUILDERS = {
 
 def _devices(doc, path="device"):
     """(path, kind, params) of each device in a document, in order."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path} must be an object, got {doc!r}")
-    if "devices" not in doc:
-        yield path, doc.get("kind"), _param(doc, path, "params", _object, {})
+    if "devices" not in field(doc, path, obj):
+        yield path, doc.get("kind"), param(doc, path, "params", obj, {})
         return
-    for i, sub in enumerate(_param(doc, path, "devices", _list)):
+    for i, sub in enumerate(param(doc, path, "devices", lst)):
         yield from _devices(sub, f"{path}.devices[{i}]")
 
 
@@ -424,8 +392,10 @@ def model_from_spec(doc):
 
     The document is {"kind": ..., "params": {...}} with dimensions in
     meters and currents as [re, im] ampere pairs (bare reals accepted),
-    or {"devices": [...]} to superpose several such entries. The kinds'
-    params, optional ones in brackets with their defaults:
+    or {"devices": [...]} to superpose several such entries. Values are
+    JSON numbers, and the counts n_filaments, n_turns and n_fingers JSON
+    integers. The kinds' params, optional ones in brackets with their
+    defaults:
 
     - strip: centerline (z-plane points), width, current [, profile
       "uniform" (or "edge", crowded to the edges), n_filaments 32]
@@ -442,14 +412,14 @@ def model_from_spec(doc):
     - two-ring-trap: radius_inner, radius_outer, current [, center
       [0, 0, 0], max_chord radius_inner / 16]; opposite ring currents
 
-    A missing or ill-typed value raises ValueError naming its field, as
+    A missing or ill-typed value raises ConfigError naming its field, as
     device.params.width or device.devices[1].params.radius.
     """
     models = []
     for path, kind, params in _devices(doc):
         if not isinstance(kind, str) or kind not in _BUILDERS:
-            raise ValueError(f"{path}.kind: unknown device kind {kind!r}; "
-                             f"known kinds: {', '.join(sorted(_BUILDERS))}")
+            raise ConfigError(f"{path}.kind: unknown device kind {kind!r}; "
+                              f"known kinds: {', '.join(sorted(_BUILDERS))}")
         models.append(_BUILDERS[kind](params, f"{path}.params"))
     return superpose(models)
 
@@ -458,6 +428,6 @@ def drive_current_a(doc):
     """Magnitude of the first current a device document names, or None."""
     for path, _, params in _devices(doc):
         if "current" in params:
-            return abs(_param(params, f"{path}.params", "current",
-                              _as_current))
+            return abs(param(params, f"{path}.params", "current",
+                             _as_current))
     return None

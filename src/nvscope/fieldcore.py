@@ -1,4 +1,4 @@
-"""Coordinate frames, NV-axis geometry and polarization bookkeeping.
+"""Coordinate frames, NV geometry, polarization and the document reader.
 
 Conventions used throughout the package:
 
@@ -38,6 +38,69 @@ def _as_vec3(v, name="vector"):
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} components must be finite")
     return a
+
+
+# ------------------------------------------------- scenario document reader
+
+class ConfigError(ValueError):
+    """Configuration problem; the message carries the field path."""
+
+
+# Converters for param and field: each returns a JSON value as the
+# program uses it, or raises ValueError saying what it "must be". A number
+# is a JSON int or float (never a bool or a string), an integer a JSON int.
+
+def converter(what, test, cast=None):
+    """Converter passing values for which test holds, through cast."""
+    def convert(value):
+        if not test(value):
+            raise ValueError(f"must be {what}, got {value!r}")
+        return cast(value) if cast else value
+    return convert
+
+
+def _is_json_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def numbers(n):
+    """Converter for a list of n numbers, returned as floats."""
+    return converter(f"{n} numbers", lambda v: (
+        isinstance(v, (list, tuple)) and len(v) == n
+        and all(map(_is_json_number, v))), lambda v: [float(x) for x in v])
+
+
+number = converter("a number", _is_json_number, float)
+integer = converter("an integer", lambda v: (
+    isinstance(v, int) and not isinstance(v, bool)))
+string = converter("a string", lambda v: isinstance(v, str))
+boolean = converter("true or false", lambda v: isinstance(v, bool))
+obj = converter("an object", lambda v: isinstance(v, dict))
+lst = converter("a list", lambda v: isinstance(v, list))
+vec3 = numbers(3)
+
+_REQUIRED = object()
+
+
+def field(value, where, convert=number):
+    """convert(value); its TypeError or ValueError becomes a ConfigError
+    naming the field `where`."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{where} {err}") from None
+
+
+def param(doc, path, key, convert=number, default=_REQUIRED):
+    """doc[key] through convert, or default when the key is absent, which
+    is an error without one. Errors name the field path.key, or key alone
+    at the top of a document (empty path)."""
+    where = f"{path}.{key}" if path else key
+    if key not in doc:
+        if default is _REQUIRED:
+            raise ConfigError(f"{where} is required")
+        return default
+    return field(doc[key], where, convert)
 
 
 @dataclass

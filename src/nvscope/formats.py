@@ -136,7 +136,7 @@ def pulse_from_doc(doc):
     if doc is None:
         return None
     return PulseParams(laser_ns=doc["laser_ns"], wait_ns=doc["wait_ns"],
-                       n_shots=int(doc["n_shots"]), c0=doc["c0"],
+                       n_shots=doc["n_shots"], c0=doc["c0"],
                        counts_ref=doc["counts_ref"])
 
 

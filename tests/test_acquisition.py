@@ -262,6 +262,12 @@ class TestStreamEquivalence:
                 frame, oracle_frame(ideal, pulse.counts_ref, seed, k))
 
 
+@pytest.mark.parametrize("n_shots", [100.5, 100.0, True, "100"])
+def test_pulse_n_shots_must_be_an_integer(n_shots):
+    with pytest.raises(ValueError, match="n_shots must be an integer"):
+        acq.PulseParams(n_shots=n_shots)
+
+
 def test_cube_peak_memory_stays_near_the_cube():
     # the ideal contrast is computed in place and the noise per frame,
     # so no temporary as large as the cube is ever held

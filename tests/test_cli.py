@@ -193,6 +193,7 @@ def test_load_scenario_bad_schedule(tmp_path):
     ({"stream": {"dt_mw_ns": 30, "rows": 50, "schedule": [[5, "on"]],
                  "row_time_us": "x"}}, "stream.row_time_us"),
     ({"nv": {**MINI["nv"], "flip": "false"}}, "nv.flip"),
+    ({"name": "../escaped"}, "name"),
 ])
 def test_malformed_config_exits_2_naming_the_field(tmp_path, capsys,
                                                    overrides, field):
@@ -341,6 +342,121 @@ def test_malformed_device_exits_2_naming_the_field(tmp_path, capsys, doc,
     path = write_scenario(tmp_path, device=doc)
     assert run("simulate", "--config", path, "-o", tmp_path / "out") == 2
     assert field in capsys.readouterr().err
+
+
+# a well-formed meander in SI units; each case below spoils one param
+MEANDER = {"n_turns": 4, "leg": 1e-4, "pitch": 5e-5, "current": 0.02}
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"grid": {**MINI["grid"], "nx": 4.7}}, "grid.nx"),
+    ({"layer": {**MINI["layer"], "n_samples": 1.0}}, "layer.n_samples"),
+    ({"scan": {**MINI["scan"], "n_steps": 100.0}}, "scan.n_steps"),
+    ({"pulse": {**MINI["pulse"], "n_shots": 100.5}}, "pulse.n_shots"),
+    ({"nv": {**MINI["nv"], "tilt_deg": 95}}, "nv: tilt angle"),
+    ({"nv": {**MINI["nv"], "tilt_plane": "xy"}}, "nv: tilt_plane"),
+    ({"name": "../escaped"}, "name must be a bare file stem"),
+    ({"name": "."}, "name must be a bare file stem"),
+    ({"name": ""}, "name must be a bare file stem"),
+    ({"name": 5}, "name must be a bare file stem"),
+    ({"device": {"kind": "meander", "params": {**MEANDER, "n_turns": 4.7}}},
+     "device.params.n_turns"),
+    ({"device": {"kind": "meander", "params": {**MEANDER, "leg": "1e-4"}}},
+     "device.params.leg"),
+    ({"device": {"kind": "meander", "params": {**MEANDER, "pitch": True}}},
+     "device.params.pitch"),
+    ({"device": {"kind": "meander", "params": {**MEANDER,
+                                                "current": "0.02"}}},
+     "device.params.current"),
+    ({"device": device("strip", n_filaments=16.0)},
+     "device.params.n_filaments"),
+    ({"device": device("cpw", ground_split=["0.5", 0.5])},
+     "device.params.ground_split"),
+])
+def test_ill_typed_field_exits_2_before_any_output(tmp_path, capsys,
+                                                   overrides, field):
+    # the run directory sits one level down, so that a name escaping the
+    # output dir would still land inside tmp_path
+    path = tmp_path / "run" / "s.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps({**MINI, **overrides}))
+    assert run("simulate", "--config", path, "-o", path.parent / "out") == 2
+    assert field in capsys.readouterr().err
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == [path]
+
+
+# integer fields of a scenario document; every other numeric field takes
+# any JSON number
+INTEGER_KEYS = {"nx", "ny", "n_samples", "n_shots", "n_steps", "rows", "seed",
+                "arm_px", "search_region_px", "n_filaments", "n_turns",
+                "n_fingers", "n_repeats"}
+UNREAD_KEYS = {"description"}
+
+
+def bundled_doc(name):
+    """A bundled scenario as raw JSON. meander-fig3 and interdigital-fig3
+    give a 2-D device origin_um, which does not build; a zero z is added
+    so that every bundled document builds."""
+    doc = json.loads(cli.resolve_config_source(name))
+    params = doc["device"]["params"]
+    if len(params.get("origin_um", [0, 0, 0])) == 2:
+        params["origin_um"] = params["origin_um"] + [0]
+    return doc
+
+
+def wrong_types(value, keys, name, integer):
+    """(keys, wrong value, field name) for value, and for each entry when
+    it is a list: a string for a number, also a float for an integer, and
+    a number for anything else. An entry of a list is named by the field
+    holding the list."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield keys, str(value), name
+        if integer:
+            yield keys, value + 0.5, name
+    else:
+        yield keys, 5, name
+    if isinstance(value, list):
+        for i, entry in enumerate(value):
+            yield from wrong_types(entry, keys + (i,), name, integer)
+    if isinstance(value, dict):
+        for key, entry in value.items():
+            if key not in UNREAD_KEYS:
+                stem = next(iter(convert_units({key: 0})))  # suffix stripped
+                yield from wrong_types(entry, keys + (key,),
+                                       f"{name}.{stem}" if name else stem,
+                                       key in INTEGER_KEYS)
+
+
+WRONG_TYPES = [
+    pytest.param(scenario, keys, value, name,
+                 id=f"{scenario}:{'.'.join(map(str, keys))}="
+                    f"{type(value).__name__}")
+    for scenario in cli.BUNDLED_SCENARIOS
+    for keys, value, name in wrong_types(bundled_doc(scenario), (), "", False)
+    if keys]
+
+
+def test_wrong_type_sweep_documents_build(tmp_path):
+    for scenario in cli.BUNDLED_SCENARIOS:
+        path = tmp_path / f"{scenario}.json"
+        path.write_text(json.dumps(bundled_doc(scenario)))
+        assert currents.model_from_spec(
+            load_scenario(str(path)).device_doc).n_segments > 0
+
+
+@pytest.mark.parametrize("scenario, keys, value, name", WRONG_TYPES)
+def test_wrong_json_type_is_rejected_naming_the_field(tmp_path, scenario,
+                                                      keys, value, name):
+    doc = bundled_doc(scenario)
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as err:  # ConfigError is a ValueError
+        currents.model_from_spec(load_scenario(str(path)).device_doc)
+    assert name in str(err.value)
 
 
 # ----------------------------------------------------------- full pipeline
@@ -930,6 +1046,38 @@ print("importlib.metadata" in set(sys.modules) - before)
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:2] == ["[]", "False"]
+
+
+def test_pipeline_runs_without_scipy(tmp_path):
+    code = """
+import importlib
+import pkgutil
+import sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+import nvscope
+for module in pkgutil.walk_packages(nvscope.__path__, "nvscope."):
+    importlib.import_module(module.name)
+from nvscope import cli
+cfg, out = sys.argv[1:]
+cube = out + "/mini-strip.cube.rcub"
+for argv in (["simulate", "--config", cfg],
+             ["acquire", "--config", cfg, "--noiseless"],
+             ["fit", "--cube", cube], ["report", "--config", cfg],
+             ["contours", "--cube", cube]):
+    assert cli.main(argv + ["-o", out]) == 0, argv
+"""
+    cfg = write_scenario(tmp_path)
+    out = tmp_path / "out"
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code, cfg, str(out)],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    for command in ("simulate", "acquire", "fit", "report", "contours"):
+        base = "mini-strip.cube" if command in ("fit", "contours") else (
+            "mini-strip")
+        assert (out / f"{base}.{command}.manifest.json").is_file()
 
 
 def test_module_entry_point():

@@ -205,6 +205,18 @@ def test_cube_rejects_truncation(tmp_path):
         read_cube(path)
 
 
+@pytest.mark.parametrize("n_shots", [b"100.5", b"100.0", b"true", b'"100"'])
+def test_cube_header_non_integer_n_shots_raises(tmp_path, n_shots):
+    path = tmp_path / "cube.rcub"
+    write_cube(path, make_cube())
+    raw = path.read_bytes()
+    assert raw.count(b'"n_shots":100,') == 1
+    path.write_bytes(raw.replace(b'"n_shots":100,',
+                                 b'"n_shots":' + n_shots + b",", 1))
+    with pytest.raises(FormatError, match="n_shots must be an integer"):
+        read_cube(path)
+
+
 # ------------------------------------------------------------------ RSTR1
 
 def test_stream_roundtrip(tmp_path):
