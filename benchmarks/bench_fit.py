@@ -9,9 +9,9 @@ smaller than FIT_BLOCK_PX); stride 3 (2211 px) is mostly full-size
 blocks, as in a map fit; stride 1 is the whole map. Reports the best
 of --repeats runs in ms/px, the mean LM residual evaluations per
 fitted pixel, the gate's open share (the fitted pixels whose double-exp
-solve ran; 0 under the single envelope) and the outcome counts that
-`*.fit.json` reports: converged, budget exhausted and omega out of
-bounds.
+solve ran; 0 under the single envelope), the kept double-exp fits
+(amp_slow != 0) and the outcome counts that `*.fit.json` reports:
+converged, budget exhausted and omega out of bounds.
 
     python3 benchmarks/bench_fit.py --strides 10 3 --seed 1 --repeats 3
 """
@@ -45,8 +45,8 @@ def run(cube, mode, repeats):
         best = min(best, time.perf_counter() - t0)
     fitted = results[~results.below_threshold]
     split = analysis.fit_outcome_counts(results)
-    counts = (split["n_converged"], split["n_budget_exhausted"],
-              split["n_omega_out_of_bounds"])
+    counts = (int((results.amp_slow != 0.0).sum()), split["n_converged"],
+              split["n_budget_exhausted"], split["n_omega_out_of_bounds"])
     if not fitted.size:
         return (best, 0.0, 0.0) + counts
     return (best, float(fitted.evaluations.mean()),
@@ -67,12 +67,12 @@ def main():
         sub, _ = workloads._subsample(cube, truth, stride, 1, 1)
         n_px = sub.grid.nx * sub.grid.ny
         for mode in (analysis.DOUBLE_EXP, analysis.SINGLE_EXP):
-            t, evals, opened, n_conv, n_exhausted, n_out = run(
+            t, evals, opened, n_kept, n_conv, n_exhausted, n_out = run(
                 sub, mode, args.repeats)
             print(f"stride {stride:2d} ({n_px:5d} px) {mode:>10}: "
                   f"{t * 1e3 / n_px:7.3f} ms/px {evals:7.1f} LM "
-                  f"evaluations/px, gate open {opened:.3f}, "
-                  f"converged {n_conv}/{n_px}, n_budget_exhausted "
+                  f"evaluations/px, gate open {opened:.3f}, kept doubles "
+                  f"{n_kept}, converged {n_conv}/{n_px}, n_budget_exhausted "
                   f"{n_exhausted}, n_omega_out_of_bounds {n_out}")
 
 

@@ -31,11 +31,13 @@ the nested pair is compared by the Bayesian information criterion
     dBIC = n ln(RSS_single / RSS_double) - 2 ln n,
 
 the double model carrying two more parameters (C, tau_s). The double
-envelope is kept only when its solve converged and dBIC >= BIC_MARGIN
-(10, "very strong" evidence on the Kass & Raftery 1995 scale);
-otherwise the pixel is fit single-exp. A floor of n (1e-10 max|y|)^2
-is added to both residual sums so that exact single-exp traces, whose
-residuals are at rounding level, compare as equal and stay single-exp.
+envelope is kept only when its solve converged, dBIC >= BIC_MARGIN
+(10, "very strong" evidence on the Kass & Raftery 1995 scale) and its
+|Omega| is strictly inside the omega bounds; otherwise the pixel is fit
+single-exp, so a double is never kept with a frequency the converged
+flag would reject. A floor of n (1e-10 max|y|)^2 is added to both
+residual sums so that exact single-exp traces, whose residuals are at
+rounding level, compare as equal and stay single-exp.
 Noise that a second exponential merely absorbs gives dBIC near -2 ln n,
 far below the margin, so rounding-level changes to the input do not
 change the choice; only a dBIC within rounding of the margin, a double
@@ -78,19 +80,28 @@ field is 0 either way. The rule reads each row alone and the
 evaluation count that all active rows share, so fit_pixel still equals
 the same pixel fitted in a block.
 
-The same exit covers the double-exp solve: a double row whose dBIC
-over its own single fit is still below BIC_MARGIN after
-OMEGA_EXIT_EVALS evaluations leaves the loop as finished, and the BIC
-rule discards it. The loop and the rule read dBIC from one function,
-_bic_gain, so they cannot disagree. Accepted steps only lower the RSS,
-so dBIC only grows along a solve: an exited row could have been kept
-only by crossing the margin after evaluation 50. On the cpw-fig2
-rabi-fit samples of seeds 1-10 (333 kept doubles) every kept double had
-reached the margin by evaluation 13, and on the cpw-fig2, omega-fig3
-and trap-fig4-xz maps (1357 kept) by evaluation 16, so 50 leaves a
-margin of 3.1x. On those samples 833 of the 4226 double solves that
-ran exited, rows that used to run on to their budget or a late
-convergence. Only the evaluation counts of the rows that exit change.
+The same exit covers the double-exp solve: a double row whose accepted
+|Omega| is not strictly inside the omega bounds, or whose dBIC over its
+own single fit is still below BIC_MARGIN, after OMEGA_EXIT_EVALS
+evaluations leaves the loop as finished, and the BIC rule discards it.
+The loop and the rule read dBIC from one function, _bic_gain, and the
+loop, the rule and the converged flag read the bounds from one,
+_in_bounds, so they cannot disagree. Accepted steps only lower the RSS,
+so dBIC only grows along a solve: a row that exited below the margin
+could have been kept only by crossing it after evaluation 50. On the
+cpw-fig2 rabi-fit samples of seeds 1-10 (333 kept doubles before the
+bounds joined the rule) every kept double had reached the margin by
+evaluation 13, and on the cpw-fig2, omega-fig3 and trap-fig4-xz maps
+(1357 kept) by evaluation 16, a margin of 3.1x. A row that exited
+outside the bounds could have been kept only by coming back inside
+after evaluation 50. Of the doubles kept on those samples (288) and maps
+(1140), 12 were ever outside the bounds, and none after evaluation 38
+(cpw-fig2; 16 on trap-fig4-xz, 6 on the samples), a margin of 1.32x;
+under the one-cycle bounds of `nvscope fit --one-cycle-floor` none of
+them keeps a double. The bounds exit stops 265 of the 4226 double solves
+of the samples and 334, 159 and 598 of the maps' 5119, 2546 and 4333,
+solves that used to run on to their budget below the bounds. Only the
+evaluation counts of the rows that exit change.
 """
 
 import math
@@ -137,8 +148,8 @@ BIC_MARGIN = 10.0
 # double-exp solve runs
 DOUBLE_GATE = 1.1
 
-# residual evaluations after which a single-exp row whose accepted |Omega|
-# is on or outside the omega bounds leaves the LM loop
+# residual evaluations after which a row whose accepted |Omega| is on or
+# outside the omega bounds leaves the LM loop
 OMEGA_EXIT_EVALS = 50
 
 # pixels fitted together in one LM batch; bounds the solver's memory
@@ -327,6 +338,14 @@ def _bic_gain(ssq_single, ssq_double, floor, n):
             - 2.0 * math.log(n))
 
 
+def _in_bounds(omega, bounds):
+    """|Omega| strictly inside the omega bounds (lo, hi), elementwise; a
+    NaN is outside. The one test of the bounds, read by the LM loop's
+    exit, the BIC rule and the converged flag, so they cannot disagree."""
+    omega = np.abs(omega)
+    return (bounds[0] < omega) & (omega < bounds[1])
+
+
 def _levenberg_marquardt(t, y, x, k, allow_phase, cfg, omega_bounds=None,
                         ssq_single=None):
     """Fit the rows of y (P, n) from the seed rows x (P, p) together.
@@ -339,13 +358,14 @@ def _levenberg_marquardt(t, y, x, k, allow_phase, cfg, omega_bounds=None,
     the first included. Once OMEGA_EXIT_EVALS evaluations are used, a
     row that its caller will reject also leaves, reported as finished
     (see the module doc): with omega_bounds (lo, hi), a row whose
-    accepted |Omega| is not strictly inside them, which the caller's
-    bounds check returns with converged=False, not as an exhausted
-    budget, so fit_pixel no longer raises NotConverged for it; with
+    accepted |Omega| is not strictly inside them (_in_bounds), which
+    the caller's bounds check returns with converged=False, not as an
+    exhausted budget, so fit_pixel no longer raises NotConverged for
+    it, and which the BIC rule discards if it is a double-exp row; with
     ssq_single, the RSS of each row's single-exp fit, a double-exp row
     whose _bic_gain over it is still below BIC_MARGIN, which the BIC
-    rule discards. The state of the active rows is held compacted and
-    is cut down only in the iterations where rows leave, so a block's
+    rule discards too. The state of the active rows is held compacted
+    and is cut down only in the iterations where rows leave, so a block's
     tail of slow rows does not index the full-size arrays in every
     iteration; accepted and rejected steps are merged row by row with
     np.where. Returns (x, residual sum of squares, evaluations,
@@ -378,9 +398,7 @@ def _levenberg_marquardt(t, y, x, k, allow_phase, cfg, omega_bounds=None,
             # a row that its caller will reject is finished
             if nfev >= OMEGA_EXIT_EVALS:
                 if omega_bounds is not None:
-                    omega = np.abs(x[:, 1 + 2 * k])
-                    done = done | ~((omega_bounds[0] < omega)
-                                    & (omega < omega_bounds[1]))
+                    done = done | ~_in_bounds(x[:, 1 + 2 * k], omega_bounds)
                 if ssq_single is not None:
                     done = done | ~(_bic_gain(ssq_single[rows], ssq,
                                               floor[rows], len(t))
@@ -531,14 +549,16 @@ def _fit_rows(t_ns, y, cfg):
         ssq_d = np.full(len(fit), math.inf)
         nfev_d = np.zeros(len(fit), dtype=int)
         conv_d = np.zeros(len(fit), dtype=bool)
-        # a double row still short of the BIC margin after
-        # OMEGA_EXIT_EVALS evaluations leaves its solve (see module doc)
+        # a double row outside the omega bounds or still short of the BIC
+        # margin after OMEGA_EXIT_EVALS evaluations leaves its solve (see
+        # module doc)
         x_d[on], ssq_d[on], nfev_d[on], conv_d[on] = _levenberg_marquardt(
-            t, yf[on], x0_d[on], 2, cfg.allow_phase, cfg,
+            t, yf[on], x0_d[on], 2, cfg.allow_phase, cfg, bounds,
             ssq_single=ssq[on])
         with np.errstate(all="ignore"):
             dbic = _bic_gain(ssq, ssq_d, _rss_floor(yf), n)
-        double = conv_d & (dbic >= BIC_MARGIN)
+            double = (conv_d & (dbic >= BIC_MARGIN)
+                      & _in_bounds(x_d[:, 5], bounds))
         params = np.where(double[:, None], x_d, params)
         rss = np.where(double, ssq_d, ssq)
         ok = conv | double
@@ -567,7 +587,7 @@ def _fit_rows(t_ns, y, cfg):
     fitted.omega = omega
     fitted.phase = _wrap_phase(phase)
     fitted.residual_rms = np.sqrt(rss / n)
-    fitted.converged = ok & (bounds[0] < omega) & (omega < bounds[1])
+    fitted.converged = ok & _in_bounds(omega, bounds)
     fitted.evaluations = nfev
     fitted.exhausted = ~ok
     fitted.double_solved = solved
@@ -591,17 +611,19 @@ def fit_pixel(t_ns, y, cfg=None):
     RSS exceeds DOUBLE_GATE (1.1) times n times the noise variance read
     from the median of its residual's periodogram (smallest kept-double
     ratio measured: 1.179). The double fit is kept only when its solve
-    converged and its dBIC over the single one is at least BIC_MARGIN
-    (10); see the module docstring. A double solve that exhausts its
-    evaluation budget is discarded, so the pixel is fit single-exp; a
-    skipped solve changes only the evaluation count. So does a double
-    solve that stops once it has used OMEGA_EXIT_EVALS evaluations with
-    its dBIC still below BIC_MARGIN: the rule would discard it, and
-    every double kept in the measured samples had passed the margin by
-    evaluation 16. With
-    envelope_mode single-exp only the single envelope is fit. The
-    result's evaluations field counts the residual evaluations of both
-    solves, and double_solved says whether the double one ran.
+    converged, its dBIC over the single one is at least BIC_MARGIN (10)
+    and its |Omega| is strictly inside the omega bounds; see the module
+    docstring. A double solve that exhausts its evaluation budget is
+    discarded, so the pixel is fit single-exp; a skipped solve changes
+    only the evaluation count. So does a double solve that stops once
+    it has used OMEGA_EXIT_EVALS evaluations with its dBIC still below
+    BIC_MARGIN or its |Omega| outside the bounds: the rule would
+    discard it, and every double kept in the measured samples had
+    passed the margin by evaluation 16 and was inside the bounds from
+    evaluation 39 on. With envelope_mode single-exp only the single
+    envelope is fit. The result's evaluations field counts the residual
+    evaluations of both solves, and double_solved says whether the
+    double one ran.
 
     Raises NoOscillation when the periodogram peak is below the
     configured SNR threshold and NotConverged, carrying the partial

@@ -60,8 +60,6 @@ BUNDLED_SCENARIOS = ("cpw-fig2", "omega-fig3", "meander-fig3",
 # --envelope and report.sensitivity.envelope values -> FitConfig modes
 ENVELOPES = {"double": analysis.DOUBLE_EXP, "single": analysis.SINGLE_EXP}
 
-TIMING_KEYS = ("row_time_us", "overhead_us")  # optional, for CameraTiming
-
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
@@ -121,6 +119,7 @@ class ScenarioConfig:
     decay: DecayParams
     dt_ns: np.ndarray
     stream: dict
+    timing: CameraTiming  # the stream's camera timing; None without one
     trap: dict
     report: dict
     seed: int
@@ -272,12 +271,17 @@ def load_scenario(value):
                               "n_steps >= 1 required")
         dt_ns = start + step * np.arange(n)
 
-    stream = read("stream", obj, None)
+    stream, timing = read("stream", obj, None), None
     if stream is not None:
         st = functools.partial(param, stream, "stream")
-        st("dt_mw_ns"), st("rows", integer), st("schedule", _schedule)
-        for key in TIMING_KEYS:
-            st(key, default=None)
+        st("dt_mw_ns"), st("schedule", _schedule)
+        rows = st("rows", integer)
+        if rows < 1:
+            raise ConfigError(f"stream.rows must be an integer >= 1, got "
+                              f"{rows!r}")
+        timing = _build(CameraTiming, "stream", **_given(
+            stream, "stream", row_time_us=("row_time_us", number),
+            overhead_us=("overhead_us", number)))
 
     report, trap = read("report", obj, None), read("trap", obj, None)
     if report is not None:
@@ -287,8 +291,8 @@ def load_scenario(value):
     return ScenarioConfig(
         name=name, device_doc=read("device", obj), grid=grid, layer=layer,
         nv_frame=frame, f_mw=f_mw, transition=transition, pulse=pulse,
-        decay=decay, dt_ns=dt_ns, stream=stream, trap=trap, report=report,
-        seed=read("seed", integer, None), source_bytes=raw)
+        decay=decay, dt_ns=dt_ns, stream=stream, timing=timing, trap=trap,
+        report=report, seed=read("seed", integer, None), source_bytes=raw)
 
 
 # ------------------------------------------------------------ stage runner
@@ -442,18 +446,17 @@ def cmd_acquire(args, cfg, out):
     if args.noiseless:
         seed = None
     if cfg.stream is not None:
-        timing = CameraTiming(**{key: cfg.stream[key] for key in TIMING_KEYS
-                                 if key in cfg.stream})
         frames = acquisition.simulate_stream(
             pmap, cfg.stream["dt_mw_ns"], cfg.pulse,
             [tuple(item) for item in cfg.stream["schedule"]],
-            timing=timing, rows=cfg.stream["rows"], seed=seed,
+            timing=cfg.timing, rows=cfg.stream["rows"], seed=seed,
             decay=cfg.decay)
         name = f"{cfg.name}.stream.rstr"
         out(name, lambda path: formats.write_stream(
-            path, pmap.grid, cfg.stream["dt_mw_ns"], frames, timing=timing,
-            rows=cfg.stream["rows"], schedule=cfg.stream["schedule"],
-            pulse=cfg.pulse, seed=seed), n_frames=len(frames))
+            path, pmap.grid, cfg.stream["dt_mw_ns"], frames,
+            timing=cfg.timing, rows=cfg.stream["rows"],
+            schedule=cfg.stream["schedule"], pulse=cfg.pulse, seed=seed),
+            n_frames=len(frames))
     else:
         if cfg.dt_ns is None:
             raise ConfigError("config has neither scan nor stream section")

@@ -459,7 +459,8 @@ def test_double_gate_skips_only_discarded_double_solves(monkeypatch):
                                     1e-30)) ** 2
     dbic = (n * np.log((0.5 * ssq + floor) / (0.5 * ssq_d + floor))
             - 2.0 * math.log(n))
-    keep = conv_d & (dbic >= ana.BIC_MARGIN)
+    omega_d = np.abs(x_d[:, -2])
+    keep = conv_d & (dbic >= ana.BIC_MARGIN) & (lo < omega_d) & (omega_d < hi)
 
     # the fitter itself with the gate open on every row
     monkeypatch.setattr(ana, "DOUBLE_GATE", 0.0)
@@ -618,6 +619,53 @@ def test_double_exit_changes_only_discarded_double_solves(monkeypatch):
     assert (results.amp_slow != 0.0).any()
 
 
+# no kept double of the 100 stride-10 samples of cpw-fig2 has its |omega|
+# outside the bounds at any evaluation; this sample holds the most double
+# rows (5) that the omega exit stops
+MOST_DOUBLE_EXITS_SAMPLE = (5, 0)
+
+
+def test_double_omega_exit_changes_only_rows_that_left_the_bounds(
+        monkeypatch):
+    # reference: the double solve with its omega exit disabled (bounds
+    # (0, inf) in its loop), then the BIC rule, which never keeps a double
+    # outside the bounds. A double row that leaves early is one the rule
+    # discards, so no field but the evaluation count changes
+    cube = cpw_fig2_stride10_cube(*MOST_DOUBLE_EXITS_SAMPLE)
+    solver = ana._levenberg_marquardt
+    double_evals = []
+
+    def recorded(t, y, x, k, allow_phase, fit_cfg, omega_bounds=None,
+                 ssq_single=None):
+        out = solver(t, y, x, k, allow_phase, fit_cfg, omega_bounds,
+                     ssq_single)
+        if k == 2:
+            double_evals.append(out[2])
+        return out
+
+    def no_exit(t, y, x, k, allow_phase, fit_cfg, omega_bounds=None,
+                ssq_single=None):
+        if k == 2:
+            omega_bounds = (0.0, math.inf)
+        return recorded(t, y, x, k, allow_phase, fit_cfg, omega_bounds,
+                        ssq_single)
+
+    monkeypatch.setattr(ana, "_levenberg_marquardt", recorded)
+    fmap, results = fit_cube(cube)
+    monkeypatch.setattr(ana, "_levenberg_marquardt", no_exit)
+    ref_map, ref = fit_cube(cube)
+
+    assert fmap.values.tobytes() == ref_map.values.tobytes()
+    for r, q in zip(results.ravel(), ref.ravel()):
+        assert_same_result(r, q, ignore=("evaluations",))
+    evals, ref_evals = double_evals
+    exited = evals != ref_evals
+    assert exited.any()
+    assert (evals[exited] >= ana.OMEGA_EXIT_EVALS).all()
+    assert (evals[exited] < ref_evals[exited]).all()
+    assert (results.amp_slow != 0.0).any()
+
+
 @pytest.mark.parametrize("sample", [(0, 0), LATE_DOUBLE_SAMPLE])
 def test_kept_doubles_reach_the_bic_margin_by_half_the_exit(sample):
     # the double exit discards a row still short of BIC_MARGIN after
@@ -648,8 +696,10 @@ def test_fit_records_describe_the_solver_curves(monkeypatch):
     # a record describes the curve of the solve it keeps, folded to
     # omega >= 0, B + C >= 0, tau_fast <= tau_slow and |phase| <= pi.
     # The solver is replaced by fixed solutions that need every fold;
-    # rows 1 and 3 keep a converged double over an exhausted single, and
-    # row 4 keeps its single, whose |omega| sits on the lower bound
+    # rows 1 and 3 keep a converged double over an exhausted single,
+    # row 4 keeps its single, whose |omega| sits on the lower bound, and
+    # row 5 keeps its converged single over a converged double whose
+    # |omega| is below the lower bound
     t = DT_4US
     lo, hi = ana._default_omega_bounds(t)
     w = 0.0377
@@ -658,14 +708,16 @@ def test_fit_records_describe_the_solver_curves(monkeypatch):
                        [0.02, -0.015, l7, w, 0.4],
                        [0.02, 0.015, l7, -w, 7.0],
                        [0.02, -0.015, l7, -w, -9.5],
-                       [0.02, 0.015, l7, -lo, 0.4]])
+                       [0.02, 0.015, l7, -lo, 0.4],
+                       [0.02, 0.015, l7, w, 0.4]])
     double = np.array([[0.02, 0.010, 0.005, l25, l3, w, 0.4],
                        [0.02, -0.010, 0.004, l3, l25, -w, 3.0],
                        [0.02, 0.002, -0.010, l25, l3, w, -4.0],
                        [0.02, -0.010, -0.004, l3, l25, -w, 12.0],
-                       [0.02, 0.010, 0.005, l3, l25, w, 0.4]])
-    conv = {1: np.array([True, False, True, False, True]),
-            2: np.array([True, True, True, True, False])}
+                       [0.02, 0.010, 0.005, l3, l25, w, 0.4],
+                       [0.02, 0.010, 0.005, l3, l25, lo / 2, 0.4]])
+    conv = {1: np.array([True, False, True, False, True, True]),
+            2: np.array([True, True, True, True, False, True])}
 
     def solver(t, y, x, k, allow_phase, cfg, omega_bounds=None,
                ssq_single=None):
@@ -679,10 +731,11 @@ def test_fit_records_describe_the_solver_curves(monkeypatch):
 
     monkeypatch.setattr(ana, "_levenberg_marquardt", solver)
     y = np.tile(0.02 - 0.015 * np.exp(-t / 700.0) * np.sin(w * t + 0.4),
-                (5, 1))
+                (6, 1))
     for mode in (ana.DOUBLE_EXP, ana.SINGLE_EXP):
         results, _ = ana._fit_rows(t, y, FitConfig(envelope_mode=mode))
-        kept_double = conv[2] & (mode == ana.DOUBLE_EXP)
+        kept_double = (np.array([True] * 4 + [False] * 2)
+                       & (mode == ana.DOUBLE_EXP))
         for r, s, d, s_ok, keep in zip(results, single, double, conv[1],
                                        kept_double):
             if keep:
@@ -700,8 +753,8 @@ def test_fit_records_describe_the_solver_curves(monkeypatch):
             assert r.exhausted == (not (keep or s_ok))
             assert r.converged == ((keep or s_ok) and lo < r.omega < hi)
         assert results.converged.tolist() == (
-            [True] * 4 + [False] if mode == ana.DOUBLE_EXP
-            else [True, False, True, False, False])
+            [True] * 4 + [False, True] if mode == ana.DOUBLE_EXP
+            else [True, False, True, False, False, True])
 
 
 def test_wrap_phase_equals_math_remainder():

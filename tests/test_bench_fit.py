@@ -14,6 +14,7 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 LINE = re.compile(r"stride\s+20 \(\s*(\d+) px\)\s+(\S+): .* converged "
                   r"(\d+)/(\d+), n_budget_exhausted (\d+), "
                   r"n_omega_out_of_bounds (\d+)$")
+KEPT = re.compile(r"kept doubles (\d+), converged")
 
 
 def run_script(name, args, cwd):
@@ -32,6 +33,9 @@ def test_bench_fit_prints_both_envelopes_with_consistent_counts(tmp_path):
             if line.startswith("stride")]
     assert all(rows), proc.stdout
     assert [m.group(2) for m in rows] == ["double-exp", "single-exp"]
+    # the single envelope never keeps a double-exp fit
+    kept = [int(KEPT.search(m.string).group(1)) for m in rows]
+    assert kept[1] == 0
     for m in rows:
         n_px, n_conv, total, n_exhausted, n_out = (
             int(m.group(k)) for k in (1, 3, 4, 5, 6))

@@ -176,6 +176,25 @@ def test_load_scenario_bad_schedule(tmp_path):
             load_scenario(str(path))
 
 
+@pytest.mark.parametrize("key, message", [
+    ("rows", "stream.rows must be an integer >= 1"),
+    ("row_time_us", "stream: row_time_us must be positive")])
+def test_stream_out_of_range_exits_2_at_load(tmp_path, capsys, key, message):
+    # found at load, not first by acquire after simulate wrote its outputs
+    doc = json.loads(json.dumps(MINI))
+    del doc["scan"]
+    doc["stream"] = {"dt_mw_ns": 30, "rows": 50, "schedule": [[1.0, "on"]],
+                     key: 0}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=message):
+        load_scenario(str(path))
+    out = tmp_path / "out"
+    assert run("simulate", "--config", path, "-o", out) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("overrides, field", [
     ({"stream": {"dt_mw_ns": 30, "rows": 50, "schedule": [5]}},
      "stream.schedule"),
