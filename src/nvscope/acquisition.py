@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nvscope.fieldcore import GAMMA_NV
+from nvscope.fieldcore import GAMMA_NV, SIGMA_MINUS, check_component
 
 
 @dataclass
@@ -150,15 +150,18 @@ def simulate_contrast_image(bmap, dt_mw_ns, pulse, decay, noise_seed=None,
 
 @dataclass
 class ImageCube:
-    """Contrast frames over a scan of microwave pulse durations."""
+    """Contrast frames over a scan of microwave pulse durations, driven
+    on one circular component of the field."""
 
     grid: object
     dt_ns: np.ndarray
     frames: np.ndarray
     pulse: PulseParams = None
     seed: int = None
+    component: str = SIGMA_MINUS
 
     def __post_init__(self):
+        check_component(self.component)
         self.dt_ns = np.asarray(self.dt_ns, dtype=float)
         self.frames = np.asarray(self.frames, dtype=float)
         if self.dt_ns.ndim != 1 or len(self.dt_ns) == 0:
@@ -192,7 +195,7 @@ def simulate_cube(bmap, dt_list_ns, pulse, decay, seed=None):
         for k, ideal in enumerate(frames):
             frames[k] = _apply_shot_noise(ideal, pulse.counts_ref, rng(k))
     return ImageCube(grid=bmap.grid, dt_ns=dt_list_ns, frames=frames,
-                     pulse=pulse, seed=seed)
+                     pulse=pulse, seed=seed, component=bmap.component)
 
 
 @dataclass

@@ -7,9 +7,8 @@ Per-pixel traces are fit with the damped-oscillation model
 using Levenberg-Marquardt with an analytic Jacobian. The frequency is
 seeded from a zero-padded periodogram peak (parabolic interpolation),
 which keeps the multimodal Omega landscape from trapping the solver.
-The phase term is optional: with phi fixed at 0 the model is the bare
-sine form, with phi free it also matches (1 - cos)-shaped population
-signals. Calibration is B = Omega / (2 pi GAMMA_NV).
+The phase phi is free, so the model also matches (1 - cos)-shaped
+population signals. Calibration is B = Omega / (2 pi GAMMA_NV).
 
 All pixels of a block (at most FIT_BLOCK_PX) are fit together by one
 numpy LM loop, the "many small fits" scheme of Gpufit (Przybylski et
@@ -69,14 +68,14 @@ the LM loop as finished, and the bounds check reports it converged=False
 less than a Rabi cycle in the scan that crawl down the valley of
 vanishing Omega, rising amplitude and growing tau, the "parameter
 evaporation" of sloppy models (Transtrum, Machta & Sethna, PRL 104,
-060201, 2010); left alone they ran to the evaluation budget, holding
-their whole block in the loop, and were reported not converged anyway.
-On the cpw-fig2 rabi-fit samples of seeds 1-10 and on the cpw-fig2,
-omega-fig3 and trap-fig4-xz maps (default and one-cycle bounds), the
-latest evaluation at which a row outside the bounds came back inside
-and converged was 32, so 50 leaves a margin of 1.56x. Only the rows
-that exit change, in their parameters and evaluation count; their
-field is 0 either way. The rule reads each row alone and the
+060201, 2010); without the exit they would run to the evaluation budget,
+holding their whole block in the loop, only to be reported not
+converged. On the cpw-fig2 rabi-fit samples of seeds 1-10 and on the
+cpw-fig2, omega-fig3 and trap-fig4-xz maps (default and one-cycle
+bounds), the latest evaluation at which a row outside the bounds came
+back inside and converged was 32, so 50 leaves a margin of 1.56x. Only
+the rows that exit change, in their parameters and evaluation count;
+their field is 0 either way. The rule reads each row alone and the
 evaluation count that all active rows share, so fit_pixel still equals
 the same pixel fitted in a block.
 
@@ -89,21 +88,22 @@ loop, the rule and the converged flag read the bounds from one,
 _in_bounds, so they cannot disagree. Accepted steps only lower the RSS,
 so dBIC only grows along a solve: a row that exited below the margin
 could have been kept only by crossing it after evaluation 50. On the
-cpw-fig2 rabi-fit samples of seeds 1-10 (333 kept doubles before the
-bounds joined the rule) every kept double had reached the margin by
-evaluation 13, and on the cpw-fig2, omega-fig3 and trap-fig4-xz maps
+cpw-fig2 rabi-fit samples of seeds 1-10 (333 doubles that pass the BIC
+rule without the bounds test) every kept double had reached the margin
+by evaluation 13, and on the cpw-fig2, omega-fig3 and trap-fig4-xz maps
 (1357 kept) by evaluation 16, a margin of 3.1x. A row that exited
-outside the bounds could have been kept only by coming back inside
-after evaluation 50. Of the doubles kept on those samples (288) and maps
+outside the bounds could have been kept only by coming back inside after
+evaluation 50. Of the doubles kept on those samples (288) and maps
 (1140), 12 were ever outside the bounds, and none after evaluation 38
 (cpw-fig2; 16 on trap-fig4-xz, 6 on the samples), a margin of 1.32x;
 under the one-cycle bounds of `nvscope fit --one-cycle-floor` none of
 them keeps a double. The bounds exit stops 265 of the 4226 double solves
 of the samples and 334, 159 and 598 of the maps' 5119, 2546 and 4333,
-solves that used to run on to their budget below the bounds. Only the
-evaluation counts of the rows that exit change.
+solves that would otherwise run on to their budget below the bounds.
+Only the evaluation counts of the rows that exit change.
 """
 
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -167,7 +167,6 @@ class FitConfig:
     max_iterations: int = 400
     omega_bounds: tuple = None  # (min, max) rad/ns; None = auto from sampling
     min_contrast_snr: float = 6.0
-    allow_phase: bool = True
     envelope_mode: str = DOUBLE_EXP
 
     def __post_init__(self):
@@ -208,18 +207,22 @@ def _default_omega_bounds(t_ns):
     return (2.0 * math.pi * 1e-4, math.pi / step)
 
 
+def _padded_spectrum(y):
+    """|rfft| of every row of y with its mean removed, zero-padded to 4n."""
+    return np.abs(np.fft.rfft(y - np.mean(y, axis=1, keepdims=True),
+                              4 * y.shape[1], axis=1))
+
+
 def _periodogram_peaks(t, y):
     """Dominant oscillation frequency (cycles/ns) and SNR of every row.
 
-    Mean-subtracted FFT per row, zero-padded to 4n; the peak bin is
-    refined by parabolic interpolation. SNR is peak magnitude over the
-    median non-DC magnitude. Ties resolve to the lower frequency.
+    The peak bin of _padded_spectrum is refined by parabolic
+    interpolation. SNR is peak magnitude over the median non-DC
+    magnitude. Ties resolve to the lower frequency.
     """
-    n = y.shape[1]
     step = float(np.mean(np.diff(t)))
-    nfft = 4 * n
-    mag = np.abs(np.fft.rfft(y - np.mean(y, axis=1, keepdims=True), nfft,
-                             axis=1))
+    mag = _padded_spectrum(y)
+    nfft = 4 * y.shape[1]
     body = mag[:, 1:]
     k = np.argmax(body, axis=1) + 1
     rows = np.arange(len(y))
@@ -258,10 +261,10 @@ def _seed_taus(t, y):
     return np.clip(tau, span / 20.0, 50.0 * span)
 
 
-def _model_rows(t, neg_t, y, x, k, allow_phase):
+def _model_rows(t, neg_t, y, x, k):
     """Residuals of the model at parameter rows x against the rows of y.
 
-    A row is [A, amp_1..amp_k, ln tau_1..ln tau_k, Omega(, phi)], with k
+    A row is [A, amp_1..amp_k, ln tau_1..ln tau_k, Omega, phi], with k
     = 1 (single-exp) or 2 (double-exp); neg_t is -t. Returns the
     residuals and the model terms the Jacobian reuses.
     """
@@ -273,9 +276,7 @@ def _model_rows(t, neg_t, y, x, k, allow_phase):
     env = x[:, 1, None] * decays[:, 0]
     if k == 2:
         env = env + x[:, 2, None] * decays[:, 1]
-    arg = x[:, 1 + 2 * k, None] * t
-    if allow_phase:
-        arg = arg + x[:, 2 + 2 * k, None]
+    arg = x[:, 1 + 2 * k, None] * t + x[:, 2 + 2 * k, None]
     s = np.sin(arg)
     return (x[:, :1] - env * s) - y, (rate_t, decays, env, s, arg)
 
@@ -291,8 +292,7 @@ def _normal_equations(t, x, resid, terms, k):
                                * s[:, None])
     cos = np.cos(arg)
     jac[:, 1 + 2 * k] = -env * t * cos
-    if jac.shape[1] > 2 + 2 * k:
-        jac[:, 2 + 2 * k] = -env * cos
+    jac[:, 2 + 2 * k] = -env * cos
     return (jac @ jac.transpose(0, 2, 1),
             (jac @ resid[:, :, None])[:, :, 0])
 
@@ -346,7 +346,7 @@ def _in_bounds(omega, bounds):
     return (bounds[0] < omega) & (omega < bounds[1])
 
 
-def _levenberg_marquardt(t, y, x, k, allow_phase, cfg, omega_bounds=None,
+def _levenberg_marquardt(t, y, x, k, cfg, omega_bounds=None,
                         ssq_single=None):
     """Fit the rows of y (P, n) from the seed rows x (P, p) together.
 
@@ -380,7 +380,7 @@ def _levenberg_marquardt(t, y, x, k, allow_phase, cfg, omega_bounds=None,
     if ssq_single is not None:
         floor = _rss_floor(y)
     with np.errstate(all="ignore"):
-        resid, terms = _model_rows(t, neg_t, y, x_out, k, allow_phase)
+        resid, terms = _model_rows(t, neg_t, y, x_out, k)
         ssq_out = (resid ** 2).sum(axis=1)
         jtj, grad = _normal_equations(t, x_out, resid, terms, k)
         norms = jtj.diagonal(axis1=1, axis2=2)
@@ -422,7 +422,7 @@ def _levenberg_marquardt(t, y, x, k, allow_phase, cfg, omega_bounds=None,
             damped[:, diag, diag] += lam_d2
             step = _solve_rows(damped, -grad)
             x_new = x + step
-            resid, terms = _model_rows(t, neg_t, y, x_new, k, allow_phase)
+            resid, terms = _model_rows(t, neg_t, y, x_new, k)
             ssq_new = (resid ** 2).sum(axis=1)
             nfev += 1
             # reductions of the cost ssq / 2: actual and as predicted by
@@ -469,7 +469,7 @@ def _wrap_phase(phi):
     return np.where(np.signbit(r), -wrapped, wrapped)
 
 
-def _seed_rows(t, y, freq, allow_phase):
+def _seed_rows(t, y, freq):
     """Single-exp and double-exp seed rows for the rows of y, from their
     periodogram frequencies (cycles/ns)."""
     w0 = 2.0 * math.pi * freq
@@ -477,20 +477,19 @@ def _seed_rows(t, y, freq, allow_phase):
     amp0 = (np.max(y, axis=1) - np.min(y, axis=1)) / 2.0
     tau0 = _seed_taus(t, y)
     # (1 - cos)-shaped signals start at quadrature
-    phase = [np.full(len(y), math.pi / 2.0)] if allow_phase else []
-    return (np.column_stack([a0, amp0, np.log(tau0), w0] + phase),
+    phase = np.full(len(y), math.pi / 2.0)
+    return (np.column_stack([a0, amp0, np.log(tau0), w0, phase]),
             np.column_stack([a0, amp0 / 2, amp0 / 2, np.log(tau0 / 3),
-                             np.log(3 * tau0), w0] + phase))
+                             np.log(3 * tau0), w0, phase]))
 
 
 def _noise_variance(resid):
     """White-noise variance of every row of resid, from the median of its
-    4x zero-padded periodogram: |X_k|^2 of white noise is exponential
-    with mean n sigma^2, so its median is n sigma^2 ln 2."""
+    _padded_spectrum: |X_k|^2 of white noise is exponential with mean
+    n sigma^2, so its median is n sigma^2 ln 2."""
     n = resid.shape[1]
-    mag = np.abs(np.fft.rfft(resid - resid.mean(axis=1, keepdims=True),
-                             4 * n, axis=1))
-    return np.median(mag[:, 1:], axis=1) ** 2 / (n * math.log(2.0))
+    return (np.median(_padded_spectrum(resid)[:, 1:], axis=1) ** 2
+            / (n * math.log(2.0)))
 
 
 def _fit_rows(t_ns, y, cfg):
@@ -525,16 +524,15 @@ def _fit_rows(t_ns, y, cfg):
     fit = np.flatnonzero(~below)
     yf = y[fit]
     bounds = cfg.omega_bounds or _default_omega_bounds(t)
-    x0, x0_d = _seed_rows(t, yf, freq[fit], cfg.allow_phase)
+    x0, x0_d = _seed_rows(t, yf, freq[fit])
     double_mode = cfg.envelope_mode == DOUBLE_EXP
     # the solver overwrites the rows of y it is given; in double mode
     # yf is still needed for the residuals and the double solve
     x, ssq, nfev, conv = _levenberg_marquardt(
-        t, yf.copy() if double_mode else yf, x0, 1, cfg.allow_phase, cfg,
-        bounds)
+        t, yf.copy() if double_mode else yf, x0, 1, cfg, bounds)
     # single-exp rows in the double-exp layout [A, B, C, ln tau_f,
-    # ln tau_s(, phi)] with C = 0 and tau_s = tau_f
-    params = x[:, [0, 1, 1, 2, 2, *range(3, x.shape[1])]]
+    # ln tau_s, Omega, phi] with C = 0 and tau_s = tau_f
+    params = x[:, [0, 1, 1, 2, 2, 3, 4]]
     params[:, 2] = 0.0
     rss, ok = ssq, conv
     solved = np.zeros(len(fit), dtype=bool)
@@ -542,7 +540,7 @@ def _fit_rows(t_ns, y, cfg):
         # the double solve runs only where the single fit leaves misfit
         # above the noise floor of its own residual (see module doc)
         with np.errstate(all="ignore"):
-            resid, _ = _model_rows(t, -t, yf, x, 1, cfg.allow_phase)
+            resid, _ = _model_rows(t, -t, yf, x, 1)
             solved = ssq > DOUBLE_GATE * n * _noise_variance(resid)
         on = np.flatnonzero(solved)
         x_d = np.empty_like(x0_d)
@@ -553,8 +551,7 @@ def _fit_rows(t_ns, y, cfg):
         # margin after OMEGA_EXIT_EVALS evaluations leaves its solve (see
         # module doc)
         x_d[on], ssq_d[on], nfev_d[on], conv_d[on] = _levenberg_marquardt(
-            t, yf[on], x0_d[on], 2, cfg.allow_phase, cfg, bounds,
-            ssq_single=ssq[on])
+            t, yf[on], x0_d[on], 2, cfg, bounds, ssq_single=ssq[on])
         with np.errstate(all="ignore"):
             dbic = _bic_gain(ssq, ssq_d, _rss_floor(yf), n)
             double = (conv_d & (dbic >= BIC_MARGIN)
@@ -570,15 +567,14 @@ def _fit_rows(t_ns, y, cfg):
     amps = np.where(swap[:, None], params[:, 2:0:-1], params[:, 1:3])
     taus = np.where(swap[:, None], taus[:, ::-1], taus)
     # sin(-wt + phi) == sin(wt + pi - phi)
-    omega = params[:, 5]
-    phase = params[:, 6] if cfg.allow_phase else np.zeros(len(fit))
+    omega, phase = params[:, 5], params[:, 6]
     flip = omega < 0
     omega = np.where(flip, -omega, omega)
     phase = np.where(flip, math.pi - phase, phase)
-    if cfg.allow_phase:
-        flip = amps[:, 0] + amps[:, 1] < 0
-        amps = np.where(flip[:, None], -amps, amps)
-        phase = np.where(flip, phase + math.pi, phase)
+    # -a sin(x) == a sin(x + pi)
+    flip = amps[:, 0] + amps[:, 1] < 0
+    amps = np.where(flip[:, None], -amps, amps)
+    phase = np.where(flip, phase + math.pi, phase)
 
     fitted = results[fit]
     fitted.offset = params[:, 0]
@@ -599,40 +595,20 @@ def fit_pixel(t_ns, y, cfg=None):
     """Fit one contrast trace; returns its FIT_DTYPE record.
 
     The trace is fit as a one-row block of the batched fitter that
-    fit_cube uses (see _levenberg_marquardt), so it gives the same
-    result bit for bit as the same trace fitted inside a cube: every
-    step of the solver works on each row alone, and the rows are
-    C-contiguous so that every reduction sums a trace in the same
-    order. Each solve may use cfg.max_iterations residual evaluations,
-    the first included.
-
-    With envelope_mode double-exp the single envelope is fit first, and
-    the double one is fit, from fixed seeds, only when the single fit's
-    RSS exceeds DOUBLE_GATE (1.1) times n times the noise variance read
-    from the median of its residual's periodogram (smallest kept-double
-    ratio measured: 1.179). The double fit is kept only when its solve
-    converged, its dBIC over the single one is at least BIC_MARGIN (10)
-    and its |Omega| is strictly inside the omega bounds; see the module
-    docstring. A double solve that exhausts its evaluation budget is
-    discarded, so the pixel is fit single-exp; a skipped solve changes
-    only the evaluation count. So does a double solve that stops once
-    it has used OMEGA_EXIT_EVALS evaluations with its dBIC still below
-    BIC_MARGIN or its |Omega| outside the bounds: the rule would
-    discard it, and every double kept in the measured samples had
-    passed the margin by evaluation 16 and was inside the bounds from
-    evaluation 39 on. With envelope_mode single-exp only the single
-    envelope is fit. The result's evaluations field counts the residual
-    evaluations of both solves, and double_solved says whether the
-    double one ran.
+    fit_cube uses, so it gives the same result bit for bit as the same
+    trace fitted inside a cube. Each solve may use cfg.max_iterations
+    residual evaluations, the first included. How the envelope is
+    chosen (DOUBLE_GATE, BIC_MARGIN, the omega bounds) and when a solve
+    stops early (OMEGA_EXIT_EVALS) is set out in the module docstring.
+    The result's evaluations field counts the residual evaluations of
+    both solves, and double_solved says whether the double one ran.
 
     Raises NoOscillation when the periodogram peak is below the
     configured SNR threshold and NotConverged, carrying the partial
     single-exp result, when the single-exp solve runs out of its
     iteration budget and no double-exp fit is kept. A fit whose
-    frequency lands on or outside the omega bounds is returned with
-    converged=False. So is a single-exp solve whose frequency is still
-    outside them after OMEGA_EXIT_EVALS evaluations: it stops there and
-    no longer raises NotConverged.
+    frequency lands on or outside the omega bounds, or that stopped
+    there at OMEGA_EXIT_EVALS, is returned with converged=False.
     """
     if cfg is None:
         cfg = FitConfig()
@@ -661,15 +637,10 @@ def _fit_columns(t, parts, cfg):
     return np.concatenate(results).view(np.recarray)
 
 
-def _fit_block(args):
-    """Fit the columns of a (n_frames, m) block, FIT_BLOCK_PX at a time."""
-    t, block, cfg = args
-    return _fit_columns(t, [block], cfg)
-
-
-def fit_cube(cube, cfg=None, component="sigma-", n_workers=1):
+def fit_cube(cube, cfg=None, n_workers=1):
     """Fit every pixel of a cube; returns (field map, results), results
-    an (nx, ny) record array of FIT_DTYPE.
+    an (nx, ny) record array of FIT_DTYPE. The map carries the cube's
+    component.
 
     Pixels whose trace shows no oscillation above the SNR threshold are
     flagged below_threshold and carry zero field. Per-pixel failures
@@ -690,17 +661,18 @@ def fit_cube(cube, cfg=None, component="sigma-", n_workers=1):
     n_workers = min(n_workers or 1, cpus)
     if n_workers > 1:
         chunk = max(1, math.ceil(nx * ny / (4 * n_workers)))
-        jobs = [(t, flat[:, k:k + chunk], cfg)
-                for k in range(0, nx * ny, chunk)]
+        jobs = [[flat[:, k:k + chunk]] for k in range(0, nx * ny, chunk)]
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = np.concatenate(list(pool.map(_fit_block, jobs)))
+            results = np.concatenate(list(pool.map(
+                functools.partial(_fit_columns, t, cfg=cfg), jobs)))
     else:
-        results = _fit_block((t, flat, cfg))
+        results = _fit_columns(t, [flat], cfg)
 
     results = results.view(np.recarray).reshape(nx, ny)
     values = np.where(results.converged & np.isfinite(results.omega),
                       omega_to_field(results.omega), 0.0)
-    fmap = PolarizedFieldMap(grid=cube.grid, component=component, values=values)
+    fmap = PolarizedFieldMap(grid=cube.grid, component=cube.component,
+                             values=values)
     return fmap, results
 
 
@@ -974,8 +946,10 @@ def characterize_trap(pmap, search_region=None, arm=5):
 
     search_region is ((i0, i1), (j0, j1)) half-open pixel bounds
     (default: whole map). Gradients are linear-fit slopes over `arm`
-    pixels on each side along each grid axis.
+    pixels (at least 1) on each side along each grid axis.
     """
+    if arm < 1:
+        raise ValueError(f"arm must be at least 1 pixel, got {arm}")
     a = pmap.values
     nx, ny = a.shape
     if search_region is None:

@@ -16,12 +16,14 @@ unit in the name (laser_ns, duration ms in schedules) and pass through
 unchanged.
 
 main() hands every command to one stage runner, run_stage. It loads the
-scenario of a command with --config, creates the output dir and either
-verifies the command's manifest (--verify) or runs the command body
-cmd_x(args, cfg, out), which only computes. The body hands each file to
-the output sink out(name, writer, *payload, **extra), which calls
-writer(<output dir>/name, *payload), hashes the file and records it
-with the extras (a PGM also with its pgm_scale_t). After the body
+scenario of a command with --config and either verifies the command's
+manifest (--verify) or runs the command body cmd_x(args, cfg, out),
+which only computes. The body hands each file to the output sink
+out(name, writer, *payload, **extra), which creates the output dir,
+calls writer(<output dir>/name, *payload), hashes the file and records
+it with the extras (a PGM also with its pgm_scale_t). The output dir
+is created only where a file is written, so a command that fails
+before its first output, or a --verify, creates none. After the body
 returns, the runner writes <base>.<command>.manifest.json, base being
 the scenario name, the cube's stem or --name: the outputs in the order
 written, their sha256 checksums, timings_s and the library versions.
@@ -186,6 +188,7 @@ _region = converter("[[i0, i1], [j0, j1]] in pixels", lambda v: (
     and all(isinstance(row, list) and len(row) == 2
             and all(type(i) is int for i in row) for row in v)),
     lambda v: tuple(map(tuple, v)))
+_arm = converter("an integer >= 1", lambda v: type(v) is int and v >= 1)
 
 
 def _check_report(rdoc, dt_ns):
@@ -215,7 +218,7 @@ def _check_report(rdoc, dt_ns):
 def _check_trap(tdoc):
     """characterize_trap keyword arguments for the keys the trap section
     sets; the others keep characterize_trap's defaults."""
-    return _given(tdoc, "trap", arm=("arm_px", integer),
+    return _given(tdoc, "trap", arm=("arm_px", _arm),
                   search_region=("search_region_px", _region))
 
 
@@ -345,7 +348,6 @@ def run_stage(args):
     """
     cfg = load_scenario(args.config) if "config" in args else None
     base = args.base(args, cfg)
-    os.makedirs(args.output, exist_ok=True)
     if args.verify:
         return _verify_manifest(args.output, base, args.command)
     outputs = []
@@ -354,6 +356,7 @@ def run_stage(args):
     def out(name, writer, *payload, **extra):
         nonlocal spent
         t0 = time.perf_counter()
+        os.makedirs(args.output, exist_ok=True)
         path = os.path.join(args.output, name)
         value = writer(path, *payload)
         entry = {"path": name, "sha256": formats.sha256_file(path),
@@ -366,6 +369,7 @@ def run_stage(args):
     t0 = time.perf_counter()
     code = args.func(args, cfg, out)
     total = time.perf_counter() - t0
+    os.makedirs(args.output, exist_ok=True)
     _write_json(_manifest_path(args.output, base, args.command), {
         "version": __version__, "command": args.command, "scenario": base,
         "config_sha256": hashlib.sha256(
@@ -486,8 +490,7 @@ def cmd_fit(args, cfg, out):
     n_workers = _n_workers(args)
     cube = formats.read_cube(args.cube)
     fmap, results = analysis.fit_cube(
-        cube, _fit_config_from_args(args, cube.dt_ns),
-        component=args.component, n_workers=n_workers)
+        cube, _fit_config_from_args(args, cube.dt_ns), n_workers=n_workers)
     counts = analysis.fit_outcome_counts(results)
     n, n_conv = counts["n_pixels"], counts["n_converged"]
     n_below = counts["n_below_threshold"]
@@ -506,7 +509,7 @@ def cmd_fit(args, cfg, out):
                         "min_contrast_snr": args.min_snr,
                         "max_iterations": args.max_iter,
                         "one_cycle_floor": args.one_cycle_floor,
-                        "component": args.component},
+                        "component": cube.component},
     }
     out(base + ".fit.fmap", formats.write_field_map, fmap)
     out(base + ".fit.pgm", formats.write_pgm, fmap.values)
@@ -713,9 +716,6 @@ def build_parser():
     p = sub.add_parser("fit", help="fit a cube to a field map")
     common(p, config=False)
     p.add_argument("--cube", required=True, help="RCUB1 cube path")
-    p.add_argument("--component", default="sigma-",
-                   choices=["sigma+", "sigma-"],
-                   help="component tag for the fitted map")
     p.add_argument("--envelope", default="double", choices=list(ENVELOPES))
     fit = analysis.FitConfig  # the fit options default to its fields
     p.add_argument("--min-snr", type=float, default=fit.min_contrast_snr,

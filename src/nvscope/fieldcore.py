@@ -202,6 +202,14 @@ TRANSITIONS = (SIGMA_PLUS, SIGMA_MINUS)
 COMPONENTS = (SIGMA_PLUS, SIGMA_MINUS, AXIAL)
 
 
+def check_component(component):
+    """component, if it is one of COMPONENTS; otherwise ValueError."""
+    if component not in COMPONENTS:
+        raise ValueError(
+            f"component must be one of {COMPONENTS}, got {component!r}")
+    return component
+
+
 def bias_field_for_frequency(f_mw, transition):
     """Static field magnitude (T) tuning the chosen transition to f_mw.
 

@@ -10,9 +10,10 @@ FMAP1  field map; payload float32, row-major (pixel i is the slow
        index). kind "phasor" stores six values per pixel
        (re_x, im_x, re_y, im_y, re_z, im_z); kind "polarized" one.
 RCUB1  contrast image cube; float32 frames in acquisition order, each
-       frame row-major.
+       frame row-major. The header names the field component the cube
+       was driven on.
 RSTR1  camera stream; per frame a float64 timestamp in ms followed by
-       one row-major float32 frame.
+       one row-major float32 frame, the packed records of _stream_dtype.
 PGM    plain 16-bit binary P5 (big-endian samples per the format),
        scaled so the map maximum hits 65535.
 """
@@ -27,6 +28,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from nvscope.acquisition import CameraTiming, ImageCube, PulseParams
+from nvscope.fieldcore import check_component
 from nvscope.nearfield import FieldPhasorMap, GridSpec, PolarizedFieldMap
 
 FMAP_MAGIC = b"FMAP1\n"
@@ -194,6 +196,7 @@ def write_cube(path, cube):
            "dt_ns": [float(v) for v in cube.dt_ns],
            "pulse": pulse_to_doc(cube.pulse),
            "seed": cube.seed,
+           "component": cube.component,
            "dtype": "float32", "order": "frame-major"}
     buf = cube.frames.astype("<f4")
     atomic_write_bytes(path, RCUB_MAGIC + _dump_header(doc) + buf.tobytes())
@@ -210,14 +213,19 @@ def read_cube(path):
         pulse = pulse_from_doc(doc.get("pulse"))
         seed = doc.get("seed")
         seed = None if seed is None else int(seed)
+        component = check_component(doc["component"])
     payload = _expect_payload(raw, start, n, path)
     frames = np.frombuffer(payload, dtype="<f4").reshape(
         len(dt), grid.nx, grid.ny).astype(float)
     return ImageCube(grid=grid, dt_ns=dt, frames=frames, pulse=pulse,
-                     seed=seed)
+                     seed=seed, component=component)
 
 
 # ----------------------------------------------------------------- RSTR1
+
+def _stream_dtype(grid):
+    return np.dtype([("t", "<f8"), ("frame", "<f4", (grid.nx, grid.ny))])
+
 
 def write_stream(path, grid, dt_mw_ns, frames, timing=None, rows=None,
                  schedule=None, pulse=None, seed=None):
@@ -238,11 +246,11 @@ def write_stream(path, grid, dt_mw_ns, frames, timing=None, rows=None,
            "pulse": pulse_to_doc(pulse),
            "seed": seed,
            "dtype": "float32", "order": "frame-major"}
-    parts = [RSTR_MAGIC, _dump_header(doc)]
-    for ts, frame in frames:
-        parts.append(np.float64(ts).astype("<f8").tobytes())
-        parts.append(np.asarray(frame).astype("<f4").tobytes())
-    atomic_write_bytes(path, b"".join(parts))
+    records = np.zeros(len(frames), dtype=_stream_dtype(grid))
+    if frames:
+        records["t"], records["frame"] = zip(*frames)
+    atomic_write_bytes(path, RSTR_MAGIC + _dump_header(doc)
+                       + records.tobytes())
 
 
 def read_stream(path):
@@ -257,18 +265,11 @@ def read_stream(path):
         if timing is not None:
             timing = CameraTiming(row_time_us=timing["row_time_us"],
                                   overhead_us=timing["overhead_us"])
-    frame_bytes = grid.nx * grid.ny * 4
-    n = n_frames * (8 + frame_bytes)
-    payload = _expect_payload(raw, start, n, path)
-    frames = []
-    pos = 0
-    for _ in range(n_frames):
-        ts = float(np.frombuffer(payload[pos:pos + 8], dtype="<f8")[0])
-        pos += 8
-        frame = np.frombuffer(payload[pos:pos + frame_bytes],
-                              dtype="<f4").reshape(grid.nx, grid.ny)
-        pos += frame_bytes
-        frames.append((ts, frame.astype(float)))
+    dtype = _stream_dtype(grid)
+    records = np.frombuffer(
+        _expect_payload(raw, start, n_frames * dtype.itemsize, path),
+        dtype=dtype)
+    frames = list(zip(records["t"].tolist(), records["frame"].astype(float)))
     if timing is not None:
         doc = dict(doc, timing=timing)
     return doc, frames

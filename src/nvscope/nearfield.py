@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nvscope.fieldcore import (AXIAL, COMPONENTS, SIGMA_MINUS, SIGMA_PLUS,
-                               _as_vec3)
+from nvscope.fieldcore import (AXIAL, SIGMA_MINUS, SIGMA_PLUS, _as_vec3,
+                               check_component)
 from nvscope.kernels import field_accumulate
 
 # Points closer than this to a filament axis are rejected: the filament
@@ -112,9 +112,7 @@ class PolarizedFieldMap:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.component not in COMPONENTS:
-            raise ValueError(
-                f"component must be one of {COMPONENTS}, got {self.component!r}")
+        check_component(self.component)
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.grid.nx, self.grid.ny):
             raise ValueError(
@@ -178,9 +176,7 @@ def evaluate_phasor_map(model, grid, layer):
 
 def project_polarization(fmap, frame, component):
     """Per-pixel polarization amplitude of a phasor map."""
-    if component not in COMPONENTS:
-        raise ValueError(
-            f"component must be one of {COMPONENTS}, got {component!r}")
+    check_component(component)
     vals = fmap.values
     if component == AXIAL:
         out = np.abs(vals @ frame.axis.astype(complex))

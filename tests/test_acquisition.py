@@ -190,6 +190,9 @@ class TestSimulateCube:
         with pytest.raises(ValueError, match="shape"):
             acq.ImageCube(grid=bmap.grid, dt_ns=[10.0],
                           frames=np.zeros((1, 3, 3)))
+        with pytest.raises(ValueError, match="component"):
+            acq.ImageCube(grid=bmap.grid, dt_ns=[10.0],
+                          frames=np.zeros((1, 10, 8)), component="pi")
 
 
 def random_bmap(nx, ny, seed=5):

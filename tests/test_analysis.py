@@ -121,17 +121,6 @@ def test_fit_scale_invariance():
     assert r2.offset == pytest.approx(3.7 * r1.offset, rel=1e-4)
 
 
-def test_fit_phase_disabled():
-    t = DT_4US
-    w = 2.0 * math.pi * 4.4e-3
-    y = 0.02 - (0.008 * np.exp(-t / 500.0)
-                + 0.009 * np.exp(-t / 2800.0)) * np.sin(w * t)
-    cfg = FitConfig(allow_phase=False)
-    r = fit_pixel(t, y, cfg)
-    assert r.phase == 0.0
-    assert r.omega == pytest.approx(w, rel=1e-8)
-
-
 def test_fit_single_exp_mode():
     t = DT_4US
     w = 2.0 * math.pi * 6.0e-3
@@ -449,12 +438,12 @@ def test_double_gate_skips_only_discarded_double_solves(monkeypatch):
     freq, snr = ana._periodogram_peaks(t, y)
     fit = np.flatnonzero(snr >= fit_cfg.min_contrast_snr)
     yf = y[fit]
-    x0, x0_d = ana._seed_rows(t, yf, freq[fit], True)
+    x0, x0_d = ana._seed_rows(t, yf, freq[fit])
     lo, hi = ana._default_omega_bounds(t)
-    x, ssq, _, conv = ana._levenberg_marquardt(t, yf.copy(), x0, 1, True,
+    x, ssq, _, conv = ana._levenberg_marquardt(t, yf.copy(), x0, 1,
                                                fit_cfg, (lo, hi))
     x_d, ssq_d, _, conv_d = ana._levenberg_marquardt(t, yf.copy(), x0_d, 2,
-                                                     True, fit_cfg)
+                                                     fit_cfg)
     floor = n * (1e-10 * np.maximum(np.max(np.abs(yf), axis=1),
                                     1e-30)) ** 2
     dbic = (n * np.log((0.5 * ssq + floor) / (0.5 * ssq_d + floor))
@@ -506,19 +495,19 @@ def test_omega_exit_changes_only_rows_that_left_the_bounds(monkeypatch):
     solver = ana._levenberg_marquardt
     single_evals = []
 
-    def recorded(t, y, x, k, allow_phase, fit_cfg, omega_bounds=None,
+    def recorded(t, y, x, k, fit_cfg, omega_bounds=None,
                  ssq_single=None):
-        out = solver(t, y, x, k, allow_phase, fit_cfg, omega_bounds,
+        out = solver(t, y, x, k, fit_cfg, omega_bounds,
                      ssq_single)
         if k == 1:
             single_evals.append(out[2])
         return out
 
-    def no_exit(t, y, x, k, allow_phase, fit_cfg, omega_bounds=None,
+    def no_exit(t, y, x, k, fit_cfg, omega_bounds=None,
                 ssq_single=None):
         if omega_bounds is not None:
             omega_bounds = (0.0, math.inf)
-        return recorded(t, y, x, k, allow_phase, fit_cfg, omega_bounds,
+        return recorded(t, y, x, k, fit_cfg, omega_bounds,
                         ssq_single)
 
     monkeypatch.setattr(ana, "_levenberg_marquardt", recorded)
@@ -588,17 +577,17 @@ def test_double_exit_changes_only_discarded_double_solves(monkeypatch):
     solver = ana._levenberg_marquardt
     double_evals = []
 
-    def recorded(t, y, x, k, allow_phase, fit_cfg, omega_bounds=None,
+    def recorded(t, y, x, k, fit_cfg, omega_bounds=None,
                  ssq_single=None):
-        out = solver(t, y, x, k, allow_phase, fit_cfg, omega_bounds,
+        out = solver(t, y, x, k, fit_cfg, omega_bounds,
                      ssq_single)
         if k == 2:
             double_evals.append(out[2])
         return out
 
-    def no_exit(t, y, x, k, allow_phase, fit_cfg, omega_bounds=None,
+    def no_exit(t, y, x, k, fit_cfg, omega_bounds=None,
                 ssq_single=None):
-        return recorded(t, y, x, k, allow_phase, fit_cfg, omega_bounds)
+        return recorded(t, y, x, k, fit_cfg, omega_bounds)
 
     monkeypatch.setattr(ana, "_levenberg_marquardt", recorded)
     fmap, results = fit_cube(cube)
@@ -635,19 +624,19 @@ def test_double_omega_exit_changes_only_rows_that_left_the_bounds(
     solver = ana._levenberg_marquardt
     double_evals = []
 
-    def recorded(t, y, x, k, allow_phase, fit_cfg, omega_bounds=None,
+    def recorded(t, y, x, k, fit_cfg, omega_bounds=None,
                  ssq_single=None):
-        out = solver(t, y, x, k, allow_phase, fit_cfg, omega_bounds,
+        out = solver(t, y, x, k, fit_cfg, omega_bounds,
                      ssq_single)
         if k == 2:
             double_evals.append(out[2])
         return out
 
-    def no_exit(t, y, x, k, allow_phase, fit_cfg, omega_bounds=None,
+    def no_exit(t, y, x, k, fit_cfg, omega_bounds=None,
                 ssq_single=None):
         if k == 2:
             omega_bounds = (0.0, math.inf)
-        return recorded(t, y, x, k, allow_phase, fit_cfg, omega_bounds,
+        return recorded(t, y, x, k, fit_cfg, omega_bounds,
                         ssq_single)
 
     monkeypatch.setattr(ana, "_levenberg_marquardt", recorded)
@@ -679,15 +668,15 @@ def test_kept_doubles_reach_the_bic_margin_by_half_the_exit(sample):
     freq, snr = ana._periodogram_peaks(t, y)
     fit = np.flatnonzero(snr >= fit_cfg.min_contrast_snr)
     yf = y[fit]
-    x0, x0_d = ana._seed_rows(t, yf, freq[fit], True)
-    _, ssq, _, _ = ana._levenberg_marquardt(t, yf.copy(), x0, 1, True,
+    x0, x0_d = ana._seed_rows(t, yf, freq[fit])
+    _, ssq, _, _ = ana._levenberg_marquardt(t, yf.copy(), x0, 1,
                                             fit_cfg,
                                             ana._default_omega_bounds(t))
     kept = results.ravel()[fit].amp_slow != 0.0
     assert kept.any()
     half = FitConfig(max_iterations=ana.OMEGA_EXIT_EVALS // 2)
     _, ssq_d, _, _ = ana._levenberg_marquardt(t, yf[kept], x0_d[kept], 2,
-                                              True, half)
+                                              half)
     gain = ana._bic_gain(ssq[kept], ssq_d, ana._rss_floor(yf[kept]), len(t))
     assert (gain >= ana.BIC_MARGIN).all()
 
@@ -719,7 +708,7 @@ def test_fit_records_describe_the_solver_curves(monkeypatch):
     conv = {1: np.array([True, False, True, False, True, True]),
             2: np.array([True, True, True, True, False, True])}
 
-    def solver(t, y, x, k, allow_phase, cfg, omega_bounds=None,
+    def solver(t, y, x, k, cfg, omega_bounds=None,
                ssq_single=None):
         rows = single if k == 1 else double
         ssq = np.full(len(rows), 1e6 if k == 1 else 1e-12)
@@ -775,7 +764,7 @@ def test_fit_block_degenerate_neighbour_leaves_row_alone():
     cfg = FitConfig(min_contrast_snr=0.0)
     block = np.column_stack([np.full(len(t), 0.3), healthy,
                              np.zeros(len(t))])
-    fitted = ana._fit_block((t, block, cfg))
+    fitted = ana._fit_columns(t, [block], cfg)
     assert_same_result(fitted[1], fit_pixel(t, healthy, cfg))
     assert fitted[1].converged
 
@@ -982,6 +971,14 @@ def test_trap_cone_position_value_and_gradients():
     assert np.allclose(report.position_m, pmap.grid.pixel_center(30, 20))
     for side in ("axis0_minus", "axis0_plus", "axis1_minus", "axis1_plus"):
         assert report.gradients[side] == pytest.approx(grad, rel=0.02)
+
+
+@pytest.mark.parametrize("arm", [0, -5])
+def test_trap_arm_below_one_pixel_raises(arm):
+    # arm 0 fits a line through one point and -5 cuts the far end off
+    # each side, so neither gives a gradient
+    with pytest.raises(ValueError, match="arm must be at least 1"):
+        characterize_trap(cone_map(), arm=arm)
 
 
 def test_trap_matches_bruteforce_argmin():

@@ -207,6 +207,8 @@ def test_stream_out_of_range_exits_2_at_load(tmp_path, capsys, key, message):
     ({"report": {"p_in_dbm": 10, "impedance_ohm": None}},
      "report.impedance_ohm"),
     ({"trap": {"arm_px": None}}, "trap.arm_px"),
+    ({"trap": {"arm_px": 0}}, "trap.arm_px"),
+    ({"trap": {"arm_px": -5}}, "trap.arm_px"),
     ({"trap": {"search_region_px": 5}}, "trap.search_region_px"),
     ({"nv": {**MINI["nv"], "tilt_plane": 5}}, "nv.tilt_plane"),
     ({"stream": {"dt_mw_ns": 30, "rows": 50, "schedule": [[5, "on"]],
@@ -401,7 +403,7 @@ def test_ill_typed_field_exits_2_before_any_output(tmp_path, capsys,
     path.write_text(json.dumps({**MINI, **overrides}))
     assert run("simulate", "--config", path, "-o", path.parent / "out") == 2
     assert field in capsys.readouterr().err
-    assert [p for p in tmp_path.rglob("*") if p.is_file()] == [path]
+    assert sorted(tmp_path.rglob("*")) == [path.parent, path]
 
 
 # integer fields of a scenario document; every other numeric field takes
@@ -578,10 +580,29 @@ def test_verify_detects_tamper(pipeline):
     assert run("simulate", "--config", cfg, "-o", outdir, "--verify") == 0
 
 
+def test_fit_tags_the_map_with_the_cube_component(tmp_path):
+    cfg = write_scenario(tmp_path, name="mini-plus", bias={
+        "f_mw_ghz": 2.97, "transition": "sigma+"})
+    out = tmp_path / "out"
+    assert run("simulate", "--config", cfg, "-o", out) == 0
+    assert run("acquire", "--config", cfg, "-o", out, "--noiseless") == 0
+    cube = out / "mini-plus.cube.rcub"
+    assert formats.read_cube(cube).component == "sigma+"
+    assert run("fit", "--cube", cube, "-o", out) == 0
+    fmap = formats.read_field_map(out / "mini-plus.cube.fit.fmap")
+    assert fmap.component == "sigma+"
+    with open(out / "mini-plus.cube.fit.json") as fh:
+        assert json.load(fh)["fit_options"]["component"] == "sigma+"
+    # the component comes from the cube, never from an option
+    with pytest.raises(SystemExit):
+        run("fit", "--cube", cube, "-o", out, "--component", "sigma-")
+
+
 def test_verify_without_manifest(tmp_path):
     cfg = write_scenario(tmp_path)
     assert run("simulate", "--config", cfg, "-o", tmp_path / "empty",
                "--verify") == 2
+    assert not (tmp_path / "empty").exists()
 
 
 @pytest.mark.parametrize("entry", [
@@ -656,7 +677,8 @@ def test_runner_manifest_timings_and_verify(pipeline, tmp_path, command):
 def test_runner_writes_no_manifest_when_the_body_fails(tmp_path):
     cfg = write_scenario(tmp_path)
     assert run("acquire", "--config", cfg, "-o", tmp_path / "empty") == 2
-    assert os.listdir(tmp_path / "empty") == []
+    # a body that fails before its first output creates no directory
+    assert not (tmp_path / "empty").exists()
 
 
 def test_fit_below_min_converged_writes_manifest_then_exits_3(pipeline,
@@ -1100,7 +1122,9 @@ for argv in (["simulate", "--config", cfg],
 
 
 def test_module_entry_point():
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     proc = subprocess.run([sys.executable, "-m", "nvscope.cli", "--version"],
+                          env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "nvscope" in proc.stdout

@@ -127,6 +127,13 @@ def test_field_map_rejects_bad_header(tmp_path):
             (read_cube,
              b'RCUB1\n{"dtype":"float32",' + grid[:-1]
              + b',"origin_m":[0,0,0]},"dt_ns":"fast"}\n'),
+            # a cube header that does not name a known component
+            (read_cube,
+             b'RCUB1\n{"dtype":"float32",' + grid[:-1]
+             + b',"origin_m":[0,0,0]},"dt_ns":[1.0]}\n' + b"\x00" * 4),
+            (read_cube,
+             b'RCUB1\n{"component":"pi","dtype":"float32",' + grid[:-1]
+             + b',"origin_m":[0,0,0]},"dt_ns":[1.0]}\n' + b"\x00" * 4),
             (read_stream, b'RSTR1\n{"grid":null}\n'),
             (read_stream, b'RSTR1\n{"dtype":"float32","grid":null}\n'),
             # a well-formed stream whose header names another dtype
@@ -185,6 +192,15 @@ def test_cube_roundtrip_without_pulse_or_seed(tmp_path):
     back = read_cube(path)
     assert back.pulse is None
     assert back.seed is None
+
+
+def test_cube_roundtrip_keeps_component(tmp_path):
+    cube = make_cube()
+    plus = ImageCube(grid=cube.grid, dt_ns=cube.dt_ns, frames=cube.frames,
+                     component="sigma+")
+    path = tmp_path / "cube.rcub"
+    write_cube(path, plus)
+    assert read_cube(path).component == "sigma+"
 
 
 def test_cube_write_deterministic(tmp_path):
