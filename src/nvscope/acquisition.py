@@ -148,6 +148,17 @@ def simulate_contrast_image(bmap, dt_mw_ns, pulse, decay, noise_seed=None,
     return _apply_shot_noise(ideal, pulse.counts_ref, rng)
 
 
+def check_dt_ns(dt_ns):
+    """dt_ns as a float array, if it is a non-empty 1D scan of
+    non-negative, strictly increasing pulse durations; else ValueError."""
+    dt_ns = np.asarray(dt_ns, dtype=float)
+    if dt_ns.ndim != 1 or len(dt_ns) == 0:
+        raise ValueError("dt_ns must be a non-empty 1D array")
+    if not (np.all(dt_ns >= 0) and np.all(np.diff(dt_ns) > 0)):
+        raise ValueError("dt_ns must be non-negative and strictly increasing")
+    return dt_ns
+
+
 @dataclass
 class ImageCube:
     """Contrast frames over a scan of microwave pulse durations, driven
@@ -162,12 +173,8 @@ class ImageCube:
 
     def __post_init__(self):
         check_component(self.component)
-        self.dt_ns = np.asarray(self.dt_ns, dtype=float)
+        self.dt_ns = check_dt_ns(self.dt_ns)
         self.frames = np.asarray(self.frames, dtype=float)
-        if self.dt_ns.ndim != 1 or len(self.dt_ns) == 0:
-            raise ValueError("dt_ns must be a non-empty 1D array")
-        if np.any(self.dt_ns < 0) or np.any(np.diff(self.dt_ns) <= 0):
-            raise ValueError("dt_ns must be non-negative and strictly increasing")
         expected = (len(self.dt_ns), self.grid.nx, self.grid.ny)
         if self.frames.shape != expected:
             raise ValueError(

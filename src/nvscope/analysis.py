@@ -15,7 +15,7 @@ numpy LM loop, the "many small fits" scheme of Gpufit (Przybylski et
 al., Sci. Rep. 7, 15722, 2017): seeds come from one FFT over the rows,
 each row has its own damping and Moré (1978) column scaling, the
 damped normal equations of all rows are solved as one stack, and a row
-leaves the loop once it converges or has used max_iterations residual
+leaves the loop once it converges or has used MAX_EVALS (400) residual
 evaluations (the first included); the loop then carries only the rows
 still active. No step mixes rows, and the traces are C-contiguous rows
 so every reduction sums a trace in the same order, so a pixel's result
@@ -96,10 +96,11 @@ outside the bounds could have been kept only by coming back inside after
 evaluation 50. Of the doubles kept on those samples (288) and maps
 (1140), 12 were ever outside the bounds, and none after evaluation 38
 (cpw-fig2; 16 on trap-fig4-xz, 6 on the samples), a margin of 1.32x;
-under the one-cycle bounds of `nvscope fit --one-cycle-floor` none of
-them keeps a double. The bounds exit stops 265 of the 4226 double solves
-of the samples and 334, 159 and 598 of the maps' 5119, 2546 and 4333,
-solves that would otherwise run on to their budget below the bounds.
+with FitConfig.omega_bounds set to the one-cycle bounds (2 pi / span,
+pi / step) none of them keeps a double. The bounds exit stops 265 of
+the 4226 double solves of the samples and 334, 159 and 598 of the
+maps' 5119, 2546 and 4333, solves that would otherwise run on to their
+budget below the bounds.
 Only the evaluation counts of the rows that exit change.
 """
 
@@ -127,7 +128,7 @@ class NoOscillation(ValueError):
 
 
 class NotConverged(RuntimeError):
-    """Fit exhausted its iteration budget; result is its FIT_DTYPE record."""
+    """Fit used up its MAX_EVALS budget; result is its FIT_DTYPE record."""
 
     def __init__(self, message, result=None):
         self.result = result
@@ -152,6 +153,13 @@ DOUBLE_GATE = 1.1
 # outside the omega bounds leaves the LM loop
 OMEGA_EXIT_EVALS = 50
 
+# residual evaluations a solve may use, the first included
+MAX_EVALS = 400
+
+# periodogram SNR (peak over median magnitude) below which a trace is
+# flagged below_threshold and not fitted
+MIN_SNR = 6.0
+
 # pixels fitted together in one LM batch; bounds the solver's memory
 FIT_BLOCK_PX = 1024
 
@@ -164,14 +172,10 @@ _RTOL = 1e-10
 
 @dataclass
 class FitConfig:
-    max_iterations: int = 400
-    omega_bounds: tuple = None  # (min, max) rad/ns; None = auto from sampling
-    min_contrast_snr: float = 6.0
     envelope_mode: str = DOUBLE_EXP
+    omega_bounds: tuple = None  # (min, max) rad/ns; None = auto from sampling
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
         if self.omega_bounds is not None:
             lo, hi = self.omega_bounds
             if not 0 < lo < hi:
@@ -346,17 +350,16 @@ def _in_bounds(omega, bounds):
     return (bounds[0] < omega) & (omega < bounds[1])
 
 
-def _levenberg_marquardt(t, y, x, k, cfg, omega_bounds=None,
-                        ssq_single=None):
+def _levenberg_marquardt(t, y, x, k, omega_bounds=None, ssq_single=None):
     """Fit the rows of y (P, n) from the seed rows x (P, p) together.
 
     Each row carries its own damping lam and Moré scaling d2 (running
     max of diag J^T J) and solves (J^T J + lam diag d2) dx = -J^T r.
     A step is kept when its gain ratio exceeds 1e-4. A row converges
     on MINPACK's ftol, xtol or gtol test and leaves the active set when
-    it converges or has used cfg.max_iterations residual evaluations,
-    the first included. Once OMEGA_EXIT_EVALS evaluations are used, a
-    row that its caller will reject also leaves, reported as finished
+    it converges or has used MAX_EVALS residual evaluations, the first
+    included. Once OMEGA_EXIT_EVALS evaluations are used, a row that
+    its caller will reject also leaves, reported as finished
     (see the module doc): with omega_bounds (lo, hi), a row whose
     accepted |Omega| is not strictly inside them (_in_bounds), which
     the caller's bounds check returns with converged=False, not as an
@@ -403,8 +406,8 @@ def _levenberg_marquardt(t, y, x, k, cfg, omega_bounds=None,
                     done = done | ~(_bic_gain(ssq_single[rows], ssq,
                                               floor[rows], len(t))
                                     >= BIC_MARGIN)
-            if nfev >= cfg.max_iterations or done.any():
-                stay = (~done if nfev < cfg.max_iterations
+            if nfev >= MAX_EVALS or done.any():
+                stay = (~done if nfev < MAX_EVALS
                         else np.zeros(len(rows), dtype=bool))
                 gone = ~stay
                 out = rows[gone]
@@ -514,7 +517,7 @@ def _fit_rows(t_ns, y, cfg):
     n = len(t)
 
     freq, snr = _periodogram_peaks(t, y)
-    below = snr < cfg.min_contrast_snr
+    below = snr < MIN_SNR
     results = np.zeros(len(y), dtype=FIT_DTYPE).view(np.recarray)
     results.below_threshold = below
     results.offset[below] = np.mean(y[below], axis=1)
@@ -529,7 +532,7 @@ def _fit_rows(t_ns, y, cfg):
     # the solver overwrites the rows of y it is given; in double mode
     # yf is still needed for the residuals and the double solve
     x, ssq, nfev, conv = _levenberg_marquardt(
-        t, yf.copy() if double_mode else yf, x0, 1, cfg, bounds)
+        t, yf.copy() if double_mode else yf, x0, 1, bounds)
     # single-exp rows in the double-exp layout [A, B, C, ln tau_f,
     # ln tau_s, Omega, phi] with C = 0 and tau_s = tau_f
     params = x[:, [0, 1, 1, 2, 2, 3, 4]]
@@ -551,7 +554,7 @@ def _fit_rows(t_ns, y, cfg):
         # margin after OMEGA_EXIT_EVALS evaluations leaves its solve (see
         # module doc)
         x_d[on], ssq_d[on], nfev_d[on], conv_d[on] = _levenberg_marquardt(
-            t, yf[on], x0_d[on], 2, cfg, bounds, ssq_single=ssq[on])
+            t, yf[on], x0_d[on], 2, bounds, ssq_single=ssq[on])
         with np.errstate(all="ignore"):
             dbic = _bic_gain(ssq, ssq_d, _rss_floor(yf), n)
             double = (conv_d & (dbic >= BIC_MARGIN)
@@ -596,29 +599,28 @@ def fit_pixel(t_ns, y, cfg=None):
 
     The trace is fit as a one-row block of the batched fitter that
     fit_cube uses, so it gives the same result bit for bit as the same
-    trace fitted inside a cube. Each solve may use cfg.max_iterations
-    residual evaluations, the first included. How the envelope is
-    chosen (DOUBLE_GATE, BIC_MARGIN, the omega bounds) and when a solve
-    stops early (OMEGA_EXIT_EVALS) is set out in the module docstring.
-    The result's evaluations field counts the residual evaluations of
-    both solves, and double_solved says whether the double one ran.
+    trace fitted inside a cube. Each solve may use MAX_EVALS residual
+    evaluations, the first included. How the envelope is chosen
+    (DOUBLE_GATE, BIC_MARGIN, the omega bounds) and when a solve stops
+    early (OMEGA_EXIT_EVALS) is set out in the module docstring. The
+    result's evaluations field counts the residual evaluations of both
+    solves, and double_solved says whether the double one ran.
 
-    Raises NoOscillation when the periodogram peak is below the
-    configured SNR threshold and NotConverged, carrying the partial
-    single-exp result, when the single-exp solve runs out of its
-    iteration budget and no double-exp fit is kept. A fit whose
-    frequency lands on or outside the omega bounds, or that stopped
-    there at OMEGA_EXIT_EVALS, is returned with converged=False.
+    Raises NoOscillation when the periodogram SNR is below MIN_SNR and
+    NotConverged, carrying the partial single-exp result, when the
+    single-exp solve uses up its evaluation budget and no double-exp
+    fit is kept. A fit whose frequency lands on or outside the omega
+    bounds, or that stopped there at OMEGA_EXIT_EVALS, is returned with
+    converged=False.
     """
     if cfg is None:
         cfg = FitConfig()
     results, snr = _fit_rows(t_ns, np.asarray(y, dtype=float)[None, :], cfg)
     result = results[0]
     if result.below_threshold:
-        raise NoOscillation(float(snr[0]), cfg.min_contrast_snr)
+        raise NoOscillation(float(snr[0]), MIN_SNR)
     if result.exhausted:
-        raise NotConverged(
-            f"fit exhausted {cfg.max_iterations} evaluations", result)
+        raise NotConverged(f"fit exhausted {MAX_EVALS} evaluations", result)
     return result
 
 
@@ -642,7 +644,7 @@ def fit_cube(cube, cfg=None, n_workers=1):
     an (nx, ny) record array of FIT_DTYPE. The map carries the cube's
     component.
 
-    Pixels whose trace shows no oscillation above the SNR threshold are
+    Pixels whose trace shows no oscillation above MIN_SNR are
     flagged below_threshold and carry zero field. Per-pixel failures
     are recorded in the results, never raised. Each pixel's result
     equals fit_pixel on its trace, so results are independent of
@@ -998,8 +1000,8 @@ def amplitude_sensitivity(cubes, cfg=None, measurement_time_s=None):
     square root of the measurement time per cube, and reports the median
     over pixels that converged in every repeat. The batch is gathered
     block by block from the cubes, so no copy of all repeats is made
-    beside them. The repeats must share their pulse durations and pixel
-    count. measurement_time_s defaults to the summed exposure time of
+    beside them. The repeats must share their pulse durations and grid
+    shape. measurement_time_s defaults to the summed exposure time of
     the cube's pulse train.
     """
     cubes = list(cubes)
@@ -1008,6 +1010,10 @@ def amplitude_sensitivity(cubes, cfg=None, measurement_time_s=None):
     t = cubes[0].dt_ns
     if any(not np.array_equal(c.dt_ns, t) for c in cubes[1:]):
         raise ValueError("repeated cubes must share dt_ns")
+    shape = (cubes[0].grid.nx, cubes[0].grid.ny)
+    if any((c.grid.nx, c.grid.ny) != shape for c in cubes[1:]):
+        raise ValueError(f"repeated cubes must share the {shape[0]}x"
+                         f"{shape[1]} grid of the first")
     if measurement_time_s is None:
         pulse = cubes[0].pulse
         if pulse is None:

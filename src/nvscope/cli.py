@@ -62,6 +62,10 @@ BUNDLED_SCENARIOS = ("cpw-fig2", "omega-fig3", "meander-fig3",
 # --envelope and report.sensitivity.envelope values -> FitConfig modes
 ENVELOPES = {"double": analysis.DOUBLE_EXP, "single": analysis.SINGLE_EXP}
 
+# converged share of a fit's pixels below which fit exits 3, after
+# writing its outputs and manifest
+MIN_CONVERGED_FRACTION = 0.25
+
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
@@ -404,19 +408,6 @@ def _component_filename(component):
     return {"sigma+": "sigma_plus", "sigma-": "sigma_minus"}[component]
 
 
-def _n_workers(args):
-    env = os.environ.get("NVSCOPE_THREADS", "").strip() or "1"
-    try:
-        n = args.threads if args.threads is not None else int(env)
-    except ValueError:
-        raise ConfigError(f"NVSCOPE_THREADS must be an integer, got "
-                          f"{env!r}") from None
-    if n < 1:
-        raise ConfigError(f"fit workers (--threads or NVSCOPE_THREADS) "
-                          f"must be at least 1, got {n}")
-    return n
-
-
 # ---------------------------------------------------------------- commands
 
 def cmd_simulate(args, cfg, out):
@@ -473,24 +464,14 @@ def cmd_acquire(args, cfg, out):
     return EXIT_OK
 
 
-def _fit_config_from_args(args, dt_ns):
-    bounds = None
-    if args.one_cycle_floor:
-        span = float(dt_ns[-1] - dt_ns[0])
-        step = float(np.min(np.diff(dt_ns)))
-        bounds = (2.0 * np.pi / span, np.pi / step)
-    return analysis.FitConfig(max_iterations=args.max_iter,
-                              min_contrast_snr=args.min_snr,
-                              envelope_mode=ENVELOPES[args.envelope],
-                              omega_bounds=bounds)
-
-
 def cmd_fit(args, cfg, out):
     base = _cube_stem(args, cfg)
-    n_workers = _n_workers(args)
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be at least 1, got {args.threads}")
     cube = formats.read_cube(args.cube)
     fmap, results = analysis.fit_cube(
-        cube, _fit_config_from_args(args, cube.dt_ns), n_workers=n_workers)
+        cube, analysis.FitConfig(envelope_mode=ENVELOPES[args.envelope]),
+        n_workers=args.threads)
     counts = analysis.fit_outcome_counts(results)
     n, n_conv = counts["n_pixels"], counts["n_converged"]
     n_below = counts["n_below_threshold"]
@@ -506,9 +487,8 @@ def cmd_fit(args, cfg, out):
             results.evaluations[~results.below_threshold]))
             if n_below < n else None),
         "fit_options": {"envelope": args.envelope,
-                        "min_contrast_snr": args.min_snr,
-                        "max_iterations": args.max_iter,
-                        "one_cycle_floor": args.one_cycle_floor,
+                        "min_contrast_snr": analysis.MIN_SNR,
+                        "max_iterations": analysis.MAX_EVALS,
                         "component": cube.component},
     }
     out(base + ".fit.fmap", formats.write_field_map, fmap)
@@ -516,9 +496,9 @@ def cmd_fit(args, cfg, out):
     out(base + ".fit.json", _write_json, diagnostics)
     print(f"fit {base}: converged {n_conv}/{n} "
           f"({100 * n_conv / n:.1f}%), below threshold {n_below}")
-    if diagnostics["converged_fraction"] < args.min_converged:
+    if diagnostics["converged_fraction"] < MIN_CONVERGED_FRACTION:
         print(f"converged fraction {diagnostics['converged_fraction']:.3f} "
-              f"below floor {args.min_converged}", file=sys.stderr)
+              f"below floor {MIN_CONVERGED_FRACTION}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
 
@@ -717,16 +697,8 @@ def build_parser():
     common(p, config=False)
     p.add_argument("--cube", required=True, help="RCUB1 cube path")
     p.add_argument("--envelope", default="double", choices=list(ENVELOPES))
-    fit = analysis.FitConfig  # the fit options default to its fields
-    p.add_argument("--min-snr", type=float, default=fit.min_contrast_snr,
-                   help="periodogram SNR detection floor")
-    p.add_argument("--max-iter", type=int, default=fit.max_iterations)
-    p.add_argument("--min-converged", type=float, default=0.25,
-                   help="exit 3 if the converged fraction falls below this")
-    p.add_argument("--one-cycle-floor", action="store_true",
-                   help="require at least one Rabi cycle within the scan")
-    p.add_argument("--threads", type=int, default=None,
-                   help="fit workers (default NVSCOPE_THREADS or 1)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="fit worker processes (default 1)")
     p.set_defaults(func=cmd_fit, base=_cube_stem)
 
     p = sub.add_parser("stitch", help="combine overlapping map tiles")

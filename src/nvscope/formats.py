@@ -27,7 +27,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from nvscope.acquisition import CameraTiming, ImageCube, PulseParams
+from nvscope.acquisition import (CameraTiming, ImageCube, PulseParams,
+                                 check_dt_ns)
 from nvscope.fieldcore import check_component
 from nvscope.nearfield import FieldPhasorMap, GridSpec, PolarizedFieldMap
 
@@ -92,14 +93,15 @@ def _read_framing(raw, magic, path):
 
 
 @contextmanager
-def _header_keys(path, magic):
-    """Turn a missing or ill-typed header key read in the block into a
-    FormatError naming the header's byte offset."""
+def _blame(path, part, offset):
+    """Turn a missing, ill-typed or invalid value read in the block into
+    a FormatError naming the part of the file it came from and that
+    part's byte offset."""
     try:
         yield
     except (KeyError, IndexError, TypeError, ValueError) as err:
         raise FormatError(
-            f"{path}: bad header at byte {len(magic)}: "
+            f"{path}: bad {part} at byte {offset}: "
             f"{type(err).__name__}: {err}") from err
 
 
@@ -173,18 +175,21 @@ def read_field_map(path):
     kind = doc.get("kind")
     if kind not in ("phasor", "polarized"):
         raise FormatError(f"{path}: unknown field map kind {kind!r}")
-    with _header_keys(path, FMAP_MAGIC):
+    with _blame(path, "header", len(FMAP_MAGIC)):
         grid = grid_from_doc(doc["grid"])
+        if kind == "polarized":
+            component = check_component(doc["component"])
     nx, ny = grid.nx, grid.ny
     if kind == "phasor":
         payload = _expect_payload(raw, start, nx * ny * 6 * 4, path)
         flat = np.frombuffer(payload, dtype="<f4").reshape(nx, ny, 3, 2)
         values = flat[..., 0].astype(float) + 1j * flat[..., 1].astype(float)
-        return FieldPhasorMap(grid=grid, values=values)
+        with _blame(path, "payload", start):
+            return FieldPhasorMap(grid=grid, values=values)
     payload = _expect_payload(raw, start, nx * ny * 4, path)
     values = np.frombuffer(payload, dtype="<f4").reshape(nx, ny)
-    with _header_keys(path, FMAP_MAGIC):
-        return PolarizedFieldMap(grid=grid, component=doc["component"],
+    with _blame(path, "payload", start):
+        return PolarizedFieldMap(grid=grid, component=component,
                                  values=values.astype(float))
 
 
@@ -206,9 +211,9 @@ def read_cube(path):
     with open(path, "rb") as fh:
         raw = fh.read()
     doc, start = _read_framing(raw, RCUB_MAGIC, path)
-    with _header_keys(path, RCUB_MAGIC):
+    with _blame(path, "header", len(RCUB_MAGIC)):
         grid = grid_from_doc(doc["grid"])
-        dt = np.array(doc["dt_ns"], dtype=float)
+        dt = check_dt_ns(doc["dt_ns"])
         n = len(dt) * grid.nx * grid.ny * 4
         pulse = pulse_from_doc(doc.get("pulse"))
         seed = doc.get("seed")
@@ -217,8 +222,9 @@ def read_cube(path):
     payload = _expect_payload(raw, start, n, path)
     frames = np.frombuffer(payload, dtype="<f4").reshape(
         len(dt), grid.nx, grid.ny).astype(float)
-    return ImageCube(grid=grid, dt_ns=dt, frames=frames, pulse=pulse,
-                     seed=seed, component=component)
+    with _blame(path, "payload", start):
+        return ImageCube(grid=grid, dt_ns=dt, frames=frames, pulse=pulse,
+                         seed=seed, component=component)
 
 
 # ----------------------------------------------------------------- RSTR1
@@ -258,7 +264,7 @@ def read_stream(path):
     with open(path, "rb") as fh:
         raw = fh.read()
     doc, start = _read_framing(raw, RSTR_MAGIC, path)
-    with _header_keys(path, RSTR_MAGIC):
+    with _blame(path, "header", len(RSTR_MAGIC)):
         grid = grid_from_doc(doc["grid"])
         n_frames = int(doc["n_frames"])
         timing = doc.get("timing")

@@ -181,11 +181,13 @@ def test_fit_pure_noise_flagged():
     assert err.value.snr < 6.0
 
 
-def test_fit_snr_threshold_configurable():
+def test_fit_snr_threshold_configurable(monkeypatch):
     rng = np.random.default_rng(17)
     t = np.arange(20.0, 2001.0, 20.0)
     y = rng.normal(0.0, 1.41e-2, len(t))
-    r = fit_pixel(t, y, FitConfig(min_contrast_snr=0.0, max_iterations=2000))
+    monkeypatch.setattr(ana, "MIN_SNR", 0.0)
+    monkeypatch.setattr(ana, "MAX_EVALS", 2000)
+    r = fit_pixel(t, y)
     assert r.dtype == ana.FIT_DTYPE
 
 
@@ -198,11 +200,12 @@ def test_fit_omega_outside_bounds_marked_not_converged():
     assert not r.converged
 
 
-def test_fit_iteration_budget_exhaustion_raises():
+def test_fit_iteration_budget_exhaustion_raises(monkeypatch):
     b = 8e6 / GAMMA_NV
     y = contrast_at(b, DT_4US, decay=STD_DECAY, c0=0.05)
+    monkeypatch.setattr(ana, "MAX_EVALS", 2)
     with pytest.raises(NotConverged) as err:
-        fit_pixel(DT_4US, y, FitConfig(max_iterations=2))
+        fit_pixel(DT_4US, y)
     assert err.value.result is not None
     assert not err.value.result.converged
 
@@ -219,8 +222,6 @@ def test_fit_input_validation():
 
 
 def test_fit_config_validation():
-    with pytest.raises(ValueError):
-        FitConfig(max_iterations=0)
     with pytest.raises(ValueError):
         FitConfig(omega_bounds=(1.0, 0.5))
     with pytest.raises(ValueError):
@@ -352,7 +353,7 @@ def test_fit_outcome_counts_split_the_pixels():
         "n_budget_exhausted": 1, "n_omega_out_of_bounds": 2}
 
 
-def test_fit_cube_pixels_equal_solo_fits():
+def test_fit_cube_pixels_equal_solo_fits(monkeypatch):
     # a pixel's result must not depend on the other pixels of its block;
     # the short budget makes some solves run out of evaluations
     grid = plane_grid(8, 6)
@@ -364,12 +365,13 @@ def test_fit_cube_pixels_equal_solo_fits():
     cube = simulate_cube(bmap, dt, pulse=PulseParams(counts_ref=2e4),
                          decay=STD_DECAY, seed=5)
     outcomes = set()
-    for cfg in (FitConfig(), FitConfig(max_iterations=10)):
-        _, results = fit_cube(cube, cfg)
+    for budget in (ana.MAX_EVALS, 10):
+        monkeypatch.setattr(ana, "MAX_EVALS", budget)
+        _, results = fit_cube(cube)
         for (i, j), r in np.ndenumerate(results):
             trace = cube.frames[:, i, j]
             try:
-                solo = fit_pixel(dt, trace, cfg)
+                solo = fit_pixel(dt, trace)
                 outcomes.add("single" if solo.amp_slow == 0.0 else "double")
             except NoOscillation:
                 solo = below_threshold_record(trace)
@@ -382,7 +384,7 @@ def test_fit_cube_pixels_equal_solo_fits():
                         "not converged"}
 
 
-def test_double_mode_single_pixels_equal_single_envelope_fits():
+def test_double_mode_single_pixels_equal_single_envelope_fits(monkeypatch):
     # a pixel that the double envelope reports single-exp carries C = 0
     # exactly and is its single-envelope fit; every other pixel is a
     # kept double fit
@@ -395,9 +397,9 @@ def test_double_mode_single_pixels_equal_single_envelope_fits():
                          decay=STD_DECAY, seed=5)
     seen = set()
     for budget in (400, 10):
-        _, double = fit_cube(cube, FitConfig(max_iterations=budget))
-        _, single = fit_cube(cube, FitConfig(max_iterations=budget,
-                                             envelope_mode=ana.SINGLE_EXP))
+        monkeypatch.setattr(ana, "MAX_EVALS", budget)
+        _, double = fit_cube(cube)
+        _, single = fit_cube(cube, FitConfig(envelope_mode=ana.SINGLE_EXP))
         for d, s in zip(double.ravel(), single.ravel()):
             if d.amp_slow == 0.0 or d.tau_slow_ns == d.tau_fast_ns:
                 seen.add("single exhausted" if d.exhausted else "single")
@@ -436,14 +438,13 @@ def test_double_gate_skips_only_discarded_double_solves(monkeypatch):
     n = len(t)
     y = np.ascontiguousarray(cube.frames.reshape(n, -1).T)
     freq, snr = ana._periodogram_peaks(t, y)
-    fit = np.flatnonzero(snr >= fit_cfg.min_contrast_snr)
+    fit = np.flatnonzero(snr >= ana.MIN_SNR)
     yf = y[fit]
     x0, x0_d = ana._seed_rows(t, yf, freq[fit])
     lo, hi = ana._default_omega_bounds(t)
     x, ssq, _, conv = ana._levenberg_marquardt(t, yf.copy(), x0, 1,
-                                               fit_cfg, (lo, hi))
-    x_d, ssq_d, _, conv_d = ana._levenberg_marquardt(t, yf.copy(), x0_d, 2,
-                                                     fit_cfg)
+                                               (lo, hi))
+    x_d, ssq_d, _, conv_d = ana._levenberg_marquardt(t, yf.copy(), x0_d, 2)
     floor = n * (1e-10 * np.maximum(np.max(np.abs(yf), axis=1),
                                     1e-30)) ** 2
     dbic = (n * np.log((0.5 * ssq + floor) / (0.5 * ssq_d + floor))
@@ -456,7 +457,7 @@ def test_double_gate_skips_only_discarded_double_solves(monkeypatch):
     _, ref = fit_cube(cube, fit_cfg)
 
     flat, ref_flat = results.ravel(), ref.ravel()
-    for k in np.flatnonzero(snr < fit_cfg.min_contrast_snr):
+    for k in np.flatnonzero(snr < ana.MIN_SNR):
         assert_same_result(flat[k], below_threshold_record(y[k]))
     for row, k in enumerate(fit):
         assert ref_flat[k].double_solved
@@ -495,20 +496,16 @@ def test_omega_exit_changes_only_rows_that_left_the_bounds(monkeypatch):
     solver = ana._levenberg_marquardt
     single_evals = []
 
-    def recorded(t, y, x, k, fit_cfg, omega_bounds=None,
-                 ssq_single=None):
-        out = solver(t, y, x, k, fit_cfg, omega_bounds,
-                     ssq_single)
+    def recorded(t, y, x, k, omega_bounds=None, ssq_single=None):
+        out = solver(t, y, x, k, omega_bounds, ssq_single)
         if k == 1:
             single_evals.append(out[2])
         return out
 
-    def no_exit(t, y, x, k, fit_cfg, omega_bounds=None,
-                ssq_single=None):
+    def no_exit(t, y, x, k, omega_bounds=None, ssq_single=None):
         if omega_bounds is not None:
             omega_bounds = (0.0, math.inf)
-        return recorded(t, y, x, k, fit_cfg, omega_bounds,
-                        ssq_single)
+        return recorded(t, y, x, k, omega_bounds, ssq_single)
 
     monkeypatch.setattr(ana, "_levenberg_marquardt", recorded)
     fmap, results = fit_cube(cube)
@@ -543,7 +540,7 @@ def test_fit_pixel_sub_cycle_trace_leaves_bounds_early():
     cfg = FitConfig(envelope_mode=ana.SINGLE_EXP)
     r = fit_pixel(t, y, cfg)
     assert not r.converged and not r.exhausted
-    assert ana.OMEGA_EXIT_EVALS <= r.evaluations < cfg.max_iterations
+    assert ana.OMEGA_EXIT_EVALS <= r.evaluations < ana.MAX_EVALS
     assert r.omega <= ana._default_omega_bounds(t)[0]
 
 
@@ -577,17 +574,14 @@ def test_double_exit_changes_only_discarded_double_solves(monkeypatch):
     solver = ana._levenberg_marquardt
     double_evals = []
 
-    def recorded(t, y, x, k, fit_cfg, omega_bounds=None,
-                 ssq_single=None):
-        out = solver(t, y, x, k, fit_cfg, omega_bounds,
-                     ssq_single)
+    def recorded(t, y, x, k, omega_bounds=None, ssq_single=None):
+        out = solver(t, y, x, k, omega_bounds, ssq_single)
         if k == 2:
             double_evals.append(out[2])
         return out
 
-    def no_exit(t, y, x, k, fit_cfg, omega_bounds=None,
-                ssq_single=None):
-        return recorded(t, y, x, k, fit_cfg, omega_bounds)
+    def no_exit(t, y, x, k, omega_bounds=None, ssq_single=None):
+        return recorded(t, y, x, k, omega_bounds)
 
     monkeypatch.setattr(ana, "_levenberg_marquardt", recorded)
     fmap, results = fit_cube(cube)
@@ -624,20 +618,16 @@ def test_double_omega_exit_changes_only_rows_that_left_the_bounds(
     solver = ana._levenberg_marquardt
     double_evals = []
 
-    def recorded(t, y, x, k, fit_cfg, omega_bounds=None,
-                 ssq_single=None):
-        out = solver(t, y, x, k, fit_cfg, omega_bounds,
-                     ssq_single)
+    def recorded(t, y, x, k, omega_bounds=None, ssq_single=None):
+        out = solver(t, y, x, k, omega_bounds, ssq_single)
         if k == 2:
             double_evals.append(out[2])
         return out
 
-    def no_exit(t, y, x, k, fit_cfg, omega_bounds=None,
-                ssq_single=None):
+    def no_exit(t, y, x, k, omega_bounds=None, ssq_single=None):
         if k == 2:
             omega_bounds = (0.0, math.inf)
-        return recorded(t, y, x, k, fit_cfg, omega_bounds,
-                        ssq_single)
+        return recorded(t, y, x, k, omega_bounds, ssq_single)
 
     monkeypatch.setattr(ana, "_levenberg_marquardt", recorded)
     fmap, results = fit_cube(cube)
@@ -656,7 +646,8 @@ def test_double_omega_exit_changes_only_rows_that_left_the_bounds(
 
 
 @pytest.mark.parametrize("sample", [(0, 0), LATE_DOUBLE_SAMPLE])
-def test_kept_doubles_reach_the_bic_margin_by_half_the_exit(sample):
+def test_kept_doubles_reach_the_bic_margin_by_half_the_exit(sample,
+                                                           monkeypatch):
     # the double exit discards a row still short of BIC_MARGIN after
     # OMEGA_EXIT_EVALS evaluations. Every double the fit keeps is past the
     # margin after half of them already, so the exit keeps a margin of 2x
@@ -666,17 +657,15 @@ def test_kept_doubles_reach_the_bic_margin_by_half_the_exit(sample):
     t = cube.dt_ns
     y = np.ascontiguousarray(cube.frames.reshape(len(t), -1).T)
     freq, snr = ana._periodogram_peaks(t, y)
-    fit = np.flatnonzero(snr >= fit_cfg.min_contrast_snr)
+    fit = np.flatnonzero(snr >= ana.MIN_SNR)
     yf = y[fit]
     x0, x0_d = ana._seed_rows(t, yf, freq[fit])
     _, ssq, _, _ = ana._levenberg_marquardt(t, yf.copy(), x0, 1,
-                                            fit_cfg,
                                             ana._default_omega_bounds(t))
     kept = results.ravel()[fit].amp_slow != 0.0
     assert kept.any()
-    half = FitConfig(max_iterations=ana.OMEGA_EXIT_EVALS // 2)
-    _, ssq_d, _, _ = ana._levenberg_marquardt(t, yf[kept], x0_d[kept], 2,
-                                              half)
+    monkeypatch.setattr(ana, "MAX_EVALS", ana.OMEGA_EXIT_EVALS // 2)
+    _, ssq_d, _, _ = ana._levenberg_marquardt(t, yf[kept], x0_d[kept], 2)
     gain = ana._bic_gain(ssq[kept], ssq_d, ana._rss_floor(yf[kept]), len(t))
     assert (gain >= ana.BIC_MARGIN).all()
 
@@ -708,8 +697,7 @@ def test_fit_records_describe_the_solver_curves(monkeypatch):
     conv = {1: np.array([True, False, True, False, True, True]),
             2: np.array([True, True, True, True, False, True])}
 
-    def solver(t, y, x, k, cfg, omega_bounds=None,
-               ssq_single=None):
+    def solver(t, y, x, k, omega_bounds=None, ssq_single=None):
         rows = single if k == 1 else double
         ssq = np.full(len(rows), 1e6 if k == 1 else 1e-12)
         return rows.copy(), ssq, np.ones(len(rows), dtype=int), conv[k]
@@ -755,13 +743,14 @@ def test_wrap_phase_equals_math_remainder():
     assert ana._wrap_phase(phi).tobytes() == ref.tobytes()
 
 
-def test_fit_block_degenerate_neighbour_leaves_row_alone():
+def test_fit_block_degenerate_neighbour_leaves_row_alone(monkeypatch):
     # a constant trace fitted at SNR threshold 0 stalls the solver; the
     # healthy trace next to it must fit exactly as it does alone
     t = DT_4US
     w = 2.0 * math.pi * 6.0e-3
     healthy = 0.02 - 0.015 * np.exp(-t / 700.0) * np.sin(w * t + 0.4)
-    cfg = FitConfig(min_contrast_snr=0.0)
+    monkeypatch.setattr(ana, "MIN_SNR", 0.0)
+    cfg = FitConfig()
     block = np.column_stack([np.full(len(t), 0.3), healthy,
                              np.zeros(len(t))])
     fitted = ana._fit_columns(t, [block], cfg)
@@ -1065,6 +1054,18 @@ def test_sensitivity_batch_equals_per_cube_fits():
                              decay=NO_DECAY, seed=7)
     with pytest.raises(ValueError, match="dt_ns"):
         amplitude_sensitivity(cubes[:9] + (other_dt,))
+
+
+@pytest.mark.parametrize("shape", [(4, 6), (6, 5)])
+def test_sensitivity_requires_one_grid_shape(shape):
+    # a repeat with the pixel count of the others but another shape, or
+    # with another pixel count, would pair pixels across repeats wrongly
+    cubes = _sensitivity_cubes(1e5, 100)
+    other = simulate_cube(uniform_field_map(*shape, 3e-4), cubes[0].dt_ns,
+                          pulse=PulseParams(counts_ref=1e5), decay=NO_DECAY,
+                          seed=7)
+    with pytest.raises(ValueError, match="grid"):
+        amplitude_sensitivity(cubes[:9] + (other,))
 
 
 def test_sensitivity_holds_each_repeat_once():

@@ -134,6 +134,13 @@ def test_field_map_rejects_bad_header(tmp_path):
             (read_cube,
              b'RCUB1\n{"component":"pi","dtype":"float32",' + grid[:-1]
              + b',"origin_m":[0,0,0]},"dt_ns":[1.0]}\n' + b"\x00" * 4),
+            # an empty or non-increasing scan
+            (read_cube,
+             b'RCUB1\n{"component":"sigma-","dtype":"float32",' + grid[:-1]
+             + b',"origin_m":[0,0,0]},"dt_ns":[]}\n'),
+            (read_cube,
+             b'RCUB1\n{"component":"sigma-","dtype":"float32",' + grid[:-1]
+             + b',"origin_m":[0,0,0]},"dt_ns":[2.0,1.0]}\n' + b"\x00" * 8),
             (read_stream, b'RSTR1\n{"grid":null}\n'),
             (read_stream, b'RSTR1\n{"dtype":"float32","grid":null}\n'),
             # a well-formed stream whose header names another dtype
@@ -231,6 +238,28 @@ def test_cube_header_non_integer_n_shots_raises(tmp_path, n_shots):
                                  b'"n_shots":' + n_shots + b",", 1))
     with pytest.raises(FormatError, match="n_shots must be an integer"):
         read_cube(path)
+
+
+@pytest.mark.parametrize("make, value", [
+    (make_cube, np.nan), (make_cube, 2.0), (make_phasor_map, np.nan),
+    (make_polarized_map, np.nan)])
+def test_invalid_payload_value_names_the_payload_offset(tmp_path, make,
+                                                        value):
+    # a NaN, or a contrast above 1, is a malformed file
+    path = tmp_path / "file"
+    obj = make()
+    if isinstance(obj, ImageCube):
+        write_cube(path, obj)
+        reader = read_cube
+    else:
+        write_field_map(path, obj)
+        reader = read_field_map
+    raw = path.read_bytes()
+    start = raw.index(b"\n", 6) + 1
+    path.write_bytes(raw[:start] + np.array(value, dtype="<f4").tobytes()
+                     + raw[start + 4:])
+    with pytest.raises(FormatError, match=f"bad payload at byte {start}:"):
+        reader(path)
 
 
 # ------------------------------------------------------------------ RSTR1
