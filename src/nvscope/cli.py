@@ -245,8 +245,7 @@ def load_scenario(value):
 
     ldoc = read("layer", obj)
     layer = _build(SensingLayer, "layer", h=param(ldoc, "layer", "height"),
-                   **_given(ldoc, "layer", d=("thickness", number),
-                            n_samples=("n_samples", integer)))
+                   **_given(ldoc, "layer", d=("thickness", number)))
 
     ndoc = read("nv", obj, {})
     frame = _build(nv_frame_from_tilt, "nv",

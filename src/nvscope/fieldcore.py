@@ -236,17 +236,51 @@ def bias_field_for_frequency(f_mw, transition):
     return b
 
 
+# Gauss-Legendre nodes across a sensing layer: the fewest whose phasor
+# map is within 1e-6 per-pixel |dB|/|B| of a 48-node reference on every
+# bundled scenario (6 nodes reach 3.4e-6, 7 nodes 3.5e-7).
+LAYER_NODES = 7
+
+
+def _legendre(n, x):
+    """P_n(x) and its derivative by the three-term recurrence."""
+    p0, p1 = np.ones_like(x), x
+    for k in range(2, n + 1):
+        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+    return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+
+def gauss_legendre(n):
+    """n-node Gauss-Legendre rule for the mean over [-1, 1].
+
+    Returns ascending nodes and weights summing to 1, exact for
+    polynomials of degree up to 2n - 1. The nodes are Newton's roots of
+    P_n from Chebyshev-like starts; nodes and weights are then made
+    exactly symmetric about 0.
+    """
+    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(100):
+        p, dp = _legendre(n, x)
+        step = p / dp
+        x -= step
+        if np.max(np.abs(step)) <= 1e-15:
+            break
+    dp = _legendre(n, x)[1]
+    w = 1.0 / ((1.0 - x * x) * dp * dp)
+    return (x - x[::-1]) / 2.0, (w + w[::-1]) / 2.0
+
+
 @dataclass
 class SensingLayer:
     """NV-doped slab at mean height h with thickness d above the device.
 
-    Fields are averaged over n_samples midpoint-quadrature heights
-    across the slab.
+    Fields are averaged across the slab by n_samples-node Gauss-Legendre
+    quadrature; a zero-thickness layer has one height, of weight 1.
     """
 
     h: float
     d: float = 0.0
-    n_samples: int = 15
+    n_samples: int = LAYER_NODES
 
     def __post_init__(self):
         if self.d < 0:
@@ -256,22 +290,27 @@ class SensingLayer:
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
 
+    def _rule(self):
+        # a zero thickness takes the one-node rule: node 0, weight 1
+        return gauss_legendre(self.n_samples if self.d > 0 else 1)
+
     def heights(self):
-        """Quadrature heights, ascending. A zero-thickness layer has one."""
-        if self.d == 0.0:
-            return np.array([self.h])
-        k = np.arange(self.n_samples)
-        return self.h - self.d / 2.0 + (k + 0.5) * (self.d / self.n_samples)
+        """Quadrature heights on [h - d/2, h + d/2], ascending."""
+        return self.h + (self.d / 2.0) * self._rule()[0]
+
+    def weights(self):
+        """Quadrature weights of heights(), summing to 1."""
+        return self._rule()[1]
 
 
 def layer_average(f, layer, x, y):
     """Mean of f(x, y, z) over the layer thickness at fixed (x, y).
 
-    f is any callable of three scalars; midpoint quadrature over
-    layer.heights() in ascending order. Exact for zero thickness.
+    f is any callable of three scalars; the weighted sum over
+    layer.heights() and layer.weights(), added in ascending height order.
+    Exact for zero thickness.
     """
-    zs = layer.heights()
     total = 0.0
-    for z in zs:
-        total += f(x, y, z)
-    return total / len(zs)
+    for z, w in zip(layer.heights(), layer.weights()):
+        total += w * f(x, y, z)
+    return total

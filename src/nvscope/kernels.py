@@ -1,19 +1,20 @@
 """Biot-Savart accumulation kernel for straight current segments.
 
-One call evaluates a set of points at one or more offsets (the layer
-sample heights of a map) in a single pass. The stacked (offset, point)
-pairs are walked in fixed blocks of BLOCK pairs; inside a block the
-segments run in array order. A block's coordinates, field sums and
-intermediates are contiguous scratch rows, reused from block to block
-through ufunc ``out=``; the x, y and z rows of a vector are computed in
-one ufunc call against a per-segment column.
+One call evaluates a set of points at one or more weighted offsets (the
+layer quadrature heights of a map) in a single pass. The stacked
+(offset, point) pairs are walked in fixed blocks of BLOCK pairs; inside
+a block the segments run in array order. A block's coordinates, field
+sums and intermediates are contiguous scratch rows, reused from block
+to block through ufunc ``out=``; the x, y and z rows of a vector are
+computed in one ufunc call against a per-segment column.
 
 Accumulation order, which makes every block size give the same bits:
 each (offset, point) pair sums its segments from 0.0 in array order,
 with the same operations in the same parenthesization for every
-element; that per-offset sum is then added into the point's output in
-offset order. A block only decides which elements share a ufunc call,
-never the order in which any one element is summed.
+element; that per-offset sum is then multiplied by the offset's weight,
+in place, and added into the point's output in offset order. A block
+only decides which elements share a ufunc call, never the order in
+which any one element is summed.
 """
 
 import numpy as np
@@ -103,12 +104,14 @@ def _first_violation(segs, points, offsets, rmin2):
                 return h, s, int(np.argmax(bad))
 
 
-def field_accumulate(starts, ends, currents, points, r_min, offsets=None):
+def field_accumulate(starts, ends, currents, points, r_min, offsets=None,
+                     weights=None):
     """Summed finite-segment fields of complex currents (teslas).
 
     points is (P, 3). The field is evaluated at points + offsets[h] for
     each row h of the (H, 3) offsets (one zero offset by default), and
-    each point's per-offset sums are added up in offset order. Adding a
+    each point's per-offset sums, times weights[h] (1 by default), are
+    added up in offset order. A weight of 1 leaves every bit. Adding a
     zero offset changes at most the sign of a zero coordinate, which no
     output bit depends on: that sign reaches only zero products and
     sums, and every divisor is a norm or a sum of squares.
@@ -120,6 +123,8 @@ def field_accumulate(starts, ends, currents, points, r_min, offsets=None):
     """
     if offsets is None:
         offsets = np.zeros((1, 3))
+    weights = ([1.0] * offsets.shape[0] if weights is None
+               else [float(w) for w in weights])
     n = points.shape[0]
     total = n * offsets.shape[0]
     segs = _segment_constants(starts, ends, currents)
@@ -170,10 +175,12 @@ def field_accumulate(starts, ends, currents, points, r_min, offsets=None):
             if (low < rmin2).any():
                 return None, None, _first_violation(segs, points, offsets,
                                                     rmin2)
-            for _, p0, p1, col in pieces:
+            for h, p0, p1, col in pieces:
                 for acc, out in ((acc_re, out_re), (acc_im, out_im)):
                     dst = out[p0:p1].T
-                    np.add(dst, acc[:, col:col + p1 - p0], out=dst)
+                    src = acc[:, col:col + p1 - p0]
+                    np.multiply(src, weights[h], out=src)
+                    np.add(dst, src, out=dst)
     return out_re, out_im, None
 
 

@@ -2,10 +2,11 @@
 
 Straight segments are evaluated with the analytic finite-segment
 Biot-Savart expression; grids of pixels are averaged over the sensing
-layer thickness and projected onto the NV circular components. The
-evaluation order is fixed (segments in model order inside each layer
-sample, layer samples bottom to top) so repeated runs are bit-identical
-regardless of parallelism and of the kernel's block size.
+layer thickness by Gauss-Legendre quadrature and projected onto the NV
+circular components. The evaluation order is fixed (segments in model
+order inside each layer height, weighted heights bottom to top) so
+repeated runs are bit-identical regardless of parallelism and of the
+kernel's block size.
 """
 
 from dataclasses import dataclass
@@ -148,14 +149,15 @@ def segment_field(seg, p):
 def evaluate_phasor_map(model, grid, layer):
     """Layer-averaged field phasor map of a current model.
 
-    Layer sample heights offset the pixel plane along the grid normal;
-    the complex field is averaged over samples (average first, project
-    to magnitudes later, so nulls are not washed out).
+    The layer's quadrature heights offset the pixel plane along the grid
+    normal; the complex field is averaged over them with the layer's
+    weights (average first, project to magnitudes later, so nulls are
+    not washed out).
 
     All heights go through one kernel pass. Each pixel sums its
-    segments from zero at each height, adds those per-height sums in
-    ascending height order, and divides by the number of heights, so
-    the map does not depend on the kernel's block size. The kernel
+    segments from zero at each height and adds those per-height sums,
+    each times its height's weight, in ascending height order, so the
+    map does not depend on the kernel's block size. The kernel
     names the first point within R_MIN of a wire as (height, segment,
     pixel), in that order, which the raised error reports.
     """
@@ -164,13 +166,14 @@ def evaluate_phasor_map(model, grid, layer):
     offsets = heights[:, None] * grid.normal
     acc_re, acc_im, hit = field_accumulate(model.starts, model.ends,
                                            model.currents, base, R_MIN,
-                                           offsets=offsets)
+                                           offsets=offsets,
+                                           weights=layer.weights())
     if hit is not None:
         h, seg, p = hit
         raise SegmentProximityError(seg, base[p] + offsets[h],
                                     pixel=divmod(p, grid.ny),
                                     height=heights[h])
-    values = (acc_re + 1j * acc_im) / len(heights)
+    values = acc_re + 1j * acc_im
     return FieldPhasorMap(grid=grid, values=values.reshape(grid.nx, grid.ny, 3))
 
 

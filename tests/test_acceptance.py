@@ -380,7 +380,7 @@ def test_criterion_10_randomized_property_suite():
         assert np.array_equal(out.values, values)
         cases += 1
 
-    # slab averaging converges at second order in the sample count
+    # slab averaging converges at least at second order in the node count
     for _ in range(100):
         a = rng.uniform(0.5, 3.0)
         h = rng.uniform(1.0, 2.0)

@@ -25,8 +25,9 @@ import scipy
 from nvscope import analysis, cli, currents, formats
 from nvscope.acquisition import DecayParams, ImageCube, contrast_at
 from nvscope.cli import ConfigError, convert_units, load_scenario
-from nvscope.fieldcore import GAMMA_NV
-from nvscope.nearfield import GridSpec, PolarizedFieldMap
+from nvscope.fieldcore import GAMMA_NV, LAYER_NODES, SensingLayer
+from nvscope.nearfield import (GridSpec, PolarizedFieldMap, evaluate_at_points,
+                               evaluate_phasor_map)
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -39,7 +40,7 @@ MINI = {
                           "profile": "edge", "n_filaments": 16}},
     "grid": {"origin_um": [-48, -32, 0], "axes": [[1, 0, 0], [0, 1, 0]],
              "nx": 12, "ny": 8, "pitch_um": 8},
-    "layer": {"height_um": 12, "thickness_um": 0, "n_samples": 1},
+    "layer": {"height_um": 12, "thickness_um": 0},
     "nv": {"tilt_deg": 29.5, "tilt_plane": "xz"},
     "bias": {"f_mw_ghz": 2.77, "transition": "sigma-"},
     "pulse": {"laser_ns": 700, "wait_ns": 1500, "n_shots": 100,
@@ -203,7 +204,7 @@ def test_stream_out_of_range_exits_2_at_load(tmp_path, capsys, key, message):
     ({"stream": {"dt_mw_ns": 30, "rows": 50, "schedule": [["x", "on"]]}},
      "stream.schedule"),
     ({"grid": {**MINI["grid"], "axes": [[1, 0, 0]]}}, "grid.axes"),
-    ({"layer": {**MINI["layer"], "n_samples": None}}, "layer.n_samples"),
+    ({"layer": {**MINI["layer"], "thickness_um": None}}, "layer.thickness"),
     ({"device": 5}, "device"),
     ({"report": {"p_in_dbm": [1]}}, "report.p_in_dbm"),
     ({"report": {"p_in_dbm": 10, "impedance_ohm": None}},
@@ -373,7 +374,7 @@ MEANDER = {"n_turns": 4, "leg": 1e-4, "pitch": 5e-5, "current": 0.02}
 
 @pytest.mark.parametrize("overrides, field", [
     ({"grid": {**MINI["grid"], "nx": 4.7}}, "grid.nx"),
-    ({"layer": {**MINI["layer"], "n_samples": 1.0}}, "layer.n_samples"),
+    ({"grid": {**MINI["grid"], "ny": 8.0}}, "grid.ny"),
     ({"scan": {**MINI["scan"], "n_steps": 100.0}}, "scan.n_steps"),
     ({"pulse": {**MINI["pulse"], "n_shots": 100.5}}, "pulse.n_shots"),
     ({"nv": {**MINI["nv"], "tilt_deg": 95}}, "nv: tilt angle"),
@@ -410,9 +411,9 @@ def test_ill_typed_field_exits_2_before_any_output(tmp_path, capsys,
 
 # integer fields of a scenario document; every other numeric field takes
 # any JSON number
-INTEGER_KEYS = {"nx", "ny", "n_samples", "n_shots", "n_steps", "rows", "seed",
-                "arm_px", "search_region_px", "n_filaments", "n_turns",
-                "n_fingers", "n_repeats"}
+INTEGER_KEYS = {"nx", "ny", "n_shots", "n_steps", "rows", "seed", "arm_px",
+                "search_region_px", "n_filaments", "n_turns", "n_fingers",
+                "n_repeats"}
 UNREAD_KEYS = {"description"}
 
 
@@ -480,6 +481,44 @@ def test_wrong_json_type_is_rejected_naming_the_field(tmp_path, scenario,
     with pytest.raises(ValueError) as err:  # ConfigError is a ValueError
         currents.model_from_spec(load_scenario(str(path)).device_doc)
     assert name in str(err.value)
+
+
+def test_layer_n_samples_is_not_read(tmp_path):
+    # the node count is LAYER_NODES; a document still setting it loads
+    path = write_scenario(tmp_path, layer={"height_um": 12, "thickness_um": 14,
+                                           "n_samples": "fifteen"})
+    assert len(load_scenario(path).layer.heights()) == LAYER_NODES
+
+
+@pytest.mark.parametrize("scenario", cli.BUNDLED_SCENARIOS)
+def test_truth_map_matches_a_48_node_layer_reference(tmp_path, scenario):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(bundled_doc(scenario)))
+    cfg = load_scenario(str(path))
+    model = currents.model_from_spec(cfg.device_doc)
+    layer, g = cfg.layer, cfg.grid
+    # every 5th pixel along each axis (an odd stride keeps the centers)
+    grid = GridSpec(origin=g.origin, axes=g.axes, nx=g.nx // 5, ny=g.ny // 5,
+                    pitch=5 * g.pitch)
+    ref = evaluate_phasor_map(model, grid, SensingLayer(
+        h=layer.h, d=layer.d, n_samples=48)).values.reshape(-1, 3)
+    truth = evaluate_phasor_map(model, grid, layer).values.reshape(-1, 3)
+    # the 15-point midpoint rule that the Gauss-Legendre rule replaced
+    zs = (layer.h - layer.d / 2 + (np.arange(15) + 0.5) * layer.d / 15
+          if layer.d > 0 else [layer.h])
+    base = grid.pixel_centers()
+    midpoint = sum(evaluate_at_points(model, base + z * grid.normal)
+                   for z in zs) / len(zs)
+
+    def err(values):
+        return np.max(np.linalg.norm(values - ref, axis=1)
+                      / np.linalg.norm(ref, axis=1))
+
+    assert err(truth) <= 1e-6
+    if layer.d > 0:
+        assert err(truth) < err(midpoint)
+    else:
+        assert err(truth) == err(midpoint) == 0.0
 
 
 # ----------------------------------------------------------- full pipeline
@@ -911,7 +950,7 @@ def test_report_trap_section(tmp_path):
                               "radius_outer_um": 200, "current_ma": 50}},
         "grid": {"origin_um": [-84, 0, 18], "axes": [[1, 0, 0], [0, 0, 1]],
                  "nx": 21, "ny": 30, "pitch_um": 8},
-        "layer": {"height_um": 0, "thickness_um": 0, "n_samples": 1},
+        "layer": {"height_um": 0, "thickness_um": 0},
         "nv": {"tilt_deg": 29.5, "tilt_plane": "xz"},
         "bias": {"f_mw_ghz": 2.9674, "transition": "sigma+"},
         "pulse": {"laser_ns": 700, "wait_ns": 1500, "n_shots": 100,

@@ -208,7 +208,8 @@ class TestLayerAverage:
         assert fc.layer_average(lambda x, y, z: 3.5, layer, 1, 2) == pytest.approx(3.5)
 
     def test_linear_midpoint_symmetry(self):
-        # f(z) = z over h = 12 um, d = 14 um averages to exactly h
+        # f(z) = z over h = 12 um, d = 14 um averages to h: the nodes and
+        # weights are symmetric about the mid-plane
         layer = fc.SensingLayer(h=12e-6, d=14e-6, n_samples=15)
         avg = fc.layer_average(lambda x, y, z: z, layer, 0, 0)
         assert avg == pytest.approx(12e-6, rel=1e-12)
@@ -221,15 +222,36 @@ class TestLayerAverage:
         assert zs[0] > 5e-6 and zs[-1] < 19e-6
 
     def test_convergence_order(self):
-        # midpoint rule error is O(1/n^2) on smooth integrands
+        # Gauss-Legendre with n nodes integrates z^k exactly for k <= 2n - 1
+        # and not for k = 2n; on 1/(z + a), analytic across the layer, the
+        # error falls geometrically, by rho^2 per node, where rho sums the
+        # semi-axes of the largest Bernstein ellipse clear of the pole
         layer_n = lambda n: fc.SensingLayer(h=12e-6, d=14e-6, n_samples=n)
-        f = lambda x, y, z: (z * 1e6) ** 2
-        exact = fc.layer_average(f, layer_n(20001), 0, 0)
-        errs = [abs(fc.layer_average(f, layer_n(n), 0, 0) - exact)
-                for n in (4, 8, 16, 32)]
-        rates = [errs[i] / errs[i + 1] for i in range(3)]
+        z0, z1 = 5.0, 19.0  # the layer in microns
+
+        def mean_power(k):
+            return (z1 ** (k + 1) - z0 ** (k + 1)) / ((k + 1) * (z1 - z0))
+
+        for n in range(1, 9):
+            for k in range(2 * n + 1):
+                avg = fc.layer_average(lambda x, y, z: (z * 1e6) ** k,
+                                       layer_n(n), 0, 0)
+                rel = abs(avg - mean_power(k)) / mean_power(k)
+                if k < 2 * n:
+                    assert rel < 1e-14, (n, k)
+                else:  # 3.4e-11 at n = 8
+                    assert rel > 1e-12, (n, k)
+
+        a = 1.0
+        exact = math.log((z1 + a) / (z0 + a)) / (z1 - z0)
+        t = (12.0 + a) / 7.0  # the pole in units of the half-thickness
+        rho2 = (t + math.sqrt(t * t - 1.0)) ** 2
+        errs = [abs(fc.layer_average(lambda x, y, z: 1.0 / (z * 1e6 + a),
+                                     layer_n(n), 0, 0) - exact)
+                for n in range(1, 10)]
+        rates = [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]
         for r in rates:
-            assert 2.0 < r < 8.0  # within a factor of 2 of the n^-2 rate
+            assert rho2 / 2 < r < 2 * rho2  # within a factor of 2 of rho^2
 
     def test_invalid_layers(self):
         with pytest.raises(ValueError):
@@ -238,3 +260,42 @@ class TestLayerAverage:
             fc.SensingLayer(h=12e-6, d=-1e-6)
         with pytest.raises(ValueError):
             fc.SensingLayer(h=12e-6, d=1e-6, n_samples=0)
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n, nodes, weights", [
+        (1, [0.0], [1.0]),
+        (2, [-1 / math.sqrt(3), 1 / math.sqrt(3)], [0.5, 0.5]),
+        (3, [-math.sqrt(3 / 5), 0.0, math.sqrt(3 / 5)], [5 / 18, 8 / 18, 5 / 18]),
+    ])
+    def test_closed_forms(self, n, nodes, weights):
+        x, w = fc.gauss_legendre(n)
+        np.testing.assert_allclose(x, nodes, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(w, weights, rtol=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 7, 16, 48])
+    def test_ascending_symmetric_and_summing_to_one(self, n):
+        x, w = fc.gauss_legendre(n)
+        assert x.shape == w.shape == (n,)
+        assert np.all(np.diff(x) > 0)
+        assert -1.0 < x[0] and x[-1] < 1.0
+        assert np.array_equal(x, -x[::-1])
+        assert np.array_equal(w, w[::-1])
+        assert np.all(w > 0)
+        assert w.sum() == pytest.approx(1.0, abs=1e-15)
+
+    def test_layer_maps_the_rule_onto_the_slab(self):
+        layer = fc.SensingLayer(h=12e-6, d=14e-6)
+        assert layer.n_samples == fc.LAYER_NODES == 7
+        x, w = fc.gauss_legendre(7)
+        np.testing.assert_allclose(layer.heights(), 12e-6 + 7e-6 * x,
+                                   rtol=1e-15)
+        assert np.array_equal(layer.weights(), w)
+        np.testing.assert_allclose(layer.heights() - 12e-6,
+                                   -(layer.heights() - 12e-6)[::-1],
+                                   rtol=0, atol=1e-21)
+
+    def test_zero_thickness_is_one_height_of_weight_one(self):
+        layer = fc.SensingLayer(h=12e-6, d=0.0, n_samples=9)
+        assert layer.heights().tolist() == [12e-6]
+        assert layer.weights().tolist() == [1.0]

@@ -1,5 +1,6 @@
 """Biot-Savart evaluation against independent numerical integration."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -195,13 +196,34 @@ class TestEvaluatePhasorMap:
         grid = simple_grid()
         m = self.wire()
         fmap = nf.evaluate_phasor_map(m, grid, layer)
+        # the weighted sum over the layer's heights, in ascending order
         acc = np.zeros((grid.nx, grid.ny, 3), complex)
-        for z in layer.heights():
+        for z, w in zip(layer.heights(), layer.weights()):
             g = nf.GridSpec(origin=grid.origin + z * grid.normal,
                             axes=grid.axes, nx=grid.nx, ny=grid.ny,
                             pitch=grid.pitch)
-            acc += nf.evaluate_phasor_map(m, g, fc.SensingLayer(h=0.0, d=0.0)).values
-        np.testing.assert_array_equal(fmap.values, acc / 5)
+            acc += w * nf.evaluate_phasor_map(m, g, fc.SensingLayer(h=0.0, d=0.0)).values
+        np.testing.assert_array_equal(fmap.values, acc)
+
+    def test_zero_thickness_map_bits_are_pinned(self):
+        # two concentric square loops with opposing currents, imaged in the
+        # XZ plane through their axis as trap-fig4-xz images its rings; a
+        # one-height layer has weight 1, which leaves every bit of the map
+        def square_loop(a, current):
+            c = np.array([[a, a, 0.0], [-a, a, 0.0], [-a, -a, 0.0],
+                          [a, -a, 0.0]])
+            return [cur.WireSegment(c[k], c[(k + 1) % 4], current)
+                    for k in range(4)]
+
+        m = cur.CurrentModel.from_segments(square_loop(100e-6, 0.05)
+                                           + square_loop(200e-6, -0.05))
+        grid = nf.GridSpec(origin=np.array([-250e-6, 0.0, 8e-6]),
+                           axes=(np.array([1.0, 0, 0]), np.array([0, 0, 1.0])),
+                           nx=13, ny=9, pitch=40e-6)
+        values = nf.evaluate_phasor_map(m, grid,
+                                        fc.SensingLayer(h=0.0, d=0.0)).values
+        assert hashlib.sha256(values.tobytes()).hexdigest() == (
+            "182860ac03254a30073e5c8cbf62f389b7aa29ab0d66a7a4df4999a732575f58")
 
     def test_divergence_free(self):
         # square loop; stencil points kept a loop-size away from the wire
@@ -309,18 +331,18 @@ class TestEvaluatePhasorMap:
             monkeypatch.setattr(kernels, "BLOCK", block)
             assert nf.evaluate_phasor_map(m, grid, layer).values.tobytes() == ref
 
-        # the stacked points through evaluate_at_points, summed height by
-        # height from zero and averaged, give the same map
+        # the stacked points through evaluate_at_points, weighted and
+        # summed height by height from zero, give the same map
         base = grid.pixel_centers()
         heights = layer.heights()
         stacked = np.concatenate([base + z * grid.normal for z in heights])
         per_point = nf.evaluate_at_points(m, stacked)
         acc_re = np.zeros(base.shape)
         acc_im = np.zeros(base.shape)
-        for k in range(len(heights)):
-            acc_re += per_point[k * len(base):(k + 1) * len(base)].real
-            acc_im += per_point[k * len(base):(k + 1) * len(base)].imag
-        values = (acc_re + 1j * acc_im) / len(heights)
+        for k, w in enumerate(layer.weights()):
+            acc_re += w * per_point[k * len(base):(k + 1) * len(base)].real
+            acc_im += w * per_point[k * len(base):(k + 1) * len(base)].imag
+        values = acc_re + 1j * acc_im
         assert values.reshape(grid.nx, grid.ny, 3).tobytes() == ref
 
 
