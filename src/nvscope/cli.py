@@ -59,7 +59,7 @@ from nvscope.nearfield import (GridSpec, PolarizedFieldMap,
 BUNDLED_SCENARIOS = ("cpw-fig2", "omega-fig3", "meander-fig3",
                      "interdigital-fig3", "trap-fig4-xz", "pulse-train-fig5")
 
-# --envelope and report.sensitivity.envelope values -> FitConfig modes
+# --envelope values -> FitConfig modes
 ENVELOPES = {"double": analysis.DOUBLE_EXP, "single": analysis.SINGLE_EXP}
 
 # converged share of a fit's pixels below which fit exits 3, after
@@ -210,12 +210,9 @@ def _check_report(rdoc, dt_ns):
     if n_rep < 10:
         raise ConfigError(f"{path}.n_repeats must be an integer >= 10, "
                           f"got {n_rep!r}")
-    envelope = param(sdoc, path, "envelope", converter(
-        "'single' or 'double'", lambda v: isinstance(v, str)
-        and v in ENVELOPES), default="single")
     if dt_ns is None:
         raise ConfigError(f"{path} needs a scan section")
-    out["sensitivity"] = n_rep, envelope
+    out["sensitivity"] = n_rep
     return out
 
 
@@ -605,15 +602,14 @@ def cmd_report(args, cfg, out):
             "p_sim_dbm": p_sim, "loss_db": loss}
 
     if "sensitivity" in settings:
-        n_rep, envelope = settings["sensitivity"]
+        n_rep = settings["sensitivity"]
         base_seed = (cfg.seed if cfg.seed is not None else 0) + 1000
         cubes = [acquisition.simulate_cube(pmap, cfg.dt_ns, cfg.pulse,
                                            decay=cfg.decay,
                                            seed=base_seed + k)
                  for k in range(n_rep)]
         sens = analysis.amplitude_sensitivity(
-            cubes, analysis.FitConfig(
-                envelope_mode=ENVELOPES[envelope]))
+            cubes, analysis.FitConfig(envelope_mode=analysis.SINGLE_EXP))
         report["sensitivity"] = {"n_repeats": n_rep,
                                  "t_per_sqrt_hz": sens,
                                  "ut_per_sqrt_hz": sens * 1e6}
@@ -732,8 +728,7 @@ def main(argv=None):
     except VerificationError as err:
         print(f"verification failed: {err}", file=sys.stderr)
         return EXIT_VERIFY
-    except (SegmentProximityError, analysis.NotConverged,
-            analysis.TrapNotFound, analysis.NoOscillation) as err:
+    except (SegmentProximityError, analysis.TrapNotFound) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ConfigError, formats.FormatError, ValueError, OSError) as err:

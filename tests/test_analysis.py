@@ -21,8 +21,7 @@ from scipy import ndimage
 from nvscope import analysis as ana
 from nvscope.acquisition import (DecayParams, PulseParams, contrast_at,
                                  simulate_contrast_image, simulate_cube)
-from nvscope.analysis import (FitConfig, NoOscillation, NotConverged,
-                              TrapNotFound, amplitude_sensitivity,
+from nvscope.analysis import (FitConfig, TrapNotFound, amplitude_sensitivity,
                               characterize_trap, dynamic_range_db,
                               extract_contours, fit_cube, fit_pixel,
                               insertion_loss_db, omega_to_field, stitch)
@@ -156,9 +155,8 @@ def test_fit_tau_ordering_and_sign_invariants():
                             weight_fast=rng.uniform(0.2, 0.8))
         y = contrast_at(b, t, decay=decay, c0=rng.uniform(0.01, 0.1))
         y = y + rng.normal(0.0, 2e-4, len(t))
-        try:
-            r = fit_pixel(t, y)
-        except (NoOscillation, NotConverged):
+        r = fit_pixel(t, y)
+        if r.below_threshold or r.exhausted:
             continue
         assert r.tau_fast_ns <= r.tau_slow_ns
         assert r.omega >= 0.0
@@ -169,16 +167,16 @@ def test_fit_tau_ordering_and_sign_invariants():
 
 def test_fit_flat_trace_flagged():
     t = np.arange(10.0, 1000.0, 10.0)
-    with pytest.raises(NoOscillation):
-        fit_pixel(t, np.zeros(len(t)))
+    assert fit_pixel(t, np.zeros(len(t))).below_threshold
 
 
 def test_fit_pure_noise_flagged():
     rng = np.random.default_rng(17)
     t = np.arange(20.0, 2001.0, 20.0)
-    with pytest.raises(NoOscillation) as err:
-        fit_pixel(t, rng.normal(0.0, 1.41e-2, len(t)))
-    assert err.value.snr < 6.0
+    y = rng.normal(0.0, 1.41e-2, len(t))
+    assert fit_pixel(t, y).below_threshold
+    _, snr = ana._periodogram_peaks(t, y[None, :])
+    assert snr[0] < ana.MIN_SNR
 
 
 def test_fit_snr_threshold_configurable(monkeypatch):
@@ -200,14 +198,12 @@ def test_fit_omega_outside_bounds_marked_not_converged():
     assert not r.converged
 
 
-def test_fit_iteration_budget_exhaustion_raises(monkeypatch):
+def test_fit_iteration_budget_exhaustion_flagged(monkeypatch):
     b = 8e6 / GAMMA_NV
     y = contrast_at(b, DT_4US, decay=STD_DECAY, c0=0.05)
     monkeypatch.setattr(ana, "MAX_EVALS", 2)
-    with pytest.raises(NotConverged) as err:
-        fit_pixel(DT_4US, y)
-    assert err.value.result is not None
-    assert not err.value.result.converged
+    r = fit_pixel(DT_4US, y)
+    assert r.exhausted and not r.converged
 
 
 def test_fit_input_validation():
@@ -370,16 +366,15 @@ def test_fit_cube_pixels_equal_solo_fits(monkeypatch):
         _, results = fit_cube(cube)
         for (i, j), r in np.ndenumerate(results):
             trace = cube.frames[:, i, j]
-            try:
-                solo = fit_pixel(dt, trace)
-                outcomes.add("single" if solo.amp_slow == 0.0 else "double")
-            except NoOscillation:
-                solo = below_threshold_record(trace)
-                outcomes.add("below threshold")
-            except NotConverged as err:
-                solo = err.result
-                outcomes.add("not converged")
+            solo = fit_pixel(dt, trace)
             assert_same_result(r, solo)
+            if solo.below_threshold:
+                assert_same_result(solo, below_threshold_record(trace))
+                outcomes.add("below threshold")
+            elif solo.exhausted:
+                outcomes.add("not converged")
+            else:
+                outcomes.add("single" if solo.amp_slow == 0.0 else "double")
     assert outcomes == {"single", "double", "below threshold",
                         "not converged"}
 
@@ -710,7 +705,7 @@ def test_fit_records_describe_the_solver_curves(monkeypatch):
     y = np.tile(0.02 - 0.015 * np.exp(-t / 700.0) * np.sin(w * t + 0.4),
                 (6, 1))
     for mode in (ana.DOUBLE_EXP, ana.SINGLE_EXP):
-        results, _ = ana._fit_rows(t, y, FitConfig(envelope_mode=mode))
+        results = ana._fit_rows(t, y, FitConfig(envelope_mode=mode))
         kept_double = (np.array([True] * 4 + [False] * 2)
                        & (mode == ana.DOUBLE_EXP))
         for r, s, d, s_ok, keep in zip(results, single, double, conv[1],

@@ -233,8 +233,6 @@ def test_malformed_config_exits_2_naming_the_field(tmp_path, capsys,
     ({"n_repeats": 10.0}, "report.sensitivity.n_repeats must be an integer"),
     ({"n_repeats": "12"}, "report.sensitivity.n_repeats must be an integer"),
     ({"n_repeats": True}, "report.sensitivity.n_repeats must be an integer"),
-    ({"envelope": "triple"}, "report.sensitivity.envelope must be"),
-    ({"envelope": "Double"}, "report.sensitivity.envelope must be"),
     ([10, "single"], "report.sensitivity must be an object"),
 ])
 def test_malformed_sensitivity_exits_2_at_load(tmp_path, capsys, sensitivity,
@@ -940,6 +938,21 @@ def test_report_insertion_loss_and_sensitivity(tmp_path):
     assert 0 < sens["ut_per_sqrt_hz"] < 10
     assert sens["t_per_sqrt_hz"] == pytest.approx(
         sens["ut_per_sqrt_hz"] * 1e-6)
+
+
+def test_report_sensitivity_envelope_is_not_read(tmp_path):
+    # the sensitivity is always fit single-envelope; a document still
+    # setting the envelope loads and the value is ignored
+    sens = {}
+    for name, sdoc in (("plain", {"n_repeats": 10}),
+                       ("keyed", {"n_repeats": 10, "envelope": "double"})):
+        out = tmp_path / name
+        path = write_scenario(tmp_path, report={"sensitivity": sdoc})
+        assert run("simulate", "--config", path, "-o", out) == 0
+        assert run("report", "--config", path, "-o", out) == 0
+        with open(out / "mini-strip.report.json") as fh:
+            sens[name] = json.load(fh)["sensitivity"]
+    assert sens["keyed"] == sens["plain"]
 
 
 def test_report_trap_section(tmp_path):
