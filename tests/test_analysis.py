@@ -115,6 +115,7 @@ def test_fit_scale_invariance():
     y = contrast_at(b, DT_4US, decay=STD_DECAY, c0=0.05)
     r1 = fit_pixel(DT_4US, y)
     r2 = fit_pixel(DT_4US, 3.7 * y)
+    assert r1.converged and r2.converged
     assert r2.omega == pytest.approx(r1.omega, rel=1e-6)
     assert r2.amp_fast == pytest.approx(3.7 * r1.amp_fast, rel=1e-4)
     assert r2.offset == pytest.approx(3.7 * r1.offset, rel=1e-4)
@@ -187,6 +188,7 @@ def test_fit_snr_threshold_configurable(monkeypatch):
     monkeypatch.setattr(ana, "MAX_EVALS", 2000)
     r = fit_pixel(t, y)
     assert r.dtype == ana.FIT_DTYPE
+    assert not r.below_threshold and not r.exhausted
 
 
 def test_fit_omega_outside_bounds_marked_not_converged():
@@ -196,6 +198,7 @@ def test_fit_omega_outside_bounds_marked_not_converged():
     cfg = FitConfig(omega_bounds=(2.0 * w_true, 4.0 * w_true))
     r = fit_pixel(DT_4US, y, cfg)
     assert not r.converged
+    assert not r.exhausted and not r.below_threshold
 
 
 def test_fit_iteration_budget_exhaustion_flagged(monkeypatch):
