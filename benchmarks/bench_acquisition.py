@@ -4,10 +4,14 @@
 Builds the scenario's polarized field map once, then times
 simulate_cube over the scenario's pulse-duration scan, noiseless
 (seed None) and with shot noise (the scenario's seed, or 1 when it has
-none). --crop N times an N x N pixel window at the grid's centre in
-place of the whole map; `--scenario omega-fig3 --crop 10` is the size
-of one cube of the perfbench scenario-cli unit. Reports the best of
---repeats runs in ms per cube and us per frame.
+none), and the RCUB1 round trip of the noisy cube: write_cube and
+read_cube in a temporary directory. --crop N times an N x N pixel
+window at the grid's centre in place of the whole map; `--scenario
+omega-fig3 --crop 10` is the size of one cube of the perfbench
+scenario-cli unit. Reports the best of --repeats runs in ms per cube
+and us per frame. A separate, untimed pass then prints the tracemalloc
+peak of each step (noisy simulate_cube, write_cube, read_cube) as a
+multiple of the cube's stored float32 bytes.
 
     python3 benchmarks/bench_acquisition.py --scenario cpw-fig2
     python3 benchmarks/bench_acquisition.py --scenario omega-fig3 --crop 10
@@ -15,14 +19,18 @@ of one cube of the perfbench scenario-cli unit. Reports the best of
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
+import tempfile
 import time
+import tracemalloc
 
 # the checkout's sources come first, so that an uninstalled checkout runs
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
 from nvscope.acquisition import simulate_cube  # noqa: E402
+from nvscope.formats import read_cube, write_cube  # noqa: E402
 
 
 def crop_grid(grid, n):
@@ -40,13 +48,23 @@ def field_map(cfg, model):
     return project_polarization(phasor, cfg.nv_frame, cfg.transition)
 
 
-def run(bmap, cfg, seed, repeats):
+def best_time(call, repeats):
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
-        simulate_cube(bmap, cfg.dt_ns, cfg.pulse, decay=cfg.decay, seed=seed)
+        call()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def traced_peak(call):
+    """Peak bytes tracemalloc sees during call."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def main():
@@ -74,12 +92,29 @@ def main():
     n_px = cfg.grid.nx * cfg.grid.ny
     n_frames = len(cfg.dt_ns)
     seed = cfg.seed if cfg.seed is not None else 1
+    simulate = functools.partial(simulate_cube, bmap, cfg.dt_ns, cfg.pulse,
+                                 decay=cfg.decay)
+    cube = simulate(seed=seed)
     print(f"scenario {cfg.name}: {n_px} px x {n_frames} frames, "
           f"best of {args.repeats}")
-    for label, s in (("noiseless", None), ("noisy", seed)):
-        t = run(bmap, cfg, s, args.repeats)
-        print(f"{label + ' cube:':16s}{t * 1e3:9.3f} ms "
-              f"({t / n_frames * 1e6:8.1f} us/frame)")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cube.rcub")
+        steps = {"noiseless cube": lambda: simulate(seed=None),
+                 "noisy cube": lambda: simulate(seed=seed),
+                 "write cube": lambda: write_cube(path, cube),
+                 "read cube": lambda: read_cube(path)}
+        for label, call in steps.items():
+            t = best_time(call, args.repeats)
+            print(f"{label + ':':16s}{t * 1e3:9.3f} ms "
+                  f"({t / n_frames * 1e6:8.1f} us/frame)")
+        # untimed: tracemalloc slows every allocation
+        n_bytes = n_frames * n_px * 4
+        for name, label in (("simulate_cube", "noisy cube"),
+                            ("write_cube", "write cube"),
+                            ("read_cube", "read cube")):
+            peak = traced_peak(steps[label])
+            print(f"{'peak ' + name + ':':20s}{peak / n_bytes:6.2f}x "
+                  f"the {n_bytes}-byte float32 cube")
 
 
 if __name__ == "__main__":

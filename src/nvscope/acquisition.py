@@ -162,7 +162,12 @@ def check_dt_ns(dt_ns):
 @dataclass
 class ImageCube:
     """Contrast frames over a scan of microwave pulse durations, driven
-    on one circular component of the field."""
+    on one circular component of the field.
+
+    Frames are held as float32, the precision RCUB1 stores; a float64
+    array handed in is kept as it is, for callers that need finer
+    inputs. Fits compute in float64 either way.
+    """
 
     grid: object
     dt_ns: np.ndarray
@@ -174,14 +179,21 @@ class ImageCube:
     def __post_init__(self):
         check_component(self.component)
         self.dt_ns = check_dt_ns(self.dt_ns)
-        self.frames = np.asarray(self.frames, dtype=float)
+        frames = self.frames
+        if not (isinstance(frames, np.ndarray) and frames.dtype == np.float64):
+            frames = np.asarray(frames, dtype=np.float32)
+        self.frames = frames
         expected = (len(self.dt_ns), self.grid.nx, self.grid.ny)
-        if self.frames.shape != expected:
+        if frames.shape != expected:
             raise ValueError(
-                f"frames shape {self.frames.shape} does not match {expected}")
-        if not np.all(np.isfinite(self.frames)):
+                f"frames shape {frames.shape} does not match {expected}")
+        # reductions, not elementwise masks, so that no temporary of the
+        # cube's size is made: a float64 sum is finite when every value
+        # is, and only an overflowing float64 cube needs the exact test
+        if not (math.isfinite(np.sum(frames, dtype=float))
+                or np.isfinite(frames).all()):
             raise ValueError("cube contains non-finite contrast values")
-        if np.any(self.frames > 1.0):
+        if frames.max() > 1.0:
             raise ValueError("contrast cannot exceed 1")
 
     @property
@@ -192,15 +204,35 @@ class ImageCube:
         return self.frames[:, i, j]
 
 
+# Float64 contrast values per contrast_at call while a cube is filled.
+# The ideal contrast and the noise are computed in float64 and each frame
+# is stored once into the float32 cube, so the float64 values are held a
+# few frames at a time, never for the whole cube; a frame of more pixels
+# than this is computed alone.
+CUBE_CHUNK = 8192
+
+
 def simulate_cube(bmap, dt_list_ns, pulse, decay, seed=None):
-    """Scan dt_mw and stack contrast frames; independent noise per frame."""
+    """Scan dt_mw and stack contrast frames; independent noise per frame.
+
+    Contrast and noise are computed in float64; the cube holds them
+    rounded to float32.
+    """
     dt_list_ns = np.asarray(dt_list_ns, dtype=float)
-    frames = np.empty((len(dt_list_ns), bmap.grid.nx, bmap.grid.ny))
-    contrast_at(bmap.values, dt_list_ns, decay, pulse.c0, out=frames)
-    if seed is not None:
-        rng = _frame_rngs(seed)
-        for k, ideal in enumerate(frames):
-            frames[k] = _apply_shot_noise(ideal, pulse.counts_ref, rng(k))
+    shape = bmap.values.shape
+    frames = np.empty((len(dt_list_ns),) + shape, dtype=np.float32)
+    step = max(1, CUBE_CHUNK // bmap.values.size)
+    ideal = np.empty((min(step, len(dt_list_ns)),) + shape)
+    rng = None if seed is None else _frame_rngs(seed)
+    for k0 in range(0, len(dt_list_ns), step):
+        dts = dt_list_ns[k0:k0 + step]
+        chunk = contrast_at(bmap.values, dts, decay, pulse.c0,
+                            out=ideal[:len(dts)])
+        if rng is None:
+            frames[k0:k0 + len(dts)] = chunk
+            continue
+        for k, ideal_k in enumerate(chunk, k0):
+            frames[k] = _apply_shot_noise(ideal_k, pulse.counts_ref, rng(k))
     return ImageCube(grid=bmap.grid, dt_ns=dt_list_ns, frames=frames,
                      pulse=pulse, seed=seed, component=bmap.component)
 

@@ -138,6 +138,10 @@ class TrapNotFound(ValueError):
     """No interior local minimum in the searched region."""
 
 
+class NoConvergedPixel(ValueError):
+    """No pixel converged in every repeat of a sensitivity estimate."""
+
+
 DOUBLE_EXP = "double-exp"
 SINGLE_EXP = "single-exp"
 
@@ -983,13 +987,14 @@ def characterize_trap(pmap, search_region=None, arm=5):
                       value=float(a[i, j]), gradients=grads)
 
 
-def amplitude_sensitivity(cubes, cfg=None, measurement_time_s=None):
+def amplitude_sensitivity(cubes, measurement_time_s=None):
     """Field amplitude sensitivity in T Hz^-1/2 from repeated cubes.
 
-    Fits the pixels of all repeats as one batch, takes the per-pixel
-    standard deviation of the fitted field over repeats, scales by the
-    square root of the measurement time per cube, and reports the median
-    over pixels that converged in every repeat. The batch is gathered
+    Fits the pixels of all repeats as one single-envelope batch, takes
+    the per-pixel standard deviation of the fitted field over repeats,
+    scales by the square root of the measurement time per cube, and
+    reports the median over pixels that converged in every repeat
+    (NoConvergedPixel when there is none). The batch is gathered
     block by block from the cubes, so no copy of all repeats is made
     beside them. The repeats must share their pulse durations and grid
     shape. measurement_time_s defaults to the summed exposure time of
@@ -1012,15 +1017,13 @@ def amplitude_sensitivity(cubes, cfg=None, measurement_time_s=None):
                 "cube carries no pulse parameters; pass measurement_time_s")
         measurement_time_s = float(
             np.sum([pulse.exposure_ns(dt) for dt in t])) * 1e-9
-    if cfg is None:
-        cfg = FitConfig()
     results = _fit_columns(
-        t, [c.frames.reshape(c.n_frames, -1) for c in cubes], cfg
-    ).reshape(len(cubes), -1)
+        t, [c.frames.reshape(c.n_frames, -1) for c in cubes],
+        FitConfig(envelope_mode=SINGLE_EXP)).reshape(len(cubes), -1)
     fields = omega_to_field(results.omega)
     ok = results.converged.all(axis=0)
     if not np.any(ok):
-        raise ValueError("no pixel converged across all repeats")
+        raise NoConvergedPixel("no pixel converged across all repeats")
     per_pixel = np.std(fields[:, ok], axis=0, ddof=1)
     return float(np.median(per_pixel)) * math.sqrt(measurement_time_s)
 

@@ -608,8 +608,7 @@ def cmd_report(args, cfg, out):
                                            decay=cfg.decay,
                                            seed=base_seed + k)
                  for k in range(n_rep)]
-        sens = analysis.amplitude_sensitivity(
-            cubes, analysis.FitConfig(envelope_mode=analysis.SINGLE_EXP))
+        sens = analysis.amplitude_sensitivity(cubes)
         report["sensitivity"] = {"n_repeats": n_rep,
                                  "t_per_sqrt_hz": sens,
                                  "ut_per_sqrt_hz": sens * 1e6}
@@ -728,7 +727,8 @@ def main(argv=None):
     except VerificationError as err:
         print(f"verification failed: {err}", file=sys.stderr)
         return EXIT_VERIFY
-    except (SegmentProximityError, analysis.TrapNotFound) as err:
+    except (SegmentProximityError, analysis.TrapNotFound,
+            analysis.NoConvergedPixel) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ConfigError, formats.FormatError, ValueError, OSError) as err:

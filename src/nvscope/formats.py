@@ -20,6 +20,7 @@ PGM    plain 16-bit binary P5 (big-endian samples per the format),
 
 import hashlib
 import json
+import math
 import os
 import re
 import tempfile
@@ -29,7 +30,7 @@ import numpy as np
 
 from nvscope.acquisition import (CameraTiming, ImageCube, PulseParams,
                                  check_dt_ns)
-from nvscope.fieldcore import check_component
+from nvscope.fieldcore import check_component, field, integer
 from nvscope.nearfield import FieldPhasorMap, GridSpec, PolarizedFieldMap
 
 FMAP_MAGIC = b"FMAP1\n"
@@ -41,15 +42,18 @@ class FormatError(ValueError):
     """Malformed container; the message names the failing byte offset."""
 
 
-def atomic_write_bytes(path, data):
-    """Write bytes to path via a same-directory temp file and os.replace."""
+def atomic_write_bytes(path, *parts):
+    """Write the parts one after another to path via a same-directory
+    temp file and os.replace. A part is bytes or a C-contiguous array,
+    whose raw bytes are written without a copy."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-",
                                suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for part in parts:
+                fh.write(part)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -70,16 +74,17 @@ def _dump_header(doc):
                       separators=(",", ":")).encode() + b"\n"
 
 
-def _read_framing(raw, magic, path):
-    if raw[:len(magic)] != magic:
+def _read_framing(fh, magic, path):
+    """The JSON header of an open container; fh is left at the payload."""
+    if fh.read(len(magic)) != magic:
         raise FormatError(
             f"{path}: bad magic at byte 0, expected {magic!r}")
-    end = raw.find(b"\n", len(magic))
-    if end < 0:
+    line = fh.readline()
+    if not line.endswith(b"\n"):
         raise FormatError(
             f"{path}: unterminated JSON header at byte {len(magic)}")
     try:
-        doc = json.loads(raw[len(magic):end].decode())
+        doc = json.loads(line[:-1].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise FormatError(
             f"{path}: invalid JSON header at byte {len(magic)}: {err}")
@@ -89,7 +94,7 @@ def _read_framing(raw, magic, path):
     if doc.get("dtype") != "float32":
         raise FormatError(f"{path}: unsupported dtype {doc.get('dtype')!r} "
                           f"in header at byte {len(magic)}")
-    return doc, end + 1
+    return doc
 
 
 @contextmanager
@@ -105,13 +110,21 @@ def _blame(path, part, offset):
             f"{type(err).__name__}: {err}") from err
 
 
-def _expect_payload(raw, start, n_bytes, path):
-    got = len(raw) - start
+def _read_payload(fh, dtype, shape, path):
+    """The rest of the open file fh, read straight into a new writable
+    array of dtype and shape, if it holds exactly that many bytes."""
+    start = fh.tell()
+    n_bytes = np.dtype(dtype).itemsize * math.prod(shape)
+    got = os.fstat(fh.fileno()).st_size - start
     if got != n_bytes:
         raise FormatError(
             f"{path}: payload at byte {start} expected {n_bytes} bytes, "
             f"got {got}")
-    return raw[start:]
+    out = np.empty(shape, dtype=dtype)
+    if fh.readinto(out) != n_bytes:
+        raise FormatError(f"{path}: payload at byte {start} changed while "
+                          "it was read")
+    return out
 
 
 def grid_to_doc(grid):
@@ -161,36 +174,32 @@ def write_field_map(path, fmap):
                "component": fmap.component,
                "grid": grid_to_doc(fmap.grid),
                "dtype": "float32", "order": "row-major"}
-        buf = fmap.values.astype("<f4")
+        buf = np.ascontiguousarray(fmap.values, dtype="<f4")
     else:
         raise TypeError("expected FieldPhasorMap or PolarizedFieldMap")
-    atomic_write_bytes(path, FMAP_MAGIC + _dump_header(doc) + buf.tobytes())
+    atomic_write_bytes(path, FMAP_MAGIC, _dump_header(doc), buf)
 
 
 def read_field_map(path):
     """Load an FMAP1 file; returns FieldPhasorMap or PolarizedFieldMap."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    doc, start = _read_framing(raw, FMAP_MAGIC, path)
-    kind = doc.get("kind")
-    if kind not in ("phasor", "polarized"):
-        raise FormatError(f"{path}: unknown field map kind {kind!r}")
-    with _blame(path, "header", len(FMAP_MAGIC)):
-        grid = grid_from_doc(doc["grid"])
-        if kind == "polarized":
-            component = check_component(doc["component"])
-    nx, ny = grid.nx, grid.ny
-    if kind == "phasor":
-        payload = _expect_payload(raw, start, nx * ny * 6 * 4, path)
-        flat = np.frombuffer(payload, dtype="<f4").reshape(nx, ny, 3, 2)
-        values = flat[..., 0].astype(float) + 1j * flat[..., 1].astype(float)
-        with _blame(path, "payload", start):
-            return FieldPhasorMap(grid=grid, values=values)
-    payload = _expect_payload(raw, start, nx * ny * 4, path)
-    values = np.frombuffer(payload, dtype="<f4").reshape(nx, ny)
+        doc = _read_framing(fh, FMAP_MAGIC, path)
+        kind = doc.get("kind")
+        if kind not in ("phasor", "polarized"):
+            raise FormatError(f"{path}: unknown field map kind {kind!r}")
+        with _blame(path, "header", len(FMAP_MAGIC)):
+            grid = grid_from_doc(doc["grid"])
+            if kind == "polarized":
+                component = check_component(doc["component"])
+        start = fh.tell()
+        shape = (grid.nx, grid.ny) + ((3, 2) if kind == "phasor" else ())
+        flat = _read_payload(fh, "<f4", shape, path)
     with _blame(path, "payload", start):
+        if kind == "phasor":
+            return FieldPhasorMap(grid=grid, values=(
+                flat[..., 0].astype(float) + 1j * flat[..., 1].astype(float)))
         return PolarizedFieldMap(grid=grid, component=component,
-                                 values=values.astype(float))
+                                 values=flat.astype(float))
 
 
 # ----------------------------------------------------------------- RCUB1
@@ -203,25 +212,24 @@ def write_cube(path, cube):
            "seed": cube.seed,
            "component": cube.component,
            "dtype": "float32", "order": "frame-major"}
-    buf = cube.frames.astype("<f4")
-    atomic_write_bytes(path, RCUB_MAGIC + _dump_header(doc) + buf.tobytes())
+    atomic_write_bytes(path, RCUB_MAGIC, _dump_header(doc),
+                       np.ascontiguousarray(cube.frames, dtype="<f4"))
 
 
 def read_cube(path):
+    """Load an RCUB1 file; the cube's frames are the stored float32."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    doc, start = _read_framing(raw, RCUB_MAGIC, path)
-    with _blame(path, "header", len(RCUB_MAGIC)):
-        grid = grid_from_doc(doc["grid"])
-        dt = check_dt_ns(doc["dt_ns"])
-        n = len(dt) * grid.nx * grid.ny * 4
-        pulse = pulse_from_doc(doc.get("pulse"))
-        seed = doc.get("seed")
-        seed = None if seed is None else int(seed)
-        component = check_component(doc["component"])
-    payload = _expect_payload(raw, start, n, path)
-    frames = np.frombuffer(payload, dtype="<f4").reshape(
-        len(dt), grid.nx, grid.ny).astype(float)
+        doc = _read_framing(fh, RCUB_MAGIC, path)
+        with _blame(path, "header", len(RCUB_MAGIC)):
+            grid = grid_from_doc(doc["grid"])
+            dt = check_dt_ns(doc["dt_ns"])
+            pulse = pulse_from_doc(doc.get("pulse"))
+            seed = doc.get("seed")
+            if seed is not None:
+                seed = field(seed, "seed", integer)
+            component = check_component(doc["component"])
+        start = fh.tell()
+        frames = _read_payload(fh, "<f4", (len(dt), grid.nx, grid.ny), path)
     with _blame(path, "payload", start):
         return ImageCube(grid=grid, dt_ns=dt, frames=frames, pulse=pulse,
                          seed=seed, component=component)
@@ -255,26 +263,21 @@ def write_stream(path, grid, dt_mw_ns, frames, timing=None, rows=None,
     records = np.zeros(len(frames), dtype=_stream_dtype(grid))
     if frames:
         records["t"], records["frame"] = zip(*frames)
-    atomic_write_bytes(path, RSTR_MAGIC + _dump_header(doc)
-                       + records.tobytes())
+    atomic_write_bytes(path, RSTR_MAGIC, _dump_header(doc), records)
 
 
 def read_stream(path):
     """Load an RSTR1 file; returns (header doc, [(timestamp_ms, frame)])."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    doc, start = _read_framing(raw, RSTR_MAGIC, path)
-    with _blame(path, "header", len(RSTR_MAGIC)):
-        grid = grid_from_doc(doc["grid"])
-        n_frames = int(doc["n_frames"])
-        timing = doc.get("timing")
-        if timing is not None:
-            timing = CameraTiming(row_time_us=timing["row_time_us"],
-                                  overhead_us=timing["overhead_us"])
-    dtype = _stream_dtype(grid)
-    records = np.frombuffer(
-        _expect_payload(raw, start, n_frames * dtype.itemsize, path),
-        dtype=dtype)
+        doc = _read_framing(fh, RSTR_MAGIC, path)
+        with _blame(path, "header", len(RSTR_MAGIC)):
+            grid = grid_from_doc(doc["grid"])
+            n_frames = int(doc["n_frames"])
+            timing = doc.get("timing")
+            if timing is not None:
+                timing = CameraTiming(row_time_us=timing["row_time_us"],
+                                      overhead_us=timing["overhead_us"])
+        records = _read_payload(fh, _stream_dtype(grid), (n_frames,), path)
     frames = list(zip(records["t"].tolist(), records["frame"].astype(float)))
     if timing is not None:
         doc = dict(doc, timing=timing)
@@ -300,36 +303,32 @@ def write_pgm(path, values):
     else:
         pix = np.zeros(a.shape, dtype=">u2")
     header = f"P5\n{a.shape[1]} {a.shape[0]}\n65535\n".encode()
-    atomic_write_bytes(path, header + pix.tobytes())
+    atomic_write_bytes(path, header, pix)
     return top
 
 
 def read_pgm(path):
     """Load a 16-bit binary PGM written by write_pgm; returns uint16 array."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:3] != b"P5\n":
-        raise FormatError(f"{path}: bad magic at byte 0, expected b'P5'")
-    end = raw.find(b"\n", 3)
-    if end >= 0:
-        end = raw.find(b"\n", end + 1)
-    if end < 0:
-        raise FormatError(
-            f"{path}: truncated header at byte {len(raw)}, expected "
-            f"size and maxval lines")
-    fields = []
-    for m in re.finditer(rb"\S+", raw[3:end]):
-        if not m.group().isdigit():
+        if fh.read(3) != b"P5\n":
+            raise FormatError(f"{path}: bad magic at byte 0, expected b'P5'")
+        header = fh.readline() + fh.readline()
+        if header.count(b"\n") < 2:
             raise FormatError(
-                f"{path}: header field {m.group()!r} at byte {3 + m.start()} "
-                f"is not an unsigned integer")
-        fields.append(int(m.group()))
-    if len(fields) != 3:
-        raise FormatError(
-            f"{path}: header at byte 3 has {len(fields)} fields, expected "
-            f"width, height and maxval")
-    w, h, maxval = fields
-    if maxval != 65535:
-        raise FormatError(f"{path}: expected 16-bit maxval, got {maxval}")
-    payload = _expect_payload(raw, end + 1, w * h * 2, path)
-    return np.frombuffer(payload, dtype=">u2").reshape(h, w)
+                f"{path}: truncated header at byte {fh.tell()}, expected "
+                f"size and maxval lines")
+        fields = []
+        for m in re.finditer(rb"\S+", header):
+            if not m.group().isdigit():
+                raise FormatError(
+                    f"{path}: header field {m.group()!r} at byte "
+                    f"{3 + m.start()} is not an unsigned integer")
+            fields.append(int(m.group()))
+        if len(fields) != 3:
+            raise FormatError(
+                f"{path}: header at byte 3 has {len(fields)} fields, "
+                f"expected width, height and maxval")
+        w, h, maxval = fields
+        if maxval != 65535:
+            raise FormatError(f"{path}: expected 16-bit maxval, got {maxval}")
+        return _read_payload(fh, ">u2", (h, w), path)

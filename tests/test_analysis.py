@@ -285,7 +285,9 @@ def assert_same_result(r1, r2, ignore=()):
 
 
 def below_threshold_record(trace):
-    # what the fitter reports for a trace without a detectable oscillation
+    # what the fitter reports for a trace without a detectable oscillation;
+    # it reads the trace as float64, as _fit_rows does
+    trace = np.asarray(trace, dtype=float)
     return np.array((np.mean(trace), 0.0, 0.0, math.inf, math.inf, 0.0, 0.0,
                      np.std(trace), False, True, 0, False, False),
                     dtype=ana.FIT_DTYPE)[()]
@@ -434,7 +436,8 @@ def test_double_gate_skips_only_discarded_double_solves(monkeypatch):
 
     t = cube.dt_ns
     n = len(t)
-    y = np.ascontiguousarray(cube.frames.reshape(n, -1).T)
+    # float64 rows, as _fit_rows makes them
+    y = np.ascontiguousarray(cube.frames.reshape(n, -1).T, dtype=float)
     freq, snr = ana._periodogram_peaks(t, y)
     fit = np.flatnonzero(snr >= ana.MIN_SNR)
     yf = y[fit]

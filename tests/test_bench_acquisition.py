@@ -14,7 +14,10 @@ import pytest
 SCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                       "benchmarks", "bench_acquisition.py")
 
-TIMING = re.compile(r"^(noiseless|noisy) cube:\s+(\S+) ms \(\s*(\S+) us/frame\)$")
+TIMING = re.compile(r"^(noiseless cube|noisy cube|write cube|read cube):"
+                    r"\s+(\S+) ms \(\s*(\S+) us/frame\)$")
+PEAK = re.compile(r"^peak (simulate_cube|write_cube|read_cube):\s+(\S+)x "
+                  r"the (\d+)-byte float32 cube$")
 
 
 def run_script(args, cwd):
@@ -24,20 +27,30 @@ def run_script(args, cwd):
                           text=True, env=env, cwd=cwd, timeout=300)
 
 
-def test_crop_times_noiseless_and_noisy_cubes(tmp_path):
+def test_crop_times_cubes_and_their_round_trip(tmp_path):
     proc = run_script(["--scenario", "omega-fig3", "--crop", "10",
                        "--repeats", "2"], tmp_path)
     assert proc.returncode == 0, proc.stderr
-    head, *timings = proc.stdout.splitlines()
+    head, *lines = proc.stdout.splitlines()
     assert head == "scenario omega-fig3: 100 px x 100 frames, best of 2"
-    matches = [TIMING.match(line) for line in timings]
-    assert all(matches), proc.stdout
-    assert [m.group(1) for m in matches] == ["noiseless", "noisy"]
-    for m in matches:
+    timings = [TIMING.match(line) for line in lines[:4]]
+    assert all(timings), proc.stdout
+    assert [m.group(1) for m in timings] == [
+        "noiseless cube", "noisy cube", "write cube", "read cube"]
+    for m in timings:
         ms, us = float(m.group(2)), float(m.group(3))
         assert ms > 0
         # ms is printed to 3 decimals, us/frame to 1
         assert us == pytest.approx(ms * 1e3 / 100, abs=0.1)
+    peaks = [PEAK.match(line) for line in lines[4:]]
+    assert len(peaks) == 3 and all(peaks), proc.stdout
+    assert [m.group(1) for m in peaks] == [
+        "simulate_cube", "write_cube", "read_cube"]
+    for m in peaks:
+        assert float(m.group(2)) >= 0
+        assert int(m.group(3)) == 100 * 100 * 4
+    # reading holds at least the frames it returns
+    assert float(peaks[2].group(2)) >= 1.0
 
 
 def test_unknown_scenario_exits_2(tmp_path):

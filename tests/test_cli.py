@@ -780,6 +780,16 @@ def test_noisy_fit_matches_golden_diagnostics(pipeline, tmp_path):
     assert diag == golden
 
 
+def test_noisy_cube_bytes_are_pinned(pipeline, tmp_path):
+    # the noisy cube acquire writes, pinned bit for bit: the contrast and
+    # noise are computed in float64 and rounded once to the stored float32
+    outdir, cfg = pipeline
+    assert run("acquire", "--config", cfg, "-o", tmp_path, "--field-map",
+               outdir / "mini-strip.sigma_minus.fmap") == 0
+    assert formats.sha256_file(tmp_path / "mini-strip.cube.rcub") == (
+        "58d140cb42b7c81b610d5e850b86c6c4bfe227269473decde7a70ac84020798c")
+
+
 def test_fit_json_splits_outcomes(pipeline, tmp_path, monkeypatch):
     # a 10-evaluation budget leaves some fits unfinished; every pixel
     # falls in exactly one outcome class
@@ -849,8 +859,10 @@ def test_noisy_fit_envelope_choice_stable_under_ulp_shifts(pipeline,
         return single, converged, fitted.values.ravel(), flat.residual_rms
 
     single, converged, field, rms = fit(cube.frames)
-    shifted = {"+1 ulp": np.nextafter(cube.frames, np.inf),
-               "-1 ulp": np.nextafter(cube.frames, -np.inf),
+    # float64 ulps: a float32 cube cannot hold them, a float64 one is kept
+    frames64 = cube.frames.astype(float)
+    shifted = {"+1 ulp": np.nextafter(frames64, np.inf),
+               "-1 ulp": np.nextafter(frames64, -np.inf),
                "float32": cube.frames.astype(np.float32).astype(float)}
     for name, frames in shifted.items():
         s_single, s_converged, s_field, s_rms = fit(frames)
@@ -863,10 +875,11 @@ def test_noisy_fit_envelope_choice_stable_under_ulp_shifts(pipeline,
 
 # ------------------------------------------------------ zero current, MW off
 
-def test_zero_current_maps_and_mw_off_fit(tmp_path):
+def test_zero_current_maps_and_mw_off_fit(tmp_path, capsys):
     doc = json.loads(json.dumps(MINI))
     doc["name"] = "zero-strip"
     doc["device"]["params"]["current_ma"] = 0
+    doc["report"] = {"sensitivity": {"n_repeats": 10}}
     cfg = tmp_path / "zero.json"
     cfg.write_text(json.dumps(doc))
     assert run("simulate", "--config", cfg, "-o", tmp_path) == 0
@@ -887,6 +900,12 @@ def test_zero_current_maps_and_mw_off_fit(tmp_path):
         diag = json.load(fh)
     assert diag["below_threshold_fraction"] == 1.0
     assert diag["converged_fraction"] == 0.0
+    # no pixel converges in any repeat: a numerical failure, not a config
+    # error
+    capsys.readouterr()
+    assert run("report", "--config", cfg, "-o", tmp_path) == 3
+    assert ("numerical failure: no pixel converged across all repeats"
+            in capsys.readouterr().err)
 
 
 # ------------------------------------------------------------- stream mode
