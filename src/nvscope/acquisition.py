@@ -164,9 +164,8 @@ class ImageCube:
     """Contrast frames over a scan of microwave pulse durations, driven
     on one circular component of the field.
 
-    Frames are held as float32, the precision RCUB1 stores; a float64
-    array handed in is kept as it is, for callers that need finer
-    inputs. Fits compute in float64 either way.
+    Frames are always held as float32, the precision RCUB1 stores;
+    fits compute in float64.
     """
 
     grid: object
@@ -179,19 +178,15 @@ class ImageCube:
     def __post_init__(self):
         check_component(self.component)
         self.dt_ns = check_dt_ns(self.dt_ns)
-        frames = self.frames
-        if not (isinstance(frames, np.ndarray) and frames.dtype == np.float64):
-            frames = np.asarray(frames, dtype=np.float32)
-        self.frames = frames
+        self.frames = frames = np.asarray(self.frames, dtype=np.float32)
         expected = (len(self.dt_ns), self.grid.nx, self.grid.ny)
         if frames.shape != expected:
             raise ValueError(
                 f"frames shape {frames.shape} does not match {expected}")
         # reductions, not elementwise masks, so that no temporary of the
-        # cube's size is made: a float64 sum is finite when every value
-        # is, and only an overflowing float64 cube needs the exact test
-        if not (math.isfinite(np.sum(frames, dtype=float))
-                or np.isfinite(frames).all()):
+        # cube's size is made: the float64 sum of float32 values cannot
+        # overflow, so it is finite exactly when every value is
+        if not math.isfinite(np.sum(frames, dtype=float)):
             raise ValueError("cube contains non-finite contrast values")
         if frames.max() > 1.0:
             raise ValueError("contrast cannot exceed 1")

@@ -49,9 +49,10 @@ import numpy as np
 from nvscope import __version__, acquisition, analysis, currents, formats
 from nvscope.acquisition import CameraTiming, DecayParams, PulseParams
 from nvscope.fieldcore import (ConfigError, SensingLayer, TRANSITIONS,
-                               bias_field_for_frequency, boolean, converter,
-                               field, flip_axis, integer, lst, number,
-                               nv_frame_from_tilt, obj, param, string, vec3)
+                               bias_field_for_frequency, boolean, build,
+                               convert_units, converter, field, flip_axis,
+                               given, integer, number, number_fields,
+                               nv_frame_from_tilt, obj, one_of, param, string)
 from nvscope.nearfield import (GridSpec, PolarizedFieldMap,
                                SegmentProximityError, evaluate_phasor_map,
                                project_polarization)
@@ -74,42 +75,6 @@ EXIT_VERIFY = 4
 
 class VerificationError(RuntimeError):
     pass
-
-
-# unit-suffixed keys convert to SI and lose the suffix; longest first so
-# current_ma does not match _a and f_mw_ghz does not match _hz
-_UNIT_SUFFIXES = (("_ghz", 1e9), ("_mhz", 1e6), ("_khz", 1e3), ("_hz", 1.0),
-                  ("_um", 1e-6), ("_mm", 1e-3), ("_ma", 1e-3), ("_ut", 1e-6),
-                  ("_mt", 1e-3), ("_m", 1.0), ("_a", 1.0), ("_t", 1.0))
-
-
-def _scale_numbers(value, factor, path):
-    if isinstance(value, bool):
-        raise ConfigError(f"{path}: unit-suffixed key holds a boolean")
-    if isinstance(value, (int, float)):
-        return value * factor
-    if isinstance(value, list):
-        return [_scale_numbers(v, factor, path) for v in value]
-    raise ConfigError(f"{path}: unit-suffixed key holds non-numeric data")
-
-
-def convert_units(doc, path=""):
-    """Strip unit suffixes from keys, scaling their values to SI."""
-    if isinstance(doc, dict):
-        out = {}
-        for key, value in doc.items():
-            here = f"{path}.{key}" if path else key
-            for suffix, factor in _UNIT_SUFFIXES:
-                if key.endswith(suffix) and len(key) > len(suffix):
-                    out[key[:-len(suffix)]] = _scale_numbers(
-                        value, factor, here)
-                    break
-            else:
-                out[key] = convert_units(value, here)
-        return out
-    if isinstance(doc, list):
-        return [convert_units(v, f"{path}[{i}]") for i, v in enumerate(doc)]
-    return doc
 
 
 @dataclass
@@ -151,42 +116,7 @@ def _is_bare_name(name):
             and os.path.basename(name) == name)
 
 
-def _given(doc, path, **fields):
-    """{name: value} for each name=(key, convert) whose key doc sets, read
-    through convert; the callee keeps its own defaults for the others."""
-    return {name: param(doc, path, key, convert)
-            for name, (key, convert) in fields.items() if key in doc}
-
-
-def _numbers(doc, path, integers=()):
-    """doc, each value checked a JSON number (integer for the keys in
-    integers) and passed on as written: 700 stays an int in headers."""
-    for key in doc:
-        param(doc, path, key, integer if key in integers else number)
-    return doc
-
-
-def _build(make, path, **kwargs):
-    """make(**kwargs), its errors naming the section path."""
-    try:
-        return make(**kwargs)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"{path}: {err}") from None
-
-
-def _schedule(value):
-    for item in lst(value):
-        if not (isinstance(item, list) and len(item) == 2
-                and type(item[0]) in (int, float) and item[0] > 0
-                and item[1] in (acquisition.ON, acquisition.OFF)):
-            raise ValueError("entries must be [duration_ms > 0, on|off], "
-                             f"got {item!r}")
-    return value
-
-
 _file_stem = converter("a bare file stem", _is_bare_name)
-_axes = converter("two vectors", lambda v: isinstance(v, list) and len(v) == 2,
-                  lambda v: tuple(map(vec3, v)))
 _region = converter("[[i0, i1], [j0, j1]] in pixels", lambda v: (
     isinstance(v, list) and len(v) == 2
     and all(isinstance(row, list) and len(row) == 2
@@ -200,8 +130,8 @@ def _check_report(rdoc, dt_ns):
     load by every command, read through here again by report."""
     read = functools.partial(param, rdoc, "report")
     out = {"impedance_ohm": read("impedance_ohm", default=50.0),
-           **_given(rdoc, "report", p_in_dbm=("p_in_dbm", number),
-                    current=("current", number))}
+           **given(rdoc, "report", p_in_dbm=("p_in_dbm", number),
+                   current=("current", number))}
     if "sensitivity" not in rdoc:
         return out
     path = "report.sensitivity"
@@ -219,8 +149,8 @@ def _check_report(rdoc, dt_ns):
 def _check_trap(tdoc):
     """characterize_trap keyword arguments for the keys the trap section
     sets; the others keep characterize_trap's defaults."""
-    return _given(tdoc, "trap", arm=("arm_px", _arm),
-                  search_region=("search_region_px", _region))
+    return given(tdoc, "trap", arm=("arm_px", _arm),
+                 search_region=("search_region_px", _region))
 
 
 def load_scenario(value):
@@ -235,34 +165,29 @@ def load_scenario(value):
     read = functools.partial(param, si, "")
 
     name = read("name", _file_stem)
-    g = functools.partial(param, read("grid", obj), "grid")
-    grid = _build(GridSpec, "grid", origin=g("origin", vec3),
-                  axes=g("axes", _axes), nx=g("nx", integer),
-                  ny=g("ny", integer), pitch=g("pitch"))
+    grid = formats.grid_from_doc(read("grid", obj), "grid")
 
     ldoc = read("layer", obj)
-    layer = _build(SensingLayer, "layer", h=param(ldoc, "layer", "height"),
-                   **_given(ldoc, "layer", d=("thickness", number)))
+    layer = build(SensingLayer, "layer", h=param(ldoc, "layer", "height"),
+                  **given(ldoc, "layer", d=("thickness", number)))
 
     ndoc = read("nv", obj, {})
-    frame = _build(nv_frame_from_tilt, "nv",
-                   tilt_deg=param(ndoc, "nv", "tilt_deg", default=0.0),
-                   **_given(ndoc, "nv", tilt_plane=("tilt_plane", string)))
+    frame = build(nv_frame_from_tilt, "nv",
+                  tilt_deg=param(ndoc, "nv", "tilt_deg", default=0.0),
+                  **given(ndoc, "nv", tilt_plane=("tilt_plane", string)))
     if param(ndoc, "nv", "flip", boolean, default=False):
         frame = flip_axis(frame)
 
     bdoc = read("bias", obj)
-    transition = param(bdoc, "bias", "transition", converter(
-        f"one of {TRANSITIONS}", lambda v: v in TRANSITIONS))
+    transition = param(bdoc, "bias", "transition", one_of(TRANSITIONS))
     f_mw = param(bdoc, "bias", "f_mw")
-    _build(bias_field_for_frequency, "bias", f_mw=f_mw,
-           transition=transition)
+    build(bias_field_for_frequency, "bias", f_mw=f_mw, transition=transition)
 
-    pulse = _build(PulseParams, "pulse", **_numbers(
-        read("pulse", obj, {}), "pulse", integers=("n_shots",)))
+    pulse = formats.pulse_from_doc(read("pulse", obj, {}), "pulse")
+    ddoc = read("decay", obj, None)
     # no decay section means an undamped envelope
-    decay = _build(DecayParams, "decay", **_numbers(read("decay", obj, dict(
-        tau_fast_ns=np.inf, tau_slow_ns=np.inf, weight_fast=0.5)), "decay"))
+    decay = (DecayParams(np.inf, np.inf, 0.5) if ddoc is None else
+             build(DecayParams, "decay", **number_fields(ddoc, "decay")))
 
     dt_ns = None
     if "scan" in si:
@@ -277,14 +202,12 @@ def load_scenario(value):
     stream, timing = read("stream", obj, None), None
     if stream is not None:
         st = functools.partial(param, stream, "stream")
-        st("dt_mw_ns"), st("schedule", _schedule)
+        st("dt_mw_ns"), st("schedule", formats.check_schedule)
         rows = st("rows", integer)
         if rows < 1:
             raise ConfigError(f"stream.rows must be an integer >= 1, got "
                               f"{rows!r}")
-        timing = _build(CameraTiming, "stream", **_given(
-            stream, "stream", row_time_us=("row_time_us", number),
-            overhead_us=("overhead_us", number)))
+        timing = formats.timing_from_doc(stream, "stream")
 
     report, trap = read("report", obj, None), read("trap", obj, None)
     if report is not None:

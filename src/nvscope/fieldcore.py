@@ -14,6 +14,7 @@ Conventions used throughout the package:
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,7 @@ def _as_vec3(v, name="vector"):
     return a
 
 
-# ------------------------------------------------- scenario document reader
+# -------------------- document reader: scenarios and container headers
 
 class ConfigError(ValueError):
     """Configuration problem; the message carries the field path."""
@@ -48,7 +49,7 @@ class ConfigError(ValueError):
 
 # Converters for param and field: each returns a JSON value as the
 # program uses it, or raises ValueError saying what it "must be". A number
-# is a JSON int or float (never a bool or a string), an integer a JSON int.
+# is a finite JSON int or float, never a bool; an integer is a JSON int.
 
 def converter(what, test, cast=None):
     """Converter passing values for which test holds, through cast."""
@@ -59,18 +60,30 @@ def converter(what, test, cast=None):
     return convert
 
 
-def _is_json_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def is_number(value):
+    # compared exactly, so that an int beyond float range is no number
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
-def numbers(n):
-    """Converter for a list of n numbers, returned as floats."""
-    return converter(f"{n} numbers", lambda v: (
-        isinstance(v, (list, tuple)) and len(v) == n
-        and all(map(_is_json_number, v))), lambda v: [float(x) for x in v])
+def numbers(n=None):
+    """Converter for a list of numbers, n of them if given, as floats."""
+    return converter(f"{n} numbers" if n else "a list of numbers", lambda v: (
+        isinstance(v, (list, tuple)) and (n is None or len(v) == n)
+        and all(map(is_number, v))), lambda v: [float(x) for x in v])
 
 
-number = converter("a number", _is_json_number, float)
+def one_of(options):
+    """Converter passing the values in options."""
+    return converter(f"one of {options}", lambda v: v in options)
+
+
+def nullable(convert):
+    """Converter passing None, and any other value through convert."""
+    return lambda value: None if value is None else convert(value)
+
+
+number = converter("a number", is_number, float)
 integer = converter("an integer", lambda v: (
     isinstance(v, int) and not isinstance(v, bool)))
 string = converter("a string", lambda v: isinstance(v, str))
@@ -78,6 +91,8 @@ boolean = converter("true or false", lambda v: isinstance(v, bool))
 obj = converter("an object", lambda v: isinstance(v, dict))
 lst = converter("a list", lambda v: isinstance(v, list))
 vec3 = numbers(3)
+vec3_pair = converter("two vectors", lambda v: (
+    isinstance(v, list) and len(v) == 2), lambda v: tuple(map(vec3, v)))
 
 _REQUIRED = object()
 
@@ -101,6 +116,66 @@ def param(doc, path, key, convert=number, default=_REQUIRED):
             raise ConfigError(f"{where} is required")
         return default
     return field(doc[key], where, convert)
+
+
+def given(doc, path, **fields):
+    """{name: value} for each name=(key, convert) whose key doc sets, read
+    through convert; the callee keeps its own defaults for the others."""
+    return {name: param(doc, path, key, convert)
+            for name, (key, convert) in fields.items() if key in doc}
+
+
+def number_fields(doc, path, integers=()):
+    """doc, each value checked a JSON number (integer for the keys in
+    integers) and passed on as written: 700 stays an int in headers."""
+    for key in doc:
+        param(doc, path, key, integer if key in integers else number)
+    return doc
+
+
+def build(make, path, **kwargs):
+    """make(**kwargs), its errors naming the section path."""
+    try:
+        return make(**kwargs)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{path}: {err}") from None
+
+
+# unit-suffixed keys convert to SI and lose the suffix; longest first so
+# current_ma does not match _a and f_mw_ghz does not match _hz
+_UNIT_SUFFIXES = (("_ghz", 1e9), ("_mhz", 1e6), ("_khz", 1e3), ("_hz", 1.0),
+                  ("_um", 1e-6), ("_mm", 1e-3), ("_ma", 1e-3), ("_ut", 1e-6),
+                  ("_mt", 1e-3), ("_m", 1.0), ("_a", 1.0), ("_t", 1.0))
+
+
+def _scale_numbers(value, factor, path):
+    if isinstance(value, bool):
+        raise ConfigError(f"{path}: unit-suffixed key holds a boolean")
+    if isinstance(value, (int, float)):
+        # a value that is no number stays as written, for its reader
+        return value * factor if is_number(value) else value
+    if isinstance(value, list):
+        return [_scale_numbers(v, factor, path) for v in value]
+    raise ConfigError(f"{path}: unit-suffixed key holds non-numeric data")
+
+
+def convert_units(doc, path=""):
+    """Strip unit suffixes from keys, scaling their values to SI."""
+    if isinstance(doc, dict):
+        out = {}
+        for key, value in doc.items():
+            here = f"{path}.{key}" if path else key
+            for suffix, factor in _UNIT_SUFFIXES:
+                if key.endswith(suffix) and len(key) > len(suffix):
+                    out[key[:-len(suffix)]] = _scale_numbers(
+                        value, factor, here)
+                    break
+            else:
+                out[key] = convert_units(value, here)
+        return out
+    if isinstance(doc, list):
+        return [convert_units(v, f"{path}[{i}]") for i, v in enumerate(doc)]
+    return doc
 
 
 @dataclass
@@ -204,10 +279,7 @@ COMPONENTS = (SIGMA_PLUS, SIGMA_MINUS, AXIAL)
 
 def check_component(component):
     """component, if it is one of COMPONENTS; otherwise ValueError."""
-    if component not in COMPONENTS:
-        raise ValueError(
-            f"component must be one of {COMPONENTS}, got {component!r}")
-    return component
+    return field(component, "component", one_of(COMPONENTS))
 
 
 def bias_field_for_frequency(f_mw, transition):

@@ -6,9 +6,10 @@ written with sorted keys and compact separators so identical inputs
 produce identical bytes. Writes go through a temp file and os.replace,
 so a crash never leaves a half-written artifact at the target path.
 
-FMAP1  field map; payload float32, row-major (pixel i is the slow
-       index). kind "phasor" stores six values per pixel
-       (re_x, im_x, re_y, im_y, re_z, im_z); kind "polarized" one.
+FMAP1  field map; payload row-major (pixel i is the slow index). kind
+       "phasor" stores three complex64 values per pixel (x, y, z; each
+       a float32 real part, then a float32 imaginary part); kind
+       "polarized" one float32.
 RCUB1  contrast image cube; float32 frames in acquisition order, each
        frame row-major. The header names the field component the cube
        was driven on.
@@ -16,8 +17,12 @@ RSTR1  camera stream; per frame a float64 timestamp in ms followed by
        one row-major float32 frame, the packed records of _stream_dtype.
 PGM    plain 16-bit binary P5 (big-endian samples per the format),
        scaled so the map maximum hits 65535.
+
+Headers are read by the readers of scenario sections, as strictly: a
+bad field raises FormatError at the header's byte offset, naming it.
 """
 
+import functools
 import hashlib
 import json
 import math
@@ -28,9 +33,12 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from nvscope.acquisition import (CameraTiming, ImageCube, PulseParams,
-                                 check_dt_ns)
-from nvscope.fieldcore import check_component, field, integer
+from nvscope.acquisition import (OFF, ON, CameraTiming, ImageCube,
+                                 PulseParams, check_dt_ns)
+from nvscope.fieldcore import (COMPONENTS, build, convert_units, field,
+                               given, integer, is_number, lst, nullable,
+                               number, number_fields, numbers, obj, one_of,
+                               param, vec3, vec3_pair)
 from nvscope.nearfield import FieldPhasorMap, GridSpec, PolarizedFieldMap
 
 FMAP_MAGIC = b"FMAP1\n"
@@ -75,7 +83,8 @@ def _dump_header(doc):
 
 
 def _read_framing(fh, magic, path):
-    """The JSON header of an open container; fh is left at the payload."""
+    """The JSON header of an open container, its keys converted to SI,
+    and the grid it carries; fh is left at the payload."""
     if fh.read(len(magic)) != magic:
         raise FormatError(
             f"{path}: bad magic at byte 0, expected {magic!r}")
@@ -85,16 +94,13 @@ def _read_framing(fh, magic, path):
             f"{path}: unterminated JSON header at byte {len(magic)}")
     try:
         doc = json.loads(line[:-1].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+    except ValueError as err:  # also undecodable bytes, overlong ints
         raise FormatError(
             f"{path}: invalid JSON header at byte {len(magic)}: {err}")
-    if not isinstance(doc, dict):
-        raise FormatError(
-            f"{path}: JSON header at byte {len(magic)} is not an object")
-    if doc.get("dtype") != "float32":
-        raise FormatError(f"{path}: unsupported dtype {doc.get('dtype')!r} "
-                          f"in header at byte {len(magic)}")
-    return doc
+    with _blame(path, "header", len(magic)):
+        doc = convert_units(field(doc, "header", obj))
+        param(doc, "", "dtype", one_of(("float32",)))
+        return doc, grid_from_doc(param(doc, "", "grid", obj), "grid")
 
 
 @contextmanager
@@ -104,7 +110,7 @@ def _blame(path, part, offset):
     part's byte offset."""
     try:
         yield
-    except (KeyError, IndexError, TypeError, ValueError) as err:
+    except ValueError as err:
         raise FormatError(
             f"{path}: bad {part} at byte {offset}: "
             f"{type(err).__name__}: {err}") from err
@@ -133,14 +139,6 @@ def grid_to_doc(grid):
             "nx": grid.nx, "ny": grid.ny, "pitch_m": grid.pitch}
 
 
-def grid_from_doc(doc):
-    return GridSpec(origin=np.array(doc["origin_m"], dtype=float),
-                    axes=(np.array(doc["axes"][0], dtype=float),
-                          np.array(doc["axes"][1], dtype=float)),
-                    nx=int(doc["nx"]), ny=int(doc["ny"]),
-                    pitch=float(doc["pitch_m"]))
-
-
 def pulse_to_doc(pulse):
     if pulse is None:
         return None
@@ -149,12 +147,43 @@ def pulse_to_doc(pulse):
             "counts_ref": pulse.counts_ref}
 
 
-def pulse_from_doc(doc):
-    if doc is None:
-        return None
-    return PulseParams(laser_ns=doc["laser_ns"], wait_ns=doc["wait_ns"],
-                       n_shots=doc["n_shots"], c0=doc["c0"],
-                       counts_ref=doc["counts_ref"])
+# Readers of the sections that scenarios and headers share: each reads
+# a section in SI units, its errors naming the field path.
+
+def grid_from_doc(doc, path):
+    g = functools.partial(param, doc, path)
+    return build(GridSpec, path, origin=g("origin", vec3),
+                 axes=g("axes", vec3_pair), nx=g("nx", integer),
+                 ny=g("ny", integer), pitch=g("pitch"))
+
+
+def pulse_from_doc(doc, path):
+    return build(PulseParams, path,
+                 **number_fields(doc, path, integers=("n_shots",)))
+
+
+def timing_from_doc(doc, path):
+    return build(CameraTiming, path, **given(
+        doc, path, row_time_us=("row_time_us", number),
+        overhead_us=("overhead_us", number)))
+
+
+def check_schedule(value):
+    """value, if it is a list of [duration_ms > 0, on|off] entries."""
+    for item in lst(value):
+        if not (isinstance(item, list) and len(item) == 2
+                and is_number(item[0]) and item[0] > 0
+                and item[1] in (ON, OFF)):
+            raise ValueError("entries must be [duration_ms > 0, on|off], "
+                             f"got {item!r}")
+    return value
+
+
+def _section(doc, key, read):
+    """read(doc[key], key) for an object doc[key]; None when the key is
+    null or absent."""
+    section = param(doc, "", key, nullable(obj), None)
+    return None if section is None else read(section, key)
 
 
 # ----------------------------------------------------------------- FMAP1
@@ -165,10 +194,7 @@ def write_field_map(path, fmap):
         doc = {"format": "FMAP1", "kind": "phasor",
                "grid": grid_to_doc(fmap.grid),
                "dtype": "float32", "order": "row-major"}
-        nx, ny = fmap.grid.nx, fmap.grid.ny
-        buf = np.empty((nx, ny, 3, 2), dtype="<f4")
-        buf[..., 0] = fmap.values.real
-        buf[..., 1] = fmap.values.imag
+        buf = np.ascontiguousarray(fmap.values, dtype="<c8")
     elif isinstance(fmap, PolarizedFieldMap):
         doc = {"format": "FMAP1", "kind": "polarized",
                "component": fmap.component,
@@ -183,23 +209,19 @@ def write_field_map(path, fmap):
 def read_field_map(path):
     """Load an FMAP1 file; returns FieldPhasorMap or PolarizedFieldMap."""
     with open(path, "rb") as fh:
-        doc = _read_framing(fh, FMAP_MAGIC, path)
-        kind = doc.get("kind")
-        if kind not in ("phasor", "polarized"):
-            raise FormatError(f"{path}: unknown field map kind {kind!r}")
+        doc, grid = _read_framing(fh, FMAP_MAGIC, path)
         with _blame(path, "header", len(FMAP_MAGIC)):
-            grid = grid_from_doc(doc["grid"])
+            kind = param(doc, "", "kind", one_of(("phasor", "polarized")))
             if kind == "polarized":
-                component = check_component(doc["component"])
+                component = param(doc, "", "component", one_of(COMPONENTS))
         start = fh.tell()
-        shape = (grid.nx, grid.ny) + ((3, 2) if kind == "phasor" else ())
-        flat = _read_payload(fh, "<f4", shape, path)
+        shape = (grid.nx, grid.ny) + ((3,) if kind == "phasor" else ())
+        values = _read_payload(fh, "<c8" if kind == "phasor" else "<f4",
+                               shape, path)
     with _blame(path, "payload", start):
         if kind == "phasor":
-            return FieldPhasorMap(grid=grid, values=(
-                flat[..., 0].astype(float) + 1j * flat[..., 1].astype(float)))
-        return PolarizedFieldMap(grid=grid, component=component,
-                                 values=flat.astype(float))
+            return FieldPhasorMap(grid=grid, values=values)
+        return PolarizedFieldMap(grid=grid, component=component, values=values)
 
 
 # ----------------------------------------------------------------- RCUB1
@@ -219,15 +241,13 @@ def write_cube(path, cube):
 def read_cube(path):
     """Load an RCUB1 file; the cube's frames are the stored float32."""
     with open(path, "rb") as fh:
-        doc = _read_framing(fh, RCUB_MAGIC, path)
+        doc, grid = _read_framing(fh, RCUB_MAGIC, path)
         with _blame(path, "header", len(RCUB_MAGIC)):
-            grid = grid_from_doc(doc["grid"])
-            dt = check_dt_ns(doc["dt_ns"])
-            pulse = pulse_from_doc(doc.get("pulse"))
-            seed = doc.get("seed")
-            if seed is not None:
-                seed = field(seed, "seed", integer)
-            component = check_component(doc["component"])
+            read = functools.partial(param, doc, "")
+            dt = check_dt_ns(read("dt_ns", numbers()))
+            pulse = _section(doc, "pulse", pulse_from_doc)
+            seed = read("seed", nullable(integer), None)
+            component = read("component", one_of(COMPONENTS))
         start = fh.tell()
         frames = _read_payload(fh, "<f4", (len(dt), grid.nx, grid.ny), path)
     with _blame(path, "payload", start):
@@ -267,20 +287,24 @@ def write_stream(path, grid, dt_mw_ns, frames, timing=None, rows=None,
 
 
 def read_stream(path):
-    """Load an RSTR1 file; returns (header doc, [(timestamp_ms, frame)])."""
+    """Load an RSTR1 file; returns (header doc, [(timestamp_ms, frame)]),
+    the doc's fields checked, its grid, timing and pulse read into
+    GridSpec, CameraTiming and PulseParams (None where null)."""
     with open(path, "rb") as fh:
-        doc = _read_framing(fh, RSTR_MAGIC, path)
+        doc, grid = _read_framing(fh, RSTR_MAGIC, path)
         with _blame(path, "header", len(RSTR_MAGIC)):
-            grid = grid_from_doc(doc["grid"])
-            n_frames = int(doc["n_frames"])
-            timing = doc.get("timing")
-            if timing is not None:
-                timing = CameraTiming(row_time_us=timing["row_time_us"],
-                                      overhead_us=timing["overhead_us"])
-        records = _read_payload(fh, _stream_dtype(grid), (n_frames,), path)
+            read = functools.partial(param, doc, "")
+            doc = dict(doc, grid=grid, dt_mw_ns=read("dt_mw_ns"),
+                       n_frames=read("n_frames", integer),
+                       timing=_section(doc, "timing", timing_from_doc),
+                       rows=read("rows", nullable(integer), None),
+                       schedule=read("schedule", nullable(check_schedule),
+                                     None),
+                       pulse=_section(doc, "pulse", pulse_from_doc),
+                       seed=read("seed", nullable(integer), None))
+        records = _read_payload(fh, _stream_dtype(grid), (doc["n_frames"],),
+                                path)
     frames = list(zip(records["t"].tolist(), records["frame"].astype(float)))
-    if timing is not None:
-        doc = dict(doc, timing=timing)
     return doc, frames
 
 

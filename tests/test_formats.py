@@ -1,7 +1,10 @@
 """Round-trip and corruption tests for the on-disk containers."""
 
 import hashlib
+import json
+import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -360,6 +363,116 @@ def test_stream_rejects_frame_loss(tmp_path):
     path.write_bytes(raw[:-12])
     with pytest.raises(FormatError, match="payload"):
         read_stream(path)
+
+
+@pytest.mark.parametrize("make, key, digits", [
+    (make_polarized_map, b'"pitch_m":4e-06', 400),
+    (make_cube, b'"laser_ns":700.0', 400),
+    (make_cube, b'"laser_ns":700.0', 5000)])
+def test_header_int_beyond_float_range_is_a_format_error(tmp_path, make, key,
+                                                         digits):
+    # JSON integers have no size limit; one beyond float range is no
+    # number, and one too long to parse is no JSON
+    path = tmp_path / "file"
+    obj = make()
+    write, read = ((write_cube, read_cube) if isinstance(obj, ImageCube)
+                   else (write_field_map, read_field_map))
+    write(path, obj)
+    raw = path.read_bytes()
+    assert raw.count(key) == 1
+    path.write_bytes(raw.replace(key, key.split(b":")[0] + b":1"
+                                 + b"0" * digits))
+    with pytest.raises(FormatError, match="at byte 6"):
+        read(path)
+
+
+# ------------------------------------------------- header wrong-type sweep
+
+def write_container(path, name, full):
+    """Write container `name` as its writer does, with every header field
+    set (full) or with the optional ones left out; returns its reader.
+    Inputs are floats except counts, seeds and sizes, so a written int
+    marks an integer field."""
+    cube = make_cube()
+    if name == "rstr":
+        extra = dict(timing=CameraTiming(), rows=50,
+                     schedule=[[3.0, "off"], [0.5, "on"]],
+                     pulse=PulseParams(), seed=7) if full else {}
+        write_stream(path, make_grid(3, 4), 30.0,
+                     [(k * 2.2, np.full((3, 4), 0.01)) for k in range(2)],
+                     **extra)
+        return read_stream
+    if name == "rcub":
+        write_cube(path, cube if full else ImageCube(
+            grid=cube.grid, dt_ns=cube.dt_ns, frames=cube.frames))
+        return read_cube
+    write_field_map(path, {"fmap-phasor": make_phasor_map,
+                           "fmap-polarized": make_polarized_map}[name]())
+    return read_field_map
+
+
+def split_header(path):
+    """(magic, header doc, the newline and payload after the header)."""
+    raw = path.read_bytes()
+    end = raw.index(b"\n", 6)
+    return raw[:6], json.loads(raw[6:end]), raw[end:]
+
+
+def header_wrong_types(value, keys, nullable):
+    """(keys, wrong value) for value and, recursively, for its entries
+    and members: each JSON type it does not have (also a float for an
+    integer and NaN for a number), null only where it is nullable."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        wrong = ["text", True, {}, [], None, math.nan]
+        if isinstance(value, int):
+            wrong.append(value + 0.5)
+    else:
+        wrong = [bad for bad in ("text", True, 5, {}, [], None)
+                 if type(bad) is not type(value)]
+    for bad in wrong:
+        if not (bad is None and nullable):
+            yield keys, bad
+    members = (value.items() if isinstance(value, dict)
+               else enumerate(value) if isinstance(value, list) else ())
+    for key, entry in members:
+        yield from header_wrong_types(entry, keys + (key,), False)
+
+
+# header keys that no reader reads: the magic line names the format
+UNREAD_HEADER_KEYS = {"format", "order"}
+
+
+@pytest.mark.parametrize("name", ["fmap-polarized", "fmap-phasor", "rcub",
+                                  "rstr"])
+def test_every_wrong_header_type_is_a_format_error_naming_it(tmp_path, name):
+    # the cases come from the writer's own header, so that a new header
+    # field is swept too; a top-level field the writer leaves null when
+    # it is not given is nullable
+    path = tmp_path / "file"
+    write_container(path, name, full=False)
+    nulls = {k for k, v in split_header(path)[1].items() if v is None}
+    read = write_container(path, name, full=True)
+    magic, header, rest = split_header(path)
+    cases = [case for key, value in header.items()
+             if key not in UNREAD_HEADER_KEYS
+             for case in header_wrong_types(value, (key,), key in nulls)]
+    failures = []
+    for keys, bad in cases:
+        doc = json.loads(json.dumps(header))
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = bad
+        path.write_bytes(magic + json.dumps(
+            doc, sort_keys=True, separators=(",", ":")).encode() + rest)
+        try:
+            read(path)
+            failures.append((keys, bad, "loaded"))
+        except FormatError as err:
+            if not re.search(f"at byte 6: .*{re.escape(keys[0])}", str(err)):
+                failures.append((keys, bad, str(err)))
+    assert len(cases) > 20
+    assert failures == []
 
 
 # -------------------------------------------------------------------- PGM
