@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nvscope.fieldcore import GAMMA_NV, SIGMA_MINUS, check_component
+from nvscope.fieldcore import (GAMMA_NV, SIGMA_MINUS, check_component,
+                               is_number, lst)
 
 
 @dataclass
@@ -280,48 +281,59 @@ ON = "on"
 OFF = "off"
 
 
+def check_schedule(value):
+    """value, if it is a non-empty list of [duration_ms > 0, on|off]
+    entries, each a list (as JSON gives) or a tuple; else ValueError."""
+    if not lst(value):
+        raise ValueError("must hold at least one [duration_ms, on|off] entry")
+    for item in value:
+        if not (isinstance(item, (list, tuple)) and len(item) == 2
+                and is_number(item[0]) and item[0] > 0
+                and item[1] in (ON, OFF)):
+            raise ValueError("entries must be [duration_ms > 0, on|off], "
+                             f"got {item!r}")
+    return value
+
+
+def stream_dtype(shape):
+    """One stream frame as RSTR1 stores it: t, the frame start in ms, and
+    the contrast frame of the given shape in float32."""
+    return np.dtype([("t", "<f8"), ("frame", "<f4", shape)])
+
+
 def simulate_stream(bmap, dt_mw_ns, pulse, on_off_schedule, timing, rows,
-                    seed=None, decay=None):
+                    decay, seed=None):
     """Frames of a microwave on/off pulse train at the camera frame rate.
 
-    on_off_schedule is a list of (duration_ms, "on"|"off") entries. The
-    microwave state of each frame is the schedule state at the exposure
-    midpoint; "off" frames have zero ideal contrast. Returns a list of
-    (timestamp_ms, contrast array) with timestamps at frame starts.
+    on_off_schedule is a check_schedule list of (duration_ms, "on"|"off")
+    entries. Frame k starts at k * period and runs while its start is
+    inside the schedule; its microwave state is the schedule state at the
+    exposure midpoint, "off" at or past the schedule's end, and "off"
+    frames have zero ideal contrast. Returns a record array of
+    stream_dtype; contrast and noise are computed in float64 and stored
+    rounded to float32.
     """
-    if decay is None:
-        decay = DecayParams()
-    durations = []
-    states = []
-    for duration, state in on_off_schedule:
-        if duration <= 0:
-            raise ValueError("schedule durations must be positive")
-        if state not in (ON, OFF):
-            raise ValueError(f"schedule state must be '{ON}' or '{OFF}'")
-        durations.append(float(duration))
-        states.append(state)
-    edges = np.cumsum(durations)
+    check_schedule(on_off_schedule)
+    edges = np.cumsum([float(duration) for duration, _ in on_off_schedule])
     total_ms = edges[-1]
     period_ms = frame_time_ms(timing, rows, pulse, dt_mw_ns)
+    starts = np.arange(math.ceil(total_ms / period_ms) + 1) * period_ms
+    starts = starts[starts < total_ms]
     half_exposure_ms = pulse.exposure_ns(dt_mw_ns) * 1e-6 / 2.0
+    # one more state, "off", for midpoints at or past the last edge
+    states_on = np.array([state == ON for _, state in on_off_schedule]
+                         + [False])
+    frames_on = states_on[np.searchsorted(edges, starts + half_exposure_ms,
+                                          side="right")]
+
     ideal_on = contrast_at(bmap.values, dt_mw_ns, decay, pulse.c0)
     zeros = np.zeros_like(ideal_on)
     rng = None if seed is None else _frame_rngs(seed)
-
-    frames = []
-    k = 0
-    while k * period_ms < total_ms:
-        start = k * period_ms
-        midpoint = start + half_exposure_ms
-        if midpoint >= total_ms:
-            state = OFF
-        else:
-            state = states[int(np.searchsorted(edges, midpoint, side="right"))]
-        ideal = ideal_on if state == ON else zeros
-        if rng is None:
-            frame = ideal.copy()
-        else:
-            frame = _apply_shot_noise(ideal, pulse.counts_ref, rng(k))
-        frames.append((start, frame))
-        k += 1
-    return frames
+    stream = np.empty(len(starts), dtype=stream_dtype(ideal_on.shape))
+    stream["t"] = starts
+    frames = stream["frame"]
+    for k, on in enumerate(frames_on):
+        ideal = ideal_on if on else zeros
+        frames[k] = (ideal if rng is None else
+                     _apply_shot_noise(ideal, pulse.counts_ref, rng(k)))
+    return stream

@@ -537,7 +537,7 @@ def _fit_rows(t_ns, y, cfg):
     params = x[:, [0, 1, 1, 2, 2, 3, 4]]
     params[:, 2] = 0.0
     rss, ok = ssq, conv
-    solved = np.zeros(len(fit), dtype=bool)
+    solved = double = np.zeros(len(fit), dtype=bool)
     if double_mode:
         # the double solve runs only where the single fit leaves misfit
         # above the noise floor of its own residual (see module doc)
@@ -563,8 +563,10 @@ def _fit_rows(t_ns, y, cfg):
         ok = conv | double
         nfev = nfev + nfev_d
 
-    # fast envelope first
+    # fast envelope first; a single-exp row's slow tau is its fast tau,
+    # copied, so that a libm rounding two exps apart cannot swap the row
     taus = np.exp(np.clip(params[:, 3:5], -40.0, 40.0))
+    taus[~double, 1] = taus[~double, 0]
     swap = taus[:, 0] > taus[:, 1]
     amps = np.where(swap[:, None], params[:, 2:0:-1], params[:, 1:3])
     taus = np.where(swap[:, None], taus[:, ::-1], taus)

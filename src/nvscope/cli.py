@@ -202,7 +202,7 @@ def load_scenario(value):
     stream, timing = read("stream", obj, None), None
     if stream is not None:
         st = functools.partial(param, stream, "stream")
-        st("dt_mw_ns"), st("schedule", formats.check_schedule)
+        st("dt_mw_ns"), st("schedule", acquisition.check_schedule)
         rows = st("rows", integer)
         if rows < 1:
             raise ConfigError(f"stream.rows must be an integer >= 1, got "
@@ -361,10 +361,9 @@ def cmd_acquire(args, cfg, out):
         seed = None
     if cfg.stream is not None:
         frames = acquisition.simulate_stream(
-            pmap, cfg.stream["dt_mw_ns"], cfg.pulse,
-            [tuple(item) for item in cfg.stream["schedule"]],
-            timing=cfg.timing, rows=cfg.stream["rows"], seed=seed,
-            decay=cfg.decay)
+            pmap, cfg.stream["dt_mw_ns"], cfg.pulse, cfg.stream["schedule"],
+            timing=cfg.timing, rows=cfg.stream["rows"], decay=cfg.decay,
+            seed=seed)
         name = f"{cfg.name}.stream.rstr"
         out(name, lambda path: formats.write_stream(
             path, pmap.grid, cfg.stream["dt_mw_ns"], frames,
@@ -441,10 +440,7 @@ def cmd_stitch(args, cfg, out):
         tiles.append((pmap, offset))
     if not tiles:
         raise ConfigError("stitch needs at least one --tile")
-    try:
-        composite = analysis.stitch(tiles, refine=args.refine)
-    except ValueError as err:
-        raise ConfigError(str(err))
+    composite = analysis.stitch(tiles, refine=args.refine)
     out(args.name + ".fmap", formats.write_field_map, composite)
     out(args.name + ".pgm", formats.write_pgm, composite.values)
     print(f"stitch: composite {composite.grid.nx}x{composite.grid.ny} "

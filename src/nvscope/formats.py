@@ -14,7 +14,8 @@ RCUB1  contrast image cube; float32 frames in acquisition order, each
        frame row-major. The header names the field component the cube
        was driven on.
 RSTR1  camera stream; per frame a float64 timestamp in ms followed by
-       one row-major float32 frame, the packed records of _stream_dtype.
+       one row-major float32 frame, the packed records of
+       acquisition.stream_dtype.
 PGM    plain 16-bit binary P5 (big-endian samples per the format),
        scaled so the map maximum hits 65535.
 
@@ -33,12 +34,12 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from nvscope.acquisition import (OFF, ON, CameraTiming, ImageCube,
-                                 PulseParams, check_dt_ns)
+from nvscope.acquisition import (CameraTiming, ImageCube, PulseParams,
+                                 check_dt_ns, check_schedule, stream_dtype)
 from nvscope.fieldcore import (COMPONENTS, build, convert_units, field,
-                               given, integer, is_number, lst, nullable,
-                               number, number_fields, numbers, obj, one_of,
-                               param, vec3, vec3_pair)
+                               given, integer, nullable, number,
+                               number_fields, numbers, obj, one_of, param,
+                               vec3, vec3_pair)
 from nvscope.nearfield import FieldPhasorMap, GridSpec, PolarizedFieldMap
 
 FMAP_MAGIC = b"FMAP1\n"
@@ -168,17 +169,6 @@ def timing_from_doc(doc, path):
         overhead_us=("overhead_us", number)))
 
 
-def check_schedule(value):
-    """value, if it is a list of [duration_ms > 0, on|off] entries."""
-    for item in lst(value):
-        if not (isinstance(item, list) and len(item) == 2
-                and is_number(item[0]) and item[0] > 0
-                and item[1] in (ON, OFF)):
-            raise ValueError("entries must be [duration_ms > 0, on|off], "
-                             f"got {item!r}")
-    return value
-
-
 def _section(doc, key, read):
     """read(doc[key], key) for an object doc[key]; None when the key is
     null or absent."""
@@ -257,17 +247,20 @@ def read_cube(path):
 
 # ----------------------------------------------------------------- RSTR1
 
-def _stream_dtype(grid):
-    return np.dtype([("t", "<f8"), ("frame", "<f4", (grid.nx, grid.ny))])
-
-
 def write_stream(path, grid, dt_mw_ns, frames, timing=None, rows=None,
                  schedule=None, pulse=None, seed=None):
     """Serialize a timestamped frame sequence to an RSTR1 file.
 
-    frames is a list of (timestamp_ms, array) pairs as produced by
-    simulate_stream.
+    frames is a record array of acquisition.stream_dtype, as
+    simulate_stream returns it, written as it is; a list of
+    (timestamp_ms, array) pairs is packed into one first.
     """
+    dtype = stream_dtype((grid.nx, grid.ny))
+    # numpy casts records between subarray shapes without an error,
+    # scrambling the frames, so other records are refused
+    if isinstance(frames, np.ndarray) and frames.dtype != dtype:
+        raise ValueError(f"stream records {frames.dtype} do not match the "
+                         f"grid's {dtype}")
     doc = {"format": "RSTR1",
            "grid": grid_to_doc(grid),
            "dt_mw_ns": float(dt_mw_ns),
@@ -280,16 +273,15 @@ def write_stream(path, grid, dt_mw_ns, frames, timing=None, rows=None,
            "pulse": pulse_to_doc(pulse),
            "seed": seed,
            "dtype": "float32", "order": "frame-major"}
-    records = np.zeros(len(frames), dtype=_stream_dtype(grid))
-    if frames:
-        records["t"], records["frame"] = zip(*frames)
-    atomic_write_bytes(path, RSTR_MAGIC, _dump_header(doc), records)
+    atomic_write_bytes(path, RSTR_MAGIC, _dump_header(doc),
+                       np.asarray(frames, dtype=dtype))
 
 
 def read_stream(path):
-    """Load an RSTR1 file; returns (header doc, [(timestamp_ms, frame)]),
-    the doc's fields checked, its grid, timing and pulse read into
-    GridSpec, CameraTiming and PulseParams (None where null)."""
+    """Load an RSTR1 file; returns (header doc, records): the doc's
+    fields checked, its grid, timing and pulse read into GridSpec,
+    CameraTiming and PulseParams (None where null), and the stored
+    records of acquisition.stream_dtype."""
     with open(path, "rb") as fh:
         doc, grid = _read_framing(fh, RSTR_MAGIC, path)
         with _blame(path, "header", len(RSTR_MAGIC)):
@@ -302,10 +294,8 @@ def read_stream(path):
                                      None),
                        pulse=_section(doc, "pulse", pulse_from_doc),
                        seed=read("seed", nullable(integer), None))
-        records = _read_payload(fh, _stream_dtype(grid), (doc["n_frames"],),
-                                path)
-    frames = list(zip(records["t"].tolist(), records["frame"].astype(float)))
-    return doc, frames
+        return doc, _read_payload(fh, stream_dtype((grid.nx, grid.ny)),
+                                  (doc["n_frames"],), path)
 
 
 # ------------------------------------------------------------------- PGM

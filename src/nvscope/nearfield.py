@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nvscope.fieldcore import (AXIAL, SIGMA_MINUS, SIGMA_PLUS, _as_vec3,
-                               check_component)
+from nvscope.fieldcore import AXIAL, SIGMA_PLUS, _as_vec3, check_component
 from nvscope.kernels import field_accumulate
 
 # Points closer than this to a filament axis are rejected: the filament
@@ -65,10 +64,6 @@ class GridSpec:
             raise ValueError("grid must have at least one pixel per axis")
         if self.pitch <= 0:
             raise ValueError("pitch must be positive")
-
-    @property
-    def shape(self):
-        return (self.nx, self.ny)
 
     @property
     def normal(self):

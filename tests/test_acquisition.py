@@ -255,16 +255,19 @@ class TestStreamEquivalence:
                                         rows=50, decay=decay)
         frames = acq.simulate_stream(bmap, 30.0, pulse, schedule, timing,
                                      rows=50, seed=seed, decay=decay)
-        on = [np.array_equal(f, ideal_on) for _, f in noiseless]
+        # the stream stores each float64 frame rounded to float32
+        on = [np.array_equal(f, ideal_on.astype(np.float32))
+              for _, f in noiseless]
         assert any(on) and not all(on)
         assert len(frames) == len(noiseless)
-        for k, ((ts, frame), (ts0, ideal)) in enumerate(zip(frames,
-                                                            noiseless)):
+        for k, ((ts, frame), (ts0, stored)) in enumerate(zip(frames,
+                                                             noiseless)):
             assert ts == ts0
             if not on[k]:
-                np.testing.assert_array_equal(ideal, 0.0)
+                np.testing.assert_array_equal(stored, 0.0)
             np.testing.assert_array_equal(
-                frame, oracle_frame(ideal, pulse.counts_ref, seed, k))
+                frame, oracle_frame(ideal_on * on[k], pulse.counts_ref, seed,
+                                    k).astype(np.float32))
 
 
 @pytest.mark.parametrize("n_shots", [100.5, 100.0, True, "100"])
@@ -338,7 +341,8 @@ class TestSimulateStream:
     def test_all_off(self):
         self.setup()
         frames = acq.simulate_stream(self.bmap, 30.0, self.pulse,
-                                     [(5.0, "off")], self.timing, rows=200)
+                                     [(5.0, "off")], self.timing, rows=200,
+                                     decay=acq.DecayParams())
         assert len(frames) > 0
         for _, img in frames:
             np.testing.assert_array_equal(img, 0.0)
@@ -347,7 +351,8 @@ class TestSimulateStream:
         self.setup()
         schedule = [(5.0, "on"), (5.0, "off"), (5.0, "on"), (5.0, "off")]
         frames = acq.simulate_stream(self.bmap, 30.0, self.pulse, schedule,
-                                     self.timing, rows=200)
+                                     self.timing, rows=200,
+                                     decay=acq.DecayParams())
         # classify each frame, count frames per half-cycle
         for h in range(4):
             lo, hi = 5.0 * h, 5.0 * (h + 1)
@@ -361,14 +366,16 @@ class TestSimulateStream:
         self.setup()
         schedule = [(3.3, "off"), (0.5, "on"), (3.2, "off")]
         frames = acq.simulate_stream(self.bmap, 30.0, self.pulse, schedule,
-                                     self.timing, rows=50)
+                                     self.timing, rows=50,
+                                     decay=acq.DecayParams())
         on_frames = [ts for ts, img in frames if np.max(img) > 0.04]
         assert len(on_frames) <= 1
 
     def test_timestamps_are_frame_starts(self):
         self.setup()
         frames = acq.simulate_stream(self.bmap, 30.0, self.pulse,
-                                     [(3.0, "on")], self.timing, rows=200)
+                                     [(3.0, "on")], self.timing, rows=200,
+                                     decay=acq.DecayParams())
         period = acq.frame_time_ms(self.timing, 200, self.pulse, 30.0)
         for k, (ts, _) in enumerate(frames):
             assert ts == pytest.approx(k * period, rel=1e-12)
@@ -376,9 +383,11 @@ class TestSimulateStream:
     def test_stream_determinism(self):
         self.setup()
         a = acq.simulate_stream(self.bmap, 30.0, self.pulse, [(2.0, "on")],
-                                self.timing, rows=200, seed=3)
+                                self.timing, rows=200, seed=3,
+                                decay=acq.DecayParams())
         b = acq.simulate_stream(self.bmap, 30.0, self.pulse, [(2.0, "on")],
-                                self.timing, rows=200, seed=3)
+                                self.timing, rows=200, seed=3,
+                                decay=acq.DecayParams())
         for (ta, fa), (tb, fb) in zip(a, b):
             assert ta == tb
             np.testing.assert_array_equal(fa, fb)

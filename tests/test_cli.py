@@ -171,7 +171,7 @@ def test_load_scenario_bad_schedule(tmp_path):
     doc = json.loads(json.dumps(MINI))
     del doc["scan"]
     path = tmp_path / "s.json"
-    for schedule in ([[2.5, "sideways"]], [[0, "on"]]):
+    for schedule in ([[2.5, "sideways"]], [[0, "on"]], []):
         doc["stream"] = {"dt_mw_ns": 30, "rows": 50, "schedule": schedule}
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match="schedule"):
@@ -491,6 +491,28 @@ def test_wrong_json_type_is_rejected_naming_the_field(tmp_path, scenario,
     with pytest.raises(ValueError) as err:  # ConfigError is a ValueError
         currents.model_from_spec(load_scenario(str(path)).device_doc)
     assert name in str(err.value)
+
+
+def test_flipped_nv_axis_swaps_the_circular_components(tmp_path):
+    # reversing the NV axis turns sigma+ into sigma- and back, exactly;
+    # the phasor map does not depend on the NV frame. The strip's
+    # segments carry one current phase, so its field is linearly
+    # polarized and its two circular maps are equal: the loaded frame
+    # shows that the flip was applied
+    maps, frames = {}, {}
+    for flip in (False, True):
+        outdir = tmp_path / str(flip)
+        cfg = write_scenario(tmp_path, nv={**MINI["nv"], "flip": flip})
+        frames[flip] = load_scenario(cfg).nv_frame
+        assert run("simulate", "--config", cfg, "-o", outdir) == 0
+        maps[flip] = {kind: formats.read_field_map(
+            outdir / f"mini-strip.{kind}.fmap").values
+            for kind in ("phasor", "sigma_plus", "sigma_minus")}
+    assert np.array_equal(frames[True].axis, -frames[False].axis)
+    assert np.array_equal(frames[True].e2, -frames[False].e2)
+    assert np.array_equal(maps[True]["phasor"], maps[False]["phasor"])
+    assert np.array_equal(maps[True]["sigma_plus"], maps[False]["sigma_minus"])
+    assert np.array_equal(maps[True]["sigma_minus"], maps[False]["sigma_plus"])
 
 
 def test_layer_n_samples_is_not_read(tmp_path):
@@ -891,6 +913,94 @@ def test_noisy_fit_envelope_choice_stable_under_ulp_shifts(pipeline,
         np.testing.assert_allclose(s_rms, rms, rtol=1e-9, err_msg=name)
 
 
+# ---------------------------------------------------------- emulated libm
+
+class UlpNumpy:
+    """numpy as a module sees it through this proxy, except that each
+    float64 result of sin, cos and exp moves by a seeded -1, 0 or +1 ulp,
+    as another platform's libm may round it."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        for name in ("sin", "cos", "exp"):
+            ufunc = getattr(np, name)
+            setattr(self, name, lambda *args, ufunc=ufunc, **kwargs:
+                    self.jitter(ufunc(*args, **kwargs)))
+
+    def jitter(self, values):
+        if not (isinstance(values, np.ndarray) and values.dtype == float):
+            return values
+        step = self._rng.integers(-1, 2, size=values.shape)
+        return np.where(step > 0, np.nextafter(values, np.inf),
+                        np.where(step < 0, np.nextafter(values, -np.inf),
+                                 values))
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+@pytest.fixture
+def emulated_libm(monkeypatch):
+    """emulate(seed) makes analysis see another libm: its sin, cos and exp
+    results, and the steps of its linear solves, each moved by a seeded
+    -1, 0 or +1 ulp. Not emulated: numpy's summation order and BLAS
+    threading, which move reductions and matrix products instead."""
+    solve_rows = analysis._solve_rows
+
+    def emulate(seed):
+        ulp_np = UlpNumpy(seed)
+        monkeypatch.setattr(analysis, "np", ulp_np)
+        monkeypatch.setattr(analysis, "_solve_rows",
+                            lambda m, b: ulp_np.jitter(solve_rows(m, b)))
+    return emulate
+
+
+def fit_block(dt_ns, traces):
+    results = analysis._fit_rows(dt_ns, traces, analysis.FitConfig())
+    field = np.where(results.converged, analysis.omega_to_field(results.omega),
+                     0.0)
+    return results, field
+
+
+@pytest.fixture(scope="module")
+def libm_blocks(pipeline, tmp_path_factory):
+    """(name, dt_ns, pixel traces, unperturbed fit_block result) of two
+    fit blocks: the golden test's noisy mini-strip cube (96 px) and the
+    first block of the cpw-fig2 cube at its scenario seed (1024 px), as
+    fit_cube fits them."""
+    outdir, cfg = pipeline
+    tmp = tmp_path_factory.mktemp("libm")
+    assert run("acquire", "--config", cfg, "-o", tmp, "--field-map",
+               outdir / "mini-strip.sigma_minus.fmap") == 0
+    assert run("simulate", "--config", "cpw-fig2", "-o", tmp) == 0
+    assert run("acquire", "--config", "cpw-fig2", "-o", tmp) == 0
+    blocks = []
+    for name in ("mini-strip", "cpw-fig2"):
+        cube = formats.read_cube(tmp / f"{name}.cube.rcub")
+        traces = cube.frames.reshape(cube.n_frames, -1)[
+            :, :analysis.FIT_BLOCK_PX].T
+        blocks.append((name, cube.dt_ns, traces,
+                       fit_block(cube.dt_ns, traces)))
+    return blocks
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_fit_outcomes_stable_under_emulated_libm(libm_blocks, emulated_libm,
+                                                 seed):
+    # the fit's outcome must not hang on how a libm rounds: no count,
+    # converged flag or envelope label may move, and converged fields
+    # only at rounding level (largest change seen 3.3e-9 relative)
+    emulated_libm(seed)
+    for name, dt, traces, (ref, ref_field) in libm_blocks:
+        got, field = fit_block(dt, traces)
+        assert (analysis.fit_outcome_counts(got)
+                == analysis.fit_outcome_counts(ref)), name
+        np.testing.assert_array_equal(got.converged, ref.converged, name)
+        np.testing.assert_array_equal(got.amp_slow == 0, ref.amp_slow == 0,
+                                      name)
+        np.testing.assert_allclose(field, ref_field, rtol=1e-8, err_msg=name)
+
+
 # ------------------------------------------------------ zero current, MW off
 
 def test_zero_current_maps_and_mw_off_fit(tmp_path, capsys):
@@ -1103,6 +1213,21 @@ def test_stitch_command(tmp_path):
 def test_stitch_bad_tile_argument(tmp_path):
     assert run("stitch", "-o", tmp_path, "--tile", "nonsense") == 2
     assert run("stitch", "-o", tmp_path) == 2
+
+
+def test_stitch_tiles_of_different_pitch_exit_2(tmp_path, capsys):
+    paths = []
+    for k, pitch in enumerate((4e-6, 5e-6)):
+        grid = GridSpec(origin=np.zeros(3),
+                        axes=(np.array([1.0, 0.0, 0.0]),
+                              np.array([0.0, 1.0, 0.0])),
+                        nx=6, ny=5, pitch=pitch)
+        paths.append(os.path.join(str(tmp_path), f"tile_{k}.fmap"))
+        formats.write_field_map(paths[-1], PolarizedFieldMap(
+            grid=grid, component="sigma-", values=np.full((6, 5), 1e-4)))
+    assert run("stitch", "-o", tmp_path, "--tile", f"{paths[0]}:0,0",
+               "--tile", f"{paths[1]}:3,0") == 2
+    assert "error: tiles must share the same pitch" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------- error paths

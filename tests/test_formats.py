@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from nvscope.acquisition import (CameraTiming, DecayParams, ImageCube,
-                                 PulseParams, simulate_cube)
+                                 PulseParams, simulate_cube, stream_dtype)
 from nvscope.analysis import fit_cube
 from nvscope.formats import (FormatError, atomic_write_bytes, read_cube,
                              read_field_map, read_pgm, read_stream,
@@ -352,6 +352,30 @@ def test_stream_roundtrip(tmp_path):
     for (ts0, f0), (ts1, f1) in zip(frames, back):
         assert ts0 == ts1
         assert np.array_equal(f0, f1)
+
+
+def test_stream_records_are_written_as_they_are(tmp_path):
+    # the records read_stream returns write the bytes of the pairs they
+    # came from, and read back as the same records
+    rng = np.random.default_rng(3)
+    pairs = [(k * 0.7, rng.uniform(0, 0.05, (3, 4))) for k in range(4)]
+    write_stream(tmp_path / "pairs.rstr", make_grid(3, 4), 30.0, pairs)
+    _, records = read_stream(tmp_path / "pairs.rstr")
+    assert records.dtype == stream_dtype((3, 4))
+    write_stream(tmp_path / "records.rstr", make_grid(3, 4), 30.0, records)
+    assert ((tmp_path / "records.rstr").read_bytes()
+            == (tmp_path / "pairs.rstr").read_bytes())
+    _, back = read_stream(tmp_path / "records.rstr")
+    assert np.array_equal(back, records)
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (2, 2), (3, 5)])
+def test_stream_write_rejects_records_of_another_shape(tmp_path, shape):
+    # a record array is written as it is, never recast to the grid
+    records = np.zeros(2, dtype=stream_dtype(shape))
+    with pytest.raises(ValueError, match="do not match the grid"):
+        write_stream(tmp_path / "run.rstr", make_grid(3, 4), 30.0, records)
+    assert not (tmp_path / "run.rstr").exists()
 
 
 def test_stream_rejects_frame_loss(tmp_path):
