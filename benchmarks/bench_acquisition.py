@@ -8,10 +8,12 @@ none), and the RCUB1 round trip of the noisy cube: write_cube and
 read_cube in a temporary directory. --crop N times an N x N pixel
 window at the grid's centre in place of the whole map; `--scenario
 omega-fig3 --crop 10` is the size of one cube of the perfbench
-scenario-cli unit. Reports the best of --repeats runs in ms per cube
-and us per frame. A separate, untimed pass then prints the tracemalloc
-peak of each step (noisy simulate_cube, write_cube, read_cube) as a
-multiple of the cube's stored float32 bytes.
+scenario-cli unit. Prints the number of threads simulate_cube fills
+the frames with (1 for frames under CUBE_CHUNK pixels), then the best
+of --repeats runs in ms per cube and us per frame. A separate, untimed
+pass then prints the tracemalloc peak of each step (noisy
+simulate_cube, write_cube, read_cube) as a multiple of the cube's
+stored float32 bytes.
 
     python3 benchmarks/bench_acquisition.py --scenario cpw-fig2
     python3 benchmarks/bench_acquisition.py --scenario omega-fig3 --crop 10
@@ -29,7 +31,7 @@ import tracemalloc
 # the checkout's sources come first, so that an uninstalled checkout runs
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
-from nvscope.acquisition import simulate_cube  # noqa: E402
+from nvscope.acquisition import frame_threads, simulate_cube  # noqa: E402
 from nvscope.formats import read_cube, write_cube  # noqa: E402
 
 
@@ -97,6 +99,7 @@ def main():
     cube = simulate(seed=seed)
     print(f"scenario {cfg.name}: {n_px} px x {n_frames} frames, "
           f"best of {args.repeats}")
+    print(f"frame threads: {frame_threads(cube.frames.shape)}")
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cube.rcub")
         steps = {"noiseless cube": lambda: simulate(seed=None),

@@ -15,15 +15,26 @@ re-keys it for each frame: key (seed mod 2^64, k mod 2^64), counter 0
 and an empty buffer, the exact state of a fresh Philox(key=[seed, k]).
 The streams are therefore the same as with a fresh generator per
 frame, without one OS-entropy seeding per frame.
+
+Cubes and camera streams whose frames hold at least CUBE_CHUNK pixels
+are filled on a thread pool that lives only for the call: one thread
+per usable CPU, at most one per JOB_FRAMES frames, each with a
+contiguous range of frames, its own float64 buffer and its own re-keyed
+Philox, writing straight into the float32 result. numpy draws the
+Poisson counts and runs the ufuncs without the GIL, so the threads
+overlap, and the bytes are those of the serial loop. Smaller frames
+keep the serial loop, where handing work to threads would cost more
+than it saves.
 """
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from nvscope.fieldcore import (GAMMA_NV, SIGMA_MINUS, check_component,
-                               is_number, lst)
+                               is_number, lst, usable_cpus)
 
 
 @dataclass
@@ -127,12 +138,22 @@ def _frame_rngs(seed):
     return keyed
 
 
-def _apply_shot_noise(ideal, counts_ref, rng):
+def _apply_shot_noise(ideal, counts_ref, rng, out=None):
+    """The contrast 1 - N_data/N_ref of one noisy exposure pair, computed
+    into out when given (out may be ideal itself)."""
+    mean_data = np.multiply(counts_ref, np.subtract(1.0, ideal, out=out),
+                            out=out)
     # fixed draw order: reference exposure first, then data exposure
     n_ref = rng.poisson(counts_ref, size=ideal.shape)
-    n_data = rng.poisson(counts_ref * (1.0 - ideal), size=ideal.shape)
-    n_ref = np.maximum(n_ref, 1)  # a dead reference pixel still divides
-    return 1.0 - n_data / n_ref
+    n_data = rng.poisson(mean_data)
+    # the counts' quotient in float64, as n_data / n_ref computes it, in
+    # the memory of mean_data: no casting buffers, no further frame
+    ref = mean_data
+    ref[...] = n_ref
+    del n_ref
+    np.maximum(ref, 1.0, out=ref)  # a dead reference pixel still divides
+    contrast = np.divide(n_data, ref, out=ref)
+    return np.subtract(1.0, contrast, out=contrast)
 
 
 def simulate_contrast_image(bmap, dt_mw_ns, pulse, decay, noise_seed=None,
@@ -200,12 +221,59 @@ class ImageCube:
         return self.frames[:, i, j]
 
 
-# Float64 contrast values per contrast_at call while a cube is filled.
+# Float64 contrast values per contrast_at call while a cube is filled,
+# and the frame size from which frames are filled on a thread pool.
 # The ideal contrast and the noise are computed in float64 and each frame
-# is stored once into the float32 cube, so the float64 values are held a
-# few frames at a time, never for the whole cube; a frame of more pixels
-# than this is computed alone.
+# is stored once into the float32 result, so the float64 values are held
+# a few frames at a time per thread, never for the whole cube; a frame of
+# more pixels than this is computed alone. Frames of fewer pixels are
+# filled serially: their numpy calls are too short to pay for a thread.
 CUBE_CHUNK = 8192
+
+# Frames per pool job, at least. A job holds three float64 frames at a
+# time (its contrast buffer, N_ref and N_data), the size of six float32
+# frames, so the jobs together hold under a fifth of the result however
+# many CPUs there are.
+JOB_FRAMES = 32
+
+
+def frame_threads(shape):
+    """The threads that fill a cube or stream of shape (frames first):
+    one per usable CPU and at most one per JOB_FRAMES frames, or 1, the
+    serial loop, for frames of fewer than CUBE_CHUNK pixels."""
+    n_frames, frame_px = shape[0], math.prod(shape[1:])
+    if frame_px < CUBE_CHUNK:
+        return 1
+    return max(1, min(usable_cpus(), n_frames // JOB_FRAMES))
+
+
+def _fill_frames(frames, ideals, counts_ref, seed):
+    """Store every frame k of frames (float32, frames first): the float64
+    ideal contrast, with seed None, else its shot-noise draw from the
+    (seed, k) stream. ideals(k0, k1) yields the ideal frames k0..k1-1,
+    each in a buffer of the caller's job that the noise overwrites.
+
+    With frame_threads above 1, contiguous frame ranges run as jobs on
+    a thread pool of that many threads. Each job calls ideals and keys
+    its own Philox, so the bytes are those of one serial job. The pool
+    is joined before this returns, and the first job error is raised.
+    """
+    def job(k0, k1):
+        rng = None if seed is None else _frame_rngs(seed)
+        for k, ideal in enumerate(ideals(k0, k1), k0):
+            frames[k] = (ideal if rng is None else _apply_shot_noise(
+                ideal, counts_ref, rng(k), out=ideal))
+
+    n = len(frames)
+    n_jobs = frame_threads(frames.shape)
+    if n_jobs == 1:
+        job(0, n)
+        return
+    edges = [n * j // n_jobs for j in range(n_jobs + 1)]
+    with ThreadPoolExecutor(max_workers=n_jobs) as pool:
+        for done in [pool.submit(job, k0, k1)
+                     for k0, k1 in zip(edges, edges[1:])]:
+            done.result()
 
 
 def simulate_cube(bmap, dt_list_ns, pulse, decay, seed=None):
@@ -218,17 +286,16 @@ def simulate_cube(bmap, dt_list_ns, pulse, decay, seed=None):
     shape = bmap.values.shape
     frames = np.empty((len(dt_list_ns),) + shape, dtype=np.float32)
     step = max(1, CUBE_CHUNK // bmap.values.size)
-    ideal = np.empty((min(step, len(dt_list_ns)),) + shape)
-    rng = None if seed is None else _frame_rngs(seed)
-    for k0 in range(0, len(dt_list_ns), step):
-        dts = dt_list_ns[k0:k0 + step]
-        chunk = contrast_at(bmap.values, dts, decay, pulse.c0,
-                            out=ideal[:len(dts)])
-        if rng is None:
-            frames[k0:k0 + len(dts)] = chunk
-            continue
-        for k, ideal_k in enumerate(chunk, k0):
-            frames[k] = _apply_shot_noise(ideal_k, pulse.counts_ref, rng(k))
+
+    def ideals(k0, k1):
+        # one float64 buffer per job, filled step frames at a time
+        ideal = np.empty((min(step, k1 - k0),) + shape)
+        for k in range(k0, k1, step):
+            dts = dt_list_ns[k:min(k + step, k1)]
+            yield from contrast_at(bmap.values, dts, decay, pulse.c0,
+                                   out=ideal[:len(dts)])
+
+    _fill_frames(frames, ideals, pulse.counts_ref, seed)
     return ImageCube(grid=bmap.grid, dt_ns=dt_list_ns, frames=frames,
                      pulse=pulse, seed=seed, component=bmap.component)
 
@@ -327,13 +394,14 @@ def simulate_stream(bmap, dt_mw_ns, pulse, on_off_schedule, timing, rows,
                                           side="right")]
 
     ideal_on = contrast_at(bmap.values, dt_mw_ns, decay, pulse.c0)
-    zeros = np.zeros_like(ideal_on)
-    rng = None if seed is None else _frame_rngs(seed)
+
+    def ideals(k0, k1):
+        ideal = np.empty_like(ideal_on)  # one buffer per job
+        for on in frames_on[k0:k1]:
+            ideal[...] = ideal_on if on else 0.0
+            yield ideal
+
     stream = np.empty(len(starts), dtype=stream_dtype(ideal_on.shape))
     stream["t"] = starts
-    frames = stream["frame"]
-    for k, on in enumerate(frames_on):
-        ideal = ideal_on if on else zeros
-        frames[k] = (ideal if rng is None else
-                     _apply_shot_noise(ideal, pulse.counts_ref, rng(k)))
+    _fill_frames(stream["frame"], ideals, pulse.counts_ref, seed)
     return stream

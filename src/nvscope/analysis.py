@@ -106,14 +106,13 @@ Only the evaluation counts of the rows that exit change.
 
 import functools
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from nvscope.acquisition import check_dt_ns
-from nvscope.fieldcore import GAMMA_NV
+from nvscope.fieldcore import GAMMA_NV, usable_cpus
 from nvscope.nearfield import GridSpec, PolarizedFieldMap
 
 
@@ -655,9 +654,7 @@ def fit_cube(cube, cfg=None, n_workers=1):
 
     # the pool starts all its workers up front; no more than the CPUs
     # this process may run on
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    n_workers = min(n_workers or 1, cpus)
+    n_workers = min(n_workers or 1, usable_cpus())
     if n_workers > 1:
         chunk = max(1, math.ceil(nx * ny / (4 * n_workers)))
         jobs = [[flat[:, k:k + chunk]] for k in range(0, nx * ny, chunk)]

@@ -14,6 +14,7 @@ Conventions used throughout the package:
 """
 
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -386,3 +387,11 @@ def layer_average(f, layer, x, y):
     for z, w in zip(layer.heights(), layer.weights()):
         total += w * f(x, y, z)
     return total
+
+
+def usable_cpus():
+    """The number of CPUs this process may run on; the cap of every
+    worker pool in nvscope."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1

@@ -1,7 +1,9 @@
 """Contrast generator, shot noise statistics, camera timing."""
 
 import math
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -391,3 +393,152 @@ class TestSimulateStream:
         for (ta, fa), (tb, fb) in zip(a, b):
             assert ta == tb
             np.testing.assert_array_equal(fa, fb)
+
+
+# frames of at least CUBE_CHUNK px go through the thread pool; 91 x 91 px
+# is the smallest square that does, 90 x 90 the largest that does not
+POOL_PX = (91, 91)
+SERIAL_PX = (90, 90)
+# enough frames for three jobs
+POOL_FRAMES = 3 * acq.JOB_FRAMES
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of every frame pool simulate_* builds."""
+    sizes = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(acq, "ThreadPoolExecutor", RecordingPool)
+    return sizes
+
+
+def pool_stream(bmap, seed):
+    """A POOL_FRAMES-frame stream with on and off frames."""
+    pulse = acq.PulseParams(laser_ns=700.0, wait_ns=500.0, n_shots=50)
+    timing = acq.CameraTiming()
+    period = acq.frame_time_ms(timing, 50, pulse, 30.0)
+    third = POOL_FRAMES * period / 3
+    return acq.simulate_stream(bmap, 30.0, pulse,
+                               [(third, "on"), (third, "off"), (third, "on")],
+                               timing, rows=50, seed=seed,
+                               decay=acq.DecayParams())
+
+
+class TestFramePool:
+    """Frames of at least CUBE_CHUNK px are filled on a thread pool whose
+    bytes are those of the serial loop."""
+
+    @pytest.mark.parametrize("cpus, n_frames, threads", [
+        (1, POOL_FRAMES, 1), (3, POOL_FRAMES, 3), (4, POOL_FRAMES, 3),
+        (3, 2 * acq.JOB_FRAMES + 1, 2), (3, 2 * acq.JOB_FRAMES - 1, 1),
+        (3, 1, 1), (3, 0, 1)])
+    def test_frame_threads(self, monkeypatch, cpus, n_frames, threads):
+        monkeypatch.setattr(acq, "usable_cpus", lambda: cpus)
+        assert acq.frame_threads((n_frames,) + POOL_PX) == threads
+        assert acq.frame_threads((n_frames,) + SERIAL_PX) == 1
+
+    @pytest.mark.parametrize("seed", [None, 7])
+    def test_cube_bytes_do_not_depend_on_the_threads(self, monkeypatch,
+                                                     pool_sizes, seed):
+        bmap = random_bmap(*POOL_PX)
+        pulse = acq.PulseParams()
+        dts = np.arange(POOL_FRAMES) * 9.0
+        cubes = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(acq, "usable_cpus", lambda: cpus)
+            cubes.append(acq.simulate_cube(bmap, dts, pulse,
+                                           acq.DecayParams(), seed=seed))
+        assert pool_sizes == [3]
+        assert cubes[0].frames.tobytes() == cubes[1].frames.tobytes()
+        # the first and last frame of each job
+        for k in (0, 31, 32, 63, 64, 95):
+            ideal = acq.contrast_at(bmap.values, dts[k], acq.DecayParams(),
+                                    pulse.c0)
+            np.testing.assert_array_equal(
+                cubes[1].frames[k], oracle_frame(ideal, pulse.counts_ref,
+                                                 seed, k).astype(np.float32))
+
+    @pytest.mark.parametrize("seed", [None, 7])
+    def test_stream_bytes_do_not_depend_on_the_threads(self, monkeypatch,
+                                                       pool_sizes, seed):
+        bmap = random_bmap(*POOL_PX)
+        streams = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(acq, "usable_cpus", lambda: cpus)
+            streams.append(pool_stream(bmap, seed))
+        assert len(streams[0]) == POOL_FRAMES
+        assert pool_sizes == [3]
+        assert streams[0].tobytes() == streams[1].tobytes()
+        frames = streams[1]["frame"]
+        ideal_on = acq.contrast_at(bmap.values, 30.0, acq.DecayParams(),
+                                   acq.PulseParams().c0)
+        on = [np.array_equal(f, ideal_on.astype(np.float32))
+              for f in pool_stream(bmap, None)["frame"]]
+        assert any(on) and not all(on)
+        for k in (0, 31, 32, 63, 64, 95):
+            np.testing.assert_array_equal(
+                frames[k], oracle_frame(ideal_on * on[k],
+                                        acq.PulseParams().counts_ref, seed,
+                                        k).astype(np.float32))
+
+    @pytest.mark.parametrize("field, dt_last, message", [
+        (-1e-6, 900.0, "field amplitudes must be non-negative"),
+        (1e-6, -1.0, "pulse durations must be non-negative")])
+    def test_a_job_error_reaches_the_caller(self, monkeypatch, pool_sizes,
+                                            field, dt_last, message):
+        bmap = random_bmap(*POOL_PX)
+        bmap.values[-1, -1] = field
+        # a negative duration reaches only the last job
+        dts = np.append(np.arange(POOL_FRAMES - 1) * 9.0, dt_last)
+        errors = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(acq, "usable_cpus", lambda: cpus)
+            with pytest.raises(ValueError) as err:
+                acq.simulate_cube(bmap, dts, acq.PulseParams(),
+                                  acq.DecayParams(), seed=7)
+            errors.append(str(err.value))
+        assert pool_sizes == [3]
+        assert errors == [message, message]
+
+    def test_small_frames_never_build_a_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was built")
+
+        monkeypatch.setattr(acq, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(acq, "usable_cpus", lambda: 3)
+        bmap = random_bmap(*SERIAL_PX)
+        dts = np.arange(POOL_FRAMES) * 9.0
+        for seed in (None, 7):
+            acq.simulate_cube(bmap, dts, acq.PulseParams(),
+                              acq.DecayParams(), seed=seed)
+            assert len(pool_stream(bmap, seed)) == POOL_FRAMES
+
+    def test_no_thread_outlives_the_call(self, monkeypatch, pool_sizes):
+        monkeypatch.setattr(acq, "usable_cpus", lambda: 3)
+        before = threading.active_count()
+        acq.simulate_cube(random_bmap(*POOL_PX), np.arange(POOL_FRAMES) * 9.0,
+                          acq.PulseParams(), acq.DecayParams(), seed=7)
+        assert pool_sizes == [3]
+        assert threading.active_count() == before
+
+    def test_peak_memory_does_not_grow_with_the_cpus(self, monkeypatch,
+                                                     pool_sizes):
+        # each job holds a few float64 frames, and there is at most one
+        # job per JOB_FRAMES frames
+        monkeypatch.setattr(acq, "usable_cpus", lambda: 64)
+        bmap = random_bmap(*POOL_PX)
+        dts = np.arange(4 * acq.JOB_FRAMES) * 9.0
+        tracemalloc.start()
+        try:
+            cube = acq.simulate_cube(bmap, dts, acq.PulseParams(),
+                                     acq.DecayParams(), seed=7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pool_sizes == [4]
+        assert peak < 1.25 * cube.frames.nbytes

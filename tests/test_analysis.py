@@ -326,8 +326,7 @@ def test_fit_cube_pool_never_exceeds_cpus(monkeypatch, cpus, requested,
             return map(fn, jobs)
 
     monkeypatch.setattr(ana, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(ana.os, "sched_getaffinity",
-                        lambda pid: set(range(cpus)))
+    monkeypatch.setattr(ana, "usable_cpus", lambda: cpus)
     cube = simulate_cube(graded_field_map(4, 3), np.arange(10.0, 601.0, 10.0),
                          pulse=PulseParams(), decay=NO_DECAY, seed=99)
     fmap, results = fit_cube(cube, n_workers=requested)

@@ -11,6 +11,9 @@ import sys
 
 import pytest
 
+from nvscope.acquisition import CUBE_CHUNK, JOB_FRAMES
+from nvscope.fieldcore import usable_cpus
+
 SCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                       "benchmarks", "bench_acquisition.py")
 
@@ -31,8 +34,10 @@ def test_crop_times_cubes_and_their_round_trip(tmp_path):
     proc = run_script(["--scenario", "omega-fig3", "--crop", "10",
                        "--repeats", "2"], tmp_path)
     assert proc.returncode == 0, proc.stderr
-    head, *lines = proc.stdout.splitlines()
+    head, threads, *lines = proc.stdout.splitlines()
     assert head == "scenario omega-fig3: 100 px x 100 frames, best of 2"
+    # 100-px frames are filled serially
+    assert threads == "frame threads: 1"
     timings = [TIMING.match(line) for line in lines[:4]]
     assert all(timings), proc.stdout
     assert [m.group(1) for m in timings] == [
@@ -51,6 +56,19 @@ def test_crop_times_cubes_and_their_round_trip(tmp_path):
         assert int(m.group(3)) == 100 * 100 * 4
     # reading holds at least the frames it returns
     assert float(peaks[2].group(2)) >= 1.0
+
+
+def test_frames_of_cube_chunk_pixels_use_the_frame_pool(tmp_path):
+    # a 91 x 91 crop holds CUBE_CHUNK pixels or more; its 100 frames make
+    # at most 100 // JOB_FRAMES jobs
+    assert 91 * 91 >= CUBE_CHUNK
+    proc = run_script(["--scenario", "omega-fig3", "--crop", "91",
+                       "--repeats", "1"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    head, threads, *lines = proc.stdout.splitlines()
+    assert head == "scenario omega-fig3: 8281 px x 100 frames, best of 1"
+    assert threads == f"frame threads: {min(usable_cpus(), 100 // JOB_FRAMES)}"
+    assert len(lines) == 7, proc.stdout
 
 
 def test_unknown_scenario_exits_2(tmp_path):

@@ -299,3 +299,17 @@ class TestGaussLegendre:
         layer = fc.SensingLayer(h=12e-6, d=0.0, n_samples=9)
         assert layer.heights().tolist() == [12e-6]
         assert layer.weights().tolist() == [1.0]
+
+
+def test_usable_cpus_counts_the_cpus_this_process_may_run_on(monkeypatch):
+    if hasattr(fc.os, "sched_getaffinity"):
+        assert fc.usable_cpus() == len(fc.os.sched_getaffinity(0))
+    monkeypatch.setattr(fc.os, "sched_getaffinity", lambda pid: {3, 5},
+                        raising=False)
+    assert fc.usable_cpus() == 2
+    # without affinity, os.cpu_count, and 1 when that is unknown
+    monkeypatch.delattr(fc.os, "sched_getaffinity")
+    monkeypatch.setattr(fc.os, "cpu_count", lambda: 6)
+    assert fc.usable_cpus() == 6
+    monkeypatch.setattr(fc.os, "cpu_count", lambda: None)
+    assert fc.usable_cpus() == 1
