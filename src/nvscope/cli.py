@@ -125,13 +125,21 @@ _region = converter("[[i0, i1], [j0, j1]] in pixels", lambda v: (
 _arm = converter("an integer >= 1", lambda v: type(v) is int and v >= 1)
 
 
-def _check_report(rdoc, dt_ns):
+def _check_report(rdoc, dt_ns, device_doc):
     """The report section's settings with their defaults; checked at
-    load by every command, read through here again by report."""
+    load by every command, read through here again by report. With
+    p_in_dbm, current is report.current or else the device's drive
+    current."""
     read = functools.partial(param, rdoc, "report")
     out = {"impedance_ohm": read("impedance_ohm", default=50.0),
            **given(rdoc, "report", p_in_dbm=("p_in_dbm", number),
                    current=("current", number))}
+    if "p_in_dbm" in out and "current" not in out:
+        out["current"] = currents.drive_current_a(device_doc)
+        if out["current"] is None:
+            raise ConfigError("report.p_in_dbm needs a drive current, but "
+                              "neither the device nor report.current_a "
+                              "gives one")
     if "sensitivity" not in rdoc:
         return out
     path = "report.sensitivity"
@@ -209,13 +217,14 @@ def load_scenario(value):
                               f"{rows!r}")
         timing = formats.timing_from_doc(stream, "stream")
 
+    device = read("device", obj)
     report, trap = read("report", obj, None), read("trap", obj, None)
     if report is not None:
-        _check_report(report, dt_ns)
+        _check_report(report, dt_ns, device)
     if trap is not None:
         _check_trap(trap)
     return ScenarioConfig(
-        name=name, device_doc=read("device", obj), grid=grid, layer=layer,
+        name=name, device_doc=device, grid=grid, layer=layer,
         nv_frame=frame, f_mw=f_mw, transition=transition, pulse=pulse,
         decay=decay, dt_ns=dt_ns, stream=stream, timing=timing, trap=trap,
         report=report, seed=read("seed", integer, None), source_bytes=raw)
@@ -507,14 +516,10 @@ def cmd_report(args, cfg, out):
     report["line_cut"] = {"path": cut_name, "row_index": j_mid,
                           "columns": ["position_um", "field_ut"]}
 
-    settings = _check_report(cfg.report or {}, cfg.dt_ns)
+    settings = _check_report(cfg.report or {}, cfg.dt_ns, cfg.device_doc)
     if "p_in_dbm" in settings:
         p_in, z = settings["p_in_dbm"], settings["impedance_ohm"]
-        current = settings.get(
-            "current", currents.drive_current_a(cfg.device_doc))
-        if current is None:
-            raise ConfigError("report.p_in_dbm given but no drive current "
-                              "found in device or report.current_a")
+        current = settings["current"]
         p_sim, loss = analysis.insertion_loss_db(p_in, current, z)
         report["insertion_loss"] = {
             "p_in_dbm": p_in, "current_a": current, "impedance_ohm": z,

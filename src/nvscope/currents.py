@@ -32,26 +32,8 @@ def _as_current(value):
 
 
 @dataclass
-class WireSegment:
-    """Straight current-carrying segment with a phasor amplitude."""
-
-    start: np.ndarray
-    end: np.ndarray
-    current: complex
-
-    def __post_init__(self):
-        self.start = _as_vec3(self.start, "start")
-        self.end = _as_vec3(self.end, "end")
-        self.current = _as_current(self.current)
-        if np.array_equal(self.start, self.end):
-            raise ValueError("segment endpoints must be distinct")
-        if not np.isfinite(self.current.real) or not np.isfinite(self.current.imag):
-            raise ValueError("segment current must be finite")
-
-
-@dataclass
 class CurrentModel:
-    """Set of wire segments, stored as arrays for fast field evaluation.
+    """Straight current segments, held as the arrays the field kernel reads.
 
     starts/ends are (n, 3) meters, currents (n,) complex amperes.
     Segment order is significant: field evaluation accumulates in array
@@ -78,28 +60,9 @@ class CurrentModel:
         if np.any(np.all(self.starts == self.ends, axis=1)):
             raise ValueError("model contains zero-length segments")
 
-    @classmethod
-    def from_segments(cls, segments):
-        segments = list(segments)
-        if not segments:
-            raise ValueError("a current model needs at least one segment")
-        return cls(starts=np.array([s.start for s in segments]),
-                   ends=np.array([s.end for s in segments]),
-                   currents=np.array([s.current for s in segments]))
-
     @property
     def n_segments(self):
         return self.starts.shape[0]
-
-    def scaled(self, factor):
-        """Same geometry with all currents multiplied by factor."""
-        return CurrentModel(self.starts.copy(), self.ends.copy(),
-                            self.currents * factor)
-
-    def translated(self, offset):
-        offset = _as_vec3(offset, "offset")
-        return CurrentModel(self.starts + offset, self.ends + offset,
-                            self.currents.copy())
 
 
 def superpose(models):
@@ -231,13 +194,19 @@ def _build_cpw(params, path):
 
 
 def _build_segments(params, path):
-    segs = []
-    for i, entry in enumerate(param(params, path, "segments", lst)):
+    entries = param(params, path, "segments", lst)
+    if not entries:
+        raise ConfigError(f"{path}.segments must list at least one segment")
+    starts, ends, currents = [], [], []
+    for i, entry in enumerate(entries):
         here = f"{path}.segments[{i}]"
         read = functools.partial(param, field(entry, here, obj), here)
-        segs.append(WireSegment(read("start", vec3), read("end", vec3),
-                                read("current", _as_current)))
-    return CurrentModel.from_segments(segs)
+        starts.append(read("start", vec3))
+        ends.append(read("end", vec3))
+        currents.append(read("current", _as_current))
+        if starts[-1] == ends[-1]:
+            raise ConfigError(f"{here} must have distinct start and end")
+    return CurrentModel(starts, ends, currents)
 
 
 def arc_points(center, radius, a_start, a_end, max_chord):
@@ -321,19 +290,21 @@ def _build_interdigital(params, path):
     # displacement current, outside the model). Bus segment currents
     # taper so current is conserved at every junction.
     y_top = length + gap
-    segs = []
+    starts, ends, currents = [], [], []
     even, odd = range(0, n, 2), range(1, n, 2)
     i_even, i_odd = current / len(even), current / len(odd)
 
-    def pt(x, y):
-        return np.array([x, y, 0.0]) + origin
+    def seg(x0, y0, x1, y1, i):
+        starts.append(np.array([x0, y0, 0.0]) + origin)
+        ends.append(np.array([x1, y1, 0.0]) + origin)
+        currents.append(i)
 
     remaining = current
     prev_x = -pitch
     for k in even:
         x = k * pitch
-        segs.append(WireSegment(pt(prev_x, 0.0), pt(x, 0.0), remaining))
-        segs.append(WireSegment(pt(x, 0.0), pt(x, length), i_even))
+        seg(prev_x, 0.0, x, 0.0, remaining)
+        seg(x, 0.0, x, length, i_even)
         remaining -= i_even
         prev_x = x
     collected = 0.0 + 0.0j
@@ -341,13 +312,12 @@ def _build_interdigital(params, path):
     for k in odd:
         x = k * pitch
         if x != prev_x:
-            segs.append(WireSegment(pt(prev_x, y_top), pt(x, y_top), collected))
-        segs.append(WireSegment(pt(x, gap), pt(x, y_top), i_odd))
+            seg(prev_x, y_top, x, y_top, collected)
+        seg(x, gap, x, y_top, i_odd)
         collected += i_odd
         prev_x = x
-    segs.append(WireSegment(pt(prev_x, y_top), pt(prev_x + pitch, y_top),
-                            collected))
-    return CurrentModel.from_segments(segs)
+    seg(prev_x, y_top, prev_x + pitch, y_top, collected)
+    return CurrentModel(starts, ends, currents)
 
 
 def _build_two_ring_trap(params, path):

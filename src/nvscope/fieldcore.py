@@ -272,15 +272,13 @@ def decompose_polarization(b, frame):
 
 SIGMA_PLUS = "sigma+"
 SIGMA_MINUS = "sigma-"
-AXIAL = "axial"
 
 TRANSITIONS = (SIGMA_PLUS, SIGMA_MINUS)
-COMPONENTS = (SIGMA_PLUS, SIGMA_MINUS, AXIAL)
 
 
 def check_component(component):
-    """component, if it is one of COMPONENTS; otherwise ValueError."""
-    return field(component, "component", one_of(COMPONENTS))
+    """component, if it is one of TRANSITIONS; otherwise ValueError."""
+    return field(component, "component", one_of(TRANSITIONS))
 
 
 def bias_field_for_frequency(f_mw, transition):

@@ -36,7 +36,7 @@ import numpy as np
 
 from nvscope.acquisition import (CameraTiming, ImageCube, PulseParams,
                                  check_dt_ns, check_schedule, stream_dtype)
-from nvscope.fieldcore import (COMPONENTS, build, convert_units, field,
+from nvscope.fieldcore import (TRANSITIONS, build, convert_units, field,
                                given, integer, nullable, number,
                                number_fields, numbers, obj, one_of, param,
                                vec3, vec3_pair)
@@ -203,7 +203,7 @@ def read_field_map(path):
         with _blame(path, "header", len(FMAP_MAGIC)):
             kind = param(doc, "", "kind", one_of(("phasor", "polarized")))
             if kind == "polarized":
-                component = param(doc, "", "component", one_of(COMPONENTS))
+                component = param(doc, "", "component", one_of(TRANSITIONS))
         start = fh.tell()
         shape = (grid.nx, grid.ny) + ((3,) if kind == "phasor" else ())
         values = _read_payload(fh, "<c8" if kind == "phasor" else "<f4",
@@ -237,7 +237,7 @@ def read_cube(path):
             dt = check_dt_ns(read("dt_ns", numbers()))
             pulse = _section(doc, "pulse", pulse_from_doc)
             seed = read("seed", nullable(integer), None)
-            component = read("component", one_of(COMPONENTS))
+            component = read("component", one_of(TRANSITIONS))
         start = fh.tell()
         frames = _read_payload(fh, "<f4", (len(dt), grid.nx, grid.ny), path)
     with _blame(path, "payload", start):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nvscope.fieldcore import AXIAL, SIGMA_PLUS, _as_vec3, check_component
+from nvscope.fieldcore import SIGMA_PLUS, _as_vec3, check_component
 from nvscope.kernels import field_accumulate
 
 # Points closer than this to a filament axis are rejected: the filament
@@ -133,14 +133,6 @@ def evaluate_at_points(model, points):
     return out_re + 1j * out_im
 
 
-def segment_field(seg, p):
-    """Field phasor of a single straight segment at one point (teslas)."""
-    from nvscope.currents import CurrentModel
-    model = CurrentModel(starts=seg.start[None, :], ends=seg.end[None, :],
-                         currents=np.array([seg.current]))
-    return evaluate_at_points(model, np.asarray(p, dtype=float)[None, :])[0]
-
-
 def evaluate_phasor_map(model, grid, layer):
     """Layer-averaged field phasor map of a current model.
 
@@ -176,13 +168,10 @@ def project_polarization(fmap, frame, component):
     """Per-pixel polarization amplitude of a phasor map."""
     check_component(component)
     vals = fmap.values
-    if component == AXIAL:
-        out = np.abs(vals @ frame.axis.astype(complex))
+    u = vals @ frame.e1.astype(complex)
+    v = vals @ frame.e2.astype(complex)
+    if component == SIGMA_PLUS:
+        out = np.abs(u - 1j * v) / 2.0
     else:
-        u = vals @ frame.e1.astype(complex)
-        v = vals @ frame.e2.astype(complex)
-        if component == SIGMA_PLUS:
-            out = np.abs(u - 1j * v) / 2.0
-        else:
-            out = np.abs(u + 1j * v) / 2.0
+        out = np.abs(u + 1j * v) / 2.0
     return PolarizedFieldMap(grid=fmap.grid, component=component, values=out)

@@ -24,12 +24,11 @@ from nvscope.analysis import (FitConfig, amplitude_sensitivity,
                               extract_contours, fit_cube, fit_pixel,
                               insertion_loss_db, omega_to_field, stitch)
 from nvscope.cli import load_scenario
-from nvscope.currents import CurrentModel, WireSegment, model_from_spec, superpose
+from nvscope.currents import CurrentModel, model_from_spec, superpose
 from nvscope.fieldcore import (GAMMA_NV, SensingLayer, decompose_polarization,
                                flip_axis, layer_average, nv_frame_from_tilt)
 from nvscope.nearfield import (GridSpec, PolarizedFieldMap, evaluate_at_points,
-                               evaluate_phasor_map, project_polarization,
-                               segment_field)
+                               evaluate_phasor_map, project_polarization)
 
 NO_DECAY = DecayParams(tau_fast_ns=math.inf, tau_slow_ns=math.inf,
                        weight_fast=0.5)
@@ -61,16 +60,22 @@ def _gauss_legendre(n):
     return np.polynomial.legendre.leggauss(n)
 
 
-def brute_segment_field(seg, p, n=501):
+def brute_segment_field(start, end, current, p, n=501):
     # Gauss-Legendre line integration of dl x r / r^3 along the segment
     nodes, weights = _gauss_legendre(n)
     t = 0.5 * (nodes + 1.0)
-    d = seg.end - seg.start
-    s = seg.start[None, :] + t[:, None] * d[None, :]
+    d = end - start
+    s = start[None, :] + t[:, None] * d[None, :]
     r = p[None, :] - s
     r3 = np.sum(r * r, axis=1) ** 1.5
     integrand = np.cross(np.broadcast_to(d, r.shape), r) / r3[:, None]
-    return 1e-7 * seg.current * 0.5 * (weights @ integrand)
+    return 1e-7 * current * 0.5 * (weights @ integrand)
+
+
+def segment_field_at(start, end, current, p):
+    # the field kernel on a one-segment model at one point
+    model = CurrentModel([start], [end], [current])
+    return evaluate_at_points(model, np.asarray(p, dtype=float)[None, :])[0]
 
 
 def _point_to_line_distance(start, end, p):
@@ -95,17 +100,15 @@ def test_criterion_02_biot_savart_matches_line_integration():
         current = complex(rng.normal(), rng.normal())
         if abs(current) < 1e-3:
             continue
-        seg = WireSegment(start, end, current)
-        b_fast = segment_field(seg, p)
-        b_ref = brute_segment_field(seg, p)
+        b_fast = segment_field_at(start, end, current, p)
+        b_ref = brute_segment_field(start, end, current, p)
         assert np.linalg.norm(b_fast - b_ref) <= (
             1e-9 * np.linalg.norm(b_ref))
         checked += 1
 
     # long-segment limit: length/distance = 100 approaches mu0 I/(2 pi r)
-    seg = WireSegment(np.array([-0.5, 0.0, 0.0]), np.array([0.5, 0.0, 0.0]),
-                      1.0)
-    b = segment_field(seg, np.array([0.0, 0.01, 0.0]))
+    b = segment_field_at([-0.5, 0.0, 0.0], [0.5, 0.0, 0.0], 1.0,
+                         [0.0, 0.01, 0.0])
     b_wire = 2e-7 * 1.0 / 0.01
     assert abs(np.linalg.norm(b) - b_wire) / b_wire < 1e-3
     assert time.perf_counter() - t0 < 10.0
@@ -321,13 +324,14 @@ def test_criterion_10_randomized_property_suite():
 
     # superposition and current scaling of the summed field
     def random_model(n):
-        segs = []
-        while len(segs) < n:
+        starts, ends, currents = [], [], []
+        while len(starts) < n:
             s, e = rng.uniform(-1e-3, 1e-3, 3), rng.uniform(-1e-3, 1e-3, 3)
             if np.linalg.norm(e - s) > 1e-5:
-                segs.append(WireSegment(s, e,
-                                        complex(rng.normal(), rng.normal())))
-        return CurrentModel.from_segments(segs)
+                starts.append(s)
+                ends.append(e)
+                currents.append(complex(rng.normal(), rng.normal()))
+        return CurrentModel(starts, ends, currents)
 
     for _ in range(200):
         m1 = random_model(rng.integers(1, 4))
@@ -339,7 +343,8 @@ def test_criterion_10_randomized_property_suite():
         assert np.allclose(both, b1 + b2, rtol=1e-12, atol=0.0)
         cases += 1
         alpha = rng.uniform(0.1, 10.0)
-        assert np.allclose(evaluate_at_points(m1.scaled(alpha), pts),
+        scaled = CurrentModel(m1.starts, m1.ends, alpha * m1.currents)
+        assert np.allclose(evaluate_at_points(scaled, pts),
                            alpha * b1, rtol=1e-12, atol=0.0)
         cases += 1
 

@@ -7,18 +7,26 @@ an imported nvscope module (`analysis.fit_cube`, and the target of
 rabi-fit workload reads off a fit record is looked up here. A change
 that deletes or renames one of them fails this test, not the benchmark
 run.
+
+README.md is held to the same rule: the names its Python blocks import
+from nvscope, and each backticked `module.name` (or `module.name(...)`)
+whose module is nvscope or one of its modules, must exist.
 """
 
 import ast
 import glob
 import importlib
 import os
+import pkgutil
+import re
 
+import nvscope
 from nvscope import analysis
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 SCRIPTS = sorted(glob.glob(os.path.join(ROOT, "perfbench", "*.py"))
                  + glob.glob(os.path.join(ROOT, "benchmarks", "*.py")))
+README = os.path.join(ROOT, "README.md")
 
 
 def parse(path):
@@ -102,3 +110,32 @@ def test_rabi_fit_workload_reads_only_fit_record_fields():
                                               "workloads.py")))
     assert fields
     assert sorted(fields - set(analysis.FIT_DTYPE.names)) == []
+
+
+def readme():
+    with open(README) as fh:
+        return fh.read()
+
+
+def test_readme_python_imports_only_existing_nvscope_names():
+    blocks = re.findall(r"^```python\n(.*?)^```", readme(), re.M | re.S)
+    read = set()
+    for block in blocks:
+        read |= nvscope_names(ast.parse(block))
+    assert read
+    missing = sorted(f"{module}.{name}" for module, name in read
+                     if not exists(module, name))
+    assert missing == []
+
+
+def test_readme_backticked_module_names_exist():
+    modules = {"nvscope"} | {info.name for info in
+                             pkgutil.iter_modules(nvscope.__path__)}
+    refs = {(module, name) for module, name in
+            re.findall(r"`(\w+)\.(\w+)(?:\([^`]*\))?`", readme())
+            if module in modules}
+    assert refs
+    missing = sorted(f"{module}.{name}" for module, name in refs
+                     if not exists(module if module == "nvscope"
+                                   else f"nvscope.{module}", name))
+    assert missing == []

@@ -1087,13 +1087,32 @@ def test_report_insertion_loss_and_sensitivity(tmp_path):
         sens["ut_per_sqrt_hz"] * 1e-6)
 
 
+def test_p_in_dbm_without_drive_current_exits_2_at_load(tmp_path, capsys):
+    # a segments device names no params-level current, so the input power
+    # has nothing to be compared with unless the report gives a current
+    path = write_scenario(tmp_path, device=device("segments"),
+                          report={"p_in_dbm": 22.6})
+    out = tmp_path / "out"
+    assert run("simulate", "--config", path, "-o", out) == 2
+    assert "report.p_in_dbm" in capsys.readouterr().err
+    assert not out.exists()
+    path = write_scenario(tmp_path, device=device("segments"),
+                          report={"p_in_dbm": 22.6, "current_ma": 30})
+    assert load_scenario(path).report == {"p_in_dbm": 22.6, "current": 0.03}
+    assert run("simulate", "--config", path, "-o", out) == 0
+    assert run("report", "--config", path, "-o", out) == 0
+    with open(out / "mini-strip.report.json") as fh:
+        assert json.load(fh)["insertion_loss"]["current_a"] == 0.03
+
+
 def test_report_sensitivity_envelope_is_not_read():
     # the sensitivity is always fit single-envelope; a document still
     # setting the envelope loads and the value is ignored
     dt = np.arange(10.0, 100.0, 10.0)
     keyed = {"sensitivity": {"n_repeats": 10, "envelope": "double"}}
     plain = {"sensitivity": {"n_repeats": 10}}
-    assert cli._check_report(keyed, dt) == cli._check_report(plain, dt)
+    assert (cli._check_report(keyed, dt, MINI["device"])
+            == cli._check_report(plain, dt, MINI["device"]))
 
 
 def test_report_trap_section(tmp_path):

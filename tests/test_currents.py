@@ -1,13 +1,17 @@
 """Device discretization: strips, CPW, device library, superposition."""
 
+import json
 import math
+import re
+from importlib import resources
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from nvscope import currents as cur
-from nvscope.cli import BUNDLED_SCENARIOS, load_scenario
+from nvscope.cli import BUNDLED_SCENARIOS, load_scenario, main
+from nvscope.fieldcore import ConfigError
 
 
 def canonical_segments(model):
@@ -261,7 +265,8 @@ class TestSuperposeAndSpec:
     def test_scaled_negation_cancels(self):
         m = device("omega-loop", {"radius": 1e-4, "gap": 2e-5,
                                   "current": 0.05})
-        s = cur.superpose([m, m.scaled(-1.0)])
+        s = cur.superpose([m, cur.CurrentModel(m.starts, m.ends,
+                                               -1.0 * m.currents)])
         assert np.sum(s.currents) == 0
 
     def test_model_from_spec_segments_and_superposition(self):
@@ -275,9 +280,26 @@ class TestSuperposeAndSpec:
         assert m.n_segments > 1
         assert m.currents[0] == 0.01
 
-    def test_segment_validation(self):
-        with pytest.raises(ValueError, match="distinct"):
-            cur.WireSegment([0, 0, 0], [0, 0, 0], 1.0)
+
+@pytest.mark.parametrize("segments, message", [
+    ([], "device.params.segments must list at least one segment"),
+    ([{"start": [0, 0, 0], "end": [1e-4, 0, 0], "current": 0.01},
+      {"start": [1e-4, 0, 0], "end": [1e-4, 0, 0], "current": 0.01}],
+     "device.params.segments[1] must have distinct start and end"),
+])
+def test_bad_segments_exit_2_naming_the_field(tmp_path, capsys, segments,
+                                              message):
+    doc = {"kind": "segments", "params": {"segments": segments}}
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        cur.model_from_spec(doc)
+    scenario = json.loads((resources.files("nvscope.scenarios")
+                           / "pulse-train-fig5.json").read_text())
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({**scenario, "device": doc}))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "-o", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bundled_devices_build():

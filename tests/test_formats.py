@@ -137,9 +137,15 @@ def test_field_map_rejects_bad_header(tmp_path):
             (read_cube,
              b'RCUB1\n{"dtype":"float32",' + grid[:-1]
              + b',"origin_m":[0,0,0]},"dt_ns":[1.0]}\n' + b"\x00" * 4),
-            (read_cube,
-             b'RCUB1\n{"component":"pi","dtype":"float32",' + grid[:-1]
-             + b',"origin_m":[0,0,0]},"dt_ns":[1.0]}\n' + b"\x00" * 4),
+            *((read_cube,
+               b'RCUB1\n{"component":' + component + b',"dtype":"float32",'
+               + grid[:-1] + b',"origin_m":[0,0,0]},"dt_ns":[1.0]}\n'
+               + b"\x00" * 4)
+              for component in (b'"pi"', b'"axial"')),
+            # a polarized map of a field that drives neither transition
+            (read_field_map,
+             b'FMAP1\n{"component":"axial","dtype":"float32",' + grid[:-1]
+             + b',"origin_m":[0,0,0]},"kind":"polarized"}\n' + b"\x00" * 4),
             # an empty or non-increasing scan
             (read_cube,
              b'RCUB1\n{"component":"sigma-","dtype":"float32",' + grid[:-1]
