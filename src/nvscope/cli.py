@@ -92,7 +92,7 @@ class ScenarioConfig:
     stream: dict
     timing: CameraTiming  # the stream's camera timing; None without one
     trap: dict
-    report: dict
+    report: dict  # the report settings as _check_report returns them
     seed: int
     source_bytes: bytes
 
@@ -126,20 +126,23 @@ _arm = converter("an integer >= 1", lambda v: type(v) is int and v >= 1)
 
 
 def _check_report(rdoc, dt_ns, device_doc):
-    """The report section's settings with their defaults; checked at
-    load by every command, read through here again by report. With
-    p_in_dbm, current is report.current or else the device's drive
-    current."""
+    """The report section's settings with their defaults, checked once
+    at load into ScenarioConfig.report. With p_in_dbm, current is
+    report.current or else the device's drive current, and positive."""
     read = functools.partial(param, rdoc, "report")
     out = {"impedance_ohm": read("impedance_ohm", default=50.0),
            **given(rdoc, "report", p_in_dbm=("p_in_dbm", number),
                    current=("current", number))}
-    if "p_in_dbm" in out and "current" not in out:
-        out["current"] = currents.drive_current_a(device_doc)
-        if out["current"] is None:
-            raise ConfigError("report.p_in_dbm needs a drive current, but "
-                              "neither the device nor report.current_a "
-                              "gives one")
+    if out["impedance_ohm"] <= 0:
+        raise ConfigError(f"report.impedance_ohm must be positive, got "
+                          f"{out['impedance_ohm']!r}")
+    if "p_in_dbm" in out:
+        if "current" not in out:
+            out["current"] = currents.drive_current_a(device_doc)
+        if out["current"] is None or out["current"] <= 0:
+            raise ConfigError("report.p_in_dbm needs a positive drive "
+                              "current from report.current_a or else the "
+                              f"device, got {out['current']!r}")
     if "sensitivity" not in rdoc:
         return out
     path = "report.sensitivity"
@@ -154,11 +157,19 @@ def _check_report(rdoc, dt_ns, device_doc):
     return out
 
 
-def _check_trap(tdoc):
+def _check_trap(tdoc, grid):
     """characterize_trap keyword arguments for the keys the trap section
-    sets; the others keep characterize_trap's defaults."""
-    return given(tdoc, "trap", arm=("arm_px", _arm),
-                 search_region=("search_region_px", _region))
+    sets; the others keep characterize_trap's defaults. A search region
+    lies within the grid."""
+    kwargs = given(tdoc, "trap", arm=("arm_px", _arm),
+                   search_region=("search_region_px", _region))
+    (i0, i1), (j0, j1) = kwargs.get("search_region",
+                                    ((0, grid.nx), (0, grid.ny)))
+    if not (0 <= i0 < i1 <= grid.nx and 0 <= j0 < j1 <= grid.ny):
+        raise ConfigError(f"trap.search_region_px must lie within the "
+                          f"{grid.nx}x{grid.ny} grid, got "
+                          f"{tdoc['search_region_px']!r}")
+    return kwargs
 
 
 def load_scenario(value):
@@ -218,11 +229,10 @@ def load_scenario(value):
         timing = formats.timing_from_doc(stream, "stream")
 
     device = read("device", obj)
-    report, trap = read("report", obj, None), read("trap", obj, None)
-    if report is not None:
-        _check_report(report, dt_ns, device)
+    report = _check_report(read("report", obj, {}), dt_ns, device)
+    trap = read("trap", obj, None)
     if trap is not None:
-        _check_trap(trap)
+        _check_trap(trap, grid)
     return ScenarioConfig(
         name=name, device_doc=device, grid=grid, layer=layer,
         nv_frame=frame, f_mw=f_mw, transition=transition, pulse=pulse,
@@ -336,6 +346,24 @@ def _component_filename(component):
     return {"sigma+": "sigma_plus", "sigma-": "sigma_minus"}[component]
 
 
+def _read_polarized_map(args, cfg, path=None):
+    """The polarized FMAP1 map at path, by default the scenario's map of
+    its transition in the output dir. A missing file or a phasor map is
+    a ConfigError naming the path."""
+    hint = ""
+    if path is None:
+        stem = _component_filename(cfg.transition)
+        path = os.path.join(args.output, f"{cfg.name}.{stem}.fmap")
+        hint = "; run simulate first"
+    if not os.path.isfile(path):
+        raise ConfigError(f"field map {path} not found{hint}")
+    pmap = formats.read_field_map(path)
+    if not isinstance(pmap, PolarizedFieldMap):
+        raise ConfigError(f"{path} holds a phasor map, not a polarized "
+                          "amplitude map")
+    return pmap
+
+
 # ---------------------------------------------------------------- commands
 
 def cmd_simulate(args, cfg, out):
@@ -353,18 +381,7 @@ def cmd_simulate(args, cfg, out):
 
 
 def cmd_acquire(args, cfg, out):
-    if args.field_map:
-        map_path = args.field_map
-    else:
-        stem = _component_filename(cfg.transition)
-        map_path = os.path.join(args.output, f"{cfg.name}.{stem}.fmap")
-    if not os.path.isfile(map_path):
-        raise ConfigError(f"field map {map_path} not found; run simulate "
-                          "first or pass --field-map")
-    pmap = formats.read_field_map(map_path)
-    if not isinstance(pmap, PolarizedFieldMap):
-        raise ConfigError(f"{map_path} holds a phasor map; acquisition "
-                          "needs a polarized amplitude map")
+    pmap = _read_polarized_map(args, cfg, args.field_map)
     seed = args.seed if args.seed is not None else cfg.seed
     if args.noiseless:
         seed = None
@@ -443,10 +460,7 @@ def cmd_stitch(args, cfg, out):
     tiles = []
     for value in args.tile:
         path, offset = _parse_tile_arg(value)
-        pmap = formats.read_field_map(path)
-        if not isinstance(pmap, PolarizedFieldMap):
-            raise ConfigError(f"{path} is not a polarized map")
-        tiles.append((pmap, offset))
+        tiles.append((_read_polarized_map(args, cfg, path), offset))
     if not tiles:
         raise ConfigError("stitch needs at least one --tile")
     composite = analysis.stitch(tiles, refine=args.refine)
@@ -490,24 +504,23 @@ def _line_cut_text(pmap):
 
 
 def cmd_report(args, cfg, out):
-    stem = _component_filename(cfg.transition)
-    map_path = os.path.join(args.output, f"{cfg.name}.{stem}.fmap")
-    if not os.path.isfile(map_path):
-        raise ConfigError(f"field map {map_path} not found; run simulate "
-                          "first")
-    pmap = formats.read_field_map(map_path)
+    pmap = _read_polarized_map(args, cfg)
     report = {"scenario": cfg.name, "component": cfg.transition,
               "version": __version__}
+    rows = [("scenario", cfg.name), ("component", cfg.transition)]
 
     positive = pmap.values[pmap.values > 0]
-    report["field_stats"] = {
+    stats = report["field_stats"] = {
         "min_ut": float(positive.min()) * 1e6 if positive.size else 0.0,
         "median_ut": float(np.median(pmap.values)) * 1e6,
         "max_ut": float(pmap.values.max()) * 1e6,
     }
+    rows += [(f"field {key}", f"{stats[key + '_ut']:.3f} uT")
+             for key in ("min", "median", "max")]
     if positive.size:
-        report["dynamic_range_db"] = analysis.dynamic_range_db(
+        db = report["dynamic_range_db"] = analysis.dynamic_range_db(
             float(positive.min()), float(pmap.values.max()))
+        rows.append(("dynamic range", f"{db:.2f} dB"))
 
     cut_text, j_mid = _line_cut_text(pmap)
     cut_name = f"{cfg.name}.linecut.txt"
@@ -516,17 +529,18 @@ def cmd_report(args, cfg, out):
     report["line_cut"] = {"path": cut_name, "row_index": j_mid,
                           "columns": ["position_um", "field_ut"]}
 
-    settings = _check_report(cfg.report or {}, cfg.dt_ns, cfg.device_doc)
-    if "p_in_dbm" in settings:
-        p_in, z = settings["p_in_dbm"], settings["impedance_ohm"]
-        current = settings["current"]
+    if "p_in_dbm" in cfg.report:
+        p_in, z = cfg.report["p_in_dbm"], cfg.report["impedance_ohm"]
+        current = cfg.report["current"]
         p_sim, loss = analysis.insertion_loss_db(p_in, current, z)
         report["insertion_loss"] = {
             "p_in_dbm": p_in, "current_a": current, "impedance_ohm": z,
             "p_sim_dbm": p_sim, "loss_db": loss}
+        rows += [("p_sim", f"{p_sim:.2f} dBm"),
+                 ("insertion loss", f"{loss:.2f} dB")]
 
-    if "sensitivity" in settings:
-        n_rep = settings["sensitivity"]
+    if "sensitivity" in cfg.report:
+        n_rep = cfg.report["sensitivity"]
         base_seed = (cfg.seed if cfg.seed is not None else 0) + 1000
         cubes = [acquisition.simulate_cube(pmap, cfg.dt_ns, cfg.pulse,
                                            decay=cfg.decay,
@@ -536,9 +550,11 @@ def cmd_report(args, cfg, out):
         report["sensitivity"] = {"n_repeats": n_rep,
                                  "t_per_sqrt_hz": sens,
                                  "ut_per_sqrt_hz": sens * 1e6}
+        rows.append(("sensitivity", f"{sens * 1e6:.4f} uT/sqrt(Hz)"))
 
     if cfg.trap is not None:
-        trap = analysis.characterize_trap(pmap, **_check_trap(cfg.trap))
+        trap = analysis.characterize_trap(
+            pmap, **_check_trap(cfg.trap, cfg.grid))
         report["trap"] = {
             "position_px": list(trap.position_px),
             "position_um": [v * 1e6 for v in trap.position_m],
@@ -546,33 +562,13 @@ def cmd_report(args, cfg, out):
             # 1 T/m equals 1 uT/um, so the numbers carry over directly
             "gradients_ut_per_um": dict(trap.gradients),
         }
+        rows.append(("trap minimum", f"{trap.value * 1e6:.3f} uT at px "
+                     f"{tuple(trap.position_px)}"))
 
     out(f"{cfg.name}.report.json", _write_json, report)
-
-    text_lines = [f"scenario        {cfg.name}",
-                  f"component       {cfg.transition}",
-                  f"field min       {report['field_stats']['min_ut']:.3f} uT",
-                  f"field median    {report['field_stats']['median_ut']:.3f}"
-                  " uT",
-                  f"field max       {report['field_stats']['max_ut']:.3f} uT"]
-    if "dynamic_range_db" in report:
-        text_lines.append(
-            f"dynamic range   {report['dynamic_range_db']:.2f} dB")
-    if "insertion_loss" in report:
-        il = report["insertion_loss"]
-        text_lines.append(f"p_sim           {il['p_sim_dbm']:.2f} dBm")
-        text_lines.append(f"insertion loss  {il['loss_db']:.2f} dB")
-    if "sensitivity" in report:
-        text_lines.append(f"sensitivity     "
-                          f"{report['sensitivity']['ut_per_sqrt_hz']:.4f}"
-                          " uT/sqrt(Hz)")
-    if "trap" in report:
-        tr = report["trap"]
-        text_lines.append(f"trap minimum    {tr['field_ut']:.3f} uT at px "
-                          f"{tuple(tr['position_px'])}")
-    out(f"{cfg.name}.report.txt", formats.atomic_write_bytes,
-        ("\n".join(text_lines) + "\n").encode())
-    print("\n".join(text_lines))
+    text = "".join(f"{label:<16}{value}\n" for label, value in rows)
+    out(f"{cfg.name}.report.txt", formats.atomic_write_bytes, text.encode())
+    print(text, end="")
     return EXIT_OK
 
 

@@ -238,6 +238,8 @@ def _build_omega_loop(params, path):
     max_chord = read("max_chord", default=r / 16.0)
     if not 0 < gap < 2 * r:
         raise ValueError("omega gap must be in (0, 2 radius)")
+    if lead <= 0:
+        raise ConfigError(f"{path}.lead_length must be positive, got {lead!r}")
     # gap centered at the bottom of the circle; chord between the arc
     # endpoints equals the gap
     phi = math.asin(gap / (2.0 * r))
@@ -375,7 +377,7 @@ def model_from_spec(doc):
       that return its current split left/right by ground_split
     - segments: segments, a list of {start, end, current}
     - omega-loop: radius, gap, current [, lead_length 2 radius,
-      center [0, 0, 0], max_chord radius / 16]
+      center [0, 0, 0], max_chord radius / 16]; lead_length > 0
     - meander: n_turns, leg, pitch, current [, origin [0, 0, 0]]
     - interdigital: n_fingers, finger_length, pitch, gap, current
       [, origin [0, 0, 0]]

@@ -212,6 +212,10 @@ def test_stream_out_of_range_exits_2_at_load(tmp_path, capsys, key, message):
     ({"trap": {"arm_px": 0}}, "trap.arm_px"),
     ({"trap": {"arm_px": -5}}, "trap.arm_px"),
     ({"trap": {"search_region_px": 5}}, "trap.search_region_px"),
+    ({"trap": {"search_region_px": [[-1, 5], [0, 8]]}},
+     "trap.search_region_px must lie within"),
+    ({"trap": {"search_region_px": [[5, 5], [0, 8]]}},
+     "trap.search_region_px must lie within"),
     ({"nv": {**MINI["nv"], "tilt_plane": 5}}, "nv.tilt_plane"),
     ({"stream": {"dt_mw_ns": 30, "rows": 50, "schedule": [[5, "on"]],
                  "row_time_us": "x"}}, "stream.row_time_us"),
@@ -246,6 +250,36 @@ def test_malformed_sensitivity_exits_2_at_load(tmp_path, capsys, sensitivity,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scenario, section, key, value, message", [
+    ("cpw-fig2", "report", "impedance_ohm", -50,
+     "report.impedance_ohm must be positive"),
+    ("cpw-fig2", "report", "impedance_ohm", 0,
+     "report.impedance_ohm must be positive"),
+    ("cpw-fig2", "report", "current_a", 0,
+     "report.p_in_dbm needs a positive drive current"),
+    ("cpw-fig2", "report", "current_ma", -50,
+     "report.p_in_dbm needs a positive drive current"),
+    ("cpw-fig2", "device", "current_ma", 0,
+     "report.p_in_dbm needs a positive drive current"),
+    ("trap-fig4-xz", "trap", "search_region_px", [[0, 500], [0, 40]],
+     "trap.search_region_px must lie within the 151x98 grid"),
+])
+def test_settings_against_the_physics_exit_2_at_load(
+        tmp_path, capsys, scenario, section, key, value, message):
+    # these used to pass simulate and fail report with an unnamed error
+    doc = json.loads(cli.resolve_config_source(scenario))
+    (doc["device"]["params"] if section == "device" else doc[section])[
+        key] = value
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_scenario(str(path))
+    out = tmp_path / "out"
+    assert run("simulate", "--config", path, "-o", out) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sensitivity_without_scan_exits_2_at_load(tmp_path, capsys):
     doc = json.loads(json.dumps(MINI))
     del doc["scan"]
@@ -259,12 +293,31 @@ def test_sensitivity_without_scan_exits_2_at_load(tmp_path, capsys):
     assert "report.sensitivity" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("sensitivity", [
-    {}, {"n_repeats": 10, "envelope": "single"},
-    {"n_repeats": 25, "envelope": "double"}])
-def test_wellformed_sensitivity_loads(tmp_path, sensitivity):
+@pytest.mark.parametrize("sensitivity, n_repeats", [
+    ({}, 10), ({"n_repeats": 10, "envelope": "single"}, 10),
+    ({"n_repeats": 25, "envelope": "double"}, 25)])
+def test_wellformed_sensitivity_loads(tmp_path, sensitivity, n_repeats):
     path = write_scenario(tmp_path, report={"sensitivity": sensitivity})
-    assert load_scenario(path).report["sensitivity"] == sensitivity
+    assert load_scenario(path).report == {"impedance_ohm": 50.0,
+                                          "sensitivity": n_repeats}
+
+
+def test_report_settings_default_without_a_section(tmp_path):
+    assert load_scenario(write_scenario(tmp_path)).report == {
+        "impedance_ohm": 50.0}
+
+
+def test_report_settings_are_checked_once_per_command(tmp_path,
+                                                      monkeypatch):
+    calls = []
+    check = cli._check_report
+    monkeypatch.setattr(cli, "_check_report",
+                        lambda *a: calls.append(a) or check(*a))
+    path = write_scenario(tmp_path, report={"p_in_dbm": 22.6})
+    for command in ("simulate", "report"):
+        calls.clear()
+        assert run(command, "--config", path, "-o", tmp_path) == 0
+        assert len(calls) == 1, command
 
 
 def test_report_section_must_be_an_object(tmp_path):
@@ -669,6 +722,16 @@ def test_fit_tags_the_map_with_the_cube_component(tmp_path):
     # the component comes from the cube, never from an option
     with pytest.raises(SystemExit):
         run("fit", "--cube", cube, "-o", out, "--component", "sigma-")
+
+
+def test_verify_names_a_missing_output(tmp_path, capsys):
+    cfg = write_scenario(tmp_path)
+    out = tmp_path / "out"
+    assert run("simulate", "--config", cfg, "-o", out) == 0
+    (out / "mini-strip.sigma_plus.pgm").unlink()
+    assert run("simulate", "--config", cfg, "-o", out, "--verify") == 4
+    assert ("verification failed: missing: mini-strip.sigma_plus.pgm"
+            in capsys.readouterr().err)
 
 
 def test_verify_without_manifest(tmp_path):
@@ -1098,7 +1161,8 @@ def test_p_in_dbm_without_drive_current_exits_2_at_load(tmp_path, capsys):
     assert not out.exists()
     path = write_scenario(tmp_path, device=device("segments"),
                           report={"p_in_dbm": 22.6, "current_ma": 30})
-    assert load_scenario(path).report == {"p_in_dbm": 22.6, "current": 0.03}
+    assert load_scenario(path).report == {
+        "impedance_ohm": 50.0, "p_in_dbm": 22.6, "current": 0.03}
     assert run("simulate", "--config", path, "-o", out) == 0
     assert run("report", "--config", path, "-o", out) == 0
     with open(out / "mini-strip.report.json") as fh:
@@ -1260,6 +1324,36 @@ def test_acquire_rejects_phasor_map(pipeline, tmp_path):
     outdir, cfg = pipeline
     assert run("acquire", "--config", cfg, "-o", tmp_path, "--field-map",
                outdir / "mini-strip.phasor.fmap") == 2
+
+
+@pytest.mark.parametrize("fault", ["missing", "phasor"])
+@pytest.mark.parametrize("command", ["acquire", "acquire --field-map",
+                                     "stitch", "report"])
+def test_polarized_input_errors_exit_2_naming_the_path(
+        pipeline, tmp_path, capsys, command, fault):
+    # every command reads its polarized map through one reader; report on
+    # a phasor map used to escape main as a TypeError
+    outdir, cfg = pipeline
+    out = tmp_path / "out"
+    out.mkdir()
+    target = out / "mini-strip.sigma_minus.fmap"
+    if fault == "phasor":
+        shutil.copy(outdir / "mini-strip.phasor.fmap", target)
+    argv = {"acquire": ["--config", cfg],
+            "acquire --field-map": ["--config", cfg, "--field-map", target],
+            "stitch": ["--tile", f"{target}:0,0"],
+            "report": ["--config", cfg]}[command]
+    assert run(command.split()[0], *argv, "-o", out) == 2
+    err = capsys.readouterr().err
+    if fault == "missing":
+        hint = "" if command in ("stitch", "acquire --field-map") else (
+            "; run simulate first")
+        assert f"error: field map {target} not found{hint}\n" == err
+    else:
+        assert (f"error: {target} holds a phasor map, not a polarized "
+                "amplitude map\n") == err
+    assert sorted(os.listdir(out)) == (
+        [target.name] if fault == "phasor" else [])
 
 
 def test_fit_corrupt_cube(tmp_path):

@@ -302,6 +302,26 @@ def test_bad_segments_exit_2_naming_the_field(tmp_path, capsys, segments,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lead_um", [-50, 0])
+def test_omega_lead_must_be_positive(tmp_path, capsys, lead_um):
+    # a negative lead used to fold back inside the loop and pass simulate;
+    # a zero lead failed only as "model contains zero-length segments"
+    message = "device.params.lead_length must be positive"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        cur.model_from_spec({"kind": "omega-loop", "params": {
+            "radius": 1.2e-4, "gap": 4e-5, "current": 0.04,
+            "lead_length": lead_um * 1e-6}})
+    scenario = json.loads((resources.files("nvscope.scenarios")
+                           / "omega-fig3.json").read_text())
+    scenario["device"]["params"]["lead_length_um"] = lead_um
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "-o", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bundled_devices_build():
     # meander-fig3 and interdigital-fig3 give a 2-D origin_um: the error
     # names the field, and the same device with a zero z builds

@@ -572,6 +572,21 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     assert os.listdir(tmp_path) == ["out.bin"]
 
 
+def test_atomic_write_failing_mid_file_leaves_nothing(tmp_path):
+    # the second part is no buffer, so its write raises after the first
+    # part reached the temp file
+    path = tmp_path / "out.bin"
+    with pytest.raises(TypeError):
+        atomic_write_bytes(path, b"head", object())
+    assert os.listdir(tmp_path) == []
+    # an existing target keeps its bytes
+    path.write_bytes(b"old")
+    with pytest.raises(TypeError):
+        atomic_write_bytes(path, b"head", object())
+    assert os.listdir(tmp_path) == ["out.bin"]
+    assert path.read_bytes() == b"old"
+
+
 def test_sha256_file_matches_hashlib(tmp_path):
     path = tmp_path / "blob.bin"
     data = os.urandom(5000)
