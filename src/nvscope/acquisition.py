@@ -87,8 +87,11 @@ class DecayParams:
 
 
 def rabi_omega(b_polarized):
-    """Angular Rabi frequency in rad/ns for a field amplitude in teslas."""
-    return 2.0 * math.pi * GAMMA_NV * 1e-9 * np.asarray(b_polarized, dtype=float)
+    """Angular Rabi frequency (rad/ns) of non-negative fields in teslas."""
+    b = np.asarray(b_polarized, dtype=float)
+    if np.any(b < 0):
+        raise ValueError("field amplitudes must be non-negative")
+    return 2.0 * math.pi * GAMMA_NV * 1e-9 * b
 
 
 def contrast_at(b_polarized, dt_mw_ns, decay, c0, out=None):
@@ -98,15 +101,16 @@ def contrast_at(b_polarized, dt_mw_ns, decay, c0, out=None):
     (shape dt.shape + b.shape) receives the contrast at dt[k], computed
     in place with no temporary of out's size; out is returned.
     """
-    b = np.asarray(b_polarized, dtype=float)
+    return _contrast(rabi_omega(b_polarized), dt_mw_ns, decay, c0, out)
+
+
+def _contrast(omega, dt_mw_ns, decay, c0, out=None):
+    """contrast_at for the Rabi frequencies omega (rad/ns) of a field."""
     dt = np.asarray(dt_mw_ns, dtype=float)
-    if np.any(b < 0):
-        raise ValueError("field amplitudes must be non-negative")
     if np.any(dt < 0):
         raise ValueError("pulse durations must be non-negative")
     if out is not None:
-        dt = dt.reshape(dt.shape + (1,) * b.ndim)
-    omega = rabi_omega(b)
+        dt = dt.reshape(dt.shape + (1,) * omega.ndim)
     # c0 * env(dt) * sin(omega dt / 2)^2, each step into out when given
     phase = np.divide(np.multiply(omega, dt, out=out), 2.0, out=out)
     sin2 = np.square(np.sin(phase, out=out), out=out)
@@ -221,7 +225,7 @@ class ImageCube:
         return self.frames[:, i, j]
 
 
-# Float64 contrast values per contrast_at call while a cube is filled,
+# Float64 contrast values per _contrast call while a cube is filled,
 # and the frame size from which frames are filled on a thread pool.
 # The ideal contrast and the noise are computed in float64 and each frame
 # is stored once into the float32 result, so the float64 values are held
@@ -283,6 +287,7 @@ def simulate_cube(bmap, dt_list_ns, pulse, decay, seed=None):
     rounded to float32.
     """
     dt_list_ns = np.asarray(dt_list_ns, dtype=float)
+    omega = rabi_omega(bmap.values)  # checked and computed once per cube
     shape = bmap.values.shape
     frames = np.empty((len(dt_list_ns),) + shape, dtype=np.float32)
     step = max(1, CUBE_CHUNK // bmap.values.size)
@@ -292,8 +297,8 @@ def simulate_cube(bmap, dt_list_ns, pulse, decay, seed=None):
         ideal = np.empty((min(step, k1 - k0),) + shape)
         for k in range(k0, k1, step):
             dts = dt_list_ns[k:min(k + step, k1)]
-            yield from contrast_at(bmap.values, dts, decay, pulse.c0,
-                                   out=ideal[:len(dts)])
+            yield from _contrast(omega, dts, decay, pulse.c0,
+                                 out=ideal[:len(dts)])
 
     _fill_frames(frames, ideals, pulse.counts_ref, seed)
     return ImageCube(grid=bmap.grid, dt_ns=dt_list_ns, frames=frames,

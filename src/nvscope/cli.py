@@ -49,10 +49,11 @@ import numpy as np
 from nvscope import __version__, acquisition, analysis, currents, formats
 from nvscope.acquisition import CameraTiming, DecayParams, PulseParams
 from nvscope.fieldcore import (ConfigError, SensingLayer, TRANSITIONS,
-                               bias_field_for_frequency, boolean, build,
-                               convert_units, converter, field, flip_axis,
-                               given, integer, number, number_fields,
-                               nv_frame_from_tilt, obj, one_of, param, string)
+                               at_least, bias_field_for_frequency, boolean,
+                               build, convert_units, converter, field,
+                               flip_axis, given, integer, non_negative,
+                               number, number_fields, nv_frame_from_tilt,
+                               obj, one_of, param, positive, string)
 from nvscope.nearfield import (GridSpec, PolarizedFieldMap,
                                SegmentProximityError, evaluate_phasor_map,
                                project_polarization)
@@ -122,7 +123,6 @@ _region = converter("[[i0, i1], [j0, j1]] in pixels", lambda v: (
     and all(isinstance(row, list) and len(row) == 2
             and all(type(i) is int for i in row) for row in v)),
     lambda v: tuple(map(tuple, v)))
-_arm = converter("an integer >= 1", lambda v: type(v) is int and v >= 1)
 
 
 def _check_report(rdoc, dt_ns, device_doc):
@@ -130,12 +130,9 @@ def _check_report(rdoc, dt_ns, device_doc):
     at load into ScenarioConfig.report. With p_in_dbm, current is
     report.current or else the device's drive current, and positive."""
     read = functools.partial(param, rdoc, "report")
-    out = {"impedance_ohm": read("impedance_ohm", default=50.0),
+    out = {"impedance_ohm": read("impedance_ohm", positive, default=50.0),
            **given(rdoc, "report", p_in_dbm=("p_in_dbm", number),
                    current=("current", number))}
-    if out["impedance_ohm"] <= 0:
-        raise ConfigError(f"report.impedance_ohm must be positive, got "
-                          f"{out['impedance_ohm']!r}")
     if "p_in_dbm" in out:
         if "current" not in out:
             out["current"] = currents.drive_current_a(device_doc)
@@ -145,15 +142,10 @@ def _check_report(rdoc, dt_ns, device_doc):
                               f"device, got {out['current']!r}")
     if "sensitivity" not in rdoc:
         return out
-    path = "report.sensitivity"
-    sdoc = read("sensitivity", obj)
-    n_rep = param(sdoc, path, "n_repeats", integer, default=10)
-    if n_rep < 10:
-        raise ConfigError(f"{path}.n_repeats must be an integer >= 10, "
-                          f"got {n_rep!r}")
+    out["sensitivity"] = param(read("sensitivity", obj), "report.sensitivity",
+                               "n_repeats", at_least(10), default=10)
     if dt_ns is None:
-        raise ConfigError(f"{path} needs a scan section")
-    out["sensitivity"] = n_rep
+        raise ConfigError("report.sensitivity needs a scan section")
     return out
 
 
@@ -161,7 +153,7 @@ def _check_trap(tdoc, grid):
     """characterize_trap keyword arguments for the keys the trap section
     sets; the others keep characterize_trap's defaults. A search region
     lies within the grid."""
-    kwargs = given(tdoc, "trap", arm=("arm_px", _arm),
+    kwargs = given(tdoc, "trap", arm=("arm_px", at_least(1)),
                    search_region=("search_region_px", _region))
     (i0, i1), (j0, j1) = kwargs.get("search_region",
                                     ((0, grid.nx), (0, grid.ny)))
@@ -211,21 +203,15 @@ def load_scenario(value):
     dt_ns = None
     if "scan" in si:
         s = functools.partial(param, read("scan", obj), "scan")
-        start, step = s("dt_start_ns"), s("dt_step_ns")
-        n = s("n_steps", integer)
-        if step <= 0 or n < 1 or start < 0:
-            raise ConfigError("scan: dt_start_ns >= 0, dt_step_ns > 0 and "
-                              "n_steps >= 1 required")
-        dt_ns = start + step * np.arange(n)
+        start, step = s("dt_start_ns", non_negative), s("dt_step_ns", positive)
+        dt_ns = start + step * np.arange(s("n_steps", at_least(1)))
 
     stream, timing = read("stream", obj, None), None
     if stream is not None:
         st = functools.partial(param, stream, "stream")
-        st("dt_mw_ns"), st("schedule", acquisition.check_schedule)
-        rows = st("rows", integer)
-        if rows < 1:
-            raise ConfigError(f"stream.rows must be an integer >= 1, got "
-                              f"{rows!r}")
+        st("dt_mw_ns", non_negative)
+        st("schedule", acquisition.check_schedule)
+        st("rows", at_least(1))
         timing = formats.timing_from_doc(stream, "stream")
 
     device = read("device", obj)
@@ -410,8 +396,7 @@ def cmd_acquire(args, cfg, out):
 
 def cmd_fit(args, cfg, out):
     base = _cube_stem(args, cfg)
-    if args.threads < 1:
-        raise ConfigError(f"--threads must be at least 1, got {args.threads}")
+    field(args.threads, "--threads", at_least(1))
     cube = formats.read_cube(args.cube)
     fmap, results = analysis.fit_cube(
         cube, analysis.FitConfig(envelope_mode=ENVELOPES[args.envelope]),
@@ -623,8 +608,9 @@ def build_parser():
     p.add_argument("--refine", action="store_true",
                    help="refine offsets by cross-correlation")
     p.add_argument("--name", default="stitched",
-                   help="output base name")
-    p.set_defaults(func=cmd_stitch, base=lambda args, cfg: args.name)
+                   help="output base name, a bare file stem")
+    p.set_defaults(func=cmd_stitch, base=lambda args, cfg: field(
+        args.name, "--name", _file_stem))
 
     p = sub.add_parser("contours", help="iso-amplitude ridges of a frame")
     common(p, config=False)

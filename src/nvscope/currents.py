@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nvscope.fieldcore import (ConfigError, _as_vec3, field, integer, lst,
-                               number, numbers, obj, param, string, vec3)
+from nvscope.fieldcore import (ConfigError, _as_vec3, at_least, field, lst,
+                               number, numbers, obj, one_of, param, positive,
+                               vec3)
 
 _pair = numbers(2)
 
@@ -133,14 +134,6 @@ def _filaments(centerline, width, current, profile, n_filaments):
     per equal-width transverse bin, at its midpoint and carrying the
     profile integrated over the bin: the total current is preserved
     whatever the profile. Segments run filament by filament."""
-    if np.any(np.all(np.diff(centerline, axis=0) == 0, axis=1)):
-        raise ValueError("centerline has repeated consecutive points")
-    if width <= 0:
-        raise ValueError("strip width must be positive")
-    if n_filaments < 1:
-        raise ValueError("n_filaments must be >= 1")
-    if profile not in PROFILES:
-        raise ValueError(f"profile must be one of {PROFILES}, got {profile!r}")
     if profile == UNIFORM:
         weights = np.full(n_filaments, 1.0 / n_filaments)
     else:
@@ -153,34 +146,35 @@ def _filaments(centerline, width, current, profile, n_filaments):
 
 
 def _centerline(value):
-    """A list of at least two 3D points, as an (n, 3) array."""
+    """At least two 3D points, none repeated next, as an (n, 3) array."""
     if len(lst(value)) < 2:
         raise ValueError(f"must list at least two 3D points, got {value!r}")
-    return np.array([vec3(point) for point in value])
+    points = np.array([vec3(point) for point in value])
+    if np.any(np.all(points[1:] == points[:-1], axis=1)):
+        raise ValueError(f"must not repeat a point, got {value!r}")
+    offset_polyline(points, 0.0)  # raises where the line doubles back
+    return points
 
 
 def _build_strip(params, path):
     read = functools.partial(param, params, path)
-    return _filaments(read("centerline", _centerline), read("width"),
-                      read("current", _as_current),
-                      read("profile", string, default=UNIFORM),
-                      read("n_filaments", integer, default=32))
+    return _filaments(read("centerline", _centerline),
+                      read("width", positive), read("current", _as_current),
+                      read("profile", one_of(PROFILES), default=UNIFORM),
+                      read("n_filaments", at_least(1), default=32))
 
 
 def _build_cpw(params, path):
     read = functools.partial(param, params, path)
-    dims = {name: read(name)
-            for name in ("signal_width", "gap", "ground_width", "length")}
+    dims = ("signal_width", "gap", "ground_width", "length")
+    signal_width, gap, ground_width, length = (read(k, positive) for k in dims)
     current = read("current", _as_current)
     left, right = read("ground_split", _pair, default=(0.5, 0.5))
-    profile = read("profile", string, default=EDGE)
-    n_filaments = read("n_filaments", integer, default=32)
-    for name, value in dims.items():
-        if value <= 0:
-            raise ValueError(f"{name} must be positive")
+    profile = read("profile", one_of(PROFILES), default=EDGE)
+    n_filaments = read("n_filaments", at_least(1), default=32)
     if abs((left + right) - 1.0) > 1e-12:
-        raise ValueError("ground_split fractions must sum to 1")
-    signal_width, gap, ground_width, length = dims.values()
+        raise ConfigError(f"{path}.ground_split must sum to 1, got "
+                          f"{[left, right]}")
     half_len = length / 2.0
     x_ground = signal_width / 2.0 + gap + ground_width / 2.0
     # (x, width, current) of the signal strip and the left and right ground
@@ -230,16 +224,14 @@ def arc_points(center, radius, a_start, a_end, max_chord):
 
 def _build_omega_loop(params, path):
     read = functools.partial(param, params, path)
-    r = read("radius")
-    gap = read("gap")
+    r = read("radius", positive)
+    gap = read("gap", positive)
     current = read("current", _as_current)
-    lead = read("lead_length", default=2.0 * r)
+    lead = read("lead_length", positive, default=2.0 * r)
     center = read("center", vec3, default=np.zeros(3))
-    max_chord = read("max_chord", default=r / 16.0)
-    if not 0 < gap < 2 * r:
-        raise ValueError("omega gap must be in (0, 2 radius)")
-    if lead <= 0:
-        raise ConfigError(f"{path}.lead_length must be positive, got {lead!r}")
+    max_chord = read("max_chord", positive, default=r / 16.0)
+    if gap >= 2 * r:
+        raise ConfigError(f"{path}.gap must be below 2 radius, got {gap}")
     # gap centered at the bottom of the circle; chord between the arc
     # endpoints equals the gap
     phi = math.asin(gap / (2.0 * r))
@@ -253,13 +245,11 @@ def _build_omega_loop(params, path):
 
 def _build_meander(params, path):
     read = functools.partial(param, params, path)
-    n = read("n_turns", integer)
-    leg = read("leg")
-    pitch = read("pitch")
+    n = read("n_turns", at_least(1))
+    leg = read("leg", positive)
+    pitch = read("pitch", positive)
     current = read("current", _as_current)
     origin = read("origin", vec3, default=np.zeros(3))
-    if n < 1 or leg <= 0 or pitch <= 0:
-        raise ValueError("meander needs n_turns >= 1 and positive dimensions")
     # n alternating legs with jogs between, half-pitch leads at both
     # ends: total length is exactly n * (leg + pitch)
     pts = [(0.0, 0.0), (pitch / 2.0, 0.0)]
@@ -277,15 +267,14 @@ def _build_meander(params, path):
 
 def _build_interdigital(params, path):
     read = functools.partial(param, params, path)
-    n = read("n_fingers", integer)
-    length = read("finger_length")
-    pitch = read("pitch")
-    gap = read("gap")
+    n = read("n_fingers", at_least(2))
+    length = read("finger_length", positive)
+    pitch = read("pitch", positive)
+    gap = read("gap", positive)
     current = read("current", _as_current)
     origin = read("origin", vec3, default=np.zeros(3))
-    if n < 2 or length <= 0 or pitch <= 0 or gap <= 0 or gap >= length:
-        raise ValueError("interdigital needs n_fingers >= 2, positive "
-                         "dimensions and gap < finger_length")
+    if gap >= length:
+        raise ConfigError(f"{path}.gap must be below finger_length, got {gap}")
     # Even fingers hang from the bottom bus (y=0), odd fingers from the
     # top bus (y = length + gap); conduction current runs +y through
     # every finger and the tips are open (the return closes as
@@ -324,13 +313,14 @@ def _build_interdigital(params, path):
 
 def _build_two_ring_trap(params, path):
     read = functools.partial(param, params, path)
-    r_in = read("radius_inner")
-    r_out = read("radius_outer")
+    r_in = read("radius_inner", positive)
+    r_out = read("radius_outer", positive)
     current = read("current", _as_current)
     center = read("center", vec3, default=np.zeros(3))
-    max_chord = read("max_chord", default=r_in / 16.0)
-    if not 0 < r_in < r_out:
-        raise ValueError("two-ring trap needs 0 < radius_inner < radius_outer")
+    max_chord = read("max_chord", positive, default=r_in / 16.0)
+    if r_in >= r_out:
+        raise ConfigError(f"{path}.radius_inner must be below radius_outer, "
+                          f"got {r_in}")
     rings = []
     for r, i in ((r_in, current), (r_out, -current)):
         pts = arc_points(center, r, 0.0, 2.0 * math.pi, max_chord)
@@ -365,27 +355,29 @@ def model_from_spec(doc):
     The document is {"kind": ..., "params": {...}} with dimensions in
     meters and currents as [re, im] ampere pairs (bare reals accepted),
     or {"devices": [...]} to superpose several such entries. Values are
-    JSON numbers, and the counts n_filaments, n_turns and n_fingers JSON
-    integers. The kinds' params, optional ones in brackets with their
-    defaults:
+    JSON numbers, every dimension positive, and the counts n_filaments,
+    n_turns (both >= 1) and n_fingers (>= 2) JSON integers. The kinds'
+    params, optional ones in brackets with their defaults:
 
-    - strip: centerline (z-plane points), width, current [, profile
-      "uniform" (or "edge", crowded to the edges), n_filaments 32]
+    - strip: centerline (z-plane points, none repeated next, not doubling
+      back), width, current [, profile "uniform" (or "edge", crowded to
+      the edges), n_filaments 32]
     - cpw: signal_width, gap, ground_width, length, current
       [, ground_split [0.5, 0.5], profile "edge", n_filaments 32]; the
       signal strip runs along y on x = 0, z = 0, between the grounds
-      that return its current split left/right by ground_split
+      that return its current split left/right by ground_split (sum 1)
     - segments: segments, a list of {start, end, current}
-    - omega-loop: radius, gap, current [, lead_length 2 radius,
-      center [0, 0, 0], max_chord radius / 16]; lead_length > 0
+    - omega-loop: radius, gap (below 2 radius), current [, lead_length
+      2 radius, center [0, 0, 0], max_chord radius / 16]
     - meander: n_turns, leg, pitch, current [, origin [0, 0, 0]]
-    - interdigital: n_fingers, finger_length, pitch, gap, current
-      [, origin [0, 0, 0]]
-    - two-ring-trap: radius_inner, radius_outer, current [, center
-      [0, 0, 0], max_chord radius_inner / 16]; opposite ring currents
+    - interdigital: n_fingers, finger_length, pitch, gap (below
+      finger_length), current [, origin [0, 0, 0]]
+    - two-ring-trap: radius_inner (below radius_outer), radius_outer,
+      current [, center [0, 0, 0], max_chord radius_inner / 16];
+      opposite ring currents
 
-    A missing or ill-typed value raises ConfigError naming its field, as
-    device.params.width or device.devices[1].params.radius.
+    A missing, ill-typed or out-of-range value raises ConfigError naming
+    its field, as device.params.width or device.devices[1].params.radius.
     """
     models = []
     for path, kind, params in _devices(doc):

@@ -95,6 +95,22 @@ vec3 = numbers(3)
 vec3_pair = converter("two vectors", lambda v: (
     isinstance(v, list) and len(v) == 2), lambda v: tuple(map(vec3, v)))
 
+
+def within(convert, what, test):
+    """convert(value), which checks the type first, if test holds for it."""
+    in_range = converter(what, test)
+    return lambda value: in_range(convert(value))
+
+
+def at_least(k):
+    """Converter passing a JSON integer of at least k."""
+    return within(integer, f"an integer >= {k}", lambda v: v >= k)
+
+
+positive = within(number, "positive", lambda v: v > 0)
+non_negative = within(number, "non-negative", lambda v: v >= 0)
+
+
 _REQUIRED = object()
 
 

@@ -486,8 +486,19 @@ class TestFramePool:
                                         acq.PulseParams().counts_ref, seed,
                                         k).astype(np.float32))
 
+    def test_a_negative_field_fails_before_any_pool(self, monkeypatch,
+                                                    pool_sizes):
+        # the field is checked once per cube, not in every job
+        bmap = random_bmap(*POOL_PX)
+        bmap.values[-1, -1] = -1e-6
+        monkeypatch.setattr(acq, "usable_cpus", lambda: 3)
+        with pytest.raises(ValueError,
+                           match="field amplitudes must be non-negative"):
+            acq.simulate_cube(bmap, np.arange(POOL_FRAMES) * 9.0,
+                              acq.PulseParams(), acq.DecayParams(), seed=7)
+        assert pool_sizes == []
+
     @pytest.mark.parametrize("field, dt_last, message", [
-        (-1e-6, 900.0, "field amplitudes must be non-negative"),
         (1e-6, -1.0, "pulse durations must be non-negative")])
     def test_a_job_error_reaches_the_caller(self, monkeypatch, pool_sizes,
                                             field, dt_last, message):

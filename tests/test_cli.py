@@ -263,6 +263,16 @@ def test_malformed_sensitivity_exits_2_at_load(tmp_path, capsys, sensitivity,
      "report.p_in_dbm needs a positive drive current"),
     ("trap-fig4-xz", "trap", "search_region_px", [[0, 500], [0, 40]],
      "trap.search_region_px must lie within the 151x98 grid"),
+    ("cpw-fig2", "scan", "dt_start_ns", -20,
+     "scan.dt_start_ns must be non-negative, got -20.0"),
+    ("cpw-fig2", "scan", "dt_step_ns", 0,
+     "scan.dt_step_ns must be positive, got 0.0"),
+    ("cpw-fig2", "scan", "dt_step_ns", -20,
+     "scan.dt_step_ns must be positive, got -20.0"),
+    ("cpw-fig2", "scan", "n_steps", 0,
+     "scan.n_steps must be an integer >= 1, got 0"),
+    ("pulse-train-fig5", "stream", "dt_mw_ns", -30,
+     "stream.dt_mw_ns must be non-negative, got -30.0"),
 ])
 def test_settings_against_the_physics_exit_2_at_load(
         tmp_path, capsys, scenario, section, key, value, message):
@@ -364,15 +374,16 @@ def test_device_current_extraction():
 DEVICE_PARAMS = {
     "strip": MINI["device"]["params"],
     "cpw": {"signal_width_um": 20, "gap_um": 10, "ground_width_um": 40,
-            "length_um": 200, "current_ma": 30},
+            "length_um": 200, "current_ma": 30, "n_filaments": 32},
     "segments": {"segments": [{"start_um": [-60, 0, 0], "end_um": [60, 0, 0],
                                "current_ma": 30}]},
-    "omega-loop": {"radius_um": 30, "gap_um": 10, "current_ma": 30},
+    "omega-loop": {"radius_um": 30, "gap_um": 10, "current_ma": 30,
+                   "lead_length_um": 60, "max_chord_um": 2},
     "meander": {"n_turns": 2, "leg_um": 40, "pitch_um": 20, "current_ma": 30},
     "interdigital": {"n_fingers": 3, "finger_length_um": 40, "pitch_um": 20,
                      "gap_um": 10, "current_ma": 30},
     "two-ring-trap": {"radius_inner_um": 20, "radius_outer_um": 40,
-                      "current_ma": 30},
+                      "current_ma": 30, "max_chord_um": 2},
 }
 
 
@@ -410,12 +421,49 @@ def test_every_device_kind_simulates(tmp_path, kind):
     ({"devices": 5}, "device.devices"),
     ({"devices": [device("strip"), device("omega-loop", drop=["radius_um"])]},
      "device.devices[1].params.radius"),
+    # out of range, and the rules that span two fields
+    (device("omega-loop", radius_um=-5), "device.params.radius must be"),
+    (device("omega-loop", gap_um=60),
+     "device.params.gap must be below 2 radius"),
+    (device("interdigital", gap_um=40),
+     "device.params.gap must be below finger_length"),
+    (device("two-ring-trap", radius_inner_um=40),
+     "device.params.radius_inner must be below radius_outer"),
+    (device("cpw", ground_split=[0.7, 0.4]),
+     "device.params.ground_split must sum to 1"),
+    (device("strip", centerline_um=[[-60, 0, 0], [60, 0, 0], [-60, 0, 0]]),
+     "device.params.centerline polyline doubles back"),
+    (device("strip", centerline_um=[[-60, 0, 0], [-60, 0, 0], [60, 0, 0]]),
+     "device.params.centerline must not repeat a point"),
+    (device("strip", profile="parabolic"), "device.params.profile must be"),
+    (device("cpw", profile="flat"), "device.params.profile must be"),
 ])
 def test_malformed_device_exits_2_naming_the_field(tmp_path, capsys, doc,
                                                    field):
     path = write_scenario(tmp_path, device=doc)
     assert run("simulate", "--config", path, "-o", tmp_path / "out") == 2
     assert field in capsys.readouterr().err
+
+
+# each scalar numeric device param but the current, at 0 and at -1
+OUT_OF_RANGE = [
+    pytest.param(kind, key, value, id=f"{kind}:{key}={value}")
+    for kind, params in DEVICE_PARAMS.items()
+    for key, default in params.items()
+    if key != "current_ma" and type(default) in (int, float)
+    for value in (0, -1)]
+
+
+@pytest.mark.parametrize("kind, key, value", OUT_OF_RANGE)
+def test_out_of_range_device_param_exits_2_naming_it(tmp_path, capsys, kind,
+                                                     key, value):
+    path = write_scenario(tmp_path, device=device(kind, **{key: value}))
+    out = tmp_path / "out"
+    assert run("simulate", "--config", path, "-o", out) == 2
+    stem = next(iter(convert_units({key: 0})))  # suffix stripped
+    assert re.search(rf"device\.params\.{stem}\b",
+                     capsys.readouterr().err)
+    assert not out.exists()
 
 
 # a well-formed meander in SI units; each case below spoils one param
@@ -1296,6 +1344,25 @@ def test_stitch_command(tmp_path):
 def test_stitch_bad_tile_argument(tmp_path):
     assert run("stitch", "-o", tmp_path, "--tile", "nonsense") == 2
     assert run("stitch", "-o", tmp_path) == 2
+
+
+@pytest.mark.parametrize("name", ["../escaped", "sub/combo", ".", ""])
+def test_stitch_name_leaving_the_output_dir_exits_2(tmp_path, capsys, name):
+    # the output dir sits one level down, so that an escaping name would
+    # still land inside tmp_path
+    tile = tmp_path / "tile.fmap"
+    grid = GridSpec(origin=np.zeros(3), axes=(np.array([1.0, 0.0, 0.0]),
+                                              np.array([0.0, 1.0, 0.0])),
+                    nx=6, ny=5, pitch=4e-6)
+    formats.write_field_map(str(tile), PolarizedFieldMap(
+        grid=grid, component="sigma-", values=np.full((6, 5), 1e-4)))
+    argv = ["stitch", "-o", tmp_path / "run" / "out", "--tile",
+            f"{tile}:0,0", "--name", name]
+    for extra in ([], ["--verify"]):
+        assert run(*argv, *extra) == 2
+        assert (f"--name must be a bare file stem, got {name!r}"
+                in capsys.readouterr().err)
+    assert sorted(tmp_path.rglob("*")) == [tile]
 
 
 def test_stitch_tiles_of_different_pitch_exit_2(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Frame construction, polarization decomposition and layer averaging."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -313,3 +314,41 @@ def test_usable_cpus_counts_the_cpus_this_process_may_run_on(monkeypatch):
     assert fc.usable_cpus() == 6
     monkeypatch.setattr(fc.os, "cpu_count", lambda: None)
     assert fc.usable_cpus() == 1
+
+
+
+# range converters: the range of each, and the type the value takes
+RANGES = [(fc.positive, float, [1e-9, 5, 2.5e3], [0, 0.0, -1e-12, -3],
+           "positive"),
+          (fc.non_negative, float, [0, 0.0, 1e-12, 7], [-1e-12, -5],
+           "non-negative"),
+          (fc.at_least(1), int, [1, 2, 10 ** 400], [0, -1],
+           "an integer >= 1"),
+          (fc.at_least(10), int, [10, 25], [9, 0, -10], "an integer >= 10")]
+
+
+@pytest.mark.parametrize("convert, cast, inside, outside, what", RANGES)
+def test_range_converters_pass_their_range_only(convert, cast, inside,
+                                                outside, what):
+    for value in inside:
+        assert convert(value) == value
+        assert type(convert(value)) is cast
+    for value in outside:
+        # the value as the reader holds it, in SI
+        with pytest.raises(ValueError, match=re.escape(
+                f"must be {what}, got {cast(value)!r}")):
+            convert(value)
+
+
+@pytest.mark.parametrize("convert, message, values", [
+    (fc.positive, "must be a number",
+     [True, math.nan, math.inf, 10 ** 400, -10 ** 400, "1", None, [1]]),
+    (fc.non_negative, "must be a number",
+     [False, True, math.nan, 10 ** 400, "0", None]),
+    (fc.at_least(1), "must be an integer",
+     [True, False, math.nan, 1.0, 2.5, "3", None])])
+def test_range_converters_check_the_type_first(convert, message, values):
+    # a bool, a NaN or an int beyond float range keeps the type's message
+    for value in values:
+        with pytest.raises(ValueError, match=f"^{message}, got "):
+            convert(value)
