@@ -1,15 +1,13 @@
 #!/usr/bin/env python3
 """Timing of the Biot-Savart field accumulation kernel.
 
-By default the kernel runs on one batch of random points against a
-random filament bundle. --scenario instead times evaluate_phasor_map on
-a bundled scenario with all of its layer heights, the path a forward
-map takes. Reports the best of --repeats runs in ms and Mpair/s
-(segment-point pairs per second; a map has one pair per segment, pixel
-and layer height).
+The kernel runs on one batch of random points against a random filament
+bundle. Reports the best of --repeats runs in ms and Mpair/s
+(segment-point pairs per second). A map's own number comes from its
+simulate manifest: pairs on the phasor map's entry over
+timings_s.field.
 
     python3 benchmarks/bench_field_kernel.py --segments 96 --points 20000
-    python3 benchmarks/bench_field_kernel.py --scenario cpw-fig2
 """
 
 import argparse
@@ -49,51 +47,18 @@ def run(workload, repeats):
     return best
 
 
-def run_scenario(cfg, model, repeats):
-    """(best map time, pairs, description) of a loaded scenario and its
-    device model."""
-    from nvscope.nearfield import evaluate_phasor_map
-
-    n_seg = model.starts.shape[0]
-    n_px = cfg.grid.nx * cfg.grid.ny
-    n_h = len(cfg.layer.heights())
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        evaluate_phasor_map(model, cfg.grid, cfg.layer)
-        best = min(best, time.perf_counter() - t0)
-    what = f"scenario {cfg.name}: {n_seg} segments x {n_px} px x {n_h} heights"
-    return best, n_seg * n_px * n_h, what
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--segments", type=int, default=96)
     parser.add_argument("--points", type=int, default=20000)
-    parser.add_argument("--scenario", metavar="NAME",
-                        help="time evaluate_phasor_map on a bundled scenario "
-                             "(--segments and --points unused)")
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
 
-    if args.scenario:
-        from nvscope.cli import load_scenario
-        from nvscope.currents import model_from_spec
-        try:
-            cfg = load_scenario(args.scenario)
-            model = model_from_spec(cfg.device_doc)
-        except ValueError as err:  # a ConfigError or a malformed device
-            parser.error(str(err))
-        t, pairs, what = run_scenario(cfg, model, args.repeats)
-        label = "field map"
-    else:
-        workload = make_workload(args.segments, args.points)
-        pairs = args.segments * args.points
-        t = run(workload, args.repeats)
-        what = f"workload: {args.segments} segments x {args.points} points"
-        label = "field kernel"
-    print(f"{what} ({pairs:.2e} pairs), best of {args.repeats}")
-    print(f"{label}: {t * 1e3:9.2f} ms ({pairs / t / 1e6:8.1f} Mpair/s)")
+    pairs = args.segments * args.points
+    t = run(make_workload(args.segments, args.points), args.repeats)
+    print(f"workload: {args.segments} segments x {args.points} points "
+          f"({pairs:.2e} pairs), best of {args.repeats}")
+    print(f"field kernel: {t * 1e3:9.2f} ms ({pairs / t / 1e6:8.1f} Mpair/s)")
 
 
 if __name__ == "__main__":

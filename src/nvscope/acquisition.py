@@ -48,8 +48,10 @@ class PulseParams:
     counts_ref: float = 1e4
 
     def __post_init__(self):
-        if self.laser_ns < 0 or self.wait_ns < 0:
-            raise ValueError("pulse durations must be non-negative")
+        for name, t in (("laser_ns", self.laser_ns),
+                        ("wait_ns", self.wait_ns)):
+            if t < 0:
+                raise ValueError(f"{name} must be non-negative, got {t!r}")
         n = self.n_shots
         if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
                 or n < 1):
@@ -72,8 +74,10 @@ class DecayParams:
     weight_fast: float = 0.5
 
     def __post_init__(self):
-        if not (self.tau_fast_ns > 0 and self.tau_slow_ns > 0):
-            raise ValueError("decay times must be positive")
+        for name, tau in (("tau_fast_ns", self.tau_fast_ns),
+                          ("tau_slow_ns", self.tau_slow_ns)):
+            if not tau > 0:
+                raise ValueError(f"{name} must be positive, got {tau!r}")
         if self.tau_fast_ns > self.tau_slow_ns:
             raise ValueError("tau_fast must not exceed tau_slow")
         if not 0 <= self.weight_fast <= 1:

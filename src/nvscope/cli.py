@@ -17,22 +17,26 @@ unchanged.
 
 main() hands every command to one stage runner, run_stage. It loads the
 scenario of a command with --config and either verifies the command's
-manifest (--verify) or runs the command body cmd_x(args, cfg, out),
-which only computes. The body hands each file to the output sink
+manifest (--verify) or runs the command body cmd_x(args, cfg, out,
+span), which only computes. The body hands each file to the output sink
 out(name, writer, *payload, **extra), which creates the output dir,
 calls writer(<output dir>/name, *payload), hashes the file and records
 it with the extras (a PGM also with its pgm_scale_t). The output dir
 is created only where a file is written, so a command that fails
-before its first output, or a --verify, creates none. After the body
-returns, the runner writes <base>.<command>.manifest.json, base being
-the scenario name, the cube's stem or --name: the outputs in the order
-written, their sha256 checksums, timings_s and the library versions.
+before its first output, or a --verify, creates none. `with
+span(layer):` adds the wall time of its block to timings_s[layer]; no
+span encloses an out() call, whose time goes to timings_s.outputs.
+After the body returns, the runner writes
+<base>.<command>.manifest.json, base being the scenario name, the
+cube's stem or --name: the outputs in the order written, their sha256
+checksums, timings_s and the library versions.
 
 Exit codes: 0 success, 2 config or input error, 3 numerical failure,
 4 verification failure.
 """
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -271,32 +275,36 @@ def _verify_manifest(outdir, base, command):
 
 def run_stage(args):
     """Verify, or run args.func and write its manifest; returns the
-    exit code. timings_s holds the body's wall time and the part of it
-    spent in the sink. A body that raises leaves no manifest.
+    exit code. timings_s holds the body's wall time (total), the part
+    of it spent in the sink (outputs) and each layer the body timed. A
+    body that raises leaves no manifest.
     """
     cfg = load_scenario(args.config) if "config" in args else None
     base = args.base(args, cfg)
     if args.verify:
         return _verify_manifest(args.output, base, args.command)
     outputs = []
-    spent = 0.0
+    timings = {"outputs": 0.0}
+
+    @contextlib.contextmanager
+    def span(name):
+        t0 = time.perf_counter()
+        yield
+        timings[name] = timings.get(name, 0.0) + time.perf_counter() - t0
 
     def out(name, writer, *payload, **extra):
-        nonlocal spent
-        t0 = time.perf_counter()
-        os.makedirs(args.output, exist_ok=True)
-        path = os.path.join(args.output, name)
-        value = writer(path, *payload)
-        entry = {"path": name, "sha256": formats.sha256_file(path),
-                 "bytes": os.path.getsize(path), **extra}
-        if writer is formats.write_pgm:
-            entry["pgm_scale_t"] = value
-        outputs.append(entry)
-        spent += time.perf_counter() - t0
+        with span("outputs"):
+            os.makedirs(args.output, exist_ok=True)
+            path = os.path.join(args.output, name)
+            value = writer(path, *payload)
+            entry = {"path": name, "sha256": formats.sha256_file(path),
+                     "bytes": os.path.getsize(path), **extra}
+            if writer is formats.write_pgm:
+                entry["pgm_scale_t"] = value
+            outputs.append(entry)
 
-    t0 = time.perf_counter()
-    code = args.func(args, cfg, out)
-    total = time.perf_counter() - t0
+    with span("total"):
+        code = args.func(args, cfg, out, span)
     os.makedirs(args.output, exist_ok=True)
     _write_json(_manifest_path(args.output, base, args.command), {
         "version": __version__, "command": args.command, "scenario": base,
@@ -305,7 +313,7 @@ def run_stage(args):
         "created_utc": datetime.now(timezone.utc).isoformat(
             timespec="seconds"),
         "outputs": outputs,
-        "timings_s": {"total": total, "outputs": spent},
+        "timings_s": timings,
         # library versions, so that rounding-level drift between builds
         # can be traced from the artifacts; --verify checks only the
         # outputs
@@ -352,12 +360,18 @@ def _read_polarized_map(args, cfg, path=None):
 
 # ---------------------------------------------------------------- commands
 
-def cmd_simulate(args, cfg, out):
-    model = currents.model_from_spec(cfg.device_doc)
-    fmap = evaluate_phasor_map(model, cfg.grid, cfg.layer)
-    out(f"{cfg.name}.phasor.fmap", formats.write_field_map, fmap)
+def cmd_simulate(args, cfg, out, span):
+    with span("model"):
+        model = currents.model_from_spec(cfg.device_doc)
+    with span("field"):
+        fmap = evaluate_phasor_map(model, cfg.grid, cfg.layer)
+    # one kernel pair per segment, pixel and layer height
+    pairs = (model.starts.shape[0] * cfg.grid.nx * cfg.grid.ny
+             * len(cfg.layer.heights()))
+    out(f"{cfg.name}.phasor.fmap", formats.write_field_map, fmap, pairs=pairs)
     for component in TRANSITIONS:
-        pmap = project_polarization(fmap, cfg.nv_frame, component)
+        with span("projection"):
+            pmap = project_polarization(fmap, cfg.nv_frame, component)
         stem = f"{cfg.name}.{_component_filename(component)}"
         out(stem + ".fmap", formats.write_field_map, pmap)
         out(stem + ".pgm", formats.write_pgm, pmap.values)
@@ -366,41 +380,48 @@ def cmd_simulate(args, cfg, out):
     return EXIT_OK
 
 
-def cmd_acquire(args, cfg, out):
-    pmap = _read_polarized_map(args, cfg, args.field_map)
+def cmd_acquire(args, cfg, out, span):
+    with span("read"):
+        pmap = _read_polarized_map(args, cfg, args.field_map)
     seed = args.seed if args.seed is not None else cfg.seed
     if args.noiseless:
         seed = None
     if cfg.stream is not None:
-        frames = acquisition.simulate_stream(
-            pmap, cfg.stream["dt_mw_ns"], cfg.pulse, cfg.stream["schedule"],
-            timing=cfg.timing, rows=cfg.stream["rows"], decay=cfg.decay,
-            seed=seed)
+        with span("stream"):
+            frames = acquisition.simulate_stream(
+                pmap, cfg.stream["dt_mw_ns"], cfg.pulse,
+                cfg.stream["schedule"], timing=cfg.timing,
+                rows=cfg.stream["rows"], decay=cfg.decay, seed=seed)
         name = f"{cfg.name}.stream.rstr"
         out(name, lambda path: formats.write_stream(
             path, pmap.grid, cfg.stream["dt_mw_ns"], frames,
             timing=cfg.timing, rows=cfg.stream["rows"],
             schedule=cfg.stream["schedule"], pulse=cfg.pulse, seed=seed),
-            n_frames=len(frames))
+            n_frames=len(frames),
+            frame_threads=acquisition.frame_threads(frames["frame"].shape))
     else:
         if cfg.dt_ns is None:
             raise ConfigError("config has neither scan nor stream section")
-        cube = acquisition.simulate_cube(pmap, cfg.dt_ns, cfg.pulse,
-                                         decay=cfg.decay, seed=seed)
+        with span("cube"):
+            cube = acquisition.simulate_cube(pmap, cfg.dt_ns, cfg.pulse,
+                                             decay=cfg.decay, seed=seed)
         name = f"{cfg.name}.cube.rcub"
         out(name, formats.write_cube, cube, n_frames=cube.n_frames,
-            noiseless=seed is None)
+            noiseless=seed is None,
+            frame_threads=acquisition.frame_threads(cube.frames.shape))
     print(f"acquire {cfg.name}: wrote {name}")
     return EXIT_OK
 
 
-def cmd_fit(args, cfg, out):
+def cmd_fit(args, cfg, out, span):
     base = _cube_stem(args, cfg)
     field(args.threads, "--threads", at_least(1))
-    cube = formats.read_cube(args.cube)
-    fmap, results = analysis.fit_cube(
-        cube, analysis.FitConfig(envelope_mode=ENVELOPES[args.envelope]),
-        n_workers=args.threads)
+    with span("read"):
+        cube = formats.read_cube(args.cube)
+    with span("fit"):
+        fmap, results = analysis.fit_cube(
+            cube, analysis.FitConfig(envelope_mode=ENVELOPES[args.envelope]),
+            n_workers=args.threads)
     counts = analysis.fit_outcome_counts(results)
     n, n_conv = counts["n_pixels"], counts["n_converged"]
     n_below = counts["n_below_threshold"]
@@ -441,7 +462,7 @@ def _parse_tile_arg(value):
         raise ConfigError(f"tile {value!r} must look like PATH:DI,DJ")
 
 
-def cmd_stitch(args, cfg, out):
+def cmd_stitch(args, cfg, out, span):
     tiles = []
     for value in args.tile:
         path, offset = _parse_tile_arg(value)
@@ -456,7 +477,7 @@ def cmd_stitch(args, cfg, out):
     return EXIT_OK
 
 
-def cmd_contours(args, cfg, out):
+def cmd_contours(args, cfg, out, span):
     base = _cube_stem(args, cfg)
     cube = formats.read_cube(args.cube)
     k = args.frame if args.frame >= 0 else cube.n_frames + args.frame
@@ -488,7 +509,7 @@ def _line_cut_text(pmap):
     return "\n".join(lines) + "\n", j_mid
 
 
-def cmd_report(args, cfg, out):
+def cmd_report(args, cfg, out, span):
     pmap = _read_polarized_map(args, cfg)
     report = {"scenario": cfg.name, "component": cfg.transition,
               "version": __version__}
@@ -527,11 +548,12 @@ def cmd_report(args, cfg, out):
     if "sensitivity" in cfg.report:
         n_rep = cfg.report["sensitivity"]
         base_seed = (cfg.seed if cfg.seed is not None else 0) + 1000
-        cubes = [acquisition.simulate_cube(pmap, cfg.dt_ns, cfg.pulse,
-                                           decay=cfg.decay,
-                                           seed=base_seed + k)
-                 for k in range(n_rep)]
-        sens = analysis.amplitude_sensitivity(cubes)
+        with span("sensitivity"):
+            cubes = [acquisition.simulate_cube(pmap, cfg.dt_ns, cfg.pulse,
+                                               decay=cfg.decay,
+                                               seed=base_seed + k)
+                     for k in range(n_rep)]
+            sens = analysis.amplitude_sensitivity(cubes)
         report["sensitivity"] = {"n_repeats": n_rep,
                                  "t_per_sqrt_hz": sens,
                                  "ut_per_sqrt_hz": sens * 1e6}

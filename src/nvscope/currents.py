@@ -146,10 +146,14 @@ def _filaments(centerline, width, current, profile, n_filaments):
 
 
 def _centerline(value):
-    """At least two 3D points, none repeated next, as an (n, 3) array."""
+    """At least two 3D points in one z plane, none repeated next, as an
+    (n, 3) array."""
     if len(lst(value)) < 2:
         raise ValueError(f"must list at least two 3D points, got {value!r}")
     points = np.array([vec3(point) for point in value])
+    if np.any(points[:, 2] != points[0, 2]):
+        raise ValueError(f"must lie in the first point's z plane, got "
+                         f"{value!r}")
     if np.any(np.all(points[1:] == points[:-1], axis=1)):
         raise ValueError(f"must not repeat a point, got {value!r}")
     offset_polyline(points, 0.0)  # raises where the line doubles back

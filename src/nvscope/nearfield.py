@@ -60,8 +60,9 @@ class GridSpec:
                 or abs(np.dot(a0, a1)) > 1e-12):
             raise ValueError("grid axes must be orthonormal")
         self.axes = (a0, a1)
-        if self.nx < 1 or self.ny < 1:
-            raise ValueError("grid must have at least one pixel per axis")
+        for name, n in (("nx", self.nx), ("ny", self.ny)):
+            if n < 1:
+                raise ValueError(f"{name} must be at least 1, got {n!r}")
         if self.pitch <= 0:
             raise ValueError("pitch must be positive")
 

@@ -10,7 +10,8 @@ run.
 
 README.md is held to the same rule: the names its Python blocks import
 from nvscope, and each backticked `module.name` (or `module.name(...)`)
-whose module is nvscope or one of its modules, must exist.
+whose module is nvscope or one of its modules, must exist, and so must
+every file that its shell blocks run with python3 or pytest.
 """
 
 import ast
@@ -19,6 +20,7 @@ import importlib
 import os
 import pkgutil
 import re
+import shlex
 
 import nvscope
 from nvscope import analysis
@@ -139,3 +141,17 @@ def test_readme_backticked_module_names_exist():
                      if not exists(module if module == "nvscope"
                                    else f"nvscope.{module}", name))
     assert missing == []
+
+
+def test_readme_shell_blocks_run_only_existing_files():
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme(), re.M | re.S)
+    paths = set()
+    for line in "".join(blocks).splitlines():
+        words = shlex.split(line, comments=True)
+        # the first operand of python3 or pytest, not an option
+        paths |= {arg.split("::")[0] for runner, arg in zip(words, words[1:])
+                  if runner in ("python3", "pytest")
+                  and not arg.startswith("-")}
+    assert paths
+    assert sorted(p for p in paths
+                  if not os.path.isfile(os.path.join(ROOT, p))) == []

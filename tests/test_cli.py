@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 import scipy
 
-from nvscope import analysis, cli, currents, formats
+from nvscope import acquisition, analysis, cli, currents, formats
 from nvscope.acquisition import DecayParams, ImageCube, contrast_at
 from nvscope.cli import ConfigError, convert_units, load_scenario
 from nvscope.fieldcore import GAMMA_NV, LAYER_NODES, SensingLayer
@@ -62,11 +62,25 @@ def run(*argv):
     return cli.main([str(a) for a in argv])
 
 
-def manifest_hashes(outdir, base, command):
+def read_manifest(outdir, base, command):
     with open(os.path.join(str(outdir),
                            f"{base}.{command}.manifest.json")) as fh:
-        doc = json.load(fh)
+        return json.load(fh)
+
+
+def manifest_hashes(outdir, base, command):
+    doc = read_manifest(outdir, base, command)
     return {o["path"]: o["sha256"] for o in doc["outputs"]}
+
+
+def assert_timings(doc, layers):
+    """timings_s holds total, outputs and exactly the given layers, none
+    negative; no layer encloses an output, so all but total sum to at
+    most total."""
+    timings = doc["timings_s"]
+    assert set(timings) == {"total", "outputs"} | set(layers)
+    assert min(timings.values()) >= 0
+    assert sum(timings.values()) - timings["total"] <= timings["total"]
 
 
 # ------------------------------------------------------------ unit handling
@@ -221,6 +235,16 @@ def test_stream_out_of_range_exits_2_at_load(tmp_path, capsys, key, message):
                  "row_time_us": "x"}}, "stream.row_time_us"),
     ({"nv": {**MINI["nv"], "flip": "false"}}, "nv.flip"),
     ({"name": "../escaped"}, "name"),
+    ({"grid": {**MINI["grid"], "nx": 0}}, "grid: nx must be at least 1"),
+    ({"grid": {**MINI["grid"], "ny": -3}}, "grid: ny must be at least 1"),
+    ({"decay": {"tau_fast_ns": -1, "tau_slow_ns": 1000, "weight_fast": 0.5}},
+     "decay: tau_fast_ns must be positive"),
+    ({"decay": {"tau_fast_ns": 100, "tau_slow_ns": -1, "weight_fast": 0.5}},
+     "decay: tau_slow_ns must be positive"),
+    ({"pulse": {**MINI["pulse"], "laser_ns": -1}},
+     "pulse: laser_ns must be non-negative"),
+    ({"pulse": {**MINI["pulse"], "wait_ns": -1}},
+     "pulse: wait_ns must be non-negative"),
 ])
 def test_malformed_config_exits_2_naming_the_field(tmp_path, capsys,
                                                    overrides, field):
@@ -435,6 +459,11 @@ def test_every_device_kind_simulates(tmp_path, kind):
      "device.params.centerline polyline doubles back"),
     (device("strip", centerline_um=[[-60, 0, 0], [-60, 0, 0], [60, 0, 0]]),
      "device.params.centerline must not repeat a point"),
+    # a vertical segment, and a line that climbs out of its z plane
+    (device("strip", centerline_um=[[0, 0, 0], [0, 0, 100]]),
+     "device.params.centerline must lie in the first point's z plane"),
+    (device("strip", centerline_um=[[0, 0, 0], [100, 0, 100]]),
+     "device.params.centerline must lie in the first point's z plane"),
     (device("strip", profile="parabolic"), "device.params.profile must be"),
     (device("cpw", profile="flat"), "device.params.profile must be"),
 ])
@@ -814,8 +843,12 @@ def test_verify_rejects_malformed_manifest(tmp_path, capsys, entry):
     assert str(manifest) in capsys.readouterr().err
 
 
-RUNNER_COMMANDS = ("simulate", "acquire", "fit", "stitch", "contours",
-                   "report")
+# the layers each command times; report times its sensitivity only when
+# the scenario asks for one
+RUNNER_LAYERS = {"simulate": {"model", "field", "projection"},
+                 "acquire": {"read", "cube"}, "fit": {"read", "fit"},
+                 "stitch": set(), "contours": set(), "report": set()}
+RUNNER_COMMANDS = tuple(RUNNER_LAYERS)
 
 
 def runner_case(command, outdir, cfg):
@@ -841,14 +874,12 @@ def test_runner_manifest_timings_and_verify(pipeline, tmp_path, command):
     shutil.copy(outdir / "mini-strip.sigma_minus.fmap", tmp_path)
     argv, base = runner_case(command, outdir, cfg)
     assert run(command, *argv, "-o", tmp_path) == 0
-    with open(tmp_path / f"{base}.{command}.manifest.json") as fh:
-        doc = json.load(fh)
+    doc = read_manifest(tmp_path, base, command)
     assert set(doc) == {"version", "command", "scenario", "config_sha256",
                         "created_utc", "outputs", "timings_s", "python",
                         "numpy", "scipy"}
     assert (doc["command"], doc["scenario"]) == (command, base)
-    assert set(doc["timings_s"]) == {"total", "outputs"}
-    assert 0 <= doc["timings_s"]["outputs"] <= doc["timings_s"]["total"]
+    assert_timings(doc, RUNNER_LAYERS[command])
     for entry in doc["outputs"]:
         path = tmp_path / entry["path"]
         assert entry["sha256"] == formats.sha256_file(path)
@@ -856,6 +887,39 @@ def test_runner_manifest_timings_and_verify(pipeline, tmp_path, command):
         assert ("pgm_scale_t" in entry) == entry["path"].endswith(".pgm")
     assert doc["outputs"]
     assert run(command, *argv, "-o", tmp_path, "--verify") == 0
+    # --verify reads only the outputs, never the timings
+    path = tmp_path / f"{base}.{command}.manifest.json"
+    doc["timings_s"] = {"total": -1.0, "edited": "by hand"}
+    path.write_text(json.dumps(doc))
+    assert run(command, *argv, "-o", tmp_path, "--verify") == 0
+
+
+def test_simulate_records_the_kernel_pairs(tmp_path):
+    # a thick layer, so that the map takes more than one height
+    cfg = write_scenario(tmp_path, layer={"height_um": 12,
+                                          "thickness_um": 14})
+    assert run("simulate", "--config", cfg, "-o", tmp_path) == 0
+    scenario = load_scenario(cfg)
+    n_seg = currents.model_from_spec(scenario.device_doc).starts.shape[0]
+    n_h = len(scenario.layer.heights())
+    assert n_h > 1
+    entry, *rest = read_manifest(tmp_path, "mini-strip", "simulate")["outputs"]
+    assert entry["path"] == "mini-strip.phasor.fmap"
+    assert entry["pairs"] == n_seg * 12 * 8 * n_h
+    assert all("pairs" not in other for other in rest)
+
+
+def test_acquire_records_the_frame_threads(pipeline, tmp_path, monkeypatch):
+    outdir, cfg = pipeline
+    # frames this small fill serially unless the chunk is smaller still
+    monkeypatch.setattr(acquisition, "CUBE_CHUNK", 1)
+    monkeypatch.setattr(acquisition, "usable_cpus", lambda: 3)
+    assert run("acquire", "--config", cfg, "-o", tmp_path, "--field-map",
+               outdir / "mini-strip.sigma_minus.fmap") == 0
+    [entry] = read_manifest(tmp_path, "mini-strip", "acquire")["outputs"]
+    frames = formats.read_cube(tmp_path / entry["path"]).frames
+    assert entry["frame_threads"] == acquisition.frame_threads(
+        frames.shape) == 3
 
 
 def test_runner_writes_no_manifest_when_the_body_fails(tmp_path):
@@ -1169,8 +1233,12 @@ def test_stream_acquire(tmp_path):
     assert all(b > a for a, b in zip(stamps, stamps[1:]))
     assert frames[0][1].shape == (12, 8)
     assert head["dt_mw_ns"] == 30
-    hashes = manifest_hashes(tmp_path, "mini-stream", "acquire")
-    assert "mini-stream.stream.rstr" in hashes
+    doc = read_manifest(tmp_path, "mini-stream", "acquire")
+    [entry] = doc["outputs"]
+    assert entry["path"] == "mini-stream.stream.rstr"
+    assert entry["frame_threads"] == acquisition.frame_threads(
+        frames["frame"].shape)
+    assert_timings(doc, {"read", "stream"})
 
 
 # ----------------------------------------------------------- report metrics
@@ -1196,6 +1264,8 @@ def test_report_insertion_loss_and_sensitivity(tmp_path):
     assert 0 < sens["ut_per_sqrt_hz"] < 10
     assert sens["t_per_sqrt_hz"] == pytest.approx(
         sens["ut_per_sqrt_hz"] * 1e-6)
+    assert_timings(read_manifest(tmp_path, "mini-metrics", "report"),
+                   {"sensitivity"})
 
 
 def test_p_in_dbm_without_drive_current_exits_2_at_load(tmp_path, capsys):
