@@ -3,7 +3,9 @@
 
 The kernel runs on one batch of random points against a random filament
 bundle. Reports the best of --repeats runs in ms and Mpair/s
-(segment-point pairs per second). A map's own number comes from its
+(segment-point pairs per second of wall time, over the worker processes
+kernels.field_workers gives: one per usable CPU from
+kernels.SPLIT_PAIRS pairs on). A map's own number comes from its
 simulate manifest: pairs on the phasor map's entry over
 timings_s.field.
 
@@ -20,7 +22,7 @@ import numpy as np
 # the checkout's sources come first, so that an uninstalled checkout runs
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
-from nvscope.kernels import field_accumulate  # noqa: E402
+from nvscope.kernels import field_accumulate, field_workers  # noqa: E402
 
 
 def make_workload(n_segments, n_points, seed=0):
@@ -57,7 +59,8 @@ def main():
     pairs = args.segments * args.points
     t = run(make_workload(args.segments, args.points), args.repeats)
     print(f"workload: {args.segments} segments x {args.points} points "
-          f"({pairs:.2e} pairs), best of {args.repeats}")
+          f"({pairs:.2e} pairs) on {field_workers(pairs, args.points)} "
+          f"worker process(es), best of {args.repeats}")
     print(f"field kernel: {t * 1e3:9.2f} ms ({pairs / t / 1e6:8.1f} Mpair/s)")
 
 

@@ -50,7 +50,8 @@ from importlib import resources
 
 import numpy as np
 
-from nvscope import __version__, acquisition, analysis, currents, formats
+from nvscope import (__version__, acquisition, analysis, currents, formats,
+                     kernels)
 from nvscope.acquisition import CameraTiming, DecayParams, PulseParams
 from nvscope.fieldcore import (ConfigError, SensingLayer, TRANSITIONS,
                                at_least, bias_field_for_frequency, boolean,
@@ -366,9 +367,10 @@ def cmd_simulate(args, cfg, out, span):
     with span("field"):
         fmap = evaluate_phasor_map(model, cfg.grid, cfg.layer)
     # one kernel pair per segment, pixel and layer height
-    pairs = (model.starts.shape[0] * cfg.grid.nx * cfg.grid.ny
-             * len(cfg.layer.heights()))
-    out(f"{cfg.name}.phasor.fmap", formats.write_field_map, fmap, pairs=pairs)
+    pixels = cfg.grid.nx * cfg.grid.ny
+    pairs = model.starts.shape[0] * pixels * len(cfg.layer.heights())
+    out(f"{cfg.name}.phasor.fmap", formats.write_field_map, fmap, pairs=pairs,
+        workers=kernels.field_workers(pairs, pixels))
     for component in TRANSITIONS:
         with span("projection"):
             pmap = project_polarization(fmap, cfg.nv_frame, component)

@@ -29,7 +29,6 @@ import json
 import math
 import os
 import re
-import tempfile
 from contextlib import contextmanager
 
 import numpy as np
@@ -54,11 +53,16 @@ class FormatError(ValueError):
 def atomic_write_bytes(path, *parts):
     """Write the parts one after another to path via a same-directory
     temp file and os.replace. A part is bytes or a C-contiguous array,
-    whose raw bytes are written without a copy."""
+    whose raw bytes are written without a copy. The file gets the mode
+    open(path, "wb") gives a new file, 0o666 less the umask."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-",
-                               suffix=os.path.basename(path))
+    # a random name as tempfile.mkstemp makes, but not its mode 0o600;
+    # O_EXCL never opens a file that exists
+    tmp = os.path.join(directory,
+                       f".tmp-{os.urandom(8).hex()}{os.path.basename(path)}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL
+                 | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             for part in parts:

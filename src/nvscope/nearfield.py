@@ -142,12 +142,14 @@ def evaluate_phasor_map(model, grid, layer):
     weights (average first, project to magnitudes later, so nulls are
     not washed out).
 
-    All heights go through one kernel pass. Each pixel sums its
-    segments from zero at each height and adds those per-height sums,
-    each times its height's weight, in ascending height order, so the
-    map does not depend on the kernel's block size. The kernel
-    names the first point within R_MIN of a wire as (height, segment,
-    pixel), in that order, which the raised error reports.
+    All heights go through one kernel call, which splits a large map's
+    pixels into ranges over forked workers (kernels.field_workers).
+    Each pixel sums its segments from zero at each height and adds
+    those per-height sums, each times its height's weight, in ascending
+    height order, so the map does not depend on the kernel's block size
+    or worker count. The kernel names the first point within R_MIN of a
+    wire as (height, segment, pixel), in that order, which the raised
+    error reports.
     """
     base = grid.pixel_centers()
     heights = layer.heights()

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 import scipy
 
-from nvscope import acquisition, analysis, cli, currents, formats
+from nvscope import acquisition, analysis, cli, currents, formats, kernels
 from nvscope.acquisition import DecayParams, ImageCube, contrast_at
 from nvscope.cli import ConfigError, convert_units, load_scenario
 from nvscope.fieldcore import GAMMA_NV, LAYER_NODES, SensingLayer
@@ -907,6 +907,23 @@ def test_simulate_records_the_kernel_pairs(tmp_path):
     assert entry["path"] == "mini-strip.phasor.fmap"
     assert entry["pairs"] == n_seg * 12 * 8 * n_h
     assert all("pairs" not in other for other in rest)
+
+
+def test_simulate_records_the_kernel_workers(tmp_path, monkeypatch):
+    cfg = write_scenario(tmp_path)
+    assert run("simulate", "--config", cfg, "-o", tmp_path / "serial") == 0
+    # three workers split the 96 px of the mini-strip
+    monkeypatch.setattr(kernels, "usable_cpus", lambda: 3)
+    monkeypatch.setattr(kernels, "SPLIT_PAIRS", 0)
+    assert run("simulate", "--config", cfg, "-o", tmp_path / "split") == 0
+    serial, split = (read_manifest(tmp_path / d, "mini-strip",
+                                   "simulate")["outputs"]
+                     for d in ("serial", "split"))
+    assert (serial[0]["workers"], split[0]["workers"]) == (1, 3)
+    assert all("workers" not in other for other in serial[1:] + split[1:])
+    assert [o["sha256"] for o in split] == [o["sha256"] for o in serial]
+    assert run("simulate", "--config", cfg, "-o", tmp_path / "split",
+               "--verify") == 0
 
 
 def test_acquire_records_the_frame_threads(pipeline, tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import stat
 import tracemalloc
 
 import numpy as np
@@ -570,6 +571,20 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     atomic_write_bytes(path, b"world")
     assert path.read_bytes() == b"world"
     assert os.listdir(tmp_path) == ["out.bin"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=oct)
+def test_atomic_write_gives_the_mode_open_gives(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        atomic_write_bytes(tmp_path / "atomic.bin", b"hello")
+        with open(tmp_path / "plain.bin", "wb"):
+            pass
+    finally:
+        os.umask(old)
+    modes = [stat.S_IMODE(os.stat(tmp_path / name).st_mode)
+             for name in ("atomic.bin", "plain.bin")]
+    assert modes == [0o666 & ~umask] * 2
 
 
 def test_atomic_write_failing_mid_file_leaves_nothing(tmp_path):
