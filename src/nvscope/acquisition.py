@@ -17,24 +17,25 @@ The streams are therefore the same as with a fresh generator per
 frame, without one OS-entropy seeding per frame.
 
 Cubes and camera streams whose frames hold at least CUBE_CHUNK pixels
-are filled on a thread pool that lives only for the call: one thread
-per usable CPU, at most one per JOB_FRAMES frames, each with a
-contiguous range of frames, its own float64 buffer and its own re-keyed
-Philox, writing straight into the float32 result. numpy draws the
-Poisson counts and runs the ufuncs without the GIL, so the threads
-overlap, and the bytes are those of the serial loop. Smaller frames
-keep the serial loop, where handing work to threads would cost more
-than it saves.
+are filled by fieldcore.run_ranges: one process per usable CPU, at most
+one per JOB_FRAMES frames (frame_workers), each with a contiguous range
+of frames, its own float64 buffer and its own re-keyed Philox, writing
+straight into the float32 result, which such a call allocates as shared
+memory. This process fills the first range and forked workers the
+others, and the bytes are those of the serial loop. Smaller frames keep
+the serial loop, where forking would cost more than it saves. Every
+input is checked before the first fork, so an input error reaches the
+caller as the serial loop raises it.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from nvscope.fieldcore import (GAMMA_NV, SIGMA_MINUS, check_component,
-                               is_number, lst, usable_cpus)
+                               is_number, lst, output_array, run_ranges,
+                               usable_cpus, worker_count)
 
 
 @dataclass
@@ -105,14 +106,22 @@ def contrast_at(b_polarized, dt_mw_ns, decay, c0, out=None):
     (shape dt.shape + b.shape) receives the contrast at dt[k], computed
     in place with no temporary of out's size; out is returned.
     """
-    return _contrast(rabi_omega(b_polarized), dt_mw_ns, decay, c0, out)
+    return _contrast(rabi_omega(b_polarized), _durations(dt_mw_ns), decay,
+                     c0, out)
 
 
-def _contrast(omega, dt_mw_ns, decay, c0, out=None):
-    """contrast_at for the Rabi frequencies omega (rad/ns) of a field."""
-    dt = np.asarray(dt_mw_ns, dtype=float)
+def _durations(dt_ns):
+    """dt_ns as a float array, if no pulse duration is negative; else
+    ValueError."""
+    dt = np.asarray(dt_ns, dtype=float)
     if np.any(dt < 0):
         raise ValueError("pulse durations must be non-negative")
+    return dt
+
+
+def _contrast(omega, dt, decay, c0, out=None):
+    """contrast_at for the Rabi frequencies omega (rad/ns) of a field and
+    the _durations dt (ns)."""
     if out is not None:
         dt = dt.reshape(dt.shape + (1,) * omega.ndim)
     # c0 * env(dt) * sin(omega dt / 2)^2, each step into out when given
@@ -230,58 +239,49 @@ class ImageCube:
 
 
 # Float64 contrast values per _contrast call while a cube is filled,
-# and the frame size from which frames are filled on a thread pool.
+# and the frame size from which frames are filled by forked workers.
 # The ideal contrast and the noise are computed in float64 and each frame
 # is stored once into the float32 result, so the float64 values are held
-# a few frames at a time per thread, never for the whole cube; a frame of
+# a few frames at a time per worker, never for the whole cube; a frame of
 # more pixels than this is computed alone. Frames of fewer pixels are
-# filled serially: their numpy calls are too short to pay for a thread.
+# filled serially: their numpy calls are too short to pay for a fork.
 CUBE_CHUNK = 8192
 
-# Frames per pool job, at least. A job holds three float64 frames at a
+# Frames per worker, at least. A worker holds three float64 frames at a
 # time (its contrast buffer, N_ref and N_data), the size of six float32
-# frames, so the jobs together hold under a fifth of the result however
-# many CPUs there are.
+# frames, so each worker holds under a fifth of its range's frames.
 JOB_FRAMES = 32
 
 
-def frame_threads(shape):
-    """The threads that fill a cube or stream of shape (frames first):
-    one per usable CPU and at most one per JOB_FRAMES frames, or 1, the
-    serial loop, for frames of fewer than CUBE_CHUNK pixels."""
+def frame_workers(shape):
+    """The processes that fill a cube or stream of shape (frames first):
+    one per usable CPU and at most one per JOB_FRAMES frames
+    (fieldcore.worker_count), or 1, the serial loop, for frames of fewer
+    than CUBE_CHUNK pixels."""
     n_frames, frame_px = shape[0], math.prod(shape[1:])
     if frame_px < CUBE_CHUNK:
         return 1
-    return max(1, min(usable_cpus(), n_frames // JOB_FRAMES))
+    return worker_count(usable_cpus(), n_frames // JOB_FRAMES)
 
 
-def _fill_frames(frames, ideals, counts_ref, seed):
+def _fill_frames(frames, ideals, counts_ref, seed, workers):
     """Store every frame k of frames (float32, frames first): the float64
     ideal contrast, with seed None, else its shot-noise draw from the
     (seed, k) stream. ideals(k0, k1) yields the ideal frames k0..k1-1,
-    each in a buffer of the caller's job that the noise overwrites.
+    each in a buffer of the caller's range that the noise overwrites.
 
-    With frame_threads above 1, contiguous frame ranges run as jobs on
-    a thread pool of that many threads. Each job calls ideals and keys
-    its own Philox, so the bytes are those of one serial job. The pool
-    is joined before this returns, and the first job error is raised.
+    The frames run through fieldcore.run_ranges over `workers`
+    processes, so above 1 frames must be output_array memory. Each
+    range calls ideals and keys its own Philox, so the bytes are those
+    of one serial range.
     """
-    def job(k0, k1):
+    def run(k0, k1):
         rng = None if seed is None else _frame_rngs(seed)
         for k, ideal in enumerate(ideals(k0, k1), k0):
             frames[k] = (ideal if rng is None else _apply_shot_noise(
                 ideal, counts_ref, rng(k), out=ideal))
 
-    n = len(frames)
-    n_jobs = frame_threads(frames.shape)
-    if n_jobs == 1:
-        job(0, n)
-        return
-    edges = [n * j // n_jobs for j in range(n_jobs + 1)]
-    with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-        for done in [pool.submit(job, k0, k1)
-                     for k0, k1 in zip(edges, edges[1:])]:
-            done.result()
+    run_ranges(len(frames), workers, run)
 
 
 def simulate_cube(bmap, dt_list_ns, pulse, decay, seed=None):
@@ -290,21 +290,24 @@ def simulate_cube(bmap, dt_list_ns, pulse, decay, seed=None):
     Contrast and noise are computed in float64; the cube holds them
     rounded to float32.
     """
-    dt_list_ns = np.asarray(dt_list_ns, dtype=float)
-    omega = rabi_omega(bmap.values)  # checked and computed once per cube
+    # checked and computed once per cube, before any worker is forked
+    omega = rabi_omega(bmap.values)
+    dt_list_ns = _durations(dt_list_ns)
     shape = bmap.values.shape
-    frames = np.empty((len(dt_list_ns),) + shape, dtype=np.float32)
+    cube_shape = (len(dt_list_ns),) + shape
+    workers = frame_workers(cube_shape)
+    frames = output_array(cube_shape, np.float32, workers)
     step = max(1, CUBE_CHUNK // bmap.values.size)
 
     def ideals(k0, k1):
-        # one float64 buffer per job, filled step frames at a time
+        # one float64 buffer per range, filled step frames at a time
         ideal = np.empty((min(step, k1 - k0),) + shape)
         for k in range(k0, k1, step):
             dts = dt_list_ns[k:min(k + step, k1)]
             yield from _contrast(omega, dts, decay, pulse.c0,
                                  out=ideal[:len(dts)])
 
-    _fill_frames(frames, ideals, pulse.counts_ref, seed)
+    _fill_frames(frames, ideals, pulse.counts_ref, seed, workers)
     return ImageCube(grid=bmap.grid, dt_ns=dt_list_ns, frames=frames,
                      pulse=pulse, seed=seed, component=bmap.component)
 
@@ -405,12 +408,14 @@ def simulate_stream(bmap, dt_mw_ns, pulse, on_off_schedule, timing, rows,
     ideal_on = contrast_at(bmap.values, dt_mw_ns, decay, pulse.c0)
 
     def ideals(k0, k1):
-        ideal = np.empty_like(ideal_on)  # one buffer per job
+        ideal = np.empty_like(ideal_on)  # one buffer per range
         for on in frames_on[k0:k1]:
             ideal[...] = ideal_on if on else 0.0
             yield ideal
 
-    stream = np.empty(len(starts), dtype=stream_dtype(ideal_on.shape))
+    workers = frame_workers((len(starts),) + ideal_on.shape)
+    stream = output_array((len(starts),), stream_dtype(ideal_on.shape),
+                          workers)
     stream["t"] = starts
-    _fill_frames(stream["frame"], ideals, pulse.counts_ref, seed)
+    _fill_frames(stream["frame"], ideals, pulse.counts_ref, seed, workers)
     return stream

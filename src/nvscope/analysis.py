@@ -104,15 +104,14 @@ budget below the bounds.
 Only the evaluation counts of the rows that exit change.
 """
 
-import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from nvscope.acquisition import check_dt_ns
-from nvscope.fieldcore import GAMMA_NV, usable_cpus
+from nvscope.fieldcore import (GAMMA_NV, output_array, run_ranges,
+                               usable_cpus, worker_count)
 from nvscope.nearfield import GridSpec, PolarizedFieldMap
 
 
@@ -496,6 +495,15 @@ def _noise_variance(resid):
             / (n * math.log(2.0)))
 
 
+def _fit_times(t_ns):
+    """t_ns as check_dt_ns returns it, if it holds enough samples to
+    fit; else ValueError."""
+    t = check_dt_ns(t_ns)
+    if len(t) < 8:
+        raise ValueError("need at least 8 samples to fit")
+    return t
+
+
 def _fit_rows(t_ns, y, cfg):
     """Fit every row of y (P, n); returns a record array of FIT_DTYPE.
 
@@ -504,9 +512,7 @@ def _fit_rows(t_ns, y, cfg):
     infinite taus. A row whose kept solve used up its evaluation budget
     carries the partial fit with converged=False and exhausted=True.
     """
-    t = check_dt_ns(t_ns)
-    if len(t) < 8:
-        raise ValueError("need at least 8 samples to fit")
+    t = _fit_times(t_ns)
     if y.shape[1:] != t.shape:
         raise ValueError("time and contrast arrays must match")
     # rows C-contiguous so that every reduction sums a row in the same
@@ -620,19 +626,22 @@ def fit_pixel(t_ns, y, cfg=None):
     return _fit_rows(t_ns, np.asarray(y, dtype=float)[None, :], cfg)[0]
 
 
-def _fit_columns(t, parts, cfg):
+def _fit_columns(t, parts, cfg, out=None):
     """Fit the columns of the (n_frames, m_i) arrays of parts, side by
-    side, FIT_BLOCK_PX at a time. A block that spans several parts is
-    gathered from them alone, so the parts are never copied whole."""
+    side, FIT_BLOCK_PX at a time, into the FIT_DTYPE records of out, by
+    default a new record array; returns out. A block that spans several
+    parts is gathered from them alone, so the parts are never copied
+    whole."""
     edges = np.cumsum([0] + [p.shape[1] for p in parts])
-    results = []
+    if out is None:
+        out = np.zeros(edges[-1], FIT_DTYPE).view(np.recarray)
     for k in range(0, edges[-1], FIT_BLOCK_PX):
         block = np.concatenate([p[:, max(k - e, 0):k + FIT_BLOCK_PX - e]
                                 for p, e in zip(parts, edges)
                                 if k - p.shape[1] < e < k + FIT_BLOCK_PX],
                                axis=1)
-        results.append(_fit_rows(t, block.T, cfg))
-    return np.concatenate(results).view(np.recarray)
+        out[k:k + FIT_BLOCK_PX] = _fit_rows(t, block.T, cfg)
+    return out
 
 
 def fit_cube(cube, cfg=None, n_workers=1):
@@ -645,24 +654,31 @@ def fit_cube(cube, cfg=None, n_workers=1):
     pixels that did not converge. Each pixel's result equals fit_pixel
     on its trace, so results are independent of n_workers and of the
     block a pixel is fitted in.
+
+    The FIT_BLOCK_PX-pixel blocks are dealt out in turn to n_workers
+    processes, at most one per usable CPU and one per block, through
+    fieldcore.run_ranges: this process fits blocks 0, n_workers,
+    2 n_workers, ... and forked workers the others, writing their
+    records into shared memory.
     """
     if cfg is None:
         cfg = FitConfig()
     nx, ny = cube.grid.nx, cube.grid.ny
-    t = cube.dt_ns
+    t = _fit_times(cube.dt_ns)  # checked before any worker is forked
     flat = cube.frames.reshape(cube.n_frames, nx * ny)
+    blocks = range(0, nx * ny, FIT_BLOCK_PX)
+    workers = worker_count(min(n_workers or 1, usable_cpus()), len(blocks))
+    results = output_array((nx * ny,), FIT_DTYPE, workers)
 
-    # the pool starts all its workers up front; no more than the CPUs
-    # this process may run on
-    n_workers = min(n_workers or 1, usable_cpus())
-    if n_workers > 1:
-        chunk = max(1, math.ceil(nx * ny / (4 * n_workers)))
-        jobs = [[flat[:, k:k + chunk]] for k in range(0, nx * ny, chunk)]
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = np.concatenate(list(pool.map(
-                functools.partial(_fit_columns, t, cfg=cfg), jobs)))
-    else:
-        results = _fit_columns(t, [flat], cfg)
+    def run(j, _):
+        # blocks in turn, not contiguous ranges: the fit's cost varies
+        # over a map, and one contiguous half of cpw-fig2 or trap-fig4-xz
+        # took 1.3-1.7x as long as the other (1.0-1.2x in turn)
+        for k in blocks[j::workers]:
+            _fit_columns(t, [flat[:, k:k + FIT_BLOCK_PX]], cfg,
+                         results[k:k + FIT_BLOCK_PX])
+
+    run_ranges(workers, workers, run)
 
     results = results.view(np.recarray).reshape(nx, ny)
     values = np.where(results.converged & np.isfinite(results.omega),

@@ -97,8 +97,10 @@ class ScenarioConfig:
     dt_ns: np.ndarray
     stream: dict
     timing: CameraTiming  # the stream's camera timing; None without one
-    trap: dict
-    report: dict  # the report settings as _check_report returns them
+    trap: dict  # the trap section as written; None without one
+    # the report settings as _check_report returns them and, for a trap
+    # section, its characterize_trap kwargs under "trap"
+    report: dict
     seed: int
     source_bytes: bytes
 
@@ -223,7 +225,7 @@ def load_scenario(value):
     report = _check_report(read("report", obj, {}), dt_ns, device)
     trap = read("trap", obj, None)
     if trap is not None:
-        _check_trap(trap, grid)
+        report["trap"] = _check_trap(trap, grid)
     return ScenarioConfig(
         name=name, device_doc=device, grid=grid, layer=layer,
         nv_frame=frame, f_mw=f_mw, transition=transition, pulse=pulse,
@@ -400,7 +402,7 @@ def cmd_acquire(args, cfg, out, span):
             timing=cfg.timing, rows=cfg.stream["rows"],
             schedule=cfg.stream["schedule"], pulse=cfg.pulse, seed=seed),
             n_frames=len(frames),
-            frame_threads=acquisition.frame_threads(frames["frame"].shape))
+            workers=acquisition.frame_workers(frames["frame"].shape))
     else:
         if cfg.dt_ns is None:
             raise ConfigError("config has neither scan nor stream section")
@@ -410,7 +412,7 @@ def cmd_acquire(args, cfg, out, span):
         name = f"{cfg.name}.cube.rcub"
         out(name, formats.write_cube, cube, n_frames=cube.n_frames,
             noiseless=seed is None,
-            frame_threads=acquisition.frame_threads(cube.frames.shape))
+            workers=acquisition.frame_workers(cube.frames.shape))
     print(f"acquire {cfg.name}: wrote {name}")
     return EXIT_OK
 
@@ -561,9 +563,8 @@ def cmd_report(args, cfg, out, span):
                                  "ut_per_sqrt_hz": sens * 1e6}
         rows.append(("sensitivity", f"{sens * 1e6:.4f} uT/sqrt(Hz)"))
 
-    if cfg.trap is not None:
-        trap = analysis.characterize_trap(
-            pmap, **_check_trap(cfg.trap, cfg.grid))
+    if "trap" in cfg.report:
+        trap = analysis.characterize_trap(pmap, **cfg.report["trap"])
         report["trap"] = {
             "position_px": list(trap.position_px),
             "position_um": [v * 1e6 for v in trap.position_m],

@@ -1,4 +1,5 @@
-"""Coordinate frames, NV geometry, polarization and the document reader.
+"""Coordinate frames, NV geometry, polarization, the document reader and
+the fork-and-join runner that splits a loop over processes.
 
 Conventions used throughout the package:
 
@@ -14,8 +15,10 @@ Conventions used throughout the package:
 """
 
 import math
+import mmap
 import os
 import sys
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -405,7 +408,63 @@ def layer_average(f, layer, x, y):
 
 def usable_cpus():
     """The number of CPUs this process may run on; the cap of every
-    worker pool in nvscope."""
+    run_ranges call in nvscope."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+# ------------------------------------------- fork-and-join over ranges
+
+def worker_count(cpus, most):
+    """The processes of a run_ranges call: cpus, at most `most` and at
+    least 1, or 1, the serial call, where os.fork does not exist."""
+    if not hasattr(os, "fork"):
+        return 1
+    return max(1, min(cpus, most))
+
+
+def output_array(shape, dtype, workers):
+    """A zeroed array of the shape tuple for a run_ranges call of
+    `workers` processes to fill: on this process's heap for one, else
+    in an anonymous shared mmap, where forked workers' writes reach
+    this process."""
+    if workers == 1:
+        return np.zeros(shape, dtype)
+    shared = mmap.mmap(-1, math.prod(shape) * np.dtype(dtype).itemsize)
+    return np.frombuffer(shared, dtype).reshape(shape)
+
+
+def run_ranges(n, workers, run):
+    """run(k0, k1) on contiguous ranges that cover range(n) once, in
+    order: one range per worker, at most one per k and at least one.
+
+    This process runs the first range; forked workers run the others,
+    each writing its results into output_array memory. A worker leaves
+    through os._exit, so it runs no exit handler and flushes no buffer
+    of the parent's. Every worker is reaped before this returns or
+    raises; an error of this process's range propagates as it is, and a
+    worker that failed, or was killed, raises RuntimeError.
+    """
+    workers = max(1, min(workers, n))
+    edges = [n * j // workers for j in range(workers + 1)]
+    pids = []
+    try:
+        for k0, k1 in zip(edges[1:-1], edges[2:]):
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    run(k0, k1)
+                    code = 0
+                except BaseException:
+                    traceback.print_exc()
+                finally:
+                    os._exit(code)
+            pids.append(pid)
+        run(edges[0], edges[1])
+    finally:
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                 for pid in pids]
+    if any(codes):
+        raise RuntimeError(f"forked workers exited with {codes}")

@@ -3,14 +3,14 @@
 One call evaluates a set of points at one or more weighted offsets (the
 layer quadrature heights of a map). A call of at least SPLIT_PAIRS
 (segment, point, offset) pairs splits its points into one contiguous
-range per usable CPU: this process evaluates the first range and forked
-workers the others (field_workers gives the count). Each range's
-stacked (offset, point) pairs are walked in fixed blocks of BLOCK
-pairs; inside a block the segments run in array order. A block's
-coordinates, field sums and intermediates are contiguous scratch rows,
-reused from block to block through ufunc ``out=``; the x, y and z rows
-of a vector are computed in one ufunc call against a per-segment
-column.
+range per usable CPU through fieldcore.run_ranges: this process
+evaluates the first range and forked workers the others
+(field_workers gives the count). Each range's stacked (offset, point)
+pairs are walked in fixed blocks of BLOCK pairs; inside a block the
+segments run in array order. A block's coordinates, field sums and
+intermediates are contiguous scratch rows, reused from block to block
+through ufunc ``out=``; the x, y and z rows of a vector are computed in
+one ufunc call against a per-segment column.
 
 Accumulation order, which makes every block size give the same bits:
 each (offset, point) pair sums its segments from 0.0 in array order,
@@ -22,13 +22,10 @@ which any one element is summed. A range, like a block, only decides
 where a point is summed, so the split gives the serial call's bits.
 """
 
-import mmap
-import os
-import traceback
-
 import numpy as np
 
-from nvscope.fieldcore import usable_cpus
+from nvscope.fieldcore import (output_array, run_ranges, usable_cpus,
+                               worker_count)
 
 # Stacked (offset, point) pairs per block, chosen by timing the bundled
 # maps on a 2-vCPU Xeon (2 MB L2 per core): 6144-10000 ran fastest, 4096
@@ -125,11 +122,11 @@ def _first_violation(segs, points, offsets, rmin2):
 def field_workers(pairs, points):
     """The processes that evaluate a kernel call of `pairs` (segment,
     point, offset) pairs over `points` points: one per usable CPU and at
-    most one per point, or 1, the serial call, below SPLIT_PAIRS pairs
-    or without os.fork."""
-    if pairs < SPLIT_PAIRS or not hasattr(os, "fork"):
+    most one per point (fieldcore.worker_count), or 1, the serial call,
+    below SPLIT_PAIRS pairs."""
+    if pairs < SPLIT_PAIRS:
         return 1
-    return max(1, min(usable_cpus(), points))
+    return worker_count(usable_cpus(), points)
 
 
 def field_accumulate(starts, ends, currents, points, r_min, offsets=None,
@@ -147,8 +144,11 @@ def field_accumulate(starts, ends, currents, points, r_min, offsets=None,
     With field_workers above 1 the points are split into that many
     contiguous ranges, each evaluated by the block loop of a serial
     call: the first by this process, the others by forked workers that
-    write their rows into a shared buffer. Every point sums as in the
-    serial call, so the bits are the same on any number of CPUs.
+    write their rows into shared memory. Every point sums as in the
+    serial call, so the bits are the same on any number of CPUs. A range
+    that finds a pair closer than r_min raises a shared flag, and the
+    call then names the first such pair by rescanning all points, as
+    the serial call does.
 
     Returns (out_re, out_im, None), the (P, 3) real and imaginary parts
     of the summed field, or (None, None, (h, s, p)) for the first pair,
@@ -163,71 +163,24 @@ def field_accumulate(starts, ends, currents, points, r_min, offsets=None,
     segs = _segment_constants(starts, ends, currents)
     rmin2 = r_min * r_min
     workers = field_workers(len(segs) * n * offsets.shape[0], n)
-    if workers == 1:
-        out = np.zeros((2, n, 3))
-        hit = _accumulate(segs, points, offsets, weights, rmin2, out)
-    else:
-        out, hit = _split(segs, points, offsets, weights, rmin2, workers)
-    if hit is not None:
-        return None, None, hit
+    out = output_array((2, n, 3), np.float64, workers)
+    violated = output_array((1,), np.bool_, workers)
+
+    def run(p0, p1):
+        if _accumulate(segs, points[p0:p1], offsets, weights, rmin2,
+                       out[:, p0:p1]):
+            violated[0] = True
+
+    run_ranges(n, workers, run)
+    if violated[0]:
+        return None, None, _first_violation(segs, points, offsets, rmin2)
     return out[0], out[1], None
-
-
-def _split(segs, points, offsets, weights, rmin2, workers):
-    """_accumulate over `workers` contiguous ranges of the points, all
-    but the first in forked workers; returns (out, hit) as the serial
-    call's out and hit.
-
-    A worker only runs ufuncs on arrays it inherited and leaves through
-    os._exit, so it runs no exit handler and flushes no buffer of the
-    parent's. Every worker is reaped before this returns or raises.
-    """
-    n = points.shape[0]
-    edges = [n * j // workers for j in range(workers + 1)]
-    # the field rows, then one (h, s, p) violation slot per range, -1
-    # while the range has none
-    shared = mmap.mmap(-1, 8 * (6 * n + 3 * workers))
-    out = np.frombuffer(shared, np.float64, 6 * n).reshape(2, n, 3)
-    slots = np.frombuffer(shared, np.int64, 3 * workers, 48 * n).reshape(
-        workers, 3)
-    slots[:] = -1
-
-    def run(j):
-        p0, p1 = edges[j], edges[j + 1]
-        hit = _accumulate(segs, points[p0:p1], offsets, weights, rmin2,
-                          out[:, p0:p1])
-        if hit is not None:
-            slots[j] = hit[0], hit[1], hit[2] + p0
-
-    pids = []
-    try:
-        for j in range(1, workers):
-            pid = os.fork()
-            if pid == 0:
-                code = 1
-                try:
-                    run(j)
-                    code = 0
-                except BaseException:
-                    traceback.print_exc()
-                finally:
-                    os._exit(code)
-            pids.append(pid)
-        run(0)
-    finally:
-        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                 for pid in pids]
-    if any(codes):
-        raise RuntimeError(f"field kernel workers exited with {codes}")
-    hits = [tuple(map(int, slot)) for slot in slots if slot[0] >= 0]
-    return out.copy(), min(hits, default=None)
 
 
 def _accumulate(segs, points, offsets, weights, rmin2, out):
     """Add the weighted fields at the points into out[0] (real) and
-    out[1] (imaginary), block by block; returns None, or the serial
-    call's (h, s, p) when a pair lies closer than r_min, leaving out
-    partly summed."""
+    out[1] (imaginary), block by block; returns False, or True when a
+    pair lies closer than r_min, leaving out partly summed."""
     n = points.shape[0]
     total = n * offsets.shape[0]
     # Eight arrays rather than one: chunks of at most five rows fit the
@@ -272,14 +225,14 @@ def _accumulate(segs, points, offsets, weights, rmin2, out):
                 np.multiply(t3, ci, out=a2)
                 np.add(acc_im, a2, out=acc_im)
             if (low < rmin2).any():
-                return _first_violation(segs, points, offsets, rmin2)
+                return True
             for h, p0, p1, col in pieces:
                 for acc, dst in ((acc_re, out[0]), (acc_im, out[1])):
                     dst = dst[p0:p1].T
                     src = acc[:, col:col + p1 - p0]
                     np.multiply(src, weights[h], out=src)
                     np.add(dst, src, out=dst)
-    return None
+    return False
 
 
 # Always False: only the benchmark run metadata (perfbench/run.py) reads it.

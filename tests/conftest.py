@@ -7,8 +7,9 @@ import pytest
 
 @pytest.fixture(autouse=True)
 def no_child_process_left():
-    """Every test reaps the processes it starts (the field kernel's
-    workers, fit_cube's pool): none may be left running or unreaped."""
+    """Every test reaps the processes it starts (the workers that
+    fieldcore.run_ranges forks for the field kernel, the frame fill and
+    the fit): none may be left running or unreaped."""
     yield
     try:
         pid, _ = os.waitpid(-1, os.WNOHANG)
@@ -16,3 +17,14 @@ def no_child_process_left():
         return
     pytest.fail("a child process is left running" if pid == 0 else
                 f"child process {pid} was left unreaped")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The os.fork calls of this process during the test, counted:
+    len(forks) is the number of workers forked so far. run_ranges is
+    nvscope's one caller of os.fork."""
+    calls = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+    return calls

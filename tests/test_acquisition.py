@@ -1,9 +1,9 @@
 """Contrast generator, shot noise statistics, camera timing."""
 
 import math
+import os
 import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -395,67 +395,53 @@ class TestSimulateStream:
             np.testing.assert_array_equal(fa, fb)
 
 
-# frames of at least CUBE_CHUNK px go through the thread pool; 91 x 91 px
-# is the smallest square that does, 90 x 90 the largest that does not
-POOL_PX = (91, 91)
+# frames of at least CUBE_CHUNK px are filled by forked workers; 91 x 91
+# px is the smallest square that is, 90 x 90 the largest that is not
+FORK_PX = (91, 91)
 SERIAL_PX = (90, 90)
-# enough frames for three jobs
-POOL_FRAMES = 3 * acq.JOB_FRAMES
+# enough frames for three workers
+FORK_FRAMES = 3 * acq.JOB_FRAMES
 
 
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """The max_workers of every frame pool simulate_* builds."""
-    sizes = []
-
-    class RecordingPool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(acq, "ThreadPoolExecutor", RecordingPool)
-    return sizes
-
-
-def pool_stream(bmap, seed):
-    """A POOL_FRAMES-frame stream with on and off frames."""
+def fork_stream(bmap, seed):
+    """A FORK_FRAMES-frame stream with on and off frames."""
     pulse = acq.PulseParams(laser_ns=700.0, wait_ns=500.0, n_shots=50)
     timing = acq.CameraTiming()
     period = acq.frame_time_ms(timing, 50, pulse, 30.0)
-    third = POOL_FRAMES * period / 3
+    third = FORK_FRAMES * period / 3
     return acq.simulate_stream(bmap, 30.0, pulse,
                                [(third, "on"), (third, "off"), (third, "on")],
                                timing, rows=50, seed=seed,
                                decay=acq.DecayParams())
 
 
-class TestFramePool:
-    """Frames of at least CUBE_CHUNK px are filled on a thread pool whose
-    bytes are those of the serial loop."""
+class TestFrameWorkers:
+    """Frames of at least CUBE_CHUNK px are filled by forked workers,
+    whose bytes are those of the serial loop."""
 
-    @pytest.mark.parametrize("cpus, n_frames, threads", [
-        (1, POOL_FRAMES, 1), (3, POOL_FRAMES, 3), (4, POOL_FRAMES, 3),
+    @pytest.mark.parametrize("cpus, n_frames, workers", [
+        (1, FORK_FRAMES, 1), (3, FORK_FRAMES, 3), (4, FORK_FRAMES, 3),
         (3, 2 * acq.JOB_FRAMES + 1, 2), (3, 2 * acq.JOB_FRAMES - 1, 1),
         (3, 1, 1), (3, 0, 1)])
-    def test_frame_threads(self, monkeypatch, cpus, n_frames, threads):
+    def test_frame_workers(self, monkeypatch, cpus, n_frames, workers):
         monkeypatch.setattr(acq, "usable_cpus", lambda: cpus)
-        assert acq.frame_threads((n_frames,) + POOL_PX) == threads
-        assert acq.frame_threads((n_frames,) + SERIAL_PX) == 1
+        assert acq.frame_workers((n_frames,) + FORK_PX) == workers
+        assert acq.frame_workers((n_frames,) + SERIAL_PX) == 1
 
     @pytest.mark.parametrize("seed", [None, 7])
-    def test_cube_bytes_do_not_depend_on_the_threads(self, monkeypatch,
-                                                     pool_sizes, seed):
-        bmap = random_bmap(*POOL_PX)
+    def test_cube_bytes_do_not_depend_on_the_workers(self, monkeypatch,
+                                                     forks, seed):
+        bmap = random_bmap(*FORK_PX)
         pulse = acq.PulseParams()
-        dts = np.arange(POOL_FRAMES) * 9.0
+        dts = np.arange(FORK_FRAMES) * 9.0
         cubes = []
         for cpus in (1, 3):
             monkeypatch.setattr(acq, "usable_cpus", lambda: cpus)
             cubes.append(acq.simulate_cube(bmap, dts, pulse,
                                            acq.DecayParams(), seed=seed))
-        assert pool_sizes == [3]
+        assert len(forks) == 2
         assert cubes[0].frames.tobytes() == cubes[1].frames.tobytes()
-        # the first and last frame of each job
+        # the first and last frame of each worker
         for k in (0, 31, 32, 63, 64, 95):
             ideal = acq.contrast_at(bmap.values, dts[k], acq.DecayParams(),
                                     pulse.c0)
@@ -464,21 +450,21 @@ class TestFramePool:
                                                  seed, k).astype(np.float32))
 
     @pytest.mark.parametrize("seed", [None, 7])
-    def test_stream_bytes_do_not_depend_on_the_threads(self, monkeypatch,
-                                                       pool_sizes, seed):
-        bmap = random_bmap(*POOL_PX)
+    def test_stream_bytes_do_not_depend_on_the_workers(self, monkeypatch,
+                                                       forks, seed):
+        bmap = random_bmap(*FORK_PX)
         streams = []
         for cpus in (1, 3):
             monkeypatch.setattr(acq, "usable_cpus", lambda: cpus)
-            streams.append(pool_stream(bmap, seed))
-        assert len(streams[0]) == POOL_FRAMES
-        assert pool_sizes == [3]
+            streams.append(fork_stream(bmap, seed))
+        assert len(streams[0]) == FORK_FRAMES
+        assert len(forks) == 2
         assert streams[0].tobytes() == streams[1].tobytes()
         frames = streams[1]["frame"]
         ideal_on = acq.contrast_at(bmap.values, 30.0, acq.DecayParams(),
                                    acq.PulseParams().c0)
         on = [np.array_equal(f, ideal_on.astype(np.float32))
-              for f in pool_stream(bmap, None)["frame"]]
+              for f in fork_stream(bmap, None)["frame"]]
         assert any(on) and not all(on)
         for k in (0, 31, 32, 63, 64, 95):
             np.testing.assert_array_equal(
@@ -486,26 +472,24 @@ class TestFramePool:
                                         acq.PulseParams().counts_ref, seed,
                                         k).astype(np.float32))
 
-    def test_a_negative_field_fails_before_any_pool(self, monkeypatch,
-                                                    pool_sizes):
-        # the field is checked once per cube, not in every job
-        bmap = random_bmap(*POOL_PX)
+    def test_a_negative_field_fails_before_any_fork(self, monkeypatch,
+                                                    forks):
+        # the field is checked once per cube, not in every worker
+        bmap = random_bmap(*FORK_PX)
         bmap.values[-1, -1] = -1e-6
         monkeypatch.setattr(acq, "usable_cpus", lambda: 3)
         with pytest.raises(ValueError,
                            match="field amplitudes must be non-negative"):
-            acq.simulate_cube(bmap, np.arange(POOL_FRAMES) * 9.0,
+            acq.simulate_cube(bmap, np.arange(FORK_FRAMES) * 9.0,
                               acq.PulseParams(), acq.DecayParams(), seed=7)
-        assert pool_sizes == []
+        assert forks == []
 
-    @pytest.mark.parametrize("field, dt_last, message", [
-        (1e-6, -1.0, "pulse durations must be non-negative")])
-    def test_a_job_error_reaches_the_caller(self, monkeypatch, pool_sizes,
-                                            field, dt_last, message):
-        bmap = random_bmap(*POOL_PX)
-        bmap.values[-1, -1] = field
-        # a negative duration reaches only the last job
-        dts = np.append(np.arange(POOL_FRAMES - 1) * 9.0, dt_last)
+    def test_a_negative_duration_fails_before_any_fork(self, monkeypatch,
+                                                       forks):
+        # a negative duration in the last worker's range raises the
+        # serial loop's ValueError, never a worker's RuntimeError
+        bmap = random_bmap(*FORK_PX)
+        dts = np.append(np.arange(FORK_FRAMES - 1) * 9.0, -1.0)
         errors = []
         for cpus in (1, 3):
             monkeypatch.setattr(acq, "usable_cpus", lambda: cpus)
@@ -513,36 +497,38 @@ class TestFramePool:
                 acq.simulate_cube(bmap, dts, acq.PulseParams(),
                                   acq.DecayParams(), seed=7)
             errors.append(str(err.value))
-        assert pool_sizes == [3]
-        assert errors == [message, message]
+        assert forks == []
+        assert errors == ["pulse durations must be non-negative"] * 2
 
-    def test_small_frames_never_build_a_pool(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was built")
-
-        monkeypatch.setattr(acq, "ThreadPoolExecutor", no_pool)
+    def test_small_frames_never_fork(self, monkeypatch, forks):
         monkeypatch.setattr(acq, "usable_cpus", lambda: 3)
         bmap = random_bmap(*SERIAL_PX)
-        dts = np.arange(POOL_FRAMES) * 9.0
+        dts = np.arange(FORK_FRAMES) * 9.0
         for seed in (None, 7):
             acq.simulate_cube(bmap, dts, acq.PulseParams(),
                               acq.DecayParams(), seed=seed)
-            assert len(pool_stream(bmap, seed)) == POOL_FRAMES
+            assert len(fork_stream(bmap, seed)) == FORK_FRAMES
+        assert forks == []
 
-    def test_no_thread_outlives_the_call(self, monkeypatch, pool_sizes):
+    def test_no_worker_outlives_the_call(self, monkeypatch, forks):
         monkeypatch.setattr(acq, "usable_cpus", lambda: 3)
         before = threading.active_count()
-        acq.simulate_cube(random_bmap(*POOL_PX), np.arange(POOL_FRAMES) * 9.0,
+        acq.simulate_cube(random_bmap(*FORK_PX), np.arange(FORK_FRAMES) * 9.0,
                           acq.PulseParams(), acq.DecayParams(), seed=7)
-        assert pool_sizes == [3]
+        assert len(forks) == 2
         assert threading.active_count() == before
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_peak_memory_does_not_grow_with_the_cpus(self, monkeypatch,
-                                                     pool_sizes):
-        # each job holds a few float64 frames, and there is at most one
-        # job per JOB_FRAMES frames
+                                                     forks):
+        # each worker holds a few float64 frames, and there is at most one
+        # worker per JOB_FRAMES frames. The cube is shared memory, which
+        # tracemalloc does not see, and the workers are other processes:
+        # the traced peak is the calling process's range, to which the
+        # cube's bytes are added
         monkeypatch.setattr(acq, "usable_cpus", lambda: 64)
-        bmap = random_bmap(*POOL_PX)
+        bmap = random_bmap(*FORK_PX)
         dts = np.arange(4 * acq.JOB_FRAMES) * 9.0
         tracemalloc.start()
         try:
@@ -551,5 +537,5 @@ class TestFramePool:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert pool_sizes == [4]
-        assert peak < 1.25 * cube.frames.nbytes
+        assert len(forks) == 3
+        assert peak + cube.frames.nbytes < 1.25 * cube.frames.nbytes

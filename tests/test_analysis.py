@@ -305,35 +305,34 @@ def test_fit_cube_worker_count_invariant():
         assert_same_result(r1, r2)
 
 
-@pytest.mark.parametrize("cpus, requested, pool_size", [
-    (3, 5000, 3), (3, 2, 2), (1, 4, None), (3, 1, None), (3, 0, None)])
-def test_fit_cube_pool_never_exceeds_cpus(monkeypatch, cpus, requested,
-                                          pool_size):
-    sizes = []
-
-    class SerialPool:
-        # records the pool size and maps in this process; starts nothing
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(ana, "ProcessPoolExecutor", SerialPool)
+@pytest.mark.parametrize("cpus, requested, block_px, n_forks", [
+    (3, 5000, 2, 2), (3, 2, 2, 1), (1, 4, 2, 0), (3, 1, 2, 0), (3, 0, 2, 0),
+    (3, 5000, 5, 2), (3, 5000, 12, 0)])
+def test_fit_cube_workers_never_exceed_cpus(monkeypatch, forks, cpus,
+                                            requested, block_px, n_forks):
+    # 12 px: at most one worker per usable CPU and one per block
     monkeypatch.setattr(ana, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(ana, "FIT_BLOCK_PX", block_px)
     cube = simulate_cube(graded_field_map(4, 3), np.arange(10.0, 601.0, 10.0),
                          pulse=PulseParams(), decay=NO_DECAY, seed=99)
     fmap, results = fit_cube(cube, n_workers=requested)
-    assert sizes == ([] if pool_size is None else [pool_size])
+    assert len(forks) == n_forks
     ref_map, ref = fit_cube(cube, n_workers=1)
+    assert len(forks) == n_forks
     assert fmap.values.tobytes() == ref_map.values.tobytes()
     assert results.tobytes() == ref.tobytes()
+
+
+def test_a_short_cube_fails_before_any_fork(monkeypatch, forks):
+    # the serial error, not a worker's RuntimeError, and no worker's
+    # traceback
+    monkeypatch.setattr(ana, "usable_cpus", lambda: 3)
+    monkeypatch.setattr(ana, "FIT_BLOCK_PX", 2)
+    cube = simulate_cube(graded_field_map(4, 3), np.arange(10.0, 71.0, 10.0),
+                         pulse=PulseParams(), decay=NO_DECAY, seed=99)
+    with pytest.raises(ValueError, match="at least 8 samples"):
+        fit_cube(cube, n_workers=3)
+    assert forks == []
 
 
 def test_fit_outcome_counts_split_the_pixels():

@@ -926,7 +926,7 @@ def test_simulate_records_the_kernel_workers(tmp_path, monkeypatch):
                "--verify") == 0
 
 
-def test_acquire_records_the_frame_threads(pipeline, tmp_path, monkeypatch):
+def test_acquire_records_the_frame_workers(pipeline, tmp_path, monkeypatch):
     outdir, cfg = pipeline
     # frames this small fill serially unless the chunk is smaller still
     monkeypatch.setattr(acquisition, "CUBE_CHUNK", 1)
@@ -935,8 +935,7 @@ def test_acquire_records_the_frame_threads(pipeline, tmp_path, monkeypatch):
                outdir / "mini-strip.sigma_minus.fmap") == 0
     [entry] = read_manifest(tmp_path, "mini-strip", "acquire")["outputs"]
     frames = formats.read_cube(tmp_path / entry["path"]).frames
-    assert entry["frame_threads"] == acquisition.frame_threads(
-        frames.shape) == 3
+    assert entry["workers"] == acquisition.frame_workers(frames.shape) == 3
 
 
 def test_runner_writes_no_manifest_when_the_body_fails(tmp_path):
@@ -1253,7 +1252,7 @@ def test_stream_acquire(tmp_path):
     doc = read_manifest(tmp_path, "mini-stream", "acquire")
     [entry] = doc["outputs"]
     assert entry["path"] == "mini-stream.stream.rstr"
-    assert entry["frame_threads"] == acquisition.frame_threads(
+    assert entry["workers"] == acquisition.frame_workers(
         frames["frame"].shape)
     assert_timings(doc, {"read", "stream"})
 
@@ -1344,6 +1343,22 @@ def test_report_trap_section(tmp_path):
     assert all(v > 0 for v in tr["gradients_ut_per_um"].values())
     # the minimum sits near the ring axis, well below the field median
     assert tr["field_ut"] < rep["field_stats"]["median_ut"] / 10
+
+
+def test_trap_section_is_checked_once_at_load(tmp_path, monkeypatch):
+    calls = []
+    check = cli._check_trap
+    monkeypatch.setattr(cli, "_check_trap",
+                        lambda *a: calls.append(a) or check(*a))
+    cfg = load_scenario("trap-fig4-xz")
+    assert cfg.report["trap"] == {"arm": 5,
+                                  "search_region": ((50, 101), (5, 60))}
+    assert run("simulate", "--config", "trap-fig4-xz", "-o", tmp_path) == 0
+    calls.clear()
+    assert run("report", "--config", "trap-fig4-xz", "-o", tmp_path) == 0
+    assert len(calls) == 1
+    assert formats.sha256_file(tmp_path / "trap-fig4-xz.report.json") == (
+        "36b7e08246f581207862d275ceda1bae3552b20434fc916045d7f5c328226a09")
 
 
 def test_cpw_linecut_peak_over_signal_edge(tmp_path):

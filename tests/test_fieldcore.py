@@ -1,7 +1,10 @@
-"""Frame construction, polarization decomposition and layer averaging."""
+"""Frame construction, polarization decomposition, layer averaging and
+the fork-and-join runner."""
 
 import math
+import os
 import re
+import signal
 
 import numpy as np
 import pytest
@@ -314,6 +317,106 @@ def test_usable_cpus_counts_the_cpus_this_process_may_run_on(monkeypatch):
     assert fc.usable_cpus() == 6
     monkeypatch.setattr(fc.os, "cpu_count", lambda: None)
     assert fc.usable_cpus() == 1
+
+
+# ------------------------------------------------ fork-and-join runner
+
+def shared_ranges(n, workers):
+    """run_ranges(n, workers) over a run that marks, per k, how often it
+    was covered, the start of its range and the process that ran it;
+    returns (the calls made in this process, cover, start, pid)."""
+    calls = []
+    cover, start, pid = (fc.output_array((n,), np.int64,
+                                         max(1, min(workers, n)))
+                         for _ in range(3))
+
+    def run(k0, k1):
+        calls.append((k0, k1))
+        cover[k0:k1] += 1
+        start[k0:k1] = k0
+        pid[k0:k1] = os.getpid()
+
+    fc.run_ranges(n, workers, run)
+    return calls, cover, start, pid
+
+
+def test_run_ranges_cover_every_k_once_in_uneven_ordered_ranges(forks):
+    calls, cover, start, pid = shared_ranges(10, 3)
+    assert len(forks) == 2
+    # this process runs the first range, a worker each of the others
+    assert calls == [(0, 3)]
+    assert cover.tolist() == [1] * 10
+    assert start.tolist() == [0] * 3 + [3] * 3 + [6] * 4
+    assert pid[:3].tolist() == [os.getpid()] * 3
+    assert len(set(pid[3:].tolist()) - {os.getpid()}) == 2
+
+
+def test_run_ranges_with_more_workers_than_cpus(forks):
+    # eight workers on a few CPUs: none loses another's writes
+    _, cover, start, pid = shared_ranges(1000, 8)
+    assert len(forks) == 7
+    assert cover.tolist() == [1] * 1000
+    assert len(set(start.tolist())) == len(set(pid.tolist())) == 8
+    assert start.tolist() == sorted(start.tolist())
+
+
+@pytest.mark.parametrize("n, workers, calls, n_forks", [
+    (2, 5, [(0, 1)], 1), (0, 3, [(0, 0)], 0), (7, 1, [(0, 7)], 0),
+    (7, 0, [(0, 7)], 0)])
+def test_run_ranges_at_most_one_worker_per_k(forks, n, workers, calls,
+                                             n_forks):
+    made, cover, _, _ = shared_ranges(n, workers)
+    assert made == calls
+    assert len(forks) == n_forks
+    assert cover.tolist() == [1] * n
+
+
+def test_run_ranges_raises_the_error_of_its_own_range(forks):
+    def run(k0, k1):
+        if k0 == 0:
+            raise ValueError("first range")
+
+    with pytest.raises(ValueError, match="first range"):
+        fc.run_ranges(6, 3, run)
+    assert len(forks) == 2
+
+
+@pytest.mark.parametrize("failure", ["raise", "kill"])
+def test_a_failed_worker_fails_run_ranges(forks, failure):
+    parent = os.getpid()
+
+    def run(k0, k1):
+        if os.getpid() != parent and k0 == 4:
+            if failure == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError("worker failure")
+
+    code = -signal.SIGKILL if failure == "kill" else 1
+    with pytest.raises(RuntimeError, match=re.escape(
+            f"forked workers exited with [0, {code}]")):
+        fc.run_ranges(6, 3, run)
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_worker_count(monkeypatch):
+    assert fc.worker_count(3, 10) == 3
+    assert fc.worker_count(3, 2) == 2
+    assert fc.worker_count(3, 0) == 1
+    assert fc.worker_count(0, 10) == 1
+    monkeypatch.delattr(fc.os, "fork")
+    assert fc.worker_count(3, 10) == 1
+
+
+def test_output_array_is_shared_only_for_workers(forks):
+    serial = fc.output_array((2, 3), np.float32, 1)
+    assert serial.base is None and not serial.any()
+    shared = fc.output_array((4, 3), np.float32, 2)
+    assert shared.shape == (4, 3) and not shared.any()
+    fc.run_ranges(4, 2, lambda k0, k1: shared[k0:k1].fill(k0 + 1))
+    assert len(forks) == 1
+    assert shared[:, 0].tolist() == [1, 1, 3, 3]
 
 
 

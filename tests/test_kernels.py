@@ -41,13 +41,10 @@ def test_violation_index_identical():
 # ------------------------------------------------ pixels split over workers
 
 @pytest.fixture
-def split3(monkeypatch):
-    """Three workers on any call, counting the forks of the parent."""
+def split3(monkeypatch, forks):
+    """Three workers on any call; returns the fork counter."""
     monkeypatch.setattr(kernels, "usable_cpus", lambda: 3)
     monkeypatch.setattr(kernels, "SPLIT_PAIRS", 0)
-    forks = []
-    fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     return forks
 
 
@@ -122,7 +119,7 @@ def test_a_failed_worker_fails_the_call(split3, monkeypatch, failure):
 
     monkeypatch.setattr(kernels, "_accumulate", failing)
     model, grid, layer = strip_map()
-    with pytest.raises(RuntimeError, match="field kernel workers exited"):
+    with pytest.raises(RuntimeError, match="forked workers exited"):
         nf.evaluate_phasor_map(model, grid, layer)
     assert len(split3) == 2
 
