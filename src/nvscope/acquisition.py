@@ -23,9 +23,11 @@ of frames, its own float64 buffer and its own re-keyed Philox, writing
 straight into the float32 result, which such a call allocates as shared
 memory. This process fills the first range and forked workers the
 others, and the bytes are those of the serial loop. Smaller frames keep
-the serial loop, where forking would cost more than it saves. Every
-input is checked before the first fork, so an input error reaches the
-caller as the serial loop raises it.
+the serial loop, where forking would cost more than it saves; several
+such cubes (simulate_cubes, the repeats of a sensitivity estimate) are
+split whole over the processes instead (cube_workers). Every input is
+checked before the first fork, so an input error reaches the caller as
+the serial loop raises it.
 """
 
 import math
@@ -284,19 +286,44 @@ def _fill_frames(frames, ideals, counts_ref, seed, workers):
     run_ranges(len(frames), workers, run)
 
 
+def cube_workers(shape, n_cubes):
+    """The processes that fill n_cubes cubes of shape (frames first):
+    frame_workers(shape) where that splits each cube's frames, else one
+    per usable CPU and at most one per cube, each filling whole cubes
+    serially, so that no worker forks again."""
+    workers = frame_workers(shape)
+    if workers > 1:
+        return workers
+    return worker_count(usable_cpus(), n_cubes)
+
+
 def simulate_cube(bmap, dt_list_ns, pulse, decay, seed=None):
     """Scan dt_mw and stack contrast frames; independent noise per frame.
 
     Contrast and noise are computed in float64; the cube holds them
     rounded to float32.
     """
-    # checked and computed once per cube, before any worker is forked
+    return simulate_cubes(bmap, dt_list_ns, pulse, decay, [seed])[0]
+
+
+def simulate_cubes(bmap, dt_list_ns, pulse, decay, seeds):
+    """simulate_cube(bmap, dt_list_ns, pulse, decay, seed) for each of
+    the seeds, bit for bit; the cubes view one float32 block.
+
+    Cubes whose frames frame_workers splits are filled one after
+    another, each over its own workers. Smaller cubes are split over
+    cube_workers processes through fieldcore.run_ranges, each filling a
+    contiguous range of whole cubes into the block, which such a call
+    allocates as shared memory. Each cube keys its own seed's Philox.
+    """
+    # checked and computed once, before any worker is forked
     omega = rabi_omega(bmap.values)
     dt_list_ns = _durations(dt_list_ns)
     shape = bmap.values.shape
     cube_shape = (len(dt_list_ns),) + shape
-    workers = frame_workers(cube_shape)
-    frames = output_array(cube_shape, np.float32, workers)
+    frame_split = frame_workers(cube_shape)
+    workers = cube_workers(cube_shape, len(seeds))
+    cubes = output_array((len(seeds),) + cube_shape, np.float32, workers)
     step = max(1, CUBE_CHUNK // bmap.values.size)
 
     def ideals(k0, k1):
@@ -307,9 +334,15 @@ def simulate_cube(bmap, dt_list_ns, pulse, decay, seed=None):
             yield from _contrast(omega, dts, decay, pulse.c0,
                                  out=ideal[:len(dts)])
 
-    _fill_frames(frames, ideals, pulse.counts_ref, seed, workers)
-    return ImageCube(grid=bmap.grid, dt_ns=dt_list_ns, frames=frames,
-                     pulse=pulse, seed=seed, component=bmap.component)
+    def fill(j0, j1):
+        for j in range(j0, j1):
+            _fill_frames(cubes[j], ideals, pulse.counts_ref, seeds[j],
+                         frame_split)
+
+    run_ranges(len(seeds), 1 if frame_split > 1 else workers, fill)
+    return [ImageCube(grid=bmap.grid, dt_ns=dt_list_ns, frames=frames,
+                      pulse=pulse, seed=seed, component=bmap.component)
+            for frames, seed in zip(cubes, seeds)]
 
 
 @dataclass

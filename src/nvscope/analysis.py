@@ -164,6 +164,10 @@ MIN_SNR = 6.0
 # pixels fitted together in one LM batch; bounds the solver's memory
 FIT_BLOCK_PX = 1024
 
+# pixels per fit worker, at least: a fit of fewer pixels per worker
+# than this does not pay for the fork (timed in _fit_columns)
+FIT_SPLIT_PX = 256
+
 # MINPACK gradient test: max |cos(column of J, residual)|
 _GTOL = 1e-14
 
@@ -626,22 +630,49 @@ def fit_pixel(t_ns, y, cfg=None):
     return _fit_rows(t_ns, np.asarray(y, dtype=float)[None, :], cfg)[0]
 
 
-def _fit_columns(t, parts, cfg, out=None):
+def fit_workers(n_px, requested=None):
+    """The processes that fit n_px pixels: `requested`, by default one
+    per usable CPU, at most one per usable CPU and one per FIT_SPLIT_PX
+    pixels (fieldcore.worker_count)."""
+    cpus = usable_cpus()
+    if requested is not None:
+        cpus = min(requested, cpus)
+    return worker_count(cpus, n_px // FIT_SPLIT_PX)
+
+
+def _fit_columns(t, parts, cfg, workers):
     """Fit the columns of the (n_frames, m_i) arrays of parts, side by
-    side, FIT_BLOCK_PX at a time, into the FIT_DTYPE records of out, by
-    default a new record array; returns out. A block that spans several
-    parts is gathered from them alone, so the parts are never copied
-    whole."""
+    side; returns their FIT_DTYPE records as one record array.
+
+    The n columns are cut into blocks of at most min(FIT_BLOCK_PX,
+    ceil(n / workers)), dealt out in turn to `workers` processes, at
+    most one per block, through fieldcore.run_ranges: this process fits
+    blocks 0, workers, 2 workers, ... and forked workers the others,
+    writing their records into output_array memory. A block that spans
+    several parts is gathered from them alone, so the parts are never
+    copied whole. The times are checked before any worker is forked.
+    """
+    t = _fit_times(t)
     edges = np.cumsum([0] + [p.shape[1] for p in parts])
-    if out is None:
-        out = np.zeros(edges[-1], FIT_DTYPE).view(np.recarray)
-    for k in range(0, edges[-1], FIT_BLOCK_PX):
-        block = np.concatenate([p[:, max(k - e, 0):k + FIT_BLOCK_PX - e]
-                                for p, e in zip(parts, edges)
-                                if k - p.shape[1] < e < k + FIT_BLOCK_PX],
-                               axis=1)
-        out[k:k + FIT_BLOCK_PX] = _fit_rows(t, block.T, cfg)
-    return out
+    n = int(edges[-1])
+    size = min(FIT_BLOCK_PX, -(-n // workers))
+    blocks = range(0, n, size)
+    workers = min(workers, len(blocks))
+    out = output_array((n,), FIT_DTYPE, workers)
+
+    def run(j, _):
+        # blocks in turn, not contiguous ranges: the fit's cost varies
+        # over a map, and one contiguous half of cpw-fig2 or trap-fig4-xz
+        # took 1.3-1.7x as long as the other (1.0-1.2x in turn)
+        for k in blocks[j::workers]:
+            block = np.concatenate([p[:, max(k - e, 0):k + size - e]
+                                    for p, e in zip(parts, edges)
+                                    if k - p.shape[1] < e < k + size],
+                                   axis=1)
+            out[k:k + size] = _fit_rows(t, block.T, cfg)
+
+    run_ranges(workers, workers, run)
+    return out.view(np.recarray)
 
 
 def fit_cube(cube, cfg=None, n_workers=1):
@@ -655,32 +686,18 @@ def fit_cube(cube, cfg=None, n_workers=1):
     on its trace, so results are independent of n_workers and of the
     block a pixel is fitted in.
 
-    The FIT_BLOCK_PX-pixel blocks are dealt out in turn to n_workers
-    processes, at most one per usable CPU and one per block, through
-    fieldcore.run_ranges: this process fits blocks 0, n_workers,
-    2 n_workers, ... and forked workers the others, writing their
-    records into shared memory.
+    The pixels are fitted by _fit_columns over fit_workers(n_px,
+    n_workers) processes: n_workers, at most one per usable CPU and
+    one per FIT_SPLIT_PX pixels, each fitting blocks of at most
+    FIT_BLOCK_PX pixels dealt out in turn.
     """
     if cfg is None:
         cfg = FitConfig()
     nx, ny = cube.grid.nx, cube.grid.ny
-    t = _fit_times(cube.dt_ns)  # checked before any worker is forked
-    flat = cube.frames.reshape(cube.n_frames, nx * ny)
-    blocks = range(0, nx * ny, FIT_BLOCK_PX)
-    workers = worker_count(min(n_workers or 1, usable_cpus()), len(blocks))
-    results = output_array((nx * ny,), FIT_DTYPE, workers)
-
-    def run(j, _):
-        # blocks in turn, not contiguous ranges: the fit's cost varies
-        # over a map, and one contiguous half of cpw-fig2 or trap-fig4-xz
-        # took 1.3-1.7x as long as the other (1.0-1.2x in turn)
-        for k in blocks[j::workers]:
-            _fit_columns(t, [flat[:, k:k + FIT_BLOCK_PX]], cfg,
-                         results[k:k + FIT_BLOCK_PX])
-
-    run_ranges(workers, workers, run)
-
-    results = results.view(np.recarray).reshape(nx, ny)
+    results = _fit_columns(cube.dt_ns,
+                           [cube.frames.reshape(cube.n_frames, nx * ny)],
+                           cfg, fit_workers(nx * ny, n_workers or 1))
+    results = results.reshape(nx, ny)
     values = np.where(results.converged & np.isfinite(results.omega),
                       omega_to_field(results.omega), 0.0)
     fmap = PolarizedFieldMap(grid=cube.grid, component=cube.component,
@@ -1011,9 +1028,12 @@ def amplitude_sensitivity(cubes, measurement_time_s=None):
     reports the median over pixels that converged in every repeat
     (NoConvergedPixel when there is none). The batch is gathered
     block by block from the cubes, so no copy of all repeats is made
-    beside them. The repeats must share their pulse durations and grid
-    shape. measurement_time_s defaults to the summed exposure time of
-    the cube's pulse train.
+    beside them, and fitted by _fit_columns over fit_workers(n_px)
+    processes: one per usable CPU, at most one per FIT_SPLIT_PX
+    pixels. Each pixel's fit is that of fit_pixel, so the value does
+    not depend on the workers. The repeats must share their pulse
+    durations and grid shape. measurement_time_s defaults to the summed
+    exposure time of the cube's pulse train.
     """
     cubes = list(cubes)
     if len(cubes) < 10:
@@ -1032,9 +1052,10 @@ def amplitude_sensitivity(cubes, measurement_time_s=None):
                 "cube carries no pulse parameters; pass measurement_time_s")
         measurement_time_s = float(
             np.sum([pulse.exposure_ns(dt) for dt in t])) * 1e-9
+    parts = [c.frames.reshape(c.n_frames, -1) for c in cubes]
     results = _fit_columns(
-        t, [c.frames.reshape(c.n_frames, -1) for c in cubes],
-        FitConfig(envelope_mode=SINGLE_EXP)).reshape(len(cubes), -1)
+        t, parts, FitConfig(envelope_mode=SINGLE_EXP),
+        fit_workers(len(cubes) * parts[0].shape[1])).reshape(len(cubes), -1)
     fields = omega_to_field(results.omega)
     ok = results.converged.all(axis=0)
     if not np.any(ok):

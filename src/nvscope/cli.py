@@ -549,19 +549,23 @@ def cmd_report(args, cfg, out, span):
         rows += [("p_sim", f"{p_sim:.2f} dBm"),
                  ("insertion loss", f"{loss:.2f} dB")]
 
+    counts = {}
     if "sensitivity" in cfg.report:
         n_rep = cfg.report["sensitivity"]
         base_seed = (cfg.seed if cfg.seed is not None else 0) + 1000
         with span("sensitivity"):
-            cubes = [acquisition.simulate_cube(pmap, cfg.dt_ns, cfg.pulse,
-                                               decay=cfg.decay,
-                                               seed=base_seed + k)
-                     for k in range(n_rep)]
+            cubes = acquisition.simulate_cubes(
+                pmap, cfg.dt_ns, cfg.pulse, decay=cfg.decay,
+                seeds=[base_seed + k for k in range(n_rep)])
             sens = analysis.amplitude_sensitivity(cubes)
         report["sensitivity"] = {"n_repeats": n_rep,
                                  "t_per_sqrt_hz": sens,
                                  "ut_per_sqrt_hz": sens * 1e6}
         rows.append(("sensitivity", f"{sens * 1e6:.4f} uT/sqrt(Hz)"))
+        shape = cubes[0].frames.shape
+        counts["workers"] = {
+            "simulate": acquisition.cube_workers(shape, n_rep),
+            "fit": analysis.fit_workers(n_rep * shape[1] * shape[2])}
 
     if "trap" in cfg.report:
         trap = analysis.characterize_trap(pmap, **cfg.report["trap"])
@@ -575,7 +579,7 @@ def cmd_report(args, cfg, out, span):
         rows.append(("trap minimum", f"{trap.value * 1e6:.3f} uT at px "
                      f"{tuple(trap.position_px)}"))
 
-    out(f"{cfg.name}.report.json", _write_json, report)
+    out(f"{cfg.name}.report.json", _write_json, report, **counts)
     text = "".join(f"{label:<16}{value}\n" for label, value in rows)
     out(f"{cfg.name}.report.txt", formats.atomic_write_bytes, text.encode())
     print(text, end="")

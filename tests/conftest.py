@@ -8,8 +8,9 @@ import pytest
 @pytest.fixture(autouse=True)
 def no_child_process_left():
     """Every test reaps the processes it starts (the workers that
-    fieldcore.run_ranges forks for the field kernel, the frame fill and
-    the fit): none may be left running or unreaped."""
+    fieldcore.run_ranges forks for the field kernel, the frame fill, the
+    sensitivity's repeats and the fit): none may be left running or
+    unreaped."""
     yield
     try:
         pid, _ = os.waitpid(-1, os.WNOHANG)

@@ -2,6 +2,7 @@
 
 import math
 import os
+import signal
 import threading
 import tracemalloc
 
@@ -539,3 +540,59 @@ class TestFrameWorkers:
             tracemalloc.stop()
         assert len(forks) == 3
         assert peak + cube.frames.nbytes < 1.25 * cube.frames.nbytes
+
+
+class TestCubeWorkers:
+    """simulate_cubes fills several cubes, each keyed by its own seed:
+    cubes of small frames are split whole over forked workers, cubes
+    whose frames split are filled one after another, each over its own
+    workers, so that no worker forks again."""
+
+    @pytest.mark.parametrize("cpus, n_cubes, px, workers", [
+        (3, 10, SERIAL_PX, 3), (3, 2, SERIAL_PX, 2), (1, 10, SERIAL_PX, 1),
+        (3, 1, SERIAL_PX, 1), (3, 0, SERIAL_PX, 1), (3, 1, FORK_PX, 3),
+        (2, 10, FORK_PX, 2)])
+    def test_cube_workers(self, monkeypatch, cpus, n_cubes, px, workers):
+        monkeypatch.setattr(acq, "usable_cpus", lambda: cpus)
+        assert acq.cube_workers((FORK_FRAMES,) + px, n_cubes) == workers
+
+    @pytest.mark.parametrize("px, n_forks", [((6, 4), 2), (FORK_PX, 8)])
+    def test_cubes_equal_single_cubes(self, monkeypatch, forks, px, n_forks):
+        # 4 small cubes split 1 + 1 + 2 over three processes; 4 cubes of
+        # forking frames fork twice each, from this process alone
+        monkeypatch.setattr(acq, "usable_cpus", lambda: 3)
+        bmap = random_bmap(*px)
+        dts = np.arange(FORK_FRAMES) * 9.0
+        seeds = [7, None, 2 ** 64 + 5, 8]
+        cubes = acq.simulate_cubes(bmap, dts, acq.PulseParams(),
+                                   acq.DecayParams(), seeds)
+        assert len(forks) == n_forks
+        monkeypatch.setattr(acq, "usable_cpus", lambda: 1)
+        for cube, seed in zip(cubes, seeds):
+            one = acq.simulate_cube(bmap, dts, acq.PulseParams(),
+                                    acq.DecayParams(), seed=seed)
+            assert cube.frames.tobytes() == one.frames.tobytes()
+            assert (cube.seed, cube.component) == (seed, one.component)
+        # the cubes view one block, which the workers wrote
+        assert all(c.frames.base is cubes[0].frames.base for c in cubes)
+
+    @pytest.mark.parametrize("failure", ["raise", "kill"])
+    def test_a_failed_worker_fails_the_cubes(self, monkeypatch, forks,
+                                             failure):
+        parent = os.getpid()
+        noise = acq._apply_shot_noise
+
+        def failing(*args, **kwargs):
+            if os.getpid() != parent:
+                if failure == "kill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise RuntimeError("worker failure")
+            return noise(*args, **kwargs)
+
+        monkeypatch.setattr(acq, "usable_cpus", lambda: 3)
+        monkeypatch.setattr(acq, "_apply_shot_noise", failing)
+        with pytest.raises(RuntimeError, match="forked workers exited"):
+            acq.simulate_cubes(random_bmap(6, 4), np.arange(10) * 9.0,
+                               acq.PulseParams(), acq.DecayParams(),
+                               list(range(10)))
+        assert len(forks) == 2

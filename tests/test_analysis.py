@@ -9,6 +9,8 @@ stays under 0.1%.
 """
 
 import math
+import os
+import signal
 import tracemalloc
 from functools import lru_cache
 
@@ -305,13 +307,17 @@ def test_fit_cube_worker_count_invariant():
         assert_same_result(r1, r2)
 
 
-@pytest.mark.parametrize("cpus, requested, block_px, n_forks", [
-    (3, 5000, 2, 2), (3, 2, 2, 1), (1, 4, 2, 0), (3, 1, 2, 0), (3, 0, 2, 0),
-    (3, 5000, 5, 2), (3, 5000, 12, 0)])
+@pytest.mark.parametrize("cpus, requested, split_px, block_px, n_forks", [
+    (3, 5000, 1, 2, 2), (3, 2, 1, 2, 1), (1, 4, 1, 2, 0), (3, 1, 1, 2, 0),
+    (3, 0, 1, 2, 0), (3, 5000, 5, 2, 1), (3, 5000, 13, 2, 0),
+    (5, 5000, 1, 1024, 3)])
 def test_fit_cube_workers_never_exceed_cpus(monkeypatch, forks, cpus,
-                                            requested, block_px, n_forks):
-    # 12 px: at most one worker per usable CPU and one per block
+                                            requested, split_px, block_px,
+                                            n_forks):
+    # 12 px: at most one worker per usable CPU, one per split_px pixels
+    # and one per block; five workers would cut blocks of 3 px, 4 blocks
     monkeypatch.setattr(ana, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(ana, "FIT_SPLIT_PX", split_px)
     monkeypatch.setattr(ana, "FIT_BLOCK_PX", block_px)
     cube = simulate_cube(graded_field_map(4, 3), np.arange(10.0, 601.0, 10.0),
                          pulse=PulseParams(), decay=NO_DECAY, seed=99)
@@ -321,6 +327,35 @@ def test_fit_cube_workers_never_exceed_cpus(monkeypatch, forks, cpus,
     assert len(forks) == n_forks
     assert fmap.values.tobytes() == ref_map.values.tobytes()
     assert results.tobytes() == ref.tobytes()
+
+
+def test_fit_cube_splits_a_cube_of_one_block_evenly(monkeypatch, forks):
+    # 1000 px, under one FIT_BLOCK_PX block: two workers fit 500 px each
+    monkeypatch.setattr(ana, "usable_cpus", lambda: 4)
+    assert ana.fit_workers(1000, 2) == 2
+    cube = simulate_cube(graded_field_map(40, 25), np.arange(10.0, 601.0, 10.0),
+                         pulse=PulseParams(), decay=NO_DECAY, seed=99)
+    dealt = []
+    fit_rows = ana._fit_rows
+    monkeypatch.setattr(ana, "_fit_rows", lambda t, y, cfg: dealt.append(
+        len(y)) or fit_rows(t, y, cfg))
+    fmap, results = fit_cube(cube, n_workers=2)
+    assert len(forks) == 1
+    assert dealt == [500]  # this process's block; the worker fits the other
+    ref_map, ref = fit_cube(cube, n_workers=1)
+    assert len(forks) == 1 and dealt == [500, 1000]
+    assert fmap.values.tobytes() == ref_map.values.tobytes()
+    assert results.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("cpus, requested, n_px, workers", [
+    (4, None, 1024, 4), (4, None, 1023, 3), (4, None, 255, 1),
+    (4, 2, 5000, 2), (4, 8, 5000, 4), (1, None, 5000, 1), (4, 0, 5000, 1)])
+def test_fit_workers(monkeypatch, cpus, requested, n_px, workers):
+    # one per usable CPU by default, at most one per FIT_SPLIT_PX px
+    monkeypatch.setattr(ana, "usable_cpus", lambda: cpus)
+    assert ana.FIT_SPLIT_PX == 256
+    assert ana.fit_workers(n_px, requested) == workers
 
 
 def test_a_short_cube_fails_before_any_fork(monkeypatch, forks):
@@ -752,7 +787,7 @@ def test_fit_block_degenerate_neighbour_leaves_row_alone(monkeypatch):
     cfg = FitConfig()
     block = np.column_stack([np.full(len(t), 0.3), healthy,
                              np.zeros(len(t))])
-    fitted = ana._fit_columns(t, [block], cfg)
+    fitted = ana._fit_columns(t, [block], cfg, 1)
     assert_same_result(fitted[1], fit_pixel(t, healthy, cfg))
     assert fitted[1].converged
 
@@ -1086,6 +1121,45 @@ def test_sensitivity_holds_each_repeat_once():
     finally:
         tracemalloc.stop()
     assert peak < 0.75 * sum(c.frames.nbytes for c in cubes)
+
+
+def test_sensitivity_does_not_depend_on_the_workers(monkeypatch, forks):
+    # 240 px over three workers, in 7-px blocks that straddle the
+    # repeats' 24-px parts and deal out unevenly (12, 12 and 11 blocks)
+    cubes = _sensitivity_cubes(1e5, 100)
+    serial = amplitude_sensitivity(cubes)
+    assert forks == []
+    monkeypatch.setattr(ana, "usable_cpus", lambda: 3)
+    monkeypatch.setattr(ana, "FIT_SPLIT_PX", 1)
+    monkeypatch.setattr(ana, "FIT_BLOCK_PX", 7)
+    dealt = []
+    fit_rows = ana._fit_rows
+    monkeypatch.setattr(ana, "_fit_rows", lambda t, y, cfg: dealt.append(
+        len(y)) or fit_rows(t, y, cfg))
+    assert amplitude_sensitivity(cubes) == serial
+    assert len(forks) == 2
+    assert dealt == [7] * 12  # this process's blocks
+
+
+@pytest.mark.parametrize("failure", ["raise", "kill"])
+def test_a_failed_fit_worker_fails_the_sensitivity(monkeypatch, forks,
+                                                   failure):
+    parent = os.getpid()
+    fit_rows = ana._fit_rows
+
+    def failing(t, y, cfg):
+        if os.getpid() != parent:
+            if failure == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError("worker failure")
+        return fit_rows(t, y, cfg)
+
+    monkeypatch.setattr(ana, "usable_cpus", lambda: 3)
+    monkeypatch.setattr(ana, "FIT_SPLIT_PX", 1)
+    monkeypatch.setattr(ana, "_fit_rows", failing)
+    with pytest.raises(RuntimeError, match="forked workers exited"):
+        amplitude_sensitivity(_sensitivity_cubes(1e5, 100))
+    assert len(forks) == 2
 
 
 def test_sensitivity_requires_ten_repeats():

@@ -1284,6 +1284,39 @@ def test_report_insertion_loss_and_sensitivity(tmp_path):
                    {"sensitivity"})
 
 
+def test_report_records_the_sensitivity_workers(tmp_path, monkeypatch):
+    # the repeats of the 96-px mini-strip split over three workers to
+    # simulate and, one worker per pixel allowed, three to fit: the
+    # report's bytes are those of the serial run
+    cfg = write_scenario(tmp_path, report={"sensitivity": {"n_repeats": 11}})
+    entries = {}
+    for label, cpus, split_px in (("serial", 1, 256), ("split", 3, 1)):
+        monkeypatch.setattr(acquisition, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(analysis, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(analysis, "FIT_SPLIT_PX", split_px)
+        out = tmp_path / label
+        assert run("simulate", "--config", cfg, "-o", out) == 0
+        assert run("report", "--config", cfg, "-o", out) == 0
+        entries[label] = {o["path"]: o for o in read_manifest(
+            out, "mini-strip", "report")["outputs"]}
+        assert run("report", "--config", cfg, "-o", out, "--verify") == 0
+    serial, split = (entries[label]["mini-strip.report.json"]
+                     for label in ("serial", "split"))
+    assert serial["workers"] == {"simulate": 1, "fit": 1}
+    assert split["workers"] == {"simulate": 3, "fit": 3}
+    assert ({k: o["sha256"] for k, o in entries["split"].items()}
+            == {k: o["sha256"] for k, o in entries["serial"].items()})
+    assert all("workers" not in o for label in entries
+               for k, o in entries[label].items()
+               if k != "mini-strip.report.json")
+
+
+def test_report_without_sensitivity_records_no_workers(pipeline):
+    outdir, _ = pipeline
+    outputs = read_manifest(outdir, "mini-strip", "report")["outputs"]
+    assert all("workers" not in o for o in outputs)
+
+
 def test_p_in_dbm_without_drive_current_exits_2_at_load(tmp_path, capsys):
     # a segments device names no params-level current, so the input power
     # has nothing to be compared with unless the report gives a current
