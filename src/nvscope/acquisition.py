@@ -10,24 +10,23 @@ double-exponential coherence envelope.
 Randomness uses the counter-based Philox generator keyed by
 (seed, frame index) with a fixed draw order inside each frame
 (N_ref first, then N_data), so cubes are bit-reproducible no matter
-how frames are scheduled or parallelized. A run holds one Philox and
-re-keys it for each frame: key (seed mod 2^64, k mod 2^64), counter 0
-and an empty buffer, the exact state of a fresh Philox(key=[seed, k]).
-The streams are therefore the same as with a fresh generator per
-frame, without one OS-entropy seeding per frame.
+how frames are scheduled or parallelized. A range of frames holds one
+Philox and re-keys it for each frame: key (seed mod 2^64, k mod 2^64),
+counter 0 and an empty buffer, the exact state of a fresh
+Philox(key=[seed, k]). The streams are therefore the same as with a
+fresh generator per frame, without one OS-entropy seeding per frame.
 
-Cubes and camera streams whose frames hold at least CUBE_CHUNK pixels
-are filled by fieldcore.run_ranges: one process per usable CPU, at most
-one per JOB_FRAMES frames (frame_workers), each with a contiguous range
-of frames, its own float64 buffer and its own re-keyed Philox, writing
-straight into the float32 result, which such a call allocates as shared
-memory. This process fills the first range and forked workers the
-others, and the bytes are those of the serial loop. Smaller frames keep
-the serial loop, where forking would cost more than it saves; several
-such cubes (simulate_cubes, the repeats of a sensitivity estimate) are
-split whole over the processes instead (cube_workers). Every input is
-checked before the first fork, so an input error reaches the caller as
-the serial loop raises it.
+Cubes and camera streams are filled by fieldcore.run_ranges over
+frame_workers processes, at most one per FILL_SPLIT_PX frame pixels and
+one per JOB_FRAMES frames, each with a contiguous range of frames, its
+own float64 buffer and its own re-keyed Philox, writing straight into
+the float32 result, which a split call allocates as shared memory. This
+process fills the first range and forked workers the others, and the
+bytes are those of the serial loop. Several cubes (simulate_cubes, the
+repeats of a sensitivity estimate) are filled as one range of frames,
+so that no worker forks again. Every input is checked before anything
+is allocated or forked, so an input error reaches the caller as the
+serial loop raises it.
 """
 
 import math
@@ -37,7 +36,7 @@ import numpy as np
 
 from nvscope.fieldcore import (GAMMA_NV, SIGMA_MINUS, check_component,
                                is_number, lst, output_array, run_ranges,
-                               usable_cpus, worker_count)
+                               workers_for)
 
 
 @dataclass
@@ -132,23 +131,23 @@ def _contrast(omega, dt, decay, c0, out=None):
     return np.multiply(c0 * decay.envelope(dt), sin2, out=out)
 
 
-def _frame_rngs(seed):
-    """rng(k) is the Generator of frame k for a seeded run.
+def _frame_rngs():
+    """rng(seed, k) is the Generator of frame k of the run seeded `seed`.
 
     Every call re-keys one shared Philox to the state of a fresh
     Philox(key=[seed mod 2^64, k mod 2^64]) and returns its Generator,
     so a generator is valid only until the next call.
     """
-    seed = int(seed) % 2 ** 64
     bitgen = np.random.Philox(0)  # keyed() sets the state before any draw
     rng = np.random.Generator(bitgen)
     zeros = np.zeros(4, dtype=np.uint64)
 
-    def keyed(frame_index):
+    def keyed(seed, frame_index):
         bitgen.state = {
             "bit_generator": "Philox",
             "state": {"counter": zeros,
-                      "key": np.array([seed, int(frame_index) % 2 ** 64],
+                      "key": np.array([int(seed) % 2 ** 64,
+                                       int(frame_index) % 2 ** 64],
                                       dtype=np.uint64)},
             "buffer": zeros, "buffer_pos": 4,
             "has_uint32": 0, "uinteger": 0}
@@ -185,7 +184,7 @@ def simulate_contrast_image(bmap, dt_mw_ns, pulse, decay, noise_seed=None,
     ideal = contrast_at(bmap.values, dt_mw_ns, decay, pulse.c0)
     if noise_seed is None:
         return ideal
-    rng = _frame_rngs(noise_seed)(frame_index)
+    rng = _frame_rngs()(noise_seed, frame_index)
     return _apply_shot_noise(ideal, pulse.counts_ref, rng)
 
 
@@ -240,14 +239,19 @@ class ImageCube:
         return self.frames[:, i, j]
 
 
-# Float64 contrast values per _contrast call while a cube is filled,
-# and the frame size from which frames are filled by forked workers.
+# Float64 contrast values per _contrast call while a cube is filled.
 # The ideal contrast and the noise are computed in float64 and each frame
 # is stored once into the float32 result, so the float64 values are held
 # a few frames at a time per worker, never for the whole cube; a frame of
-# more pixels than this is computed alone. Frames of fewer pixels are
-# filled serially: their numpy calls are too short to pay for a fork.
+# more pixels than this is computed alone.
 CUBE_CHUNK = 8192
+
+# Frame pixels per fill worker, at least (frame_workers). Timed on a
+# 2-vCPU Xeon, noisy cubes of 10 x 10 px frames, serial against two
+# workers: 40 k frame pixels took 10.9 ms serial, 11.6 ms split; 80 k
+# 20.9 and 19.8 ms; 100 k 25.9 and 22.9 ms; with 80 MB more resident,
+# 60 k took 17.9 and 14.7 ms but 40 k 10.6 and 10.9 ms.
+FILL_SPLIT_PX = 50_000
 
 # Frames per worker, at least. A worker holds three float64 frames at a
 # time (its contrast buffer, N_ref and N_data), the size of six float32
@@ -256,45 +260,36 @@ JOB_FRAMES = 32
 
 
 def frame_workers(shape):
-    """The processes that fill a cube or stream of shape (frames first):
-    one per usable CPU and at most one per JOB_FRAMES frames
-    (fieldcore.worker_count), or 1, the serial loop, for frames of fewer
-    than CUBE_CHUNK pixels."""
-    n_frames, frame_px = shape[0], math.prod(shape[1:])
-    if frame_px < CUBE_CHUNK:
-        return 1
-    return worker_count(usable_cpus(), n_frames // JOB_FRAMES)
+    """The processes that fill frames of shape, frames first
+    (fieldcore.workers_for): at most one per FILL_SPLIT_PX frame pixels
+    and one per JOB_FRAMES frames."""
+    return workers_for(math.prod(shape), FILL_SPLIT_PX,
+                       shape[0] // JOB_FRAMES)
 
 
-def _fill_frames(frames, ideals, counts_ref, seed, workers):
-    """Store every frame k of frames (float32, frames first): the float64
-    ideal contrast, with seed None, else its shot-noise draw from the
-    (seed, k) stream. ideals(k0, k1) yields the ideal frames k0..k1-1,
-    each in a buffer of the caller's range that the noise overwrites.
+def _fill_frames(frames, ideals, counts_ref, seeds, workers):
+    """Store every frame of frames (float32, frames first), which holds
+    one run of n frames per seed, one run after another: flat frame f is
+    frame k = f % n of run f // n. Each is the float64 ideal contrast
+    with its run's seed None, else its shot-noise draw from the (seed, k)
+    stream. ideals(f0, f1) yields the ideal flat frames f0..f1-1, each in
+    a buffer of the caller's range that the noise overwrites.
 
     The frames run through fieldcore.run_ranges over `workers`
     processes, so above 1 frames must be output_array memory. Each
     range calls ideals and keys its own Philox, so the bytes are those
     of one serial range.
     """
-    def run(k0, k1):
-        rng = None if seed is None else _frame_rngs(seed)
-        for k, ideal in enumerate(ideals(k0, k1), k0):
-            frames[k] = (ideal if rng is None else _apply_shot_noise(
-                ideal, counts_ref, rng(k), out=ideal))
+    n = len(frames) // max(1, len(seeds))
+
+    def run(f0, f1):
+        rng = _frame_rngs()
+        for f, ideal in enumerate(ideals(f0, f1), f0):
+            seed = seeds[f // n]
+            frames[f] = (ideal if seed is None else _apply_shot_noise(
+                ideal, counts_ref, rng(seed, f % n), out=ideal))
 
     run_ranges(len(frames), workers, run)
-
-
-def cube_workers(shape, n_cubes):
-    """The processes that fill n_cubes cubes of shape (frames first):
-    frame_workers(shape) where that splits each cube's frames, else one
-    per usable CPU and at most one per cube, each filling whole cubes
-    serially, so that no worker forks again."""
-    workers = frame_workers(shape)
-    if workers > 1:
-        return workers
-    return worker_count(usable_cpus(), n_cubes)
 
 
 def simulate_cube(bmap, dt_list_ns, pulse, decay, seed=None):
@@ -310,36 +305,30 @@ def simulate_cubes(bmap, dt_list_ns, pulse, decay, seeds):
     """simulate_cube(bmap, dt_list_ns, pulse, decay, seed) for each of
     the seeds, bit for bit; the cubes view one float32 block.
 
-    Cubes whose frames frame_workers splits are filled one after
-    another, each over its own workers. Smaller cubes are split over
-    cube_workers processes through fieldcore.run_ranges, each filling a
-    contiguous range of whole cubes into the block, which such a call
-    allocates as shared memory. Each cube keys its own seed's Philox.
+    The block's frames are filled as one range of frames over
+    frame_workers processes: frame k of cube j is flat frame
+    j * n_frames + k, keyed (seeds[j], k).
     """
-    # checked and computed once, before any worker is forked
+    # checked and computed once, before anything is allocated or forked
     omega = rabi_omega(bmap.values)
-    dt_list_ns = _durations(dt_list_ns)
+    dt_list_ns = check_dt_ns(dt_list_ns)
+    n_frames = len(dt_list_ns)
     shape = bmap.values.shape
-    cube_shape = (len(dt_list_ns),) + shape
-    frame_split = frame_workers(cube_shape)
-    workers = cube_workers(cube_shape, len(seeds))
-    cubes = output_array((len(seeds),) + cube_shape, np.float32, workers)
+    flat = (len(seeds) * n_frames,) + shape
+    workers = frame_workers(flat)
+    block = output_array(flat, np.float32, workers)
     step = max(1, CUBE_CHUNK // bmap.values.size)
 
-    def ideals(k0, k1):
+    def ideals(f0, f1):
         # one float64 buffer per range, filled step frames at a time
-        ideal = np.empty((min(step, k1 - k0),) + shape)
-        for k in range(k0, k1, step):
-            dts = dt_list_ns[k:min(k + step, k1)]
+        ideal = np.empty((min(step, f1 - f0),) + shape)
+        for f in range(f0, f1, step):
+            dts = dt_list_ns[np.arange(f, min(f + step, f1)) % n_frames]
             yield from _contrast(omega, dts, decay, pulse.c0,
                                  out=ideal[:len(dts)])
 
-    def fill(j0, j1):
-        for j in range(j0, j1):
-            _fill_frames(cubes[j], ideals, pulse.counts_ref, seeds[j],
-                         frame_split)
-
-    run_ranges(len(seeds), 1 if frame_split > 1 else workers, fill)
+    _fill_frames(block, ideals, pulse.counts_ref, seeds, workers)
+    cubes = block.reshape((len(seeds), n_frames) + shape)
     return [ImageCube(grid=bmap.grid, dt_ns=dt_list_ns, frames=frames,
                       pulse=pulse, seed=seed, component=bmap.component)
             for frames, seed in zip(cubes, seeds)]
@@ -450,5 +439,6 @@ def simulate_stream(bmap, dt_mw_ns, pulse, on_off_schedule, timing, rows,
     stream = output_array((len(starts),), stream_dtype(ideal_on.shape),
                           workers)
     stream["t"] = starts
-    _fill_frames(stream["frame"], ideals, pulse.counts_ref, seed, workers)
+    _fill_frames(stream["frame"], ideals, pulse.counts_ref, [seed],
+                 workers)
     return stream

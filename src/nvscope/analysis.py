@@ -110,8 +110,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from nvscope.acquisition import check_dt_ns
-from nvscope.fieldcore import (GAMMA_NV, output_array, run_ranges,
-                               usable_cpus, worker_count)
+from nvscope.fieldcore import GAMMA_NV, output_array, run_ranges, workers_for
 from nvscope.nearfield import GridSpec, PolarizedFieldMap
 
 
@@ -631,13 +630,9 @@ def fit_pixel(t_ns, y, cfg=None):
 
 
 def fit_workers(n_px, requested=None):
-    """The processes that fit n_px pixels: `requested`, by default one
-    per usable CPU, at most one per usable CPU and one per FIT_SPLIT_PX
-    pixels (fieldcore.worker_count)."""
-    cpus = usable_cpus()
-    if requested is not None:
-        cpus = min(requested, cpus)
-    return worker_count(cpus, n_px // FIT_SPLIT_PX)
+    """The processes that fit n_px pixels (fieldcore.workers_for): at
+    most one per FIT_SPLIT_PX pixels and `requested`, when given."""
+    return workers_for(n_px, FIT_SPLIT_PX, requested)
 
 
 def _fit_columns(t, parts, cfg, workers):

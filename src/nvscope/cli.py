@@ -562,10 +562,10 @@ def cmd_report(args, cfg, out, span):
                                  "t_per_sqrt_hz": sens,
                                  "ut_per_sqrt_hz": sens * 1e6}
         rows.append(("sensitivity", f"{sens * 1e6:.4f} uT/sqrt(Hz)"))
-        shape = cubes[0].frames.shape
+        n_frames, nx, ny = cubes[0].frames.shape
         counts["workers"] = {
-            "simulate": acquisition.cube_workers(shape, n_rep),
-            "fit": analysis.fit_workers(n_rep * shape[1] * shape[2])}
+            "simulate": acquisition.frame_workers((n_rep * n_frames, nx, ny)),
+            "fit": analysis.fit_workers(n_rep * nx * ny)}
 
     if "trap" in cfg.report:
         trap = analysis.characterize_trap(pmap, **cfg.report["trap"])

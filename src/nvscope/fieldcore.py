@@ -407,8 +407,7 @@ def layer_average(f, layer, x, y):
 
 
 def usable_cpus():
-    """The number of CPUs this process may run on; the cap of every
-    run_ranges call in nvscope."""
+    """The number of CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -416,12 +415,16 @@ def usable_cpus():
 
 # ------------------------------------------- fork-and-join over ranges
 
-def worker_count(cpus, most):
-    """The processes of a run_ranges call: cpus, at most `most` and at
-    least 1, or 1, the serial call, where os.fork does not exist."""
+def workers_for(work, grain, most=None):
+    """The processes of a run_ranges call over `work` units, each worker
+    given at least `grain` of them: one per usable CPU, at most
+    work // grain and `most` (no cap when None), and at least 1; or 1,
+    the serial call, where os.fork does not exist. nvscope reads the CPU
+    count nowhere else."""
     if not hasattr(os, "fork"):
         return 1
-    return max(1, min(cpus, most))
+    caps = (usable_cpus(), work // grain) + (() if most is None else (most,))
+    return max(1, min(caps))
 
 
 def output_array(shape, dtype, workers):

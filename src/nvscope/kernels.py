@@ -1,16 +1,16 @@
 """Biot-Savart accumulation kernel for straight current segments.
 
 One call evaluates a set of points at one or more weighted offsets (the
-layer quadrature heights of a map). A call of at least SPLIT_PAIRS
-(segment, point, offset) pairs splits its points into one contiguous
-range per usable CPU through fieldcore.run_ranges: this process
-evaluates the first range and forked workers the others
-(field_workers gives the count). Each range's stacked (offset, point)
-pairs are walked in fixed blocks of BLOCK pairs; inside a block the
-segments run in array order. A block's coordinates, field sums and
-intermediates are contiguous scratch rows, reused from block to block
-through ufunc ``out=``; the x, y and z rows of a vector are computed in
-one ufunc call against a per-segment column.
+layer quadrature heights of a map). A call splits its points into
+field_workers contiguous ranges through fieldcore.run_ranges, one
+worker per SPLIT_PAIRS (segment, point, offset) pairs at most: this
+process evaluates the first range and forked workers the others. Each
+range's stacked (offset, point) pairs are walked in fixed blocks of
+BLOCK pairs; inside a block the segments run in array order. A block's
+coordinates, field sums and intermediates are contiguous scratch rows,
+reused from block to block through ufunc ``out=``; the x, y and z rows
+of a vector are computed in one ufunc call against a per-segment
+column.
 
 Accumulation order, which makes every block size give the same bits:
 each (offset, point) pair sums its segments from 0.0 in array order,
@@ -24,8 +24,7 @@ where a point is summed, so the split gives the serial call's bits.
 
 import numpy as np
 
-from nvscope.fieldcore import (output_array, run_ranges, usable_cpus,
-                               worker_count)
+from nvscope.fieldcore import output_array, run_ranges, workers_for
 
 # Stacked (offset, point) pairs per block, chosen by timing the bundled
 # maps on a 2-vCPU Xeon (2 MB L2 per core): 6144-10000 ran fastest, 4096
@@ -33,12 +32,13 @@ from nvscope.fieldcore import (output_array, run_ranges, usable_cpus,
 # peak memory of a cpw-fig2 map by 2 MB.
 BLOCK = 8192
 
-# (segment, point, offset) pairs from which a call splits its points
-# over forked workers (field_workers). Timed on a 2-vCPU Xeon with 80 MB
-# resident, as in a forward-map run: forking and reaping cost about
-# 5 ms, the split was slower up to 200 k pairs and faster from 400 k
-# (22.6 -> 17.9 ms), and 1.6 M pairs took 63 ms serial, 50 ms split.
-SPLIT_PAIRS = 1_000_000
+# (segment, point, offset) pairs per kernel worker, at least
+# (field_workers). Timed on a 2-vCPU Xeon with 80 MB resident, as in a
+# forward-map run: forking and reaping cost about 5 ms, the split was
+# slower up to 200 k pairs and faster from 400 k (22.6 -> 17.9 ms), and
+# 1.6 M pairs took 63 ms serial, 50 ms split; at this grain two workers
+# split a call from 1 M pairs.
+SPLIT_PAIRS = 500_000
 
 # The x y z x y row order lets a1 x d be two products of shifted rows.
 _XYZXY = [0, 1, 2, 0, 1]
@@ -121,12 +121,9 @@ def _first_violation(segs, points, offsets, rmin2):
 
 def field_workers(pairs, points):
     """The processes that evaluate a kernel call of `pairs` (segment,
-    point, offset) pairs over `points` points: one per usable CPU and at
-    most one per point (fieldcore.worker_count), or 1, the serial call,
-    below SPLIT_PAIRS pairs."""
-    if pairs < SPLIT_PAIRS:
-        return 1
-    return worker_count(usable_cpus(), points)
+    point, offset) pairs over `points` points (fieldcore.workers_for):
+    at most one per SPLIT_PAIRS pairs and one per point."""
+    return workers_for(pairs, SPLIT_PAIRS, points)
 
 
 def field_accumulate(starts, ends, currents, points, r_min, offsets=None,

@@ -4,6 +4,8 @@ import os
 
 import pytest
 
+from nvscope import fieldcore
+
 
 @pytest.fixture(autouse=True)
 def no_child_process_left():
@@ -24,8 +26,18 @@ def no_child_process_left():
 def forks(monkeypatch):
     """The os.fork calls of this process during the test, counted:
     len(forks) is the number of workers forked so far. run_ranges is
-    nvscope's one caller of os.fork."""
+    nvscope's one caller of os.fork (test_fieldcore checks it)."""
     calls = []
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
     return calls
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """cpus(n) makes n the usable CPUs of every worker count
+    (fieldcore.workers_for, nvscope's one reader of usable_cpus) for the
+    rest of the test."""
+    def set_cpus(n):
+        monkeypatch.setattr(fieldcore, "usable_cpus", lambda: n)
+    return set_cpus

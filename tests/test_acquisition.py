@@ -12,6 +12,7 @@ import pytest
 from nvscope import acquisition as acq
 from nvscope import fieldcore as fc
 from nvscope import nearfield as nf
+from nvscope.cli import load_scenario
 
 NO_DECAY = acq.DecayParams(tau_fast_ns=math.inf, tau_slow_ns=math.inf,
                            weight_fast=0.5)
@@ -396,11 +397,11 @@ class TestSimulateStream:
             np.testing.assert_array_equal(fa, fb)
 
 
-# frames of at least CUBE_CHUNK px are filled by forked workers; 91 x 91
-# px is the smallest square that is, 90 x 90 the largest that is not
+# FORK_FRAMES frames of FORK_PX px are work for three fill workers, one
+# per JOB_FRAMES frames; as many frames of SERIAL_PX px are less than two
+# workers' FILL_SPLIT_PX frame pixels
 FORK_PX = (91, 91)
-SERIAL_PX = (90, 90)
-# enough frames for three workers
+SERIAL_PX = (32, 32)
 FORK_FRAMES = 3 * acq.JOB_FRAMES
 
 
@@ -417,27 +418,59 @@ def fork_stream(bmap, seed):
 
 
 class TestFrameWorkers:
-    """Frames of at least CUBE_CHUNK px are filled by forked workers,
-    whose bytes are those of the serial loop."""
+    """Frames are filled by forked workers, at most one per FILL_SPLIT_PX
+    frame pixels and one per JOB_FRAMES frames, whose bytes are those of
+    the serial loop."""
 
-    @pytest.mark.parametrize("cpus, n_frames, workers", [
+    @pytest.mark.parametrize("n_cpus, n_frames, workers", [
         (1, FORK_FRAMES, 1), (3, FORK_FRAMES, 3), (4, FORK_FRAMES, 3),
         (3, 2 * acq.JOB_FRAMES + 1, 2), (3, 2 * acq.JOB_FRAMES - 1, 1),
         (3, 1, 1), (3, 0, 1)])
-    def test_frame_workers(self, monkeypatch, cpus, n_frames, workers):
-        monkeypatch.setattr(acq, "usable_cpus", lambda: cpus)
+    def test_frame_workers(self, cpus, n_cpus, n_frames, workers):
+        cpus(n_cpus)
         assert acq.frame_workers((n_frames,) + FORK_PX) == workers
         assert acq.frame_workers((n_frames,) + SERIAL_PX) == 1
 
+    def test_one_fill_worker_per_fill_split_px(self, cpus):
+        cpus(3)
+        grain = acq.FILL_SPLIT_PX
+        # 10 x 10 px frames, many more than JOB_FRAMES per worker: a
+        # 100-frame cube stays serial, and its ten repeats of a sensitivity
+        # estimate, 1000 frames, split in two
+        assert acq.frame_workers((100, 10, 10)) == 1
+        for workers in (1, 2, 3):
+            n_frames = (workers + 1) * grain // 100
+            assert acq.frame_workers((n_frames - 1, 10, 10)) == workers
+            assert acq.frame_workers((n_frames, 10, 10)) == min(workers + 1,
+                                                                3)
+
+    @pytest.mark.parametrize("name, workers", [
+        ("cpw-fig2", 2), ("omega-fig3", 2), ("trap-fig4-xz", 2),
+        ("pulse-train-fig5", 1)])
+    def test_bundled_fills_split_where_the_split_pays(self, cpus, name,
+                                                      workers):
+        # the bundled cubes split on two CPUs; the 21 frames of
+        # pulse-train-fig5's stream are fewer than JOB_FRAMES
+        cpus(2)
+        cfg = load_scenario(name)
+        shape = (None if cfg.dt_ns is None else len(cfg.dt_ns),
+                 cfg.grid.nx, cfg.grid.ny)
+        if cfg.stream is not None:
+            shape = acq.simulate_stream(
+                uniform_bmap(0.0, cfg.grid.nx, cfg.grid.ny),
+                cfg.stream["dt_mw_ns"], cfg.pulse, cfg.stream["schedule"],
+                cfg.timing, cfg.stream["rows"], cfg.decay)["frame"].shape
+        assert acq.frame_workers(shape) == workers
+
     @pytest.mark.parametrize("seed", [None, 7])
-    def test_cube_bytes_do_not_depend_on_the_workers(self, monkeypatch,
-                                                     forks, seed):
+    def test_cube_bytes_do_not_depend_on_the_workers(self, cpus, forks,
+                                                     seed):
         bmap = random_bmap(*FORK_PX)
         pulse = acq.PulseParams()
         dts = np.arange(FORK_FRAMES) * 9.0
         cubes = []
-        for cpus in (1, 3):
-            monkeypatch.setattr(acq, "usable_cpus", lambda: cpus)
+        for n in (1, 3):
+            cpus(n)
             cubes.append(acq.simulate_cube(bmap, dts, pulse,
                                            acq.DecayParams(), seed=seed))
         assert len(forks) == 2
@@ -451,12 +484,12 @@ class TestFrameWorkers:
                                                  seed, k).astype(np.float32))
 
     @pytest.mark.parametrize("seed", [None, 7])
-    def test_stream_bytes_do_not_depend_on_the_workers(self, monkeypatch,
-                                                       forks, seed):
+    def test_stream_bytes_do_not_depend_on_the_workers(self, cpus, forks,
+                                                       seed):
         bmap = random_bmap(*FORK_PX)
         streams = []
-        for cpus in (1, 3):
-            monkeypatch.setattr(acq, "usable_cpus", lambda: cpus)
+        for n in (1, 3):
+            cpus(n)
             streams.append(fork_stream(bmap, seed))
         assert len(streams[0]) == FORK_FRAMES
         assert len(forks) == 2
@@ -473,36 +506,54 @@ class TestFrameWorkers:
                                         acq.PulseParams().counts_ref, seed,
                                         k).astype(np.float32))
 
-    def test_a_negative_field_fails_before_any_fork(self, monkeypatch,
-                                                    forks):
+    def test_a_negative_field_fails_before_any_fork(self, cpus, forks):
         # the field is checked once per cube, not in every worker
         bmap = random_bmap(*FORK_PX)
         bmap.values[-1, -1] = -1e-6
-        monkeypatch.setattr(acq, "usable_cpus", lambda: 3)
+        cpus(3)
         with pytest.raises(ValueError,
                            match="field amplitudes must be non-negative"):
             acq.simulate_cube(bmap, np.arange(FORK_FRAMES) * 9.0,
                               acq.PulseParams(), acq.DecayParams(), seed=7)
         assert forks == []
 
-    def test_a_negative_duration_fails_before_any_fork(self, monkeypatch,
-                                                       forks):
+    def test_a_negative_duration_fails_before_any_fork(self, cpus, forks):
         # a negative duration in the last worker's range raises the
         # serial loop's ValueError, never a worker's RuntimeError
         bmap = random_bmap(*FORK_PX)
         dts = np.append(np.arange(FORK_FRAMES - 1) * 9.0, -1.0)
         errors = []
-        for cpus in (1, 3):
-            monkeypatch.setattr(acq, "usable_cpus", lambda: cpus)
+        for n in (1, 3):
+            cpus(n)
             with pytest.raises(ValueError) as err:
                 acq.simulate_cube(bmap, dts, acq.PulseParams(),
                                   acq.DecayParams(), seed=7)
             errors.append(str(err.value))
         assert forks == []
-        assert errors == ["pulse durations must be non-negative"] * 2
+        assert errors == [
+            "dt_ns must be non-negative and strictly increasing"] * 2
 
-    def test_small_frames_never_fork(self, monkeypatch, forks):
-        monkeypatch.setattr(acq, "usable_cpus", lambda: 3)
+    @pytest.mark.parametrize("dts, message", [
+        (np.arange(FORK_FRAMES)[::-1] * 9.0,
+         "dt_ns must be non-negative and strictly increasing"),
+        (np.array([]), "dt_ns must be a non-empty 1D array")])
+    def test_a_bad_scan_fails_before_any_fill(self, monkeypatch, cpus, forks,
+                                              dts, message):
+        # the scan is checked whole, as ImageCube checks it, before the
+        # block is allocated: no frame is filled, no worker forked
+        filled = []
+        monkeypatch.setattr(acq, "_fill_frames",
+                            lambda *args: filled.append(args))
+        for n in (1, 3):
+            cpus(n)
+            with pytest.raises(ValueError, match=message):
+                acq.simulate_cubes(random_bmap(*FORK_PX), dts,
+                                   acq.PulseParams(), acq.DecayParams(),
+                                   list(range(10)))
+        assert forks == [] and filled == []
+
+    def test_small_frames_never_fork(self, cpus, forks):
+        cpus(3)
         bmap = random_bmap(*SERIAL_PX)
         dts = np.arange(FORK_FRAMES) * 9.0
         for seed in (None, 7):
@@ -511,8 +562,8 @@ class TestFrameWorkers:
             assert len(fork_stream(bmap, seed)) == FORK_FRAMES
         assert forks == []
 
-    def test_no_worker_outlives_the_call(self, monkeypatch, forks):
-        monkeypatch.setattr(acq, "usable_cpus", lambda: 3)
+    def test_no_worker_outlives_the_call(self, cpus, forks):
+        cpus(3)
         before = threading.active_count()
         acq.simulate_cube(random_bmap(*FORK_PX), np.arange(FORK_FRAMES) * 9.0,
                           acq.PulseParams(), acq.DecayParams(), seed=7)
@@ -521,14 +572,13 @@ class TestFrameWorkers:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_peak_memory_does_not_grow_with_the_cpus(self, monkeypatch,
-                                                     forks):
+    def test_peak_memory_does_not_grow_with_the_cpus(self, cpus, forks):
         # each worker holds a few float64 frames, and there is at most one
         # worker per JOB_FRAMES frames. The cube is shared memory, which
         # tracemalloc does not see, and the workers are other processes:
         # the traced peak is the calling process's range, to which the
         # cube's bytes are added
-        monkeypatch.setattr(acq, "usable_cpus", lambda: 64)
+        cpus(64)
         bmap = random_bmap(*FORK_PX)
         dts = np.arange(4 * acq.JOB_FRAMES) * 9.0
         tracemalloc.start()
@@ -543,41 +593,62 @@ class TestFrameWorkers:
 
 
 class TestCubeWorkers:
-    """simulate_cubes fills several cubes, each keyed by its own seed:
-    cubes of small frames are split whole over forked workers, cubes
-    whose frames split are filled one after another, each over its own
-    workers, so that no worker forks again."""
+    """simulate_cubes fills several cubes, each keyed by its own seed, as
+    one range of frames over forked workers, so that no worker forks
+    again."""
 
-    @pytest.mark.parametrize("cpus, n_cubes, px, workers", [
-        (3, 10, SERIAL_PX, 3), (3, 2, SERIAL_PX, 2), (1, 10, SERIAL_PX, 1),
+    @pytest.mark.parametrize("n_cpus, n_cubes, px, workers", [
+        (3, 10, SERIAL_PX, 3), (3, 2, SERIAL_PX, 3), (1, 10, SERIAL_PX, 1),
         (3, 1, SERIAL_PX, 1), (3, 0, SERIAL_PX, 1), (3, 1, FORK_PX, 3),
         (2, 10, FORK_PX, 2)])
-    def test_cube_workers(self, monkeypatch, cpus, n_cubes, px, workers):
-        monkeypatch.setattr(acq, "usable_cpus", lambda: cpus)
-        assert acq.cube_workers((FORK_FRAMES,) + px, n_cubes) == workers
+    def test_cubes_split_as_one_range_of_frames(self, monkeypatch, cpus,
+                                                n_cpus, n_cubes, px,
+                                                workers):
+        # the fill of n_cubes cubes forks frame_workers of all their
+        # frames, less this process
+        split = []
+        monkeypatch.setattr(acq, "_fill_frames",
+                            lambda frames, *args: split.append(args[-1]))
+        cpus(n_cpus)
+        acq.simulate_cubes(random_bmap(*px), np.arange(FORK_FRAMES) * 9.0,
+                           acq.PulseParams(), acq.DecayParams(),
+                           list(range(n_cubes)))
+        assert split == [workers] == [
+            acq.frame_workers((n_cubes * FORK_FRAMES,) + px)]
 
-    @pytest.mark.parametrize("px, n_forks", [((6, 4), 2), (FORK_PX, 8)])
-    def test_cubes_equal_single_cubes(self, monkeypatch, forks, px, n_forks):
-        # 4 small cubes split 1 + 1 + 2 over three processes; 4 cubes of
-        # forking frames fork twice each, from this process alone
-        monkeypatch.setattr(acq, "usable_cpus", lambda: 3)
+    @pytest.mark.parametrize("px, grain", [((6, 4), 1),
+                                           (FORK_PX, acq.FILL_SPLIT_PX)])
+    def test_cubes_equal_single_cubes(self, monkeypatch, cpus, forks, px,
+                                      grain):
+        # 4 cubes of 96 frames are 384 frames, which three processes fill
+        # in ranges of 128 that cross the cubes' edges
+        monkeypatch.setattr(acq, "FILL_SPLIT_PX", grain)
+        cpus(3)
         bmap = random_bmap(*px)
         dts = np.arange(FORK_FRAMES) * 9.0
         seeds = [7, None, 2 ** 64 + 5, 8]
         cubes = acq.simulate_cubes(bmap, dts, acq.PulseParams(),
                                    acq.DecayParams(), seeds)
-        assert len(forks) == n_forks
-        monkeypatch.setattr(acq, "usable_cpus", lambda: 1)
+        assert len(forks) == 2
+        cpus(1)
         for cube, seed in zip(cubes, seeds):
             one = acq.simulate_cube(bmap, dts, acq.PulseParams(),
                                     acq.DecayParams(), seed=seed)
             assert cube.frames.tobytes() == one.frames.tobytes()
             assert (cube.seed, cube.component) == (seed, one.component)
+        assert len(forks) == 2
         # the cubes view one block, which the workers wrote
         assert all(c.frames.base is cubes[0].frames.base for c in cubes)
+        for k in (0, 95):
+            ideal = acq.contrast_at(bmap.values, dts[k], acq.DecayParams(),
+                                    acq.PulseParams().c0)
+            np.testing.assert_array_equal(
+                cubes[2].frames[k], oracle_frame(
+                    ideal, acq.PulseParams().counts_ref, seeds[2],
+                    k).astype(np.float32))
 
     @pytest.mark.parametrize("failure", ["raise", "kill"])
-    def test_a_failed_worker_fails_the_cubes(self, monkeypatch, forks,
+    def test_a_failed_worker_fails_the_cubes(self, monkeypatch, cpus, forks,
                                              failure):
         parent = os.getpid()
         noise = acq._apply_shot_noise
@@ -589,7 +660,8 @@ class TestCubeWorkers:
                 raise RuntimeError("worker failure")
             return noise(*args, **kwargs)
 
-        monkeypatch.setattr(acq, "usable_cpus", lambda: 3)
+        cpus(3)
+        monkeypatch.setattr(acq, "FILL_SPLIT_PX", 1)
         monkeypatch.setattr(acq, "_apply_shot_noise", failing)
         with pytest.raises(RuntimeError, match="forked workers exited"):
             acq.simulate_cubes(random_bmap(6, 4), np.arange(10) * 9.0,

@@ -307,16 +307,16 @@ def test_fit_cube_worker_count_invariant():
         assert_same_result(r1, r2)
 
 
-@pytest.mark.parametrize("cpus, requested, split_px, block_px, n_forks", [
+@pytest.mark.parametrize("n_cpus, requested, split_px, block_px, n_forks", [
     (3, 5000, 1, 2, 2), (3, 2, 1, 2, 1), (1, 4, 1, 2, 0), (3, 1, 1, 2, 0),
     (3, 0, 1, 2, 0), (3, 5000, 5, 2, 1), (3, 5000, 13, 2, 0),
     (5, 5000, 1, 1024, 3)])
-def test_fit_cube_workers_never_exceed_cpus(monkeypatch, forks, cpus,
+def test_fit_cube_workers_never_exceed_cpus(monkeypatch, forks, cpus, n_cpus,
                                             requested, split_px, block_px,
                                             n_forks):
     # 12 px: at most one worker per usable CPU, one per split_px pixels
     # and one per block; five workers would cut blocks of 3 px, 4 blocks
-    monkeypatch.setattr(ana, "usable_cpus", lambda: cpus)
+    cpus(n_cpus)
     monkeypatch.setattr(ana, "FIT_SPLIT_PX", split_px)
     monkeypatch.setattr(ana, "FIT_BLOCK_PX", block_px)
     cube = simulate_cube(graded_field_map(4, 3), np.arange(10.0, 601.0, 10.0),
@@ -329,9 +329,10 @@ def test_fit_cube_workers_never_exceed_cpus(monkeypatch, forks, cpus,
     assert results.tobytes() == ref.tobytes()
 
 
-def test_fit_cube_splits_a_cube_of_one_block_evenly(monkeypatch, forks):
+def test_fit_cube_splits_a_cube_of_one_block_evenly(monkeypatch, forks,
+                                                    cpus):
     # 1000 px, under one FIT_BLOCK_PX block: two workers fit 500 px each
-    monkeypatch.setattr(ana, "usable_cpus", lambda: 4)
+    cpus(4)
     assert ana.fit_workers(1000, 2) == 2
     cube = simulate_cube(graded_field_map(40, 25), np.arange(10.0, 601.0, 10.0),
                          pulse=PulseParams(), decay=NO_DECAY, seed=99)
@@ -348,20 +349,20 @@ def test_fit_cube_splits_a_cube_of_one_block_evenly(monkeypatch, forks):
     assert results.tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("cpus, requested, n_px, workers", [
+@pytest.mark.parametrize("n_cpus, requested, n_px, workers", [
     (4, None, 1024, 4), (4, None, 1023, 3), (4, None, 255, 1),
     (4, 2, 5000, 2), (4, 8, 5000, 4), (1, None, 5000, 1), (4, 0, 5000, 1)])
-def test_fit_workers(monkeypatch, cpus, requested, n_px, workers):
+def test_fit_workers(cpus, n_cpus, requested, n_px, workers):
     # one per usable CPU by default, at most one per FIT_SPLIT_PX px
-    monkeypatch.setattr(ana, "usable_cpus", lambda: cpus)
+    cpus(n_cpus)
     assert ana.FIT_SPLIT_PX == 256
     assert ana.fit_workers(n_px, requested) == workers
 
 
-def test_a_short_cube_fails_before_any_fork(monkeypatch, forks):
+def test_a_short_cube_fails_before_any_fork(monkeypatch, forks, cpus):
     # the serial error, not a worker's RuntimeError, and no worker's
     # traceback
-    monkeypatch.setattr(ana, "usable_cpus", lambda: 3)
+    cpus(3)
     monkeypatch.setattr(ana, "FIT_BLOCK_PX", 2)
     cube = simulate_cube(graded_field_map(4, 3), np.arange(10.0, 71.0, 10.0),
                          pulse=PulseParams(), decay=NO_DECAY, seed=99)
@@ -1123,13 +1124,14 @@ def test_sensitivity_holds_each_repeat_once():
     assert peak < 0.75 * sum(c.frames.nbytes for c in cubes)
 
 
-def test_sensitivity_does_not_depend_on_the_workers(monkeypatch, forks):
+def test_sensitivity_does_not_depend_on_the_workers(monkeypatch, forks,
+                                                    cpus):
     # 240 px over three workers, in 7-px blocks that straddle the
     # repeats' 24-px parts and deal out unevenly (12, 12 and 11 blocks)
     cubes = _sensitivity_cubes(1e5, 100)
     serial = amplitude_sensitivity(cubes)
     assert forks == []
-    monkeypatch.setattr(ana, "usable_cpus", lambda: 3)
+    cpus(3)
     monkeypatch.setattr(ana, "FIT_SPLIT_PX", 1)
     monkeypatch.setattr(ana, "FIT_BLOCK_PX", 7)
     dealt = []
@@ -1142,7 +1144,7 @@ def test_sensitivity_does_not_depend_on_the_workers(monkeypatch, forks):
 
 
 @pytest.mark.parametrize("failure", ["raise", "kill"])
-def test_a_failed_fit_worker_fails_the_sensitivity(monkeypatch, forks,
+def test_a_failed_fit_worker_fails_the_sensitivity(monkeypatch, forks, cpus,
                                                    failure):
     parent = os.getpid()
     fit_rows = ana._fit_rows
@@ -1154,7 +1156,7 @@ def test_a_failed_fit_worker_fails_the_sensitivity(monkeypatch, forks,
             raise RuntimeError("worker failure")
         return fit_rows(t, y, cfg)
 
-    monkeypatch.setattr(ana, "usable_cpus", lambda: 3)
+    cpus(3)
     monkeypatch.setattr(ana, "FIT_SPLIT_PX", 1)
     monkeypatch.setattr(ana, "_fit_rows", failing)
     with pytest.raises(RuntimeError, match="forked workers exited"):

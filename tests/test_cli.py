@@ -909,33 +909,41 @@ def test_simulate_records_the_kernel_pairs(tmp_path):
     assert all("pairs" not in other for other in rest)
 
 
-def test_simulate_records_the_kernel_workers(tmp_path, monkeypatch):
+def test_simulate_records_the_kernel_workers(tmp_path, monkeypatch, cpus,
+                                            forks):
     cfg = write_scenario(tmp_path)
     assert run("simulate", "--config", cfg, "-o", tmp_path / "serial") == 0
+    assert forks == []
     # three workers split the 96 px of the mini-strip
-    monkeypatch.setattr(kernels, "usable_cpus", lambda: 3)
-    monkeypatch.setattr(kernels, "SPLIT_PAIRS", 0)
+    cpus(3)
+    monkeypatch.setattr(kernels, "SPLIT_PAIRS", 1)
     assert run("simulate", "--config", cfg, "-o", tmp_path / "split") == 0
     serial, split = (read_manifest(tmp_path / d, "mini-strip",
                                    "simulate")["outputs"]
                      for d in ("serial", "split"))
+    # the recorded count is the processes that ran
     assert (serial[0]["workers"], split[0]["workers"]) == (1, 3)
+    assert len(forks) + 1 == 3
     assert all("workers" not in other for other in serial[1:] + split[1:])
     assert [o["sha256"] for o in split] == [o["sha256"] for o in serial]
     assert run("simulate", "--config", cfg, "-o", tmp_path / "split",
                "--verify") == 0
 
 
-def test_acquire_records_the_frame_workers(pipeline, tmp_path, monkeypatch):
+def test_acquire_records_the_frame_workers(pipeline, tmp_path, monkeypatch,
+                                           cpus, forks):
     outdir, cfg = pipeline
-    # frames this small fill serially unless the chunk is smaller still
-    monkeypatch.setattr(acquisition, "CUBE_CHUNK", 1)
-    monkeypatch.setattr(acquisition, "usable_cpus", lambda: 3)
+    # a cube this small fills serially unless the grain is smaller still
+    monkeypatch.setattr(acquisition, "FILL_SPLIT_PX", 1)
+    cpus(3)
+    before = len(forks)
     assert run("acquire", "--config", cfg, "-o", tmp_path, "--field-map",
                outdir / "mini-strip.sigma_minus.fmap") == 0
     [entry] = read_manifest(tmp_path, "mini-strip", "acquire")["outputs"]
     frames = formats.read_cube(tmp_path / entry["path"]).frames
     assert entry["workers"] == acquisition.frame_workers(frames.shape) == 3
+    # the recorded count is the processes that ran
+    assert len(forks) - before + 1 == 3
 
 
 def test_runner_writes_no_manifest_when_the_body_fails(tmp_path):
@@ -1257,6 +1265,28 @@ def test_stream_acquire(tmp_path):
     assert_timings(doc, {"read", "stream"})
 
 
+def test_stream_acquire_records_the_processes_that_ran(tmp_path, monkeypatch,
+                                                       cpus, forks):
+    # 70 ms at 0.7 ms per frame: 100 frames, three workers' worth once
+    # each frame pixel may have a worker
+    doc = json.loads(json.dumps(MINI))
+    doc["name"] = "mini-stream"
+    del doc["scan"]
+    doc["stream"] = {"dt_mw_ns": 30, "rows": 50, "row_time_us": 10,
+                     "overhead_us": 200,
+                     "schedule": [[25, "on"], [25, "off"], [20, "on"]]}
+    cfg = tmp_path / "stream.json"
+    cfg.write_text(json.dumps(doc))
+    assert run("simulate", "--config", cfg, "-o", tmp_path) == 0
+    monkeypatch.setattr(acquisition, "FILL_SPLIT_PX", 1)
+    cpus(3)
+    before = len(forks)
+    assert run("acquire", "--config", cfg, "-o", tmp_path) == 0
+    [entry] = read_manifest(tmp_path, "mini-stream", "acquire")["outputs"]
+    assert entry["n_frames"] == 100
+    assert entry["workers"] == len(forks) - before + 1 == 3
+
+
 # ----------------------------------------------------------- report metrics
 
 def test_report_insertion_loss_and_sensitivity(tmp_path):
@@ -1284,28 +1314,47 @@ def test_report_insertion_loss_and_sensitivity(tmp_path):
                    {"sensitivity"})
 
 
-def test_report_records_the_sensitivity_workers(tmp_path, monkeypatch):
-    # the repeats of the 96-px mini-strip split over three workers to
-    # simulate and, one worker per pixel allowed, three to fit: the
-    # report's bytes are those of the serial run
+def test_report_records_the_sensitivity_workers(tmp_path, monkeypatch, cpus,
+                                                forks):
+    # the 11 repeats of the 96-px mini-strip: 105,600 frame pixels and
+    # 1056 px, on three CPUs two fill workers and three fit workers, or
+    # three and three with a grain of 1; the report's bytes are those of
+    # the serial run
     cfg = write_scenario(tmp_path, report={"sensitivity": {"n_repeats": 11}})
-    entries = {}
-    for label, cpus, split_px in (("serial", 1, 256), ("split", 3, 1)):
-        monkeypatch.setattr(acquisition, "usable_cpus", lambda: cpus)
-        monkeypatch.setattr(analysis, "usable_cpus", lambda: cpus)
-        monkeypatch.setattr(analysis, "FIT_SPLIT_PX", split_px)
+    entries, ran = {}, {}
+    sensitivity = analysis.amplitude_sensitivity
+
+    def fit(cubes):
+        ran["simulate"] = len(forks) - ran["simulate"] + 1
+        before = len(forks)
+        value = sensitivity(cubes)
+        ran["fit"] = len(forks) - before + 1
+        return value
+
+    monkeypatch.setattr(analysis, "amplitude_sensitivity", fit)
+    grains = acquisition.FILL_SPLIT_PX, analysis.FIT_SPLIT_PX
+    for label, n, (fill, fit_px) in (("serial", 1, grains),
+                                     ("grains", 3, grains),
+                                     ("split", 3, (1, 1))):
+        cpus(n)
+        monkeypatch.setattr(acquisition, "FILL_SPLIT_PX", fill)
+        monkeypatch.setattr(analysis, "FIT_SPLIT_PX", fit_px)
         out = tmp_path / label
         assert run("simulate", "--config", cfg, "-o", out) == 0
+        ran["simulate"] = len(forks)
         assert run("report", "--config", cfg, "-o", out) == 0
         entries[label] = {o["path"]: o for o in read_manifest(
             out, "mini-strip", "report")["outputs"]}
+        # the recorded counts are the processes that ran
+        assert entries[label]["mini-strip.report.json"]["workers"] == ran
         assert run("report", "--config", cfg, "-o", out, "--verify") == 0
-    serial, split = (entries[label]["mini-strip.report.json"]
-                     for label in ("serial", "split"))
-    assert serial["workers"] == {"simulate": 1, "fit": 1}
-    assert split["workers"] == {"simulate": 3, "fit": 3}
-    assert ({k: o["sha256"] for k, o in entries["split"].items()}
-            == {k: o["sha256"] for k, o in entries["serial"].items()})
+    assert [entries[label]["mini-strip.report.json"]["workers"]
+            for label in ("serial", "grains", "split")] == [
+        {"simulate": 1, "fit": 1}, {"simulate": 2, "fit": 3},
+        {"simulate": 3, "fit": 3}]
+    for label in ("grains", "split"):
+        assert ({k: o["sha256"] for k, o in entries[label].items()}
+                == {k: o["sha256"] for k, o in entries["serial"].items()})
     assert all("workers" not in o for label in entries
                for k, o in entries[label].items()
                if k != "mini-strip.report.json")

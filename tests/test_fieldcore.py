@@ -1,8 +1,10 @@
 """Frame construction, polarization decomposition, layer averaging and
 the fork-and-join runner."""
 
+import ast
 import math
 import os
+import pathlib
 import re
 import signal
 
@@ -400,13 +402,50 @@ def test_a_failed_worker_fails_run_ranges(forks, failure):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_worker_count(monkeypatch):
-    assert fc.worker_count(3, 10) == 3
-    assert fc.worker_count(3, 2) == 2
-    assert fc.worker_count(3, 0) == 1
-    assert fc.worker_count(0, 10) == 1
+def test_workers_for(monkeypatch, cpus):
+    # one per CPU, at most one per grain of work and `most`, at least 1
+    cpus(3)
+    assert fc.workers_for(100, 10) == 3
+    assert fc.workers_for(29, 10) == 2
+    assert fc.workers_for(9, 10) == 1
+    assert fc.workers_for(0, 10) == 1
+    assert fc.workers_for(100, 10, most=2) == 2
+    assert fc.workers_for(100, 10, most=0) == 1
+    assert fc.workers_for(100, 10, most=None) == 3
+    cpus(0)
+    assert fc.workers_for(100, 10) == 1
+    cpus(3)
     monkeypatch.delattr(fc.os, "fork")
-    assert fc.worker_count(3, 10) == 1
+    assert fc.workers_for(100, 10) == 1
+
+
+def fork_and_cpu_references(tree):
+    """The names in tree that reach os.fork or usable_cpus: attributes,
+    names, imported names and hasattr/getattr strings."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif (isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) in ("hasattr", "getattr")):
+            yield from (arg.value for arg in node.args
+                        if isinstance(arg, ast.Constant))
+
+
+def test_only_fieldcore_forks_or_reads_the_cpus():
+    # every split over CPUs takes its count from fieldcore.workers_for
+    # and runs through fieldcore.run_ranges
+    package = pathlib.Path(fc.__file__).parent
+    users = {}
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found = {"fork", "usable_cpus"} & set(fork_and_cpu_references(tree))
+        if found:
+            users[path.stem] = found
+    assert users == {"fieldcore": {"fork", "usable_cpus"}}
 
 
 def test_output_array_is_shared_only_for_workers(forks):

@@ -41,10 +41,10 @@ def test_violation_index_identical():
 # ------------------------------------------------ pixels split over workers
 
 @pytest.fixture
-def split3(monkeypatch, forks):
+def split3(monkeypatch, cpus, forks):
     """Three workers on any call; returns the fork counter."""
-    monkeypatch.setattr(kernels, "usable_cpus", lambda: 3)
-    monkeypatch.setattr(kernels, "SPLIT_PAIRS", 0)
+    cpus(3)
+    monkeypatch.setattr(kernels, "SPLIT_PAIRS", 1)
     return forks
 
 
@@ -62,18 +62,18 @@ def strip_map():
     return model, grid, fc.SensingLayer(h=9e-6, d=6e-6, n_samples=3)
 
 
-def test_split_map_bits_equal_the_serial_map(split3):
+def test_split_map_bits_equal_the_serial_map(split3, cpus):
     model, grid, layer = strip_map()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernels, "usable_cpus", lambda: 1)
-        serial = nf.evaluate_phasor_map(model, grid, layer).values
+    cpus(1)
+    serial = nf.evaluate_phasor_map(model, grid, layer).values
     assert split3 == []
+    cpus(3)
     split = nf.evaluate_phasor_map(model, grid, layer).values
     assert len(split3) == 2
     assert split.tobytes() == serial.tobytes()
 
 
-def test_split_names_the_serial_first_violation(split3, monkeypatch):
+def test_split_names_the_serial_first_violation(split3, cpus):
     model, grid, layer = strip_map()
     base = grid.pixel_centers()
     heights = layer.heights()
@@ -91,8 +91,8 @@ def test_split_names_the_serial_first_violation(split3, monkeypatch):
                            np.array([e[1] for e in ends]),
                            np.full(2, 0.05 + 0.01j))
     errors = []
-    for cpus in (1, 3):
-        monkeypatch.setattr(kernels, "usable_cpus", lambda: cpus)
+    for n in (1, 3):
+        cpus(n)
         with pytest.raises(nf.SegmentProximityError) as err:
             nf.evaluate_phasor_map(bad, grid, layer)
         errors.append(err.value)
@@ -124,27 +124,30 @@ def test_a_failed_worker_fails_the_call(split3, monkeypatch, failure):
     assert len(split3) == 2
 
 
-def test_field_workers(monkeypatch):
-    monkeypatch.setattr(kernels, "usable_cpus", lambda: 3)
-    big = kernels.SPLIT_PAIRS
-    assert kernels.field_workers(big - 1, 10 ** 6) == 1
-    assert kernels.field_workers(big, 10 ** 6) == 3
+def test_field_workers(monkeypatch, cpus):
+    # one worker per SPLIT_PAIRS pairs, at most one per CPU
+    cpus(3)
+    grain = kernels.SPLIT_PAIRS
+    assert kernels.field_workers(2 * grain - 1, 10 ** 6) == 1
+    assert kernels.field_workers(2 * grain, 10 ** 6) == 2
+    assert kernels.field_workers(3 * grain, 10 ** 6) == 3
+    assert kernels.field_workers(10 * grain, 10 ** 6) == 3
     # at most one worker per point
-    assert kernels.field_workers(big, 2) == 2
-    monkeypatch.setattr(kernels, "usable_cpus", lambda: 1)
-    assert kernels.field_workers(big, 10 ** 6) == 1
-    monkeypatch.setattr(kernels, "usable_cpus", lambda: 3)
+    assert kernels.field_workers(10 * grain, 2) == 2
+    cpus(1)
+    assert kernels.field_workers(10 * grain, 10 ** 6) == 1
+    cpus(3)
     monkeypatch.delattr(os, "fork")
-    assert kernels.field_workers(big, 10 ** 6) == 1
+    assert kernels.field_workers(10 * grain, 10 ** 6) == 1
 
 
 @pytest.mark.parametrize("name, workers", [
     ("cpw-fig2", 2), ("omega-fig3", 2), ("trap-fig4-xz", 2),
     ("pulse-train-fig5", 1)])
-def test_bundled_maps_split_where_the_split_pays(monkeypatch, name, workers):
+def test_bundled_maps_split_where_the_split_pays(cpus, name, workers):
     # the large bundled maps split on two CPUs; a map of a few hundred
     # thousand pairs stays serial, where forking costs more than it saves
-    monkeypatch.setattr(kernels, "usable_cpus", lambda: 2)
+    cpus(2)
     cfg = load_scenario(name)
     pixels = cfg.grid.nx * cfg.grid.ny
     pairs = (cur.model_from_spec(cfg.device_doc).starts.shape[0] * pixels
