@@ -16,17 +16,21 @@ counter 0 and an empty buffer, the exact state of a fresh
 Philox(key=[seed, k]). The streams are therefore the same as with a
 fresh generator per frame, without one OS-entropy seeding per frame.
 
-Cubes and camera streams are filled by fieldcore.run_ranges over
-frame_workers processes, at most one per FILL_SPLIT_PX frame pixels and
-one per JOB_FRAMES frames, each with a contiguous range of frames, its
-own float64 buffer and its own re-keyed Philox, writing straight into
-the float32 result, which a split call allocates as shared memory. This
-process fills the first range and forked workers the others, and the
-bytes are those of the serial loop. Several cubes (simulate_cubes, the
-repeats of a sensitivity estimate) are filled as one range of frames,
-so that no worker forks again. Every input is checked before anything
-is allocated or forked, so an input error reaches the caller as the
-serial loop raises it.
+One producer, _fill_frames, makes every simulated frame: each frame is
+the contrast at its own pulse duration, noisy or not. A cube's frames
+are the durations of its scan, the repeats of a sensitivity estimate
+(simulate_cubes) that scan once per seed, and a stream's frames
+dt_mw_ns when the microwave is on and 0 when it is off. The frames are
+filled by fieldcore.run_ranges over frame_workers processes, at most
+one per FILL_SPLIT_PX frame pixels and one per JOB_FRAMES frames, each
+with a contiguous range of frames, its own float64 buffer and its own
+re-keyed Philox, writing straight into the float32 result, which a
+split call allocates as shared memory. This process fills the first
+range and forked workers the others, and the bytes are those of the
+serial loop. Several cubes are filled as one range of frames, so that
+no worker forks again. Every input is checked before anything is
+allocated or forked, so an input error reaches the caller as the serial
+loop raises it.
 """
 
 import math
@@ -100,15 +104,10 @@ def rabi_omega(b_polarized):
     return 2.0 * math.pi * GAMMA_NV * 1e-9 * b
 
 
-def contrast_at(b_polarized, dt_mw_ns, decay, c0, out=None):
-    """Noiseless contrast for field b (T) after a dt_mw pulse (ns).
-
-    Broadcasts over b and dt. With out, dt is a scan and frame k of out
-    (shape dt.shape + b.shape) receives the contrast at dt[k], computed
-    in place with no temporary of out's size; out is returned.
-    """
-    return _contrast(rabi_omega(b_polarized), _durations(dt_mw_ns), decay,
-                     c0, out)
+def contrast_at(b_polarized, dt_mw_ns, decay, c0):
+    """Noiseless contrast for field b (T) after a dt_mw pulse (ns);
+    broadcasts over b and dt."""
+    return _contrast(rabi_omega(b_polarized), _durations(dt_mw_ns), decay, c0)
 
 
 def _durations(dt_ns):
@@ -122,7 +121,10 @@ def _durations(dt_ns):
 
 def _contrast(omega, dt, decay, c0, out=None):
     """contrast_at for the Rabi frequencies omega (rad/ns) of a field and
-    the _durations dt (ns)."""
+    the _durations dt (ns). With out, dt is a scan and frame k of out
+    (shape dt.shape + omega.shape) receives the contrast at dt[k],
+    computed in place with no temporary of out's size; out is returned.
+    """
     if out is not None:
         dt = dt.reshape(dt.shape + (1,) * omega.ndim)
     # c0 * env(dt) * sin(omega dt / 2)^2, each step into out when given
@@ -172,20 +174,6 @@ def _apply_shot_noise(ideal, counts_ref, rng, out=None):
     np.maximum(ref, 1.0, out=ref)  # a dead reference pixel still divides
     contrast = np.divide(n_data, ref, out=ref)
     return np.subtract(1.0, contrast, out=contrast)
-
-
-def simulate_contrast_image(bmap, dt_mw_ns, pulse, decay, noise_seed=None,
-                            frame_index=0):
-    """One contrast frame for a polarized field map.
-
-    noise_seed None returns the ideal (noiseless) contrast; otherwise
-    Poisson photon noise is applied with the (seed, frame_index) stream.
-    """
-    ideal = contrast_at(bmap.values, dt_mw_ns, decay, pulse.c0)
-    if noise_seed is None:
-        return ideal
-    rng = _frame_rngs()(noise_seed, frame_index)
-    return _apply_shot_noise(ideal, pulse.counts_ref, rng)
 
 
 def check_dt_ns(dt_ns):
@@ -239,11 +227,12 @@ class ImageCube:
         return self.frames[:, i, j]
 
 
-# Float64 contrast values per _contrast call while a cube is filled.
-# The ideal contrast and the noise are computed in float64 and each frame
-# is stored once into the float32 result, so the float64 values are held
-# a few frames at a time per worker, never for the whole cube; a frame of
-# more pixels than this is computed alone.
+# Float64 contrast values per _contrast call in _fill_frames, the batch
+# of cube and stream frames alike. The contrast and the noise are
+# computed in float64 and each frame is stored once into the float32
+# result, so the float64 values are held a few frames at a time per
+# worker, never for a whole cube or stream; a frame of more pixels than
+# this is computed alone.
 CUBE_CHUNK = 8192
 
 # Frame pixels per fill worker, at least (frame_workers). Timed on a
@@ -267,27 +256,34 @@ def frame_workers(shape):
                        shape[0] // JOB_FRAMES)
 
 
-def _fill_frames(frames, ideals, counts_ref, seeds, workers):
+def _fill_frames(frames, omega, durations, pulse, decay, seeds, workers):
     """Store every frame of frames (float32, frames first), which holds
-    one run of n frames per seed, one run after another: flat frame f is
-    frame k = f % n of run f // n. Each is the float64 ideal contrast
-    with its run's seed None, else its shot-noise draw from the (seed, k)
-    stream. ideals(f0, f1) yields the ideal flat frames f0..f1-1, each in
-    a buffer of the caller's range that the noise overwrites.
+    one run of n = len(durations) frames per seed, one run after another:
+    flat frame f is frame k = f % n of run f // n. Each is the float64
+    contrast of the Rabi frequencies omega after a pulse of durations[k]
+    ns with its run's seed None, else its shot-noise draw from the
+    (seed, k) stream.
 
     The frames run through fieldcore.run_ranges over `workers`
     processes, so above 1 frames must be output_array memory. Each
-    range calls ideals and keys its own Philox, so the bytes are those
-    of one serial range.
+    range computes its contrast CUBE_CHUNK values at a time into one
+    buffer of its own and keys its own Philox, so the bytes are those of
+    one serial range.
     """
-    n = len(frames) // max(1, len(seeds))
+    n = len(durations)
+    step = max(1, CUBE_CHUNK // omega.size)
 
     def run(f0, f1):
         rng = _frame_rngs()
-        for f, ideal in enumerate(ideals(f0, f1), f0):
-            seed = seeds[f // n]
-            frames[f] = (ideal if seed is None else _apply_shot_noise(
-                ideal, counts_ref, rng(seed, f % n), out=ideal))
+        buffer = np.empty((min(step, f1 - f0),) + omega.shape)
+        for g in range(f0, f1, step):
+            ideal = buffer[:min(step, f1 - g)]
+            _contrast(omega, durations[np.arange(g, g + len(ideal)) % n],
+                      decay, pulse.c0, out=ideal)
+            for f, frame in enumerate(ideal, g):
+                seed = seeds[f // n]
+                frames[f] = (frame if seed is None else _apply_shot_noise(
+                    frame, pulse.counts_ref, rng(seed, f % n), out=frame))
 
     run_ranges(len(frames), workers, run)
 
@@ -312,23 +308,11 @@ def simulate_cubes(bmap, dt_list_ns, pulse, decay, seeds):
     # checked and computed once, before anything is allocated or forked
     omega = rabi_omega(bmap.values)
     dt_list_ns = check_dt_ns(dt_list_ns)
-    n_frames = len(dt_list_ns)
-    shape = bmap.values.shape
-    flat = (len(seeds) * n_frames,) + shape
+    flat = (len(seeds) * len(dt_list_ns),) + omega.shape
     workers = frame_workers(flat)
     block = output_array(flat, np.float32, workers)
-    step = max(1, CUBE_CHUNK // bmap.values.size)
-
-    def ideals(f0, f1):
-        # one float64 buffer per range, filled step frames at a time
-        ideal = np.empty((min(step, f1 - f0),) + shape)
-        for f in range(f0, f1, step):
-            dts = dt_list_ns[np.arange(f, min(f + step, f1)) % n_frames]
-            yield from _contrast(omega, dts, decay, pulse.c0,
-                                 out=ideal[:len(dts)])
-
-    _fill_frames(block, ideals, pulse.counts_ref, seeds, workers)
-    cubes = block.reshape((len(seeds), n_frames) + shape)
+    _fill_frames(block, omega, dt_list_ns, pulse, decay, seeds, workers)
+    cubes = block.reshape((len(seeds), len(dt_list_ns)) + omega.shape)
     return [ImageCube(grid=bmap.grid, dt_ns=dt_list_ns, frames=frames,
                       pulse=pulse, seed=seed, component=bmap.component)
             for frames, seed in zip(cubes, seeds)]
@@ -409,8 +393,9 @@ def simulate_stream(bmap, dt_mw_ns, pulse, on_off_schedule, timing, rows,
     on_off_schedule is a check_schedule list of (duration_ms, "on"|"off")
     entries. Frame k starts at k * period and runs while its start is
     inside the schedule; its microwave state is the schedule state at the
-    exposure midpoint, "off" at or past the schedule's end, and "off"
-    frames have zero ideal contrast. Returns a record array of
+    exposure midpoint, "off" at or past the schedule's end. An "on"
+    frame is the contrast after a dt_mw_ns pulse, an "off" frame the
+    contrast after none, which is zero. Returns a record array of
     stream_dtype; contrast and noise are computed in float64 and stored
     rounded to float32.
     """
@@ -427,18 +412,12 @@ def simulate_stream(bmap, dt_mw_ns, pulse, on_off_schedule, timing, rows,
     frames_on = states_on[np.searchsorted(edges, starts + half_exposure_ms,
                                           side="right")]
 
-    ideal_on = contrast_at(bmap.values, dt_mw_ns, decay, pulse.c0)
-
-    def ideals(k0, k1):
-        ideal = np.empty_like(ideal_on)  # one buffer per range
-        for on in frames_on[k0:k1]:
-            ideal[...] = ideal_on if on else 0.0
-            yield ideal
-
-    workers = frame_workers((len(starts),) + ideal_on.shape)
-    stream = output_array((len(starts),), stream_dtype(ideal_on.shape),
+    omega = rabi_omega(bmap.values)
+    durations = np.where(frames_on, _durations(dt_mw_ns), 0.0)
+    workers = frame_workers(durations.shape + omega.shape)
+    stream = output_array(durations.shape, stream_dtype(omega.shape),
                           workers)
     stream["t"] = starts
-    _fill_frames(stream["frame"], ideals, pulse.counts_ref, [seed],
+    _fill_frames(stream["frame"], omega, durations, pulse, decay, [seed],
                  workers)
     return stream

@@ -160,6 +160,9 @@ MAX_EVALS = 400
 # flagged below_threshold and not fitted
 MIN_SNR = 6.0
 
+# pulse durations a trace needs, at least, to be fitted
+MIN_FIT_SAMPLES = 8
+
 # pixels fitted together in one LM batch; bounds the solver's memory
 FIT_BLOCK_PX = 1024
 
@@ -502,8 +505,8 @@ def _fit_times(t_ns):
     """t_ns as check_dt_ns returns it, if it holds enough samples to
     fit; else ValueError."""
     t = check_dt_ns(t_ns)
-    if len(t) < 8:
-        raise ValueError("need at least 8 samples to fit")
+    if len(t) < MIN_FIT_SAMPLES:
+        raise ValueError(f"need at least {MIN_FIT_SAMPLES} samples to fit")
     return t
 
 

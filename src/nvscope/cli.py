@@ -153,6 +153,11 @@ def _check_report(rdoc, dt_ns, device_doc):
                                "n_repeats", at_least(10), default=10)
     if dt_ns is None:
         raise ConfigError("report.sensitivity needs a scan section")
+    if len(dt_ns) < analysis.MIN_FIT_SAMPLES:
+        raise ConfigError(
+            f"report.sensitivity needs scan.n_steps >= "
+            f"{analysis.MIN_FIT_SAMPLES} to fit its repeats, "
+            f"got {len(dt_ns)}")
     return out
 
 
@@ -445,7 +450,8 @@ def cmd_fit(args, cfg, out, span):
                         "max_iterations": analysis.MAX_EVALS,
                         "component": cube.component},
     }
-    out(base + ".fit.fmap", formats.write_field_map, fmap)
+    out(base + ".fit.fmap", formats.write_field_map, fmap,
+        workers=analysis.fit_workers(n, args.threads))
     out(base + ".fit.pgm", formats.write_pgm, fmap.values)
     out(base + ".fit.json", _write_json, diagnostics)
     print(f"fit {base}: converged {n_conv}/{n} "

@@ -1,5 +1,6 @@
 """Suite-wide checks."""
 
+import ast
 import os
 
 import pytest
@@ -41,3 +42,22 @@ def cpus(monkeypatch):
     def set_cpus(n):
         monkeypatch.setattr(fieldcore, "usable_cpus", lambda: n)
     return set_cpus
+
+
+@pytest.fixture
+def references():
+    """references(tree) yields the names that an ast tree reaches:
+    attributes, names, imported names and hasattr/getattr strings."""
+    def names(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                yield node.attr
+            elif isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.alias):
+                yield node.name
+            elif (isinstance(node, ast.Call) and getattr(
+                    node.func, "id", None) in ("hasattr", "getattr")):
+                yield from (arg.value for arg in node.args
+                            if isinstance(arg, ast.Constant))
+    return names

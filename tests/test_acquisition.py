@@ -1,7 +1,9 @@
 """Contrast generator, shot noise statistics, camera timing."""
 
+import ast
 import math
 import os
+import pathlib
 import signal
 import threading
 import tracemalloc
@@ -74,44 +76,50 @@ class TestContrastAt:
             acq.contrast_at(1e-4, -5.0, NO_DECAY, c0=0.05)
 
 
+def on_frames(bmap, dt, pulse, decay, seed, n_frames):
+    """The frames of an all-on stream of n_frames frames: frame k is the
+    contrast after a dt pulse, with noise from the (seed, k) stream."""
+    timing = acq.CameraTiming()
+    period = acq.frame_time_ms(timing, 1, pulse, dt)
+    stream = acq.simulate_stream(bmap, dt, pulse,
+                                 [((n_frames - 0.5) * period, acq.ON)],
+                                 timing, rows=1, decay=decay, seed=seed)
+    assert len(stream) == n_frames
+    return stream["frame"]
+
+
 class TestShotNoise:
     def test_noiseless_zero_field(self):
-        bmap = uniform_bmap(0.0)
-        img = acq.simulate_contrast_image(bmap, 100.0, acq.PulseParams(),
-                                          acq.DecayParams())
+        img = acq.contrast_at(uniform_bmap(0.0).values, 100.0,
+                              acq.DecayParams(), acq.PulseParams().c0)
         np.testing.assert_array_equal(img, 0.0)
 
     def test_uniform_half_period(self):
         dt = 100.0
-        bmap = uniform_bmap(field_for_half_period(dt))
-        img = acq.simulate_contrast_image(bmap, dt, acq.PulseParams(),
-                                          NO_DECAY)
+        img = acq.contrast_at(uniform_bmap(field_for_half_period(dt)).values,
+                              dt, NO_DECAY, acq.PulseParams().c0)
         np.testing.assert_allclose(img, 0.05, rtol=1e-12)
 
     def test_contrast_sigma_matches_poisson_propagation(self):
         # var(1 - D/R) ~ 2/counts_ref at zero contrast
         bmap = uniform_bmap(0.0, nx=120, ny=100)
-        img = acq.simulate_contrast_image(bmap, 100.0, acq.PulseParams(),
-                                          acq.DecayParams(), noise_seed=7)
-        sigma = np.std(img)
+        [img] = on_frames(bmap, 100.0, acq.PulseParams(), acq.DecayParams(),
+                          seed=7, n_frames=1)
+        sigma = np.std(img, dtype=float)
         assert sigma == pytest.approx(math.sqrt(2) / 100.0, rel=0.10)
 
     def test_seeded_runs_identical(self):
         bmap = uniform_bmap(1e-4)
-        a = acq.simulate_contrast_image(bmap, 300.0, acq.PulseParams(),
-                                        acq.DecayParams(), noise_seed=5)
-        b = acq.simulate_contrast_image(bmap, 300.0, acq.PulseParams(),
-                                        acq.DecayParams(), noise_seed=5)
+        a = on_frames(bmap, 300.0, acq.PulseParams(), acq.DecayParams(),
+                      seed=5, n_frames=2)
+        b = on_frames(bmap, 300.0, acq.PulseParams(), acq.DecayParams(),
+                      seed=5, n_frames=2)
         np.testing.assert_array_equal(a, b)
 
     def test_frames_have_independent_streams(self):
         bmap = uniform_bmap(1e-4)
-        a = acq.simulate_contrast_image(bmap, 300.0, acq.PulseParams(),
-                                        acq.DecayParams(), noise_seed=5,
-                                        frame_index=0)
-        b = acq.simulate_contrast_image(bmap, 300.0, acq.PulseParams(),
-                                        acq.DecayParams(), noise_seed=5,
-                                        frame_index=1)
+        a, b = on_frames(bmap, 300.0, acq.PulseParams(), acq.DecayParams(),
+                         seed=5, n_frames=2)
         assert not np.array_equal(a, b)
 
     def test_noise_averages_out(self):
@@ -119,15 +127,12 @@ class TestShotNoise:
         bmap = uniform_bmap(2e-4, nx=40, ny=40)
         pulse = acq.PulseParams()
         decay = acq.DecayParams()
-        ideal = acq.simulate_contrast_image(bmap, 250.0, pulse, decay)
+        ideal = acq.contrast_at(bmap.values, 250.0, decay, pulse.c0)
+        frames = on_frames(bmap, 250.0, pulse, decay, seed=11, n_frames=64)
 
         def rms_err(n):
-            acc = np.zeros_like(ideal)
-            for k in range(n):
-                acc += acq.simulate_contrast_image(bmap, 250.0, pulse, decay,
-                                                   noise_seed=11,
-                                                   frame_index=k)
-            return np.sqrt(np.mean((acc / n - ideal) ** 2))
+            mean = np.mean(frames[:n], axis=0, dtype=float)
+            return np.sqrt(np.mean((mean - ideal) ** 2))
 
         ratio = rms_err(4) / rms_err(64)
         assert ratio == pytest.approx(4.0, rel=0.20)
@@ -238,14 +243,30 @@ class TestStreamEquivalence:
     @pytest.mark.parametrize("decay", DECAYS, ids=["damped", "undamped"])
     @pytest.mark.parametrize("seed", SEEDS)
     def test_single_frames(self, seed, decay):
+        # each frame of an all-on stream is the float64 contrast at its
+        # duration with its own (seed, k) noise, stored once as float32
         bmap = random_bmap(9, 7)
         pulse = acq.PulseParams()
         ideal = acq.contrast_at(bmap.values, 211.0, decay, pulse.c0)
-        for k in (0, 1, 5, 2 ** 64 - 1):
-            img = acq.simulate_contrast_image(bmap, 211.0, pulse, decay,
-                                              noise_seed=seed, frame_index=k)
+        frames = on_frames(bmap, 211.0, pulse, decay, seed, n_frames=6)
+        for k in (0, 1, 5):
             np.testing.assert_array_equal(
-                img, oracle_frame(ideal, pulse.counts_ref, seed, k))
+                frames[k], oracle_frame(ideal, pulse.counts_ref, seed,
+                                        k).astype(np.float32))
+
+    @pytest.mark.parametrize("seed", [s for s in SEEDS if s is not None])
+    def test_frame_rngs_are_fresh_philox_streams(self, seed):
+        # each call re-keys the one Philox to a fresh generator's state,
+        # keys wrapped at 2^64, whatever the previous key drew or buffered
+        rng = acq._frame_rngs()
+        for k in (0, 1, 5, 2 ** 64 - 1, 2 ** 64 + 1, -1, 5):
+            key = np.array([seed % 2 ** 64, k % 2 ** 64], dtype=np.uint64)
+            fresh = np.random.Generator(np.random.Philox(key=key))
+            keyed = rng(seed, k)
+            for draw in (lambda g: g.poisson(1e4, size=5),
+                         lambda g: g.integers(2 ** 32, dtype=np.uint32),
+                         lambda g: g.random(3)):
+                np.testing.assert_array_equal(draw(keyed), draw(fresh))
 
     @pytest.mark.parametrize("decay", DECAYS, ids=["damped", "undamped"])
     @pytest.mark.parametrize("seed", SEEDS)
@@ -668,3 +689,20 @@ class TestCubeWorkers:
                                acq.PulseParams(), acq.DecayParams(),
                                list(range(10)))
         assert len(forks) == 2
+
+
+NOISE_NAMES = {"_apply_shot_noise", "_frame_rngs"}
+
+
+def test_only_the_frame_fill_keys_generators_or_draws_noise(references):
+    # _fill_frames is the one producer of simulated frames, so anything
+    # done to an ideal frame before its noise has one place to go
+    package = pathlib.Path(acq.__file__).parent
+    users = {}
+    for path in sorted(package.rglob("*.py")):
+        for scope in ast.parse(path.read_text(), str(path)).body:
+            found = NOISE_NAMES & set(references(scope))
+            if found:
+                name = getattr(scope, "name", "<module>")
+                users[f"{path.stem}.{name}"] = found
+    assert users == {"acquisition._fill_frames": NOISE_NAMES}

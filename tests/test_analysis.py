@@ -22,7 +22,7 @@ from scipy import ndimage
 
 from nvscope import analysis as ana
 from nvscope.acquisition import (DecayParams, PulseParams, contrast_at,
-                                 simulate_contrast_image, simulate_cube)
+                                 simulate_cube)
 from nvscope.analysis import (FitConfig, TrapNotFound, amplitude_sensitivity,
                               characterize_trap, dynamic_range_db,
                               extract_contours, fit_cube, fit_pixel,

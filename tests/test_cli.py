@@ -327,6 +327,24 @@ def test_sensitivity_without_scan_exits_2_at_load(tmp_path, capsys):
     assert "report.sensitivity" in capsys.readouterr().err
 
 
+def test_sensitivity_on_a_short_scan_exits_2_at_load(tmp_path, capsys):
+    # the repeats' fit needs 8 durations (analysis.MIN_FIT_SAMPLES): a
+    # shorter scan fails at load, naming the field, before any output
+    report = {"sensitivity": {"n_repeats": 10}}
+    path = write_scenario(tmp_path, scan=dict(MINI["scan"], n_steps=7),
+                          report=report)
+    with pytest.raises(ConfigError, match="scan.n_steps >= 8"):
+        load_scenario(path)
+    for command in ("simulate", "acquire", "report"):
+        out = tmp_path / command
+        assert run(command, "--config", path, "-o", out) == 2
+        assert "scan.n_steps" in capsys.readouterr().err
+        assert not out.exists()
+    path = write_scenario(tmp_path, scan=dict(MINI["scan"], n_steps=8),
+                          report=report)
+    assert load_scenario(path).report["sensitivity"] == 10
+
+
 @pytest.mark.parametrize("sensitivity, n_repeats", [
     ({}, 10), ({"n_repeats": 10, "envelope": "single"}, 10),
     ({"n_repeats": 25, "envelope": "double"}, 25)])
@@ -996,6 +1014,28 @@ def test_fit_worker_count_does_not_change_results(pipeline, tmp_path):
     h_one = manifest_hashes(outdir, "mini-strip.cube", "fit")
     h_two = manifest_hashes(tmp_path, "mini-strip.cube", "fit")
     assert h_one == h_two
+
+
+@pytest.mark.parametrize("grain, threads, workers", [
+    (1, 1, 1), (1, 3, 3), (analysis.FIT_SPLIT_PX, 2, 1)])
+def test_fit_records_the_fit_workers(pipeline, tmp_path, monkeypatch, cpus,
+                                     forks, grain, threads, workers):
+    # the 96 px of the mini-strip: at the grain of 1, --threads workers
+    # on three CPUs; at FIT_SPLIT_PX, one, whatever --threads asks
+    outdir, _ = pipeline
+    monkeypatch.setattr(analysis, "FIT_SPLIT_PX", grain)
+    cpus(3)
+    before = len(forks)
+    assert run("fit", "--cube", outdir / "mini-strip.cube.rcub", "-o",
+               tmp_path, "--threads", threads) == 0
+    entry, *rest = read_manifest(tmp_path, "mini-strip.cube",
+                                 "fit")["outputs"]
+    assert entry["path"] == "mini-strip.cube.fit.fmap"
+    # the recorded count is the processes that ran
+    assert entry["workers"] == len(forks) - before + 1 == workers
+    assert all("workers" not in other for other in rest)
+    assert (manifest_hashes(tmp_path, "mini-strip.cube", "fit")
+            == manifest_hashes(outdir, "mini-strip.cube", "fit"))
 
 
 def test_noisy_fit_matches_golden_diagnostics(pipeline, tmp_path):

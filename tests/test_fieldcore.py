@@ -419,30 +419,14 @@ def test_workers_for(monkeypatch, cpus):
     assert fc.workers_for(100, 10) == 1
 
 
-def fork_and_cpu_references(tree):
-    """The names in tree that reach os.fork or usable_cpus: attributes,
-    names, imported names and hasattr/getattr strings."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute):
-            yield node.attr
-        elif isinstance(node, ast.Name):
-            yield node.id
-        elif isinstance(node, ast.alias):
-            yield node.name
-        elif (isinstance(node, ast.Call)
-              and getattr(node.func, "id", None) in ("hasattr", "getattr")):
-            yield from (arg.value for arg in node.args
-                        if isinstance(arg, ast.Constant))
-
-
-def test_only_fieldcore_forks_or_reads_the_cpus():
+def test_only_fieldcore_forks_or_reads_the_cpus(references):
     # every split over CPUs takes its count from fieldcore.workers_for
     # and runs through fieldcore.run_ranges
     package = pathlib.Path(fc.__file__).parent
     users = {}
     for path in sorted(package.rglob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
-        found = {"fork", "usable_cpus"} & set(fork_and_cpu_references(tree))
+        found = {"fork", "usable_cpus"} & set(references(tree))
         if found:
             users[path.stem] = found
     assert users == {"fieldcore": {"fork", "usable_cpus"}}
