@@ -61,46 +61,47 @@ keeps its single-exp fit, exactly as when the BIC rule discards the
 double, and only its evaluation count differs; a pixel changes only
 where the gate skips a double the rule would have kept.
 
-A single-exp row that has used OMEGA_EXIT_EVALS (50) evaluations and
-whose accepted |Omega| is not strictly inside the omega bounds leaves
-the LM loop as finished, and the bounds check reports it converged=False
-(omega out of bounds, not budget exhausted). Such rows are traces with
-less than a Rabi cycle in the scan that crawl down the valley of
-vanishing Omega, rising amplitude and growing tau, the "parameter
-evaporation" of sloppy models (Transtrum, Machta & Sethna, PRL 104,
-060201, 2010); without the exit they would run to the evaluation budget,
-holding their whole block in the loop, only to be reported not
-converged. On the cpw-fig2 rabi-fit samples of seeds 1-10 and on the
-cpw-fig2, omega-fig3 and trap-fig4-xz maps (default and one-cycle
-bounds), the latest evaluation at which a row outside the bounds came
-back inside and converged was 32, so 50 leaves a margin of 1.56x. Only
-the rows that exit change, in their parameters and evaluation count;
-their field is 0 either way. The rule reads each row alone and the
-evaluation count that all active rows share, so fit_pixel still equals
-the same pixel fitted in a block.
+The LM loop knows no fit rule of its own: each solve hands it one
+predicate, the caller's test of a row it will not accept, and a row
+that the predicate rejects once OMEGA_EXIT_EVALS (50) evaluations are
+used leaves the loop as finished. The single-exp solve rejects a row
+whose accepted |Omega| is not strictly inside the omega bounds
+(_in_bounds, which the converged flag reads too), and the bounds check
+reports it converged=False (omega out of bounds, not budget exhausted).
+Such rows are traces with less than a Rabi cycle in the scan that crawl
+down the valley of vanishing Omega, rising amplitude and growing tau,
+the "parameter evaporation" of sloppy models (Transtrum, Machta &
+Sethna, PRL 104, 060201, 2010); without the exit they would run to the
+evaluation budget, holding their whole block in the loop, only to be
+reported not converged. On the cpw-fig2 rabi-fit samples of seeds 1-10
+and on the cpw-fig2, omega-fig3 and trap-fig4-xz maps (default and
+one-cycle bounds), the latest evaluation at which a row outside the
+bounds came back inside and converged was 32, so 50 leaves a margin of
+1.56x. Only the rows that exit change, in their parameters and
+evaluation count; their field is 0 either way. The rule reads each row
+alone and the evaluation count that all active rows share, so fit_pixel
+still equals the same pixel fitted in a block.
 
-The same exit covers the double-exp solve: a double row whose accepted
-|Omega| is not strictly inside the omega bounds, or whose dBIC over its
-own single fit is still below BIC_MARGIN, after OMEGA_EXIT_EVALS
-evaluations leaves the loop as finished, and the BIC rule discards it.
-The loop and the rule read dBIC from one function, _bic_gain, and the
-loop, the rule and the converged flag read the bounds from one,
-_in_bounds, so they cannot disagree. Accepted steps only lower the RSS,
-so dBIC only grows along a solve: a row that exited below the margin
-could have been kept only by crossing it after evaluation 50. On the
-cpw-fig2 rabi-fit samples of seeds 1-10 (333 doubles that pass the BIC
-rule without the bounds test) every kept double had reached the margin
-by evaluation 13, and on the cpw-fig2, omega-fig3 and trap-fig4-xz maps
-(1357 kept) by evaluation 16, a margin of 3.1x. A row that exited
-outside the bounds could have been kept only by coming back inside after
-evaluation 50. Of the doubles kept on those samples (288) and maps
-(1140), 12 were ever outside the bounds, and none after evaluation 38
-(cpw-fig2; 16 on trap-fig4-xz, 6 on the samples), a margin of 1.32x;
-with FitConfig.omega_bounds set to the one-cycle bounds (2 pi / span,
-pi / step) none of them keeps a double. The bounds exit stops 265 of
-the 4226 double solves of the samples and 334, 159 and 598 of the
-maps' 5119, 2546 and 4333, solves that would otherwise run on to their
-budget below the bounds.
+The double-exp solve rejects a row that the BIC rule would not keep:
+its dBIC over its own single fit (_bic_gain) still below BIC_MARGIN, or
+its |Omega| not strictly inside the bounds. The rule keeps a converged
+double row for which that same function is true, so a double row that
+leaves early is one the rule discards. Accepted steps only lower the
+RSS, so dBIC only grows along a solve: a row that exited below the
+margin could have been kept only by crossing it after evaluation 50. On
+the cpw-fig2 rabi-fit samples of seeds 1-10 (333 doubles that pass the
+BIC rule without the bounds test) every kept double had reached the
+margin by evaluation 13, and on the cpw-fig2, omega-fig3 and
+trap-fig4-xz maps (1357 kept) by evaluation 16, a margin of 3.1x. A row
+that exited outside the bounds could have been kept only by coming back
+inside after evaluation 50. Of the doubles kept on those samples (288)
+and maps (1140), 12 were ever outside the bounds, and none after
+evaluation 38 (cpw-fig2; 16 on trap-fig4-xz, 6 on the samples), a
+margin of 1.32x; with FitConfig.omega_bounds set to the one-cycle
+bounds (2 pi / span, pi / step) none of them keeps a double. The bounds
+exit stops 265 of the 4226 double solves of the samples and 334, 159
+and 598 of the maps' 5119, 2546 and 4333, solves that would otherwise
+run on to their budget below the bounds.
 Only the evaluation counts of the rows that exit change.
 """
 
@@ -162,6 +163,9 @@ MIN_SNR = 6.0
 
 # pulse durations a trace needs, at least, to be fitted
 MIN_FIT_SAMPLES = 8
+
+# repeated cubes a sensitivity estimate needs, at least
+MIN_REPEATS = 10
 
 # pixels fitted together in one LM batch; bounds the solver's memory
 FIT_BLOCK_PX = 1024
@@ -272,13 +276,14 @@ def _seed_taus(t, y):
     return np.clip(tau, span / 20.0, 50.0 * span)
 
 
-def _model_rows(t, neg_t, y, x, k):
+def _model_rows(t, neg_t, y, x):
     """Residuals of the model at parameter rows x against the rows of y.
 
     A row is [A, amp_1..amp_k, ln tau_1..ln tau_k, Omega, phi], with k
-    = 1 (single-exp) or 2 (double-exp); neg_t is -t. Returns the
-    residuals and the model terms the Jacobian reuses.
+    = 1 (single-exp) or 2 (double-exp) read from the rows' width; neg_t
+    is -t. Returns the residuals and the model terms the Jacobian reuses.
     """
+    k = (x.shape[1] - 3) // 2
     # the clip as two ufuncs: np.clip's wrapper costs more on small stacks
     log_taus = np.minimum(np.maximum(x[:, 1 + k:1 + 2 * k], -40.0), 40.0)
     # -t / tau, the exponent of each decay and a factor of its tau column
@@ -292,10 +297,11 @@ def _model_rows(t, neg_t, y, x, k):
     return (x[:, :1] - env * s) - y, (rate_t, decays, env, s, arg)
 
 
-def _normal_equations(t, x, resid, terms, k):
+def _normal_equations(t, x, resid, terms):
     """J^T J and the gradient J^T r of every row, J from the terms of
     _model_rows."""
     rate_t, decays, env, s, arg = terms
+    k = (x.shape[1] - 3) // 2
     jac = np.empty((len(x), x.shape[1], len(t)))
     jac[:, 0] = 1.0
     jac[:, 1:1 + k] = -decays * s[:, None]
@@ -343,37 +349,33 @@ def _rss_floor(y):
 def _bic_gain(ssq_single, ssq_double, floor, n):
     """dBIC of the double-exp fit over the single-exp fit of each trace of
     n samples, from their residual sums (see the module doc); floor is
-    _rss_floor of the traces. The one formula of the BIC rule, read both
-    by the LM loop's exit and by the rule itself."""
+    _rss_floor of the traces. The one formula of the BIC rule."""
     return (n * np.log((0.5 * ssq_single + floor) / (0.5 * ssq_double + floor))
             - 2.0 * math.log(n))
 
 
 def _in_bounds(omega, bounds):
     """|Omega| strictly inside the omega bounds (lo, hi), elementwise; a
-    NaN is outside. The one test of the bounds, read by the LM loop's
-    exit, the BIC rule and the converged flag, so they cannot disagree."""
+    NaN is outside. The one test of the bounds, read by both solves'
+    exits, the BIC rule and the converged flag."""
     omega = np.abs(omega)
     return (bounds[0] < omega) & (omega < bounds[1])
 
 
-def _levenberg_marquardt(t, y, x, k, omega_bounds=None, ssq_single=None):
-    """Fit the rows of y (P, n) from the seed rows x (P, p) together.
+def _levenberg_marquardt(t, y, x, rejected):
+    """Fit the rows of y (P, n) from the seed rows x (P, p) together;
+    p = 5 or 7 gives the envelope (see _model_rows).
 
     Each row carries its own damping lam and Moré scaling d2 (running
     max of diag J^T J) and solves (J^T J + lam diag d2) dx = -J^T r.
     A step is kept when its gain ratio exceeds 1e-4. A row converges
     on MINPACK's ftol, xtol or gtol test and leaves the active set when
     it converges or has used MAX_EVALS residual evaluations, the first
-    included. Once OMEGA_EXIT_EVALS evaluations are used, a row that
-    its caller will reject also leaves, reported as finished
-    (see the module doc): with omega_bounds (lo, hi), a row whose
-    accepted |Omega| is not strictly inside them (_in_bounds), which
-    the caller's bounds check returns with converged=False, not as an
-    exhausted budget, and which the BIC rule discards if it is a
-    double-exp row; with ssq_single, the RSS of each row's single-exp
-    fit, a double-exp row whose _bic_gain over it is still below
-    BIC_MARGIN, which the BIC rule discards too. The state of the
+    included. Once OMEGA_EXIT_EVALS evaluations are used, an active row
+    also leaves, reported as finished, where rejected(x, ssq, rows) is
+    true: the caller's one test of what it will not accept, given the
+    active rows' accepted parameters and residual sums and their
+    indices into the inputs (see the module doc). The state of the
     active rows is held compacted and is cut down only in the
     iterations where rows leave, so a block's tail of slow rows does
     not index the full-size arrays in every iteration; accepted and
@@ -386,12 +388,10 @@ def _levenberg_marquardt(t, y, x, k, omega_bounds=None, ssq_single=None):
     neg_t = -t
     x_out = x.copy()
     nfev_out = np.empty(len(x), dtype=int)
-    if ssq_single is not None:
-        floor = _rss_floor(y)
     with np.errstate(all="ignore"):
-        resid, terms = _model_rows(t, neg_t, y, x_out, k)
+        resid, terms = _model_rows(t, neg_t, y, x_out)
         ssq_out = (resid ** 2).sum(axis=1)
-        jtj, grad = _normal_equations(t, x_out, resid, terms, k)
+        jtj, grad = _normal_equations(t, x_out, resid, terms)
         norms = jtj.diagonal(axis1=1, axis2=2)
         d2 = norms.copy()
         d2[d2 == 0] = 1.0
@@ -406,12 +406,7 @@ def _levenberg_marquardt(t, y, x, k, omega_bounds=None, ssq_single=None):
         while True:
             # a row that its caller will reject is finished
             if nfev >= OMEGA_EXIT_EVALS:
-                if omega_bounds is not None:
-                    done = done | ~_in_bounds(x[:, 1 + 2 * k], omega_bounds)
-                if ssq_single is not None:
-                    done = done | ~(_bic_gain(ssq_single[rows], ssq,
-                                              floor[rows], len(t))
-                                    >= BIC_MARGIN)
+                done = done | rejected(x, ssq, rows)
             if nfev >= MAX_EVALS or done.any():
                 stay = (~done if nfev < MAX_EVALS
                         else np.zeros(len(rows), dtype=bool))
@@ -431,7 +426,7 @@ def _levenberg_marquardt(t, y, x, k, omega_bounds=None, ssq_single=None):
             damped[:, diag, diag] += lam_d2
             step = _solve_rows(damped, -grad)
             x_new = x + step
-            resid, terms = _model_rows(t, neg_t, y, x_new, k)
+            resid, terms = _model_rows(t, neg_t, y, x_new)
             ssq_new = (resid ** 2).sum(axis=1)
             nfev += 1
             # reductions of the cost ssq / 2: actual and as predicted by
@@ -454,7 +449,7 @@ def _levenberg_marquardt(t, y, x, k, omega_bounds=None, ssq_single=None):
             # accepted: move and relinearize. J is built for every row,
             # which costs less than gathering the accepted ones (about
             # 90% of the rows); an accepted row takes the trial values
-            jtj_new, grad_new = _normal_equations(t, x_new, resid, terms, k)
+            jtj_new, grad_new = _normal_equations(t, x_new, resid, terms)
             norms = jtj_new.diagonal(axis1=1, axis2=2)
             done |= accept & _small_gradient(norms, grad_new, ssq_new)
             x = np.where(accept[:, None], x_new, x)
@@ -538,41 +533,42 @@ def _fit_rows(t_ns, y, cfg):
     yf = y[fit]
     bounds = cfg.omega_bounds or _default_omega_bounds(t)
     x0, x0_d = _seed_rows(t, yf, freq[fit])
-    double_mode = cfg.envelope_mode == DOUBLE_EXP
-    # the solver overwrites the rows of y it is given; in double mode
-    # yf is still needed for the residuals and the double solve
-    x, ssq, nfev, conv = _levenberg_marquardt(
-        t, yf.copy() if double_mode else yf, x0, 1, bounds)
+    # the solver overwrites the rows of yf; y keeps the traces
+    x, rss, nfev, conv = _levenberg_marquardt(
+        t, yf, x0, lambda x, ssq, rows: ~_in_bounds(x[:, -2], bounds))
     # single-exp rows in the double-exp layout [A, B, C, ln tau_f,
     # ln tau_s, Omega, phi] with C = 0 and tau_s = tau_f
     params = x[:, [0, 1, 1, 2, 2, 3, 4]]
     params[:, 2] = 0.0
-    rss, ok = ssq, conv
-    solved = double = np.zeros(len(fit), dtype=bool)
-    if double_mode:
-        # the double solve runs only where the single fit leaves misfit
-        # above the noise floor of its own residual (see module doc)
+    # the double solve runs only where the single fit leaves misfit
+    # above the noise floor of its own residual (see module doc); the
+    # single envelope shuts the gate on every row
+    solved = np.zeros(len(fit), dtype=bool)
+    if cfg.envelope_mode == DOUBLE_EXP:
         with np.errstate(all="ignore"):
-            resid, _ = _model_rows(t, -t, yf, x, 1)
-            solved = ssq > DOUBLE_GATE * n * _noise_variance(resid)
-        on = np.flatnonzero(solved)
-        x_d = np.empty_like(x0_d)
-        ssq_d = np.full(len(fit), math.inf)
-        nfev_d = np.zeros(len(fit), dtype=int)
-        conv_d = np.zeros(len(fit), dtype=bool)
-        # a double row outside the omega bounds or still short of the BIC
-        # margin after OMEGA_EXIT_EVALS evaluations leaves its solve (see
-        # module doc)
-        x_d[on], ssq_d[on], nfev_d[on], conv_d[on] = _levenberg_marquardt(
-            t, yf[on], x0_d[on], 2, bounds, ssq_single=ssq[on])
+            resid, _ = _model_rows(t, -t, y[fit], x)
+            solved = rss > DOUBLE_GATE * n * _noise_variance(resid)
+    on = np.flatnonzero(solved)
+    double = np.zeros(len(fit), dtype=bool)
+    if on.size:
+        y_d = y[fit[on]]
+        rss_single, floor = rss[on], _rss_floor(y_d)
+
+        def kept(x_d, ssq_d, rows):
+            # the double-exp rule of the module doc, for double rows
+            # `rows` of this solve, as its exit and its keep rule read it
+            return ((_bic_gain(rss_single[rows], ssq_d, floor[rows], n)
+                     >= BIC_MARGIN) & _in_bounds(x_d[:, -2], bounds))
+
+        x_d, ssq_d, nfev_d, conv_d = _levenberg_marquardt(
+            t, y_d, x0_d[on], lambda x, ssq, rows: ~kept(x, ssq, rows))
         with np.errstate(all="ignore"):
-            dbic = _bic_gain(ssq, ssq_d, _rss_floor(yf), n)
-            double = (conv_d & (dbic >= BIC_MARGIN)
-                      & _in_bounds(x_d[:, 5], bounds))
-        params = np.where(double[:, None], x_d, params)
-        rss = np.where(double, ssq_d, ssq)
-        ok = conv | double
-        nfev = nfev + nfev_d
+            keep = conv_d & kept(x_d, ssq_d, np.arange(on.size))
+        double[on] = keep
+        params[on[keep]] = x_d[keep]
+        rss[on[keep]] = ssq_d[keep]
+        nfev[on] += nfev_d
+    ok = conv | double
 
     # fast envelope first; a single-exp row's slow tau is its fast tau,
     # copied, so that a libm rounding two exps apart cannot swap the row
@@ -968,6 +964,13 @@ class TrapReport:
     gradients: dict  # side tag -> T/m, slope away from the minimum
 
 
+def region_in_grid(region, nx, ny):
+    """Whether the half-open pixel bounds ((i0, i1), (j0, j1)) are a
+    nonempty region of an nx x ny grid."""
+    (i0, i1), (j0, j1) = region
+    return 0 <= i0 < i1 <= nx and 0 <= j0 < j1 <= ny
+
+
 def characterize_trap(pmap, search_region=None, arm=5):
     """Deepest interior local minimum of a field map and its gradients.
 
@@ -980,11 +983,10 @@ def characterize_trap(pmap, search_region=None, arm=5):
     a = pmap.values
     nx, ny = a.shape
     if search_region is None:
-        (i0, i1), (j0, j1) = (0, nx), (0, ny)
-    else:
-        (i0, i1), (j0, j1) = search_region
-        if not (0 <= i0 < i1 <= nx and 0 <= j0 < j1 <= ny):
-            raise ValueError("search region must lie within the grid")
+        search_region = (0, nx), (0, ny)
+    elif not region_in_grid(search_region, nx, ny):
+        raise ValueError("search region must lie within the grid")
+    (i0, i1), (j0, j1) = search_region
 
     # interior pixels of the region no greater than their 3x3
     # neighbourhood (a NaN neighbour rules a pixel out); the lowest
@@ -1034,8 +1036,8 @@ def amplitude_sensitivity(cubes, measurement_time_s=None):
     exposure time of the cube's pulse train.
     """
     cubes = list(cubes)
-    if len(cubes) < 10:
-        raise ValueError("need at least 10 repeated cubes")
+    if len(cubes) < MIN_REPEATS:
+        raise ValueError(f"need at least {MIN_REPEATS} repeated cubes")
     t = cubes[0].dt_ns
     if any(not np.array_equal(c.dt_ns, t) for c in cubes[1:]):
         raise ValueError("repeated cubes must share dt_ns")

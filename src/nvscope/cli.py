@@ -150,7 +150,8 @@ def _check_report(rdoc, dt_ns, device_doc):
     if "sensitivity" not in rdoc:
         return out
     out["sensitivity"] = param(read("sensitivity", obj), "report.sensitivity",
-                               "n_repeats", at_least(10), default=10)
+                               "n_repeats", at_least(analysis.MIN_REPEATS),
+                               default=analysis.MIN_REPEATS)
     if dt_ns is None:
         raise ConfigError("report.sensitivity needs a scan section")
     if len(dt_ns) < analysis.MIN_FIT_SAMPLES:
@@ -167,9 +168,8 @@ def _check_trap(tdoc, grid):
     lies within the grid."""
     kwargs = given(tdoc, "trap", arm=("arm_px", at_least(1)),
                    search_region=("search_region_px", _region))
-    (i0, i1), (j0, j1) = kwargs.get("search_region",
-                                    ((0, grid.nx), (0, grid.ny)))
-    if not (0 <= i0 < i1 <= grid.nx and 0 <= j0 < j1 <= grid.ny):
+    region = kwargs.get("search_region", ((0, grid.nx), (0, grid.ny)))
+    if not analysis.region_in_grid(region, grid.nx, grid.ny):
         raise ConfigError(f"trap.search_region_px must lie within the "
                           f"{grid.nx}x{grid.ny} grid, got "
                           f"{tdoc['search_region_px']!r}")

@@ -450,6 +450,17 @@ def test_double_mode_single_pixels_equal_single_envelope_fits(monkeypatch):
     assert seen == {"single", "single exhausted", "double"}
 
 
+def never(x, ssq, rows):
+    """A solver predicate that rejects no row: the solve with no exit."""
+    return np.zeros(len(rows), dtype=bool)
+
+
+def outside(bounds):
+    """A solver predicate that rejects the rows whose |omega| is not
+    strictly inside bounds."""
+    return lambda x, ssq, rows: ~ana._in_bounds(x[:, -2], bounds)
+
+
 def test_double_gate_skips_only_discarded_double_solves(monkeypatch):
     # reference: both envelopes solved on every row, then the BIC rule;
     # the gated fit must equal it in every field but the evaluation
@@ -477,9 +488,10 @@ def test_double_gate_skips_only_discarded_double_solves(monkeypatch):
     yf = y[fit]
     x0, x0_d = ana._seed_rows(t, yf, freq[fit])
     lo, hi = ana._default_omega_bounds(t)
-    x, ssq, _, conv = ana._levenberg_marquardt(t, yf.copy(), x0, 1,
-                                               (lo, hi))
-    x_d, ssq_d, _, conv_d = ana._levenberg_marquardt(t, yf.copy(), x0_d, 2)
+    x, ssq, _, conv = ana._levenberg_marquardt(t, yf.copy(), x0,
+                                               outside((lo, hi)))
+    x_d, ssq_d, _, conv_d = ana._levenberg_marquardt(t, yf.copy(), x0_d,
+                                                     never)
     floor = n * (1e-10 * np.maximum(np.max(np.abs(yf), axis=1),
                                     1e-30)) ** 2
     dbic = (n * np.log((0.5 * ssq + floor) / (0.5 * ssq_d + floor))
@@ -515,10 +527,11 @@ def test_double_gate_skips_only_discarded_double_solves(monkeypatch):
 
 
 def test_omega_exit_changes_only_rows_that_left_the_bounds(monkeypatch):
-    # reference: the single solve with the exit disabled (bounds (0, inf)),
-    # then the gate and the BIC rule as usual. On a stride-10 sample of
-    # the cpw-fig2 map a row that left the omega bounds stops early and
-    # is reported out of bounds; no other pixel and no field changes
+    # reference: the single solve with the exit disabled (a predicate
+    # that rejects no row), then the gate and the BIC rule as usual. On a
+    # stride-10 sample of the cpw-fig2 map a row that left the omega
+    # bounds stops early and is reported out of bounds; no other pixel
+    # and no field changes
     cfg = load_scenario("cpw-fig2")
     g = cfg.grid
     grid = GridSpec(origin=g.origin, axes=g.axes, nx=g.nx // 10,
@@ -531,16 +544,16 @@ def test_omega_exit_changes_only_rows_that_left_the_bounds(monkeypatch):
     solver = ana._levenberg_marquardt
     single_evals = []
 
-    def recorded(t, y, x, k, omega_bounds=None, ssq_single=None):
-        out = solver(t, y, x, k, omega_bounds, ssq_single)
-        if k == 1:
+    def recorded(t, y, x, rejected):
+        out = solver(t, y, x, rejected)
+        if x.shape[1] == 5:
             single_evals.append(out[2])
         return out
 
-    def no_exit(t, y, x, k, omega_bounds=None, ssq_single=None):
-        if omega_bounds is not None:
-            omega_bounds = (0.0, math.inf)
-        return recorded(t, y, x, k, omega_bounds, ssq_single)
+    def no_exit(t, y, x, rejected):
+        if x.shape[1] == 5:
+            rejected = never
+        return recorded(t, y, x, rejected)
 
     monkeypatch.setattr(ana, "_levenberg_marquardt", recorded)
     fmap, results = fit_cube(cube)
@@ -609,14 +622,16 @@ def test_double_exit_changes_only_discarded_double_solves(monkeypatch):
     solver = ana._levenberg_marquardt
     double_evals = []
 
-    def recorded(t, y, x, k, omega_bounds=None, ssq_single=None):
-        out = solver(t, y, x, k, omega_bounds, ssq_single)
-        if k == 2:
+    def recorded(t, y, x, rejected):
+        out = solver(t, y, x, rejected)
+        if x.shape[1] == 7:
             double_evals.append(out[2])
         return out
 
-    def no_exit(t, y, x, k, omega_bounds=None, ssq_single=None):
-        return recorded(t, y, x, k, omega_bounds)
+    def no_exit(t, y, x, rejected):
+        if x.shape[1] == 7:
+            rejected = outside(ana._default_omega_bounds(t))
+        return recorded(t, y, x, rejected)
 
     monkeypatch.setattr(ana, "_levenberg_marquardt", recorded)
     fmap, results = fit_cube(cube)
@@ -645,24 +660,30 @@ MOST_DOUBLE_EXITS_SAMPLE = (5, 0)
 
 def test_double_omega_exit_changes_only_rows_that_left_the_bounds(
         monkeypatch):
-    # reference: the double solve with its omega exit disabled (bounds
-    # (0, inf) in its loop), then the BIC rule, which never keeps a double
-    # outside the bounds. A double row that leaves early is one the rule
-    # discards, so no field but the evaluation count changes
+    # reference: the double solve with its omega exit disabled (its own
+    # predicate, read with omega at the middle of the bounds), then the
+    # BIC rule, which never keeps a double outside the bounds. A double
+    # row that leaves early is one the rule discards, so no field but the
+    # evaluation count changes
     cube = cpw_fig2_stride10_cube(*MOST_DOUBLE_EXITS_SAMPLE)
     solver = ana._levenberg_marquardt
     double_evals = []
 
-    def recorded(t, y, x, k, omega_bounds=None, ssq_single=None):
-        out = solver(t, y, x, k, omega_bounds, ssq_single)
-        if k == 2:
+    def recorded(t, y, x, rejected):
+        out = solver(t, y, x, rejected)
+        if x.shape[1] == 7:
             double_evals.append(out[2])
         return out
 
-    def no_exit(t, y, x, k, omega_bounds=None, ssq_single=None):
-        if k == 2:
-            omega_bounds = (0.0, math.inf)
-        return recorded(t, y, x, k, omega_bounds, ssq_single)
+    def no_exit(t, y, x, rejected):
+        if x.shape[1] == 7:
+            rule, middle = rejected, sum(ana._default_omega_bounds(t)) / 2
+
+            def rejected(x, ssq, rows):
+                x = x.copy()
+                x[:, -2] = middle
+                return rule(x, ssq, rows)
+        return recorded(t, y, x, rejected)
 
     monkeypatch.setattr(ana, "_levenberg_marquardt", recorded)
     fmap, results = fit_cube(cube)
@@ -695,14 +716,58 @@ def test_kept_doubles_reach_the_bic_margin_by_half_the_exit(sample,
     fit = np.flatnonzero(snr >= ana.MIN_SNR)
     yf = y[fit]
     x0, x0_d = ana._seed_rows(t, yf, freq[fit])
-    _, ssq, _, _ = ana._levenberg_marquardt(t, yf.copy(), x0, 1,
-                                            ana._default_omega_bounds(t))
+    _, ssq, _, _ = ana._levenberg_marquardt(
+        t, yf.copy(), x0, outside(ana._default_omega_bounds(t)))
     kept = results.ravel()[fit].amp_slow != 0.0
     assert kept.any()
     monkeypatch.setattr(ana, "MAX_EVALS", ana.OMEGA_EXIT_EVALS // 2)
-    _, ssq_d, _, _ = ana._levenberg_marquardt(t, yf[kept], x0_d[kept], 2)
+    _, ssq_d, _, _ = ana._levenberg_marquardt(t, yf[kept], x0_d[kept], never)
     gain = ana._bic_gain(ssq[kept], ssq_d, ana._rss_floor(yf[kept]), len(t))
     assert (gain >= ana.BIC_MARGIN).all()
+
+
+def test_solver_retires_the_rows_its_predicate_rejects(monkeypatch):
+    # a block of sub-cycle traces, which run past the exit, and resolved
+    # ones, which converge before it. A predicate that rejects every row
+    # stops each row still running at exactly OMEGA_EXIT_EVALS evaluations
+    # and reports it finished; one that rejects none gives the solve with
+    # no exit at all
+    t = np.arange(20.0, 2000.1, 20.0)
+    decay = DecayParams(tau_fast_ns=2e4, tau_slow_ns=1e5, weight_fast=0.5)
+    rng = np.random.default_rng(3)
+    y = np.array([contrast_at(c / (2e-6 * GAMMA_NV), t, decay=decay,
+                              c0=0.05) + rng.normal(0.0, 2e-3, len(t))
+                  for c in (0.2, 3.0, 0.25, 5.0, 0.3, 8.0)])
+    freq, _ = ana._periodogram_peaks(t, y)
+    x0 = ana._seed_rows(t, y, freq)[0]
+    exit_at = ana.OMEGA_EXIT_EVALS
+    seen = []
+
+    def every(x, ssq, rows):
+        seen.append(rows.copy())
+        return np.ones(len(rows), dtype=bool)
+
+    def solve(rejected):
+        return ana._levenberg_marquardt(t, y.copy(), x0, rejected)
+
+    x, ssq, nfev, finished = solve(never)
+    late = nfev >= exit_at
+    assert late.any() and not late.all()
+    x_e, ssq_e, nfev_e, finished_e = solve(every)
+    # one call, on the input rows still running at the exit
+    assert [r.tolist() for r in seen] == [np.flatnonzero(late).tolist()]
+    assert (nfev_e[late] == exit_at).all() and finished_e.all()
+    early = ~late
+    assert (nfev_e[early] == nfev[early]).all()
+    assert x_e[early].tobytes() == x[early].tobytes()
+    assert ssq_e[early].tobytes() == ssq[early].tobytes()
+
+    # the solve with no exit: the predicate is never read
+    monkeypatch.setattr(ana, "OMEGA_EXIT_EVALS", ana.MAX_EVALS + 1)
+    seen.clear()
+    for a, b in zip(solve(every), (x, ssq, nfev, finished)):
+        assert a.tobytes() == b.tobytes()
+    assert seen == []
 
 
 def test_fit_records_describe_the_solver_curves(monkeypatch):
@@ -732,7 +797,8 @@ def test_fit_records_describe_the_solver_curves(monkeypatch):
     conv = {1: np.array([True, False, True, False, True, True]),
             2: np.array([True, True, True, True, False, True])}
 
-    def solver(t, y, x, k, omega_bounds=None, ssq_single=None):
+    def solver(t, y, x, rejected):
+        k = (x.shape[1] - 3) // 2
         rows = single if k == 1 else double
         ssq = np.full(len(rows), 1e6 if k == 1 else 1e-12)
         return rows.copy(), ssq, np.ones(len(rows), dtype=int), conv[k]

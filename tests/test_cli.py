@@ -354,6 +354,33 @@ def test_wellformed_sensitivity_loads(tmp_path, sensitivity, n_repeats):
                                           "sensitivity": n_repeats}
 
 
+@pytest.mark.parametrize("floor", [3, 12])
+def test_the_repeat_floor_is_one_constant(tmp_path, monkeypatch, floor):
+    # report.sensitivity's load check, its default and
+    # amplitude_sensitivity all read analysis.MIN_REPEATS when they run
+    monkeypatch.setattr(analysis, "MIN_REPEATS", floor)
+    short = {"sensitivity": {"n_repeats": floor - 1}}
+    with pytest.raises(ConfigError, match=re.escape(
+            f"report.sensitivity.n_repeats must be an integer >= {floor}, "
+            f"got {floor - 1}")):
+        load_scenario(write_scenario(tmp_path, report=short))
+    for sensitivity in ({}, {"n_repeats": floor}):
+        path = write_scenario(tmp_path, report={"sensitivity": sensitivity})
+        assert load_scenario(path).report["sensitivity"] == floor
+    grid = GridSpec(origin=np.zeros(3), axes=(np.array([1.0, 0.0, 0.0]),
+                                              np.array([0.0, 1.0, 0.0])),
+                    nx=3, ny=2, pitch=4e-6)
+    pmap = PolarizedFieldMap(grid=grid, component="sigma-",
+                             values=np.full((3, 2), 3e-4))
+    cubes = acquisition.simulate_cubes(
+        pmap, np.arange(10.0, 601.0, 10.0), acquisition.PulseParams(),
+        DecayParams(math.inf, math.inf, 0.5), seeds=range(floor))
+    with pytest.raises(ValueError,
+                       match=f"need at least {floor} repeated cubes"):
+        analysis.amplitude_sensitivity(cubes[:-1])
+    assert analysis.amplitude_sensitivity(cubes) > 0.0
+
+
 def test_report_settings_default_without_a_section(tmp_path):
     assert load_scenario(write_scenario(tmp_path)).report == {
         "impedance_ohm": 50.0}
