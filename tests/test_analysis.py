@@ -461,6 +461,18 @@ def outside(bounds):
     return lambda x, ssq, rows: ~ana._in_bounds(x[:, -2], bounds)
 
 
+def omega_exit_off(rejected, t):
+    """The solve's own predicate read with omega at the middle of the
+    bounds: its omega exit is off and any other exit stays."""
+    middle = sum(ana._default_omega_bounds(t)) / 2
+
+    def rule(x, ssq, rows):
+        x = x.copy()
+        x[:, -2] = middle
+        return rejected(x, ssq, rows)
+    return rule
+
+
 def test_double_gate_skips_only_discarded_double_solves(monkeypatch):
     # reference: both envelopes solved on every row, then the BIC rule;
     # the gated fit must equal it in every field but the evaluation
@@ -527,8 +539,8 @@ def test_double_gate_skips_only_discarded_double_solves(monkeypatch):
 
 
 def test_omega_exit_changes_only_rows_that_left_the_bounds(monkeypatch):
-    # reference: the single solve with the exit disabled (a predicate
-    # that rejects no row), then the gate and the BIC rule as usual. On a
+    # reference: both solves with their omega exits disabled (the double
+    # keeps its BIC exit), then the gate and the BIC rule as usual. On a
     # stride-10 sample of the cpw-fig2 map a row that left the omega
     # bounds stops early and is reported out of bounds; no other pixel
     # and no field changes
@@ -547,13 +559,12 @@ def test_omega_exit_changes_only_rows_that_left_the_bounds(monkeypatch):
     def recorded(t, y, x, rejected):
         out = solver(t, y, x, rejected)
         if x.shape[1] == 5:
-            single_evals.append(out[2])
+            # a copy: the fit adds the double solve's count in place
+            single_evals.append(out[2].copy())
         return out
 
     def no_exit(t, y, x, rejected):
-        if x.shape[1] == 5:
-            rejected = never
-        return recorded(t, y, x, rejected)
+        return recorded(t, y, x, omega_exit_off(rejected, t))
 
     monkeypatch.setattr(ana, "_levenberg_marquardt", recorded)
     fmap, results = fit_cube(cube)
@@ -677,12 +688,7 @@ def test_double_omega_exit_changes_only_rows_that_left_the_bounds(
 
     def no_exit(t, y, x, rejected):
         if x.shape[1] == 7:
-            rule, middle = rejected, sum(ana._default_omega_bounds(t)) / 2
-
-            def rejected(x, ssq, rows):
-                x = x.copy()
-                x[:, -2] = middle
-                return rule(x, ssq, rows)
+            rejected = omega_exit_off(rejected, t)
         return recorded(t, y, x, rejected)
 
     monkeypatch.setattr(ana, "_levenberg_marquardt", recorded)
